@@ -74,7 +74,6 @@ from .relations import (
     SweepPoint,
     apply_ladder,
     build_catalog,
-    check_quadratic,
     check_relation,
     sweep_catalog,
     sweep_record,
@@ -98,6 +97,6 @@ __all__ = [
     "ResidualReport", "alpha_derivative", "d_from_alpha_derivative",
     "inhom_residual", "limit_alpha", "ode_residual",
     "RelationRecord", "SweepPoint", "apply_ladder", "build_catalog",
-    "check_quadratic", "check_relation", "sweep_catalog", "sweep_record",
+    "check_relation", "sweep_catalog", "sweep_record",
     "__version__",
 ]

@@ -10,19 +10,22 @@ Subcommands:
 Numbers are serialized with 17 significant digits so output round-trips
 doubles exactly and is bit-stable across runs: identical requests give
 byte-identical output, and the CSV and JSON encodings of one run carry
-identical numeric fields.  Exit codes: 0 success, 1 verification
+identical numeric fields.  The one exception is a non-finite float,
+which JSON has no literal for: JSON output writes it as null, CSV as
+inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
 stderr).  The environment variable HYPERD_MAX_TERMS overrides the
 default series term cap; an explicit --max-terms flag wins over both.
 """
 
 import argparse
+import json
 import math
 import os
 import sys
 
 from .errors import DomainError, HyperdError
-from .ffun import F0, F1, F2, f2_norm_I, f_norm, f_second
+from .ffun import PARAMS_BY_KIND, f2_norm_I, f_norm, f_second
 from .dfun import DSpec, d_eval, d_eval_I, log_solution
 from .gammakit import near_int
 from .series import MAX_TERMS, REL_TOL
@@ -43,32 +46,19 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _json_escape(s):
-    out = ["\""]
-    for ch in s:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
-
-
 def _to_json(obj):
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return _json_escape(obj)
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "null"
     if isinstance(obj, (bool, int, float)):
         return _fmt(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        items = ("%s:%s" % (_json_escape(str(k)), _to_json(v))
+        items = ("%s:%s" % (_to_json(str(k)), _to_json(v))
                  for k, v in obj.items())
         return "{" + ",".join(items) + "}"
     raise TypeError("cannot serialize %r" % (type(obj),))
@@ -155,6 +145,14 @@ def _parse_grid(spec):
     return [complex(re, imv) for imv in ims for re in res]
 
 
+# classical parameter names of each kind, in from_classical order
+_CLASSICAL = {"0f1": ("c",), "1f1": ("a", "c"), "2f1": ("a", "b", "c")}
+
+
+def _flags(names):
+    return ", ".join("--" + k for k in names)
+
+
 def _resolve_params(args):
     """Returns (lie params dict, classical echo dict).
 
@@ -168,53 +166,25 @@ def _resolve_params(args):
                           "--beta/--mu) or classical (--a/--b/--c) "
                           "parameters, not both")
     eq = args.eq
+    cls = PARAMS_BY_KIND[eq]
+    names = _CLASSICAL[eq]
+    extra = [k for k in cls.__match_args__ if k != "alpha"]
     if cls_given:
-        if eq == "0f1":
-            if args.c is None:
-                raise DomainError("0f1 classical form needs --c")
-            lie = {"alpha": args.c - 1.0}
-        elif eq == "1f1":
-            if args.a is None or args.c is None:
-                raise DomainError("1f1 classical form needs --a and --c")
-            lie = {"alpha": args.c - 1.0, "theta": 2.0 * args.a - args.c}
-        else:
-            if None in (args.a, args.b, args.c):
-                raise DomainError("2f1 classical form needs --a, --b, --c")
-            lie = {"alpha": args.c - 1.0, "beta": args.a + args.b - args.c,
-                   "mu": args.b - args.a}
+        values = [getattr(args, k) for k in names]
+        if None in values:
+            raise DomainError("%s classical form needs %s" % (eq, _flags(names)))
+        p = cls.from_classical(*values)
     else:
         alpha = args.alpha if args.alpha is not None else \
             (float(args.m) if args.m is not None else None)
         if alpha is None:
             raise DomainError("missing --m or --alpha")
-        lie = {"alpha": alpha}
-        if eq == "1f1":
-            if args.theta is None:
-                raise DomainError("1f1 needs --theta")
-            lie["theta"] = args.theta
-        elif eq == "2f1":
-            if args.beta is None or args.mu is None:
-                raise DomainError("2f1 needs --beta and --mu")
-            lie["beta"] = args.beta
-            lie["mu"] = args.mu
-    al = lie["alpha"]
-    if eq == "0f1":
-        classical = {"c": 1.0 + al}
-    elif eq == "1f1":
-        classical = {"a": 0.5 * (1.0 + al + lie["theta"]), "c": 1.0 + al}
-    else:
-        classical = {"a": 0.5 * (1.0 + al + lie["beta"] - lie["mu"]),
-                     "b": 0.5 * (1.0 + al + lie["beta"] + lie["mu"]),
-                     "c": 1.0 + al}
-    return lie, classical
-
-
-def _equation_params(eq, lie):
-    if eq == "0f1":
-        return F0(alpha=lie["alpha"])
-    if eq == "1f1":
-        return F1(theta=lie["theta"], alpha=lie["alpha"])
-    return F2(alpha=lie["alpha"], beta=lie["beta"], mu=lie["mu"])
+        values = {k: getattr(args, k) for k in extra}
+        if None in values.values():
+            raise DomainError("%s needs %s" % (eq, _flags(extra)))
+        p = cls(alpha=alpha, **values)
+    lie = {"alpha": p.alpha, **{k: getattr(p, k) for k in extra}}
+    return lie, dict(zip(names, p.to_classical()))
 
 
 def _d_spec(eq, lie):
@@ -222,11 +192,7 @@ def _d_spec(eq, lie):
     if m is None:
         raise DomainError("this function needs integer m, got alpha=%r"
                           % (lie["alpha"],))
-    if eq == "0f1":
-        return DSpec(kind=eq, m=m)
-    if eq == "1f1":
-        return DSpec(kind=eq, m=m, theta=lie["theta"])
-    return DSpec(kind=eq, m=m, beta=lie["beta"], mu=lie["mu"])
+    return DSpec(eq, m, **{k: v for k, v in lie.items() if k != "alpha"})
 
 
 def _evaluator(args, lie):
@@ -239,24 +205,14 @@ def _evaluator(args, lie):
     if func in ("FI", "DI") and eq != "2f1":
         raise DomainError("--func %s is defined for --eq 2f1 only" % (func,))
 
-    if func == "F":
-        p = _equation_params(eq, lie)
-        return lambda z: f_norm(p, z, rel_tol, max_terms)
-    if func == "second":
-        p = _equation_params(eq, lie)
-        return lambda z: f_second(p, z, rel_tol, max_terms)
-    if func == "FI":
-        p = _equation_params(eq, lie)
-        return lambda z: f2_norm_I(p, z, rel_tol, max_terms)
-    if func == "D":
+    if func in ("F", "second", "FI"):
+        p = PARAMS_BY_KIND[eq](**lie)
+        fn = {"F": f_norm, "second": f_second, "FI": f2_norm_I}[func]
+        return lambda z: fn(p, z, rel_tol, max_terms)
+    if func in ("D", "DI", "logsol"):
         spec = _d_spec(eq, lie)
-        return lambda z: d_eval(spec, z, rel_tol, max_terms)
-    if func == "DI":
-        spec = _d_spec(eq, lie)
-        return lambda z: d_eval_I(spec, z, rel_tol, max_terms)
-    if func == "logsol":
-        spec = _d_spec(eq, lie)
-        return lambda z: log_solution(spec, z, rel_tol, max_terms)
+        fn = {"D": d_eval, "DI": d_eval_I, "logsol": log_solution}[func]
+        return lambda z: fn(spec, z, rel_tol, max_terms)
     if func == "U":
         if eq == "0f1":
             return lambda z: u0(lie["alpha"], z, route, rel_tol, max_terms)

@@ -24,15 +24,14 @@ principal part into low-order polynomial coefficients and leaves no pole.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
 from .ffun import (
     DEGENERACY_TOL,
     F2_SERIES_RADIUS,
-    F0,
-    F1,
-    F2,
+    PARAMS_BY_KIND,
     _f2_I_prefactor,
     f_norm_jet,
 )
@@ -49,14 +48,17 @@ from .series import (
     sum_power_series,
 )
 
-_KINDS = ("0f1", "1f1", "2f1")
+_KINDS = tuple(PARAMS_BY_KIND)
+
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
 class DSpec:
     """Selects one D function: equation kind, integer order m, extra params.
 
-    theta is required for 1f1, beta and mu for 2f1.  Parameter sets that
+    theta is required for 1f1, beta and mu for 2f1, the fields of the
+    kind's parameter class besides alpha.  Parameter sets that
     put a digamma weight or a principal-part Pochhammer at a pole are
     rejected on construction.
     """
@@ -95,11 +97,8 @@ class DSpec:
     @property
     def params(self):
         """The EquationParams with alpha = m."""
-        if self.kind == "0f1":
-            return F0(alpha=self.m)
-        if self.kind == "1f1":
-            return F1(theta=self.theta, alpha=self.m)
-        return F2(alpha=self.m, beta=self.beta, mu=self.mu)
+        cls = PARAMS_BY_KIND[self.kind]
+        return cls(**{k: self.m if k == "alpha" else getattr(self, k) for k in cls.__match_args__})
 
     def with_m(self, m):
         return DSpec(self.kind, m, self.theta, self.beta, self.mu)
@@ -269,15 +268,23 @@ def _log_branch(spec, z):
     return log_negated(z) if spec.kind == "2f1" else principal_log(z)
 
 
+def log_combo(ell, f, d):
+    """ell * F + D from the results f = F and d = D, ell a logarithm.
+
+    The error propagates both truncation errors and adds the rounding
+    floor eps * (|ell F| + |D|), since the two terms can cancel.
+    """
+    lf = ell * f.value
+    err = abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
+    return EvalResult(lf + d.value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+
+
 def log_solution(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """log z * F + D (log(-z) * F + D for 2f1) at order m."""
     z = complex(z)
     ell = _log_branch(spec, z)
     f = _f_norm(spec.params, z, rel_tol, max_terms)
-    d = d_eval(spec, z, rel_tol, max_terms)
-    value = ell * f.value + d.value
-    err = abs(ell) * f.err_estimate + d.err_estimate
-    return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+    return log_combo(ell, f, d_eval(spec, z, rel_tol, max_terms))
 
 
 def log_solution_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
@@ -297,8 +304,7 @@ def d_eval_I(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     if spec.kind != "2f1":
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    base = d_eval(spec, z, rel_tol, max_terms)
-    return EvalResult(pref * base.value, abs(pref) * base.err_estimate, base.terms_used, base.flags)
+    return d_eval(spec, z, rel_tol, max_terms).scaled(pref)
 
 
 def d_eval_I_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):

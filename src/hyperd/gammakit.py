@@ -9,8 +9,6 @@ g = 607/128, n = 15 set, good to ~1e-15 relative in the right half plane.
 
 import cmath
 import math
-from dataclasses import dataclass
-
 from .errors import PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -48,14 +46,6 @@ _PSI_ASYMP = (
     -691.0 / 32760.0,
     1.0 / 12.0,
 )
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """Gamma evaluated with an explicit pole flag instead of an exception."""
-
-    value: complex
-    is_pole: bool
 
 
 def near_int(z, tol=POLE_TOL):
@@ -116,14 +106,6 @@ def gamma(z):
         # DLMF 5.5.3
         return math.pi / (sinpi(z) * _lanczos(1.0 - z))
     return _lanczos(z)
-
-
-def gamma_value(z):
-    """Gamma with the pole signalled in-band rather than raised."""
-    z = complex(z)
-    if near_nonpositive_int(z) is not None:
-        return GammaValue(complex(math.inf, 0.0), True)
-    return GammaValue(gamma(z), False)
 
 
 def recip_gamma(z):

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
-from .ffun import (F0, F1, F2, f2_norm_I, f2_norm_I_jet, f_norm, f_norm_jet)
+from .ffun import (F0, F1, F2, PARAMS_BY_KIND, f2_norm_I, f2_norm_I_jet, f_norm,
+                   f_norm_jet)
 from .dfun import DSpec, d_eval, d_eval_I, d_eval_I_jet, d_eval_jet
 from .gammakit import gamma
 from .series import EvalResult, MAX_TERMS, REL_TOL, principal_log, principal_pow
@@ -42,7 +43,6 @@ __all__ = [
     "SweepPoint",
     "build_catalog",
     "check_relation",
-    "check_quadratic",
     "apply_ladder",
     "sweep_record",
     "sweep_catalog",
@@ -273,30 +273,21 @@ _ROWS_2F1 = (
 # ---------------------------------------------------------------------------
 # evaluators behind the table rows
 
+def _shifted(kind, d, shift, alpha):
+    """Fields of kind's parameter class at d with the given alpha, plus
+    shift, which lists one offset per field in field order."""
+    names = PARAMS_BY_KIND[kind].__match_args__
+    return {k: (alpha if k == "alpha" else d[k]) + (shift[i] if shift else 0)
+            for i, k in enumerate(names)}
+
+
 def _f_params(kind, d, shift=None):
-    if kind == "0f1":
-        al = _al(d) + (shift[0] if shift else 0)
-        return F0(alpha=al)
-    if kind == "1f1":
-        th = d["theta"] + (shift[0] if shift else 0)
-        al = _al(d) + (shift[1] if shift else 0)
-        return F1(theta=th, alpha=al)
-    al = _al(d) + (shift[0] if shift else 0)
-    be = d["beta"] + (shift[1] if shift else 0)
-    mu = d["mu"] + (shift[2] if shift else 0)
-    return F2(alpha=al, beta=be, mu=mu)
+    return PARAMS_BY_KIND[kind](**_shifted(kind, d, shift, _al(d)))
 
 
 def _d_spec(kind, d, shift=None):
-    m = int(d["m"])
-    if kind == "0f1":
-        return DSpec(kind=kind, m=m + (shift[0] if shift else 0))
-    if kind == "1f1":
-        return DSpec(kind=kind, m=m + (shift[1] if shift else 0),
-                     theta=d["theta"] + (shift[0] if shift else 0))
-    return DSpec(kind=kind, m=m + (shift[0] if shift else 0),
-                 beta=d["beta"] + (shift[1] if shift else 0),
-                 mu=d["mu"] + (shift[2] if shift else 0))
+    p = _shifted(kind, d, shift, int(d["m"]))
+    return DSpec(kind, p.pop("alpha"), **p)
 
 
 def _f_jet(kind, d, z):
@@ -860,14 +851,6 @@ def check_relation(rec_or_id, params, z, catalog=None):
                            (rec.id, params))
     lhs, rhs = _sides(rec, params, complex(z))
     return abs(lhs - rhs)
-
-
-def check_quadratic(rec_or_id, params, z, catalog=None):
-    """check_relation restricted to the quadratic/doubling family."""
-    rec = _resolve(rec_or_id, catalog)
-    if rec.family != "Quadratic":
-        raise Inapplicable("relation %s is not quadratic" % (rec.id,))
-    return check_relation(rec, params, z)
 
 
 def apply_ladder(rec_or_id, params, z, catalog=None):

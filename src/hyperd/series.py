@@ -34,6 +34,10 @@ class EvalResult:
     terms_used: int
     flags: frozenset = field(default_factory=frozenset)
 
+    def scaled(self, c):
+        """This result times c: value c*v, error |c|*err, same terms and flags."""
+        return EvalResult(c * self.value, abs(c) * self.err_estimate, self.terms_used, self.flags)
+
 
 @dataclass(frozen=True)
 class LaurentExpansion:

@@ -5,7 +5,8 @@ Three evaluation routes are offered for each U:
   Connection    generic alpha: the two power-behaved solutions combined
                 with reciprocal sine and Gamma weights; unusable near
                 integer alpha where sin(pi alpha) cancellation explodes.
-  LogPlusD      integer alpha = m: prefactor * (log z * F_m + D_m), the
+  LogPlusD      integer alpha = m: prefactor * dfun.log_solution, that is
+                prefactor * (log z * F_m + D_m) (log(-z) for 2F1), the
                 closed degenerate form; the canonical route at integers.
   Asymptotic2F0 the expansion about infinity (optimally truncated 2F0
                 for 0F1/1F1, the defining 1/z series for 2F1).
@@ -22,7 +23,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import DSpec, d_eval
+from .dfun import DSpec, d_eval, log_combo, log_solution
 from .errors import (
     BranchCut,
     DomainError,
@@ -125,22 +126,13 @@ def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
-        ell = principal_log(z)
-        f = f_norm(F0(m), z, rel_tol, max_terms)
-        d = d_eval(DSpec("0f1", m), z, rel_tol, max_terms)
-        pref = (-1.0) ** (m + 1) / _SQRT_PI
-        lf = ell * f.value
-        value = pref * (lf + d.value)
-        err = abs(pref) * (
-            abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-        )
-        return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+        inner = log_solution(DSpec("0f1", m), z, rel_tol, max_terms)
+        return inner.scaled((-1.0) ** (m + 1) / _SQRT_PI)
 
     if route is URoute.ASYMPTOTIC_2F0:
         sq = principal_pow(z, 0.5)
         pref = cmath.exp(-2.0 * sq) * principal_pow(z, -alpha / 2 - 0.25)
-        asy = f2f0_asymptotic(0.5 + alpha, 0.5 - alpha, -1.0 / (4.0 * sq), max_terms)
-        return EvalResult(pref * asy.value, abs(pref) * asy.err_estimate, asy.terms_used, asy.flags)
+        return f2f0_asymptotic(0.5 + alpha, 0.5 - alpha, -1.0 / (4.0 * sq), max_terms).scaled(pref)
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 0f1 kind")
 
@@ -174,29 +166,19 @@ def u1(theta, alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         m = _require_int(alpha)
         if m < 0:
             inner = u1(theta, -m, z, URoute.LOG_PLUS_D, rel_tol, max_terms)
-            pw = principal_pow(z, -m)
-            return EvalResult(pw * inner.value, abs(pw) * inner.err_estimate, inner.terms_used, inner.flags)
+            return inner.scaled(principal_pow(z, -m))
         q = (1 - m + theta) / 2
         if near_nonpositive_int(q) is not None:
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
             )
-        ell = principal_log(z)
-        f = f_norm(F1(theta, m), z, rel_tol, max_terms)
-        d = d_eval(DSpec("1f1", m, theta=theta), z, rel_tol, max_terms)
-        pref = (-1.0) ** (m + 1) * recip_gamma(q)
-        lf = ell * f.value
-        value = pref * (lf + d.value)
-        err = abs(pref) * (
-            abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-        )
-        return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+        inner = log_solution(DSpec("1f1", m, theta=theta), z, rel_tol, max_terms)
+        return inner.scaled((-1.0) ** (m + 1) * recip_gamma(q))
 
     if route is URoute.ASYMPTOTIC_2F0:
         a = (1 + theta + alpha) / 2
         pref = principal_pow(z, -a)
-        asy = f2f0_asymptotic(a, (1 + theta - alpha) / 2, -1.0 / z, max_terms)
-        return EvalResult(pref * asy.value, abs(pref) * asy.err_estimate, asy.terms_used, asy.flags)
+        return f2f0_asymptotic(a, (1 + theta - alpha) / 2, -1.0 / z, max_terms).scaled(pref)
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 1f1 kind")
 
@@ -247,24 +229,15 @@ def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         if m < 0:
             inner = u2(beta=beta, mu=mu, alpha=-m, z=z, route=URoute.LOG_PLUS_D,
                        rel_tol=rel_tol, max_terms=max_terms)
-            pw = principal_pow(complex(-z.real, -z.imag), -m)
-            return EvalResult(pw * inner.value, abs(pw) * inner.err_estimate, inner.terms_used, inner.flags)
+            return inner.scaled(principal_pow(complex(-z.real, -z.imag), -m))
         q1 = (1 - m - beta - mu) / 2
         q2 = (1 - m + beta - mu) / 2
         if near_nonpositive_int(q1) is not None or near_nonpositive_int(q2) is not None:
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
             )
-        ell = log_negated(z)
-        f = f_norm(F2(m, beta, mu), z, rel_tol, max_terms)
-        d = d_eval(DSpec("2f1", m, beta=beta, mu=mu), z, rel_tol, max_terms)
-        pref = (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2)
-        lf = ell * f.value
-        value = pref * (lf + d.value)
-        err = abs(pref) * (
-            abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-        )
-        return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+        inner = log_solution(DSpec("2f1", m, beta=beta, mu=mu), z, rel_tol, max_terms)
+        return inner.scaled((-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2))
 
     if route is URoute.ASYMPTOTIC_2F0:
         if abs(z) < 1.0 / F2_SERIES_RADIUS:
@@ -272,13 +245,11 @@ def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
                 f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
             )
         pref = cmath.exp((-1 - alpha - beta + mu) / 2 * log_negated(z))
-        inner = f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), 1.0 / z, rel_tol, max_terms)
-        return EvalResult(pref * inner.value, abs(pref) * inner.err_estimate, inner.terms_used, inner.flags)
+        return f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), 1.0 / z, rel_tol, max_terms).scaled(pref)
 
     if route is URoute.KUMMER_REFLECTED:
         pw = principal_pow(1.0 - z, -beta)
-        inner = u2(alpha, -beta, mu, z, None, rel_tol, max_terms)
-        return EvalResult(pw * inner.value, abs(pw) * inner.err_estimate, inner.terms_used, inner.flags)
+        return u2(alpha, -beta, mu, z, None, rel_tol, max_terms).scaled(pw)
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 2f1 kind")
 
@@ -308,32 +279,15 @@ def bessel(kind, m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     spec = DSpec("0f1", m)
 
     if kind == "I":
-        f = f_norm(p, w, rel_tol, max_terms)
-        return EvalResult(half_pow * f.value, abs(half_pow) * f.err_estimate, f.terms_used, f.flags)
+        return f_norm(p, w, rel_tol, max_terms).scaled(half_pow)
     if kind == "J":
-        f = f_norm(p, -w, rel_tol, max_terms)
-        return EvalResult(half_pow * f.value, abs(half_pow) * f.err_estimate, f.terms_used, f.flags)
+        return f_norm(p, -w, rel_tol, max_terms).scaled(half_pow)
     if kind == "K":
-        ell = principal_log(w)
-        f = f_norm(p, w, rel_tol, max_terms)
-        d = d_eval(spec, w, rel_tol, max_terms)
-        pref = (-1.0) ** (m + 1) / 2.0 * half_pow
-        lf = ell * f.value
-        value = pref * (lf + d.value)
-        err = abs(pref) * (
-            abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-        )
-        return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+        inner = log_solution(spec, w, rel_tol, max_terms)
+        return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):
         sign = 1.0 if kind == "H1" else -1.0
         ell = principal_log(w) - sign * 1j * math.pi
-        f = f_norm(p, -w, rel_tol, max_terms)
-        d = d_eval(spec, -w, rel_tol, max_terms)
-        pref = sign * 1j / math.pi * half_pow
-        lf = ell * f.value
-        value = pref * (lf + d.value)
-        err = abs(pref) * (
-            abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-        )
-        return EvalResult(value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+        inner = log_combo(ell, f_norm(p, -w, rel_tol, max_terms), d_eval(spec, -w, rel_tol, max_terms))
+        return inner.scaled(sign * 1j / math.pi * half_pow)
     raise ValueError(f"unknown Bessel kind {kind!r}")

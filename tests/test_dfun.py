@@ -8,6 +8,7 @@ generators inside the package.
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,22 @@ def test_log_solution_composition_and_cuts():
     assert _rel(log_solution(spec2, zneg).value, want2) < 1e-15
     with pytest.raises(BranchCut):
         log_solution(spec2, 0.5)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_log_solution_error_bound_0f1(m):
+    # D_m = U_m / prefactor - log z F_m, so the log solution log z F_m + D_m
+    # is U_m / prefactor, with U_m(z) = (2/sqrt(pi)) z^(-m/2) K_m(2 sqrt z)
+    # and prefactor (-1)^(m+1)/sqrt(pi).  At |z| = 20 the two terms cancel
+    # to ~1e-5 of their size, so the bound needs the rounding floor.
+    z = complex(20.0, 0.3)
+    with mp.workdps(30):
+        zm = mp.mpc(z.real, z.imag)
+        u = 2 / mp.sqrt(mp.pi) * zm ** (-mp.mpf(m) / 2) \
+            * mp.besselk(m, 2 * mp.sqrt(zm))
+        want = complex(u * (-1) ** (m + 1) * mp.sqrt(mp.pi))
+    got = log_solution(DSpec("0f1", m), z)
+    assert abs(got.value - want) <= got.err_estimate
 
 
 def test_log_solution_jet_consistency():

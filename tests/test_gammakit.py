@@ -18,7 +18,6 @@ from hyperd.gammakit import (
     cospi,
     digamma,
     gamma,
-    gamma_value,
     harmonic,
     near_int,
     near_nonpositive_int,
@@ -87,9 +86,6 @@ def test_poles():
         with pytest.raises(PoleError):
             digamma(float(n))
         assert recip_gamma(float(n)) == 0j
-        gv = gamma_value(float(n))
-        assert gv.is_pole and math.isinf(gv.value.real)
-    assert not gamma_value(0.5).is_pole
 
 
 def test_sinpi_cospi_exact_at_small_arguments():

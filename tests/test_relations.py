@@ -13,7 +13,6 @@ from hyperd.relations import (
     TOL_SWEEP,
     apply_ladder,
     build_catalog,
-    check_quadratic,
     check_relation,
     sweep_catalog,
     sweep_record,
@@ -82,13 +81,6 @@ def test_spot_checks(catalog):
     assert check_relation("q.double5", {"m": 1}, 0.15, catalog) < 1e-9
     assert check_relation("q.sasa3", {"m": 1, "beta": 0.3}, -0.2,
                           catalog) < 1e-8
-
-
-def test_check_quadratic_family_guard(catalog):
-    assert check_quadratic("q.double1", {"alpha": 0.37}, 0.3,
-                           catalog) < 1e-11
-    with pytest.raises(Inapplicable):
-        check_quadratic("f0.contiguity", {"m": 1}, 0.3, catalog)
 
 
 def test_stored_constants(catalog):

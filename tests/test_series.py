@@ -194,6 +194,16 @@ def test_eval_result_immutable():
         r.value = 2.0
 
 
+def test_eval_result_scaled():
+    r = EvalResult(complex(0.3, -1.2), 2.5e-15, 17, frozenset({"NearPole"}))
+    c = complex(-2.0, 0.75)
+    s = r.scaled(c)
+    assert s.value == c * r.value
+    assert s.err_estimate == abs(c) * r.err_estimate
+    assert s.terms_used == 17
+    assert s.flags == frozenset({"NearPole"})
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                           allow_infinity=False))
