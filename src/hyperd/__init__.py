@@ -41,7 +41,6 @@ from .ffun import (
     F0,
     F1,
     F2,
-    FunctionId,
     f2_norm_I,
     f2_norm_I_jet,
     f2f0_asymptotic,
@@ -89,7 +88,7 @@ __all__ = [
     "EvalResult", "LaurentExpansion", "MAX_TERMS", "REL_TOL",
     "EULER_GAMMA", "digamma", "gamma", "harmonic", "near_int", "pochhammer",
     "recip_gamma",
-    "F0", "F1", "F2", "FunctionId", "f_norm", "f_norm_jet", "f_second",
+    "F0", "F1", "F2", "f_norm", "f_norm_jet", "f_second",
     "f_second_jet", "f2_norm_I", "f2_norm_I_jet", "f2f0_asymptotic",
     "DSpec", "d_eval", "d_eval_jet", "d_eval_I", "d_eval_I_jet", "d_expand",
     "log_solution", "log_solution_jet",

@@ -14,14 +14,16 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr).  The environment variable HYPERD_MAX_TERMS overrides the
-default series term cap; an explicit --max-terms flag wins over both.
+stderr).  --max-terms caps the series lengths.
+
+verify sweeps the selected catalog records through
+relations.sweep_catalog and adds the Bessel and theorem consistency
+checks; both kinds of check become records of one shape.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from .errors import DomainError, HyperdError
@@ -365,26 +367,18 @@ def cmd_verify(args, stream, catalog=None):
         if suite in ("all", "theorems"):
             extra += _theorem_checks(args.rel_tol, args.max_terms)
 
-    for key in ids:
-        rec = relations._resolve(key, catalog)
-        pts = relations.sweep_record(rec, n=args.points, catalog=catalog)
-        worst = max(p.scaled for p in pts)
-        ok = worst <= args.tol
-        records.append({"id": key, "family": rec.family,
-                        "points": len(pts), "max_scaled_residual": worst,
+    worst = relations.sweep_catalog(catalog, n=args.points, ids=ids)
+    checks = [(key, catalog[key].family, args.points, worst[key], args.tol)
+              for key in ids]
+    checks += [(key, "Consistency", 1, w, tol) for key, w, tol in sorted(extra)]
+    for key, family, points, w, tol in checks:
+        ok = w <= tol
+        records.append({"id": key, "family": family, "points": points,
+                        "max_scaled_residual": w,
                         "status": "ok" if ok else "FAIL"})
-        max_residual = max(max_residual, worst)
+        max_residual = max(max_residual, w)
         if not ok:
-            failures.append({"id": key, "max_scaled_residual": worst})
-
-    for key, worst, tol in sorted(extra):
-        ok = worst <= tol
-        records.append({"id": key, "family": "Consistency", "points": 1,
-                        "max_scaled_residual": worst,
-                        "status": "ok" if ok else "FAIL"})
-        max_residual = max(max_residual, worst)
-        if not ok:
-            failures.append({"id": key, "max_scaled_residual": worst})
+            failures.append({"id": key, "max_scaled_residual": w})
 
     doc = {"command": "verify",
            "suite": args.id or args.suite or "all",
@@ -434,12 +428,12 @@ def _add_param_args(sp):
                     help="force a U evaluation route")
 
 
-def _add_common(sp, default_max_terms):
+def _add_common(sp):
     sp.add_argument("--rel-tol", type=float, default=REL_TOL)
-    sp.add_argument("--max-terms", type=int, default=default_max_terms)
+    sp.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
 
-def _parser(default_max_terms):
+def _parser():
     ap = argparse.ArgumentParser(
         prog="hyperd",
         description="normalized hypergeometric solutions, their "
@@ -453,14 +447,14 @@ def _parser(default_max_terms):
     pe.add_argument("--grid", default=None,
                     help="re0:re1:n,im0:im1:m (row-major, imaginary outer)")
     pe.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_common(pe, default_max_terms)
+    _add_common(pe)
 
     pt = sub.add_parser("table", help="evaluate over a grid, CSV by default")
     _add_param_args(pt)
     pt.add_argument("--grid", required=True,
                     help="re0:re1:n,im0:im1:m (row-major, imaginary outer)")
     pt.add_argument("--format", default="csv", choices=("json", "csv"))
-    _add_common(pt, default_max_terms)
+    _add_common(pt)
 
     pv = sub.add_parser("verify", help="run identity suites")
     pv.add_argument("--suite", default=None,
@@ -471,7 +465,7 @@ def _parser(default_max_terms):
     pv.add_argument("--points", type=int, default=relations.SWEEP_POINTS)
     pv.add_argument("--tol", type=float, default=relations.TOL_SWEEP)
     pv.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_common(pv, default_max_terms)
+    _add_common(pv)
 
     pc = sub.add_parser("catalog", help="list relation records")
     pc.add_argument("--format", default="json", choices=("json", "csv"))
@@ -479,16 +473,7 @@ def _parser(default_max_terms):
 
 
 def main(argv=None):
-    env_terms = os.environ.get("HYPERD_MAX_TERMS")
-    try:
-        default_max_terms = int(env_terms) if env_terms else MAX_TERMS
-    except ValueError:
-        sys.stderr.write(_to_json(
-            {"error": {"type": "DomainError",
-                       "message": "HYPERD_MAX_TERMS must be an integer, got "
-                                  + repr(env_terms)}}) + "\n")
-        return 2
-    ap = _parser(default_max_terms)
+    ap = _parser()
     args = ap.parse_args(argv)
     try:
         if args.command == "eval":

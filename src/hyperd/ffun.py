@@ -23,7 +23,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DivergedImmediately, DomainError, ParameterSingular, PoleError
 from .gammakit import gamma, near_int, pochhammer, recip_gamma
@@ -43,16 +42,6 @@ F2_SERIES_RADIUS = 0.95
 DEGENERACY_TOL = 1e-9
 
 _EPS = sys.float_info.epsilon
-
-
-class FunctionId(Enum):
-    F_NORM = "F_norm"
-    SECOND_SOLUTION = "SecondSolution"
-    D_LOG_COMPANION = "D_log_companion"
-    U_INFINITY = "U_infinity"
-    F2F0_ASYMPTOTIC = "F2F0_asymptotic"
-    F_I_NORM = "F_I_norm"
-    D_I_NORM = "D_I_norm"
 
 
 class EquationParams:

@@ -8,6 +8,15 @@ to draw applicable pseudo-random sample points, and, for the recurrence
 ladders, how to produce the shifted-parameter value from the unshifted
 one.
 
+The recurrence and contiguity records are built from row tables: each
+row of _ROWS_0F1/_ROWS_1F1/_ROWS_2F1 yields one F record and one D
+record, D picking up the commutator term -(c1/z) F, and each row of
+_CONTIGUITY yields one companion contiguity record.  Every record
+shares one applicability rule: the keys of its signature are given,
+m is at least the row's lower bound where it has one, and for the
+companion relations the DSpec at the unshifted parameters and at every
+shift is regular.  An inapplicable point raises Inapplicable.
+
 Key namespace (public, consumed by the CLI):
 
   0f1:  f0.recurF.{raise,lower}   f0.recurD.{raise,lower}   f0.contiguity
@@ -27,7 +36,8 @@ Key namespace (public, consumed by the CLI):
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
@@ -35,7 +45,7 @@ from .ffun import (F0, F1, F2, PARAMS_BY_KIND, f2_norm_I, f2_norm_I_jet, f_norm,
                    f_norm_jet)
 from .dfun import DSpec, d_eval, d_eval_I, d_eval_I_jet, d_eval_jet
 from .gammakit import gamma
-from .series import EvalResult, MAX_TERMS, REL_TOL, principal_log, principal_pow
+from .series import EvalResult, principal_log, principal_pow
 from .ufun import u0, u1, u2
 
 __all__ = [
@@ -113,6 +123,10 @@ def _off_int(rng, lo, hi, margin=1e-3):
             return x
 
 
+def _sample_f0_generic(rng):
+    return {"alpha": _off_int(rng, 0.1, 1.7)}
+
+
 def _sample_f1_generic(rng):
     return {"theta": rng.uniform(0.1, 1.9), "alpha": _off_int(rng, 0.1, 1.7)}
 
@@ -129,9 +143,15 @@ def _sample_f2_generic(rng):
         return {"alpha": al, "beta": be, "mu": mu}
 
 
-def _sample_d1(rng, m_lo, m_hi):
+# the companion samplers draw m in [m_lo, 3]
+
+def _sample_d0(rng, m_lo):
+    return {"m": rng.randint(m_lo, 3)}
+
+
+def _sample_d1(rng, m_lo):
     while True:
-        m = rng.randint(m_lo, m_hi)
+        m = rng.randint(m_lo, 3)
         theta = rng.uniform(0.1, 1.9)
         a = 0.5 * (1.0 + m + theta)
         if abs(a - round(a)) < 1e-3:
@@ -139,9 +159,9 @@ def _sample_d1(rng, m_lo, m_hi):
         return {"m": m, "theta": theta}
 
 
-def _sample_d2(rng, m_lo, m_hi):
+def _sample_d2(rng, m_lo):
     while True:
-        m = rng.randint(m_lo, m_hi)
+        m = rng.randint(m_lo, 3)
         be = rng.uniform(0.05, 0.6)
         mu = rng.uniform(-0.45, 0.45)
         a = 0.5 * (1.0 + m + be - mu)
@@ -151,9 +171,20 @@ def _sample_d2(rng, m_lo, m_hi):
         return {"m": m, "beta": be, "mu": mu}
 
 
-def _keys_ok(params, signature):
-    want = set(signature.split(","))
-    return want <= set(params)
+def _z_confluent(rng):
+    return _disk(rng, 0.3, 1.6)
+
+
+def _z_2f1(rng):
+    return _disk(rng, 0.1, 0.6)
+
+
+def _z_right_half(rng):
+    return _disk(rng, 0.25, 0.8, -math.pi / 3.0, math.pi / 3.0)
+
+
+def _z_offcut(rng):
+    return _disk(rng, 0.15, 0.55, 0.25, _TWO_PI - 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +304,17 @@ _ROWS_2F1 = (
 # ---------------------------------------------------------------------------
 # evaluators behind the table rows
 
+# Per kind: the parameter signature of F (D has m in place of alpha), the
+# z sampler, and the (value, jet) evaluators of F and of D.  The 2F1
+# rows read the I normalization.
+_SIGNATURE = {"0f1": "alpha", "1f1": "alpha,theta", "2f1": "alpha,beta,mu"}
+_Z_SAMPLER = {"0f1": _z_confluent, "1f1": _z_confluent, "2f1": _z_2f1}
+_F_EVAL = {"0f1": (f_norm, f_norm_jet), "1f1": (f_norm, f_norm_jet),
+           "2f1": (f2_norm_I, f2_norm_I_jet)}
+_D_EVAL = {"0f1": (d_eval, d_eval_jet), "1f1": (d_eval, d_eval_jet),
+           "2f1": (d_eval_I, d_eval_I_jet)}
+
+
 def _shifted(kind, d, shift, alpha):
     """Fields of kind's parameter class at d with the given alpha, plus
     shift, which lists one offset per field in field order."""
@@ -291,271 +333,179 @@ def _d_spec(kind, d, shift=None):
 
 
 def _f_jet(kind, d, z):
-    if kind == "2f1":
-        return f2_norm_I_jet(_f_params(kind, d), z)
-    return f_norm_jet(_f_params(kind, d), z)
+    return _F_EVAL[kind][1](_f_params(kind, d), z)
 
 
 def _f_value(kind, d, z, shift=None):
-    p = _f_params(kind, d, shift)
-    if kind == "2f1":
-        return f2_norm_I(p, z).value
-    return f_norm(p, z).value
+    return _F_EVAL[kind][0](_f_params(kind, d, shift), z).value
 
 
 def _d_jet(kind, d, z):
-    if kind == "2f1":
-        return d_eval_I_jet(_d_spec(kind, d), z)
-    return d_eval_jet(_d_spec(kind, d), z)
+    return _D_EVAL[kind][1](_d_spec(kind, d), z)
 
 
 def _d_value(kind, d, z, shift=None):
-    sp = _d_spec(kind, d, shift)
-    if kind == "2f1":
-        return d_eval_I(sp, z).value
-    return d_eval(sp, z).value
+    return _D_EVAL[kind][0](_d_spec(kind, d, shift), z).value
 
 
-def _d_applicable(kind, d, shifts):
-    if "m" not in d:
-        return False
-    try:
-        _d_spec(kind, d)
-        for s in shifts:
-            _d_spec(kind, d, s)
-    except (ParameterSingular, ValueError):
-        return False
-    return True
+def _applicable(signature, kind=None, shifts=(), m_lo=None):
+    """Applicability predicate of a record: every key of signature is
+    given, m >= m_lo, and for a companion relation of the given kind the
+    DSpec at the unshifted parameters and at each shift is regular."""
+    keys = set(signature.split(","))
+
+    def applicable(d):
+        if not keys <= set(d):
+            return False
+        if kind is not None:
+            try:
+                for s in (None,) + shifts:
+                    _d_spec(kind, d, s)
+            except (ParameterSingular, ValueError):
+                return False
+        return m_lo is None or int(d["m"]) >= m_lo
+    return applicable
 
 
 # ---------------------------------------------------------------------------
 # record builders
 
-def _recurrence_f_record(kind, prefix, row, sampler, z_sampler, signature):
-    name, shift, c1, c0, coeff, stmt = row
-
-    def lhs(d, z, _c1=c1, _c0=c0, _kind=kind):
-        f0v, f1v, _ = _f_jet(_kind, d, z)
-        return _c1(d, z) * f1v + _c0(d, z) * f0v
-
-    def rhs(d, z, _coeff=coeff, _kind=kind, _shift=shift):
-        return _coeff(d) * _f_value(_kind, d, z, _shift)
-
-    def ladder(d, z, _c1=c1, _c0=c0, _coeff=coeff, _kind=kind):
-        f0v, f1v, _ = _f_jet(_kind, d, z)
-        return (_c1(d, z) * f1v + _c0(d, z) * f0v) / _coeff(d)
-
-    def shifted(d, _kind=kind, _shift=shift):
-        return _f_params(_kind, d, _shift)
-
-    def sample(rng, _ps=sampler, _zs=z_sampler):
-        return _ps(rng), _zs(rng)
-
-    def applicable(d, _sig=signature):
-        return _keys_ok(d, _sig)
-
-    return RelationRecord(
-        id="%s.recurF%s.%s" % (prefix, "I" if kind == "2f1" else "", name),
-        kind=kind, family="RecurrenceF", signature=signature,
-        statement=stmt, constant=1.0, lhs=lhs, rhs=rhs,
-        sample=sample, applicable=applicable, ladder=ladder, shifted=shifted)
-
-
-def _recurrence_d_record(kind, prefix, row, sampler, z_sampler, signature,
-                         m_lo=None):
-    name, shift, c1, c0, coeff, fstmt = row
-    tag = "DI" if kind == "2f1" else "D"
-    stmt = fstmt.replace("FI", "DI").replace("F_", "D_") + \
-        "  (companion form: subtract (c1/z) F at the unshifted parameters)"
-
-    def lhs(d, z, _c1=c1, _c0=c0, _kind=kind):
-        d0v, d1v, _ = _d_jet(_kind, d, z)
-        return _c1(d, z) * d1v + _c0(d, z) * d0v
-
-    def rhs(d, z, _c1=c1, _coeff=coeff, _kind=kind, _shift=shift):
-        base = _f_value(_kind, d, z)
-        return _coeff(d) * _d_value(_kind, d, z, _shift) - \
-            (_c1(d, z) / z) * base
-
-    def ladder(d, z, _c1=c1, _c0=c0, _coeff=coeff, _kind=kind):
-        d0v, d1v, _ = _d_jet(_kind, d, z)
-        base = _f_value(_kind, d, z)
-        op = _c1(d, z) * d1v + _c0(d, z) * d0v
-        return (op + (_c1(d, z) / z) * base) / _coeff(d)
-
-    def shifted(d, _kind=kind, _shift=shift):
-        return _d_spec(_kind, d, _shift)
-
-    def sample(rng, _ps=sampler, _zs=z_sampler):
-        return _ps(rng), _zs(rng)
-
-    def applicable(d, _kind=kind, _shift=shift, _sig=signature, _lo=m_lo):
-        if not (_keys_ok(d, _sig) and _d_applicable(_kind, d, (_shift,))):
-            return False
-        return _lo is None or int(d["m"]) >= _lo
-
-    return RelationRecord(
-        id="%s.recur%s.%s" % (prefix, tag, name),
-        kind=kind, family="RecurrenceD", signature=signature,
-        statement=stmt, constant=1.0, lhs=lhs, rhs=rhs,
-        sample=sample, applicable=applicable, ladder=ladder, shifted=shifted)
-
-
 def _record(id, kind, family, signature, statement, lhs, rhs, sample,
             applicable=None, constant=1.0):
-    if applicable is None:
-        def applicable(d, _sig=signature):
-            return _keys_ok(d, _sig)
     return RelationRecord(id=id, kind=kind, family=family,
                           signature=signature, statement=statement,
                           constant=constant, lhs=lhs, rhs=rhs, sample=sample,
-                          applicable=applicable)
+                          applicable=applicable or _applicable(signature))
 
 
-# ---------------------------------------------------------------------------
-# z samplers
+def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
+    """One recurrence row as a record for F or, with companion set, for D.
 
-def _z_0f1(rng):
-    return _disk(rng, 0.3, 1.6)
+    Applied to D the row's operator picks up the commutator -(c1/z) F at
+    the unshifted parameters on the right; the ladder solves the
+    relation for the shifted value.  sampler draws the parameters.
+    """
+    name, shift, c1, c0, coeff, stmt = row
+    jet, spec = (_d_jet, _d_spec) if companion else (_f_jet, _f_params)
+    signature = _SIGNATURE[kind]
+    if companion:
+        signature = signature.replace("alpha", "m")
+        stmt = stmt.replace("FI", "DI").replace("F_", "D_") + \
+            "  (companion form: subtract (c1/z) F at the unshifted parameters)"
 
+    def lhs(d, z):
+        g0, g1, _ = jet(kind, d, z)
+        return c1(d, z) * g1 + c0(d, z) * g0
 
-def _z_1f1(rng):
-    return _disk(rng, 0.3, 1.6)
+    def rhs(d, z):
+        if not companion:
+            return coeff(d) * _f_value(kind, d, z, shift)
+        base = _f_value(kind, d, z)
+        return coeff(d) * _d_value(kind, d, z, shift) - (c1(d, z) / z) * base
 
+    def ladder(d, z):
+        op = lhs(d, z)
+        if companion:
+            op = op + (c1(d, z) / z) * _f_value(kind, d, z)
+        return op / coeff(d)
 
-def _z_2f1(rng):
-    return _disk(rng, 0.1, 0.6)
-
-
-def _z_right_half(rng):
-    return _disk(rng, 0.25, 0.8, -math.pi / 3.0, math.pi / 3.0)
-
-
-def _z_offcut(rng):
-    return _disk(rng, 0.15, 0.55, 0.25, _TWO_PI - 0.25)
+    return RelationRecord(
+        id="%s.recur%s%s.%s" % (prefix, "D" if companion else "F",
+                                "I" if kind == "2f1" else "", name),
+        kind=kind, family="RecurrenceD" if companion else "RecurrenceF",
+        signature=signature, statement=stmt, constant=1.0, lhs=lhs, rhs=rhs,
+        sample=lambda rng: (sampler(rng), _Z_SAMPLER[kind](rng)),
+        applicable=_applicable(signature, kind if companion else None,
+                               (shift,), m_lo),
+        ladder=ladder, shifted=lambda d: spec(kind, d, shift))
 
 
 # ---------------------------------------------------------------------------
 # contiguity records
 
-def _contig_records():
-    recs = []
+def _half(d, s0, sb, su):
+    """(s0 + m + sb beta + su mu)/2, the coefficients of the 2F1 rows."""
+    return 0.5 * (s0 + d["m"] + sb * d["beta"] + su * d["mu"])
 
-    def f0_lhs(d, z):
-        return d["m"] * _d_value("0f1", d, z)
 
-    def f0_rhs(d, z):
-        return _d_value("0f1", d, z, (-1,)) - z * _d_value("0f1", d, z, (1,))
+# Each row: (id, kind, statement, lmul(d,z), (c_plus(d,z), shift_plus),
+# (c_minus(d,z), shift_minus), sampler, m_lo), encoding
+#   lmul D = c_plus D_{shift_plus} + c_minus D_{shift_minus}
+# in the field order of the kind's shifts: (m) for 0F1, (theta, m) for
+# 1F1 and (m, beta, mu) for 2F1 in the I normalization.  Parameters are
+# drawn with m in [m_lo, 3], and the identity holds for m >= m_lo.
+_CONTIGUITY = (
+    ("f0.contiguity", "0f1", "m D_m = D_{m-1} - z D_{m+1}",
+     lambda d, z: d["m"],
+     (lambda d, z: 1.0, (-1,)), (lambda d, z: -z, (1,)), _sample_d0, 1),
+    ("f1.contig.alpha-up", "1f1",
+     "D_{t,m} = ((1+m+t)/2) D_{t+1,m+1} + ((1+m-t)/2) D_{t-1,m+1}",
+     lambda d, z: 1.0,
+     (lambda d, z: _f1_a(d), (1, 1)), (lambda d, z: _f1_ab(d), (-1, 1)),
+     _sample_d1, 0),
+    ("f1.contig.alpha-down", "1f1", "z D_{t,m} = D_{t+1,m-1} - D_{t-1,m-1}",
+     lambda d, z: z,
+     (lambda d, z: 1.0, (1, -1)), (lambda d, z: -1.0, (-1, -1)),
+     _sample_d1, 1),
+    ("f1.contig.theta", "1f1",
+     "(t + z) D_{t,m} = ((1+m+t)/2) D_{t+2,m} - ((1+m-t)/2) D_{t-2,m}",
+     lambda d, z: d["theta"] + z,
+     (lambda d, z: _f1_a(d), (2, 0)), (lambda d, z: -_f1_ab(d), (-2, 0)),
+     _sample_d1, 0),
+    ("f2.contigDI.c1", "2f1",
+     "m DI_{m,b,u} = ((-1+m-b+u)/2) DI_{m-1,b+1,u}"
+     " - ((1+m+b+u)/2) z DI_{m+1,b+1,u}",
+     lambda d, z: d["m"],
+     (lambda d, z: _half(d, -1, -1, 1), (-1, 1, 0)),
+     (lambda d, z: -z * _half(d, 1, 1, 1), (1, 1, 0)), _sample_d2, 1),
+    ("f2.contigDI.c2", "2f1",
+     "m (1-z) DI_{m,b,u} = ((-1+m+b-u)/2) DI_{m-1,b-1,u}"
+     " - ((1+m-b-u)/2) z DI_{m+1,b-1,u}",
+     lambda d, z: d["m"] * (1.0 - z),
+     (lambda d, z: _half(d, -1, 1, -1), (-1, -1, 0)),
+     (lambda d, z: -z * _half(d, 1, -1, -1), (1, -1, 0)), _sample_d2, 1),
+    ("f2.contigDI.c3", "2f1",
+     "u DI_{m,b,u} = ((1+m+b+u)/2) DI_{m,b+1,u+1}"
+     " - ((-1+m-b+u)/2) DI_{m,b+1,u-1}",
+     lambda d, z: d["mu"],
+     (lambda d, z: _half(d, 1, 1, 1), (0, 1, 1)),
+     (lambda d, z: -_half(d, -1, -1, 1), (0, 1, -1)), _sample_d2, 0),
+    ("f2.contigDI.c4", "2f1",
+     "u (1-z) DI_{m,b,u} = ((-1+m+b-u)/2) DI_{m,b-1,u+1}"
+     " - ((1+m-b-u)/2) DI_{m,b-1,u-1}",
+     lambda d, z: d["mu"] * (1.0 - z),
+     (lambda d, z: _half(d, -1, 1, -1), (0, -1, 1)),
+     (lambda d, z: -_half(d, 1, -1, -1), (0, -1, -1)), _sample_d2, 0),
+    ("f2.contigDI.c5", "2f1",
+     "u DI_{m,b,u} = ((1+m+b+u)/2) DI_{m+1,b,u+1}"
+     " - ((1+m-b-u)/2) DI_{m+1,b,u-1}",
+     lambda d, z: d["mu"],
+     (lambda d, z: _half(d, 1, 1, 1), (1, 0, 1)),
+     (lambda d, z: -_half(d, 1, -1, -1), (1, 0, -1)), _sample_d2, 0),
+    ("f2.contigDI.c6", "2f1",
+     "u z DI_{m,b,u} = ((-1+m-b+u)/2) DI_{m-1,b,u-1}"
+     " - ((-1+m+b-u)/2) DI_{m-1,b,u+1}",
+     lambda d, z: d["mu"] * z,
+     (lambda d, z: _half(d, -1, -1, 1), (-1, 0, -1)),
+     (lambda d, z: -_half(d, -1, 1, -1), (-1, 0, 1)), _sample_d2, 1),
+)
 
-    recs.append(_record(
-        "f0.contiguity", "0f1", "Contiguity", "m",
-        "m D_m = D_{m-1} - z D_{m+1}",
-        f0_lhs, f0_rhs,
-        lambda rng: ({"m": rng.randint(1, 3)}, _z_0f1(rng)),
-        applicable=lambda d: "m" in d and int(d["m"]) >= 1))
 
-    # (theta, m) shifts: (dtheta, dm)
-    def c1f1(shift_plus, shift_minus, cplus, cminus, lmul):
-        def lhs(d, z):
-            return lmul(d, z) * _d_value("1f1", d, z)
+def _contiguity_record(id, kind, stmt, lmul, plus, minus, sampler, m_lo):
+    (c_plus, s_plus), (c_minus, s_minus) = plus, minus
 
-        def rhs(d, z):
-            return cplus(d) * _d_value("1f1", d, z, shift_plus) + \
-                cminus(d) * _d_value("1f1", d, z, shift_minus)
-        return lhs, rhs
+    def lhs(d, z):
+        return lmul(d, z) * _d_value(kind, d, z)
 
-    a1 = _f1_a
-    ab1 = _f1_ab
+    def rhs(d, z):
+        return c_plus(d, z) * _d_value(kind, d, z, s_plus) + \
+            c_minus(d, z) * _d_value(kind, d, z, s_minus)
 
-    lhs, rhs = c1f1((1, 1), (-1, 1), a1, ab1, lambda d, z: 1.0)
-    recs.append(_record(
-        "f1.contig.alpha-up", "1f1", "Contiguity", "m,theta",
-        "D_{t,m} = ((1+m+t)/2) D_{t+1,m+1} + ((1+m-t)/2) D_{t-1,m+1}",
-        lhs, rhs,
-        lambda rng: (_sample_d1(rng, 0, 3), _z_1f1(rng)),
-        applicable=lambda d: _d_applicable("1f1", d, ((1, 1), (-1, 1)))))
-
-    lhs, rhs = c1f1((1, -1), (-1, -1), lambda d: 1.0, lambda d: -1.0,
-                    lambda d, z: z)
-    recs.append(_record(
-        "f1.contig.alpha-down", "1f1", "Contiguity", "m,theta",
-        "z D_{t,m} = D_{t+1,m-1} - D_{t-1,m-1}",
-        lhs, rhs,
-        lambda rng: (_sample_d1(rng, 1, 3), _z_1f1(rng)),
-        applicable=lambda d: int(d.get("m", -1)) >= 1 and
-        _d_applicable("1f1", d, ((1, -1), (-1, -1)))))
-
-    lhs, rhs = c1f1((2, 0), (-2, 0), a1, lambda d: -ab1(d),
-                    lambda d, z: d["theta"] + z)
-    recs.append(_record(
-        "f1.contig.theta", "1f1", "Contiguity", "m,theta",
-        "(t + z) D_{t,m} = ((1+m+t)/2) D_{t+2,m} - ((1+m-t)/2) D_{t-2,m}",
-        lhs, rhs,
-        lambda rng: (_sample_d1(rng, 0, 3), _z_1f1(rng)),
-        applicable=lambda d: _d_applicable("1f1", d, ((2, 0), (-2, 0)))))
-
-    # 2f1 contiguities in the I normalization; shifts are (dm, dbeta, dmu)
-    def c2f1(id, stmt, lmul, cplus, splus, cminus, sminus, m_lo):
-        def lhs(d, z):
-            return lmul(d, z) * _d_value("2f1", d, z)
-
-        def rhs(d, z):
-            return cplus(d, z) * _d_value("2f1", d, z, splus) + \
-                cminus(d, z) * _d_value("2f1", d, z, sminus)
-
-        recs.append(_record(
-            id, "2f1", "Contiguity", "m,beta,mu", stmt, lhs, rhs,
-            lambda rng, _lo=m_lo: (_sample_d2(rng, _lo, 3), _z_2f1(rng)),
-            applicable=lambda d, _lo=m_lo, _sp=splus, _sm=sminus:
-                int(d.get("m", -9)) >= _lo and
-                _d_applicable("2f1", d, (_sp, _sm))))
-
-    def C(expr):
-        # coefficient helpers reading (m, beta, mu)
-        return {
-            "+m-b+u": lambda d, z: 0.5 * (-1 + d["m"] - d["beta"] + d["mu"]),
-            "1+m+b+u": lambda d, z: 0.5 * (1 + d["m"] + d["beta"] + d["mu"]),
-            "+m+b-u": lambda d, z: 0.5 * (-1 + d["m"] + d["beta"] - d["mu"]),
-            "1+m-b-u": lambda d, z: 0.5 * (1 + d["m"] - d["beta"] - d["mu"]),
-        }[expr]
-
-    c2f1("f2.contigDI.c1",
-         "m DI_{m,b,u} = ((-1+m-b+u)/2) DI_{m-1,b+1,u}"
-         " - ((1+m+b+u)/2) z DI_{m+1,b+1,u}",
-         lambda d, z: d["m"],
-         C("+m-b+u"), (-1, 1, 0),
-         lambda d, z: -z * C("1+m+b+u")(d, z), (1, 1, 0), 1)
-    c2f1("f2.contigDI.c2",
-         "m (1-z) DI_{m,b,u} = ((-1+m+b-u)/2) DI_{m-1,b-1,u}"
-         " - ((1+m-b-u)/2) z DI_{m+1,b-1,u}",
-         lambda d, z: d["m"] * (1.0 - z),
-         C("+m+b-u"), (-1, -1, 0),
-         lambda d, z: -z * C("1+m-b-u")(d, z), (1, -1, 0), 1)
-    c2f1("f2.contigDI.c3",
-         "u DI_{m,b,u} = ((1+m+b+u)/2) DI_{m,b+1,u+1}"
-         " - ((-1+m-b+u)/2) DI_{m,b+1,u-1}",
-         lambda d, z: d["mu"],
-         C("1+m+b+u"), (0, 1, 1),
-         lambda d, z: -C("+m-b+u")(d, z), (0, 1, -1), 0)
-    c2f1("f2.contigDI.c4",
-         "u (1-z) DI_{m,b,u} = ((-1+m+b-u)/2) DI_{m,b-1,u+1}"
-         " - ((1+m-b-u)/2) DI_{m,b-1,u-1}",
-         lambda d, z: d["mu"] * (1.0 - z),
-         C("+m+b-u"), (0, -1, 1),
-         lambda d, z: -C("1+m-b-u")(d, z), (0, -1, -1), 0)
-    c2f1("f2.contigDI.c5",
-         "u DI_{m,b,u} = ((1+m+b+u)/2) DI_{m+1,b,u+1}"
-         " - ((1+m-b-u)/2) DI_{m+1,b,u-1}",
-         lambda d, z: d["mu"],
-         C("1+m+b+u"), (1, 0, 1),
-         lambda d, z: -C("1+m-b-u")(d, z), (1, 0, -1), 0)
-    c2f1("f2.contigDI.c6",
-         "u z DI_{m,b,u} = ((-1+m-b+u)/2) DI_{m-1,b,u-1}"
-         " - ((-1+m+b-u)/2) DI_{m-1,b,u+1}",
-         lambda d, z: d["mu"] * z,
-         C("+m-b+u"), (-1, 0, -1),
-         lambda d, z: -C("+m+b-u")(d, z), (-1, 0, 1), 1)
-    return recs
+    signature = _SIGNATURE[kind].replace("alpha", "m")
+    return _record(
+        id, kind, "Contiguity", signature, stmt, lhs, rhs,
+        lambda rng: (sampler(rng, m_lo), _Z_SAMPLER[kind](rng)),
+        _applicable(signature, kind, (s_plus, s_minus), m_lo))
 
 
 # ---------------------------------------------------------------------------
@@ -785,39 +735,23 @@ def _quadratic_records():
 def build_catalog():
     """Fresh id -> RelationRecord mapping (callers may copy and patch)."""
     recs = []
-    for row in _ROWS_0F1:
-        recs.append(_recurrence_f_record(
-            "0f1", "f0", row,
-            lambda rng: {"alpha": _off_int(rng, 0.1, 1.7)},
-            _z_0f1, "alpha"))
-    for row in _ROWS_0F1:
-        recs.append(_recurrence_d_record(
-            "0f1", "f0", row,
-            lambda rng: {"m": rng.randint(-2, 3)},
-            _z_0f1, "m"))
-    for row in _ROWS_1F1:
-        recs.append(_recurrence_f_record(
-            "1f1", "f1", row, _sample_f1_generic, _z_1f1, "alpha,theta"))
-    for row in _ROWS_1F1:
-        # rows that lower m are false at m = 0 (the shifted companion is
-        # the power-shifted one, not the alpha-derivative limit)
-        m_lo = 1 if row[1][1] < 0 else 0
-        recs.append(_recurrence_d_record(
-            "1f1", "f1", row,
-            lambda rng, _lo=m_lo: _sample_d1(rng, _lo, 3),
-            _z_1f1, "m,theta", m_lo=m_lo))
-    for row in _ROWS_2F1:
-        recs.append(_recurrence_f_record(
-            "2f1", "f2", row, _sample_f2_generic, _z_2f1, "alpha,beta,mu"))
-    for row in _ROWS_2F1:
-        m_lo = 1 if row[1][0] < 0 else 0
-        recs.append(_recurrence_d_record(
-            "2f1", "f2", row,
-            lambda rng, _lo=m_lo: _sample_d2(rng, _lo, 3),
-            _z_2f1, "m,beta,mu", m_lo=m_lo))
-    recs.extend(_contig_records())
-    recs.extend(_kummer_records())
-    recs.extend(_quadratic_records())
+    # m_at: where m sits in a row's shift; None for 0F1, whose companion
+    # rows hold at every m and are drawn from m >= -2
+    for kind, prefix, rows, sample_f, sample_d, m_at in (
+            ("0f1", "f0", _ROWS_0F1, _sample_f0_generic, _sample_d0, None),
+            ("1f1", "f1", _ROWS_1F1, _sample_f1_generic, _sample_d1, 1),
+            ("2f1", "f2", _ROWS_2F1, _sample_f2_generic, _sample_d2, 0)):
+        recs += [_recurrence_record(kind, prefix, row, sample_f, False)
+                 for row in rows]
+        for row in rows:
+            # rows that lower m are false at m = 0 (the shifted companion is
+            # the power-shifted one, not the alpha-derivative limit)
+            m_lo = None if m_at is None else (1 if row[1][m_at] < 0 else 0)
+            sampler = partial(sample_d, m_lo=-2 if m_lo is None else m_lo)
+            recs.append(_recurrence_record(kind, prefix, row, sampler, True,
+                                           m_lo))
+    recs += [_contiguity_record(*row) for row in _CONTIGUITY]
+    recs += _kummer_records() + _quadratic_records()
     cat = {}
     for r in recs:
         if r.id in cat:
@@ -907,6 +841,6 @@ def sweep_catalog(catalog=None, n=SWEEP_POINTS, ids=None):
     keys = sorted(cat) if ids is None else list(ids)
     out = {}
     for key in keys:
-        pts = sweep_record(cat[key], n=n, catalog=cat)
+        pts = sweep_record(key, n=n, catalog=cat)
         out[key] = max(p.scaled for p in pts)
     return out

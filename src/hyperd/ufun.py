@@ -103,6 +103,17 @@ def _require_generic(alpha):
         )
 
 
+def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
+    """Connection-route combination c (t1 - t2) / sin(pi alpha) of two
+    weighted series terms with absolute errors e1 and e2; fn and fr are
+    the two series results, whose terms and flags the result carries.
+    Each caller keeps the term order and sign of its own formula, which
+    fix the rounding and the sign of zero imaginary parts on the axis."""
+    s = sinpi(alpha)
+    err = abs(c) / abs(s) * (e1 + e2) + _EPS * abs(c) / abs(s) * (abs(t1) + abs(t2))
+    return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+
+
 def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0]."""
     alpha = complex(alpha)
@@ -114,15 +125,8 @@ def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         fn = f_norm(F0(alpha), z, rel_tol, max_terms)
         fr = f_norm(F0(-alpha), z, rel_tol, max_terms)
         pw = principal_pow(z, -alpha)
-        s = sinpi(alpha)
-        t1 = pw * fr.value
-        t2 = fn.value
-        value = _SQRT_PI * (t1 - t2) / s
-        err = (
-            _SQRT_PI / abs(s) * (abs(pw) * fr.err_estimate + fn.err_estimate)
-            + _EPS * _SQRT_PI / abs(s) * (abs(t1) + abs(t2))
-        )
-        return EvalResult(value, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+        return _connection(_SQRT_PI, alpha, fn, fr, pw * fr.value, abs(pw) * fr.err_estimate,
+                           fn.value, fn.err_estimate)
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
@@ -149,18 +153,10 @@ def u1(theta, alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         fn = f_norm(F1(theta, alpha), z, rel_tol, max_terms)
         fr = f_norm(F1(theta, -alpha), z, rel_tol, max_terms)
         pw = principal_pow(z, -alpha)
-        s = sinpi(alpha)
-        t1 = pw * fr.value * recip_gamma((1 + theta + alpha) / 2)
-        t2 = fn.value * recip_gamma((1 + theta - alpha) / 2)
-        value = math.pi * (t1 - t2) / s
-        err = (
-            math.pi / abs(s) * (
-                abs(pw * recip_gamma((1 + theta + alpha) / 2)) * fr.err_estimate
-                + abs(recip_gamma((1 + theta - alpha) / 2)) * fn.err_estimate
-            )
-            + _EPS * math.pi / abs(s) * (abs(t1) + abs(t2))
-        )
-        return EvalResult(value, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+        g1 = recip_gamma((1 + theta + alpha) / 2)
+        g2 = recip_gamma((1 + theta - alpha) / 2)
+        return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, abs(pw * g1) * fr.err_estimate,
+                           fn.value * g2, abs(g2) * fn.err_estimate)
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
@@ -214,15 +210,8 @@ def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         w1 = recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2)
         w2 = recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2)
         pw = cmath.exp(-alpha * log_negated(z))
-        s = sinpi(alpha)
-        t1 = fn.value * w1
-        t2 = pw * fr.value * w2
-        value = -math.pi * (t1 - t2) / s
-        err = (
-            math.pi / abs(s) * (abs(w1) * fn.err_estimate + abs(pw * w2) * fr.err_estimate)
-            + _EPS * math.pi / abs(s) * (abs(t1) + abs(t2))
-        )
-        return EvalResult(value, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+        return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
+                           pw * fr.value * w2, abs(pw * w2) * fr.err_estimate)
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)

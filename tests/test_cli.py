@@ -234,6 +234,9 @@ def test_verify_suite_and_id_conflict(capsys):
                        capsys)
     assert code == 2
     assert "not both" in json.loads(err)["error"]["message"]
+    code, _, err = run(["verify", "--id", "no.such"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "UnknownRelation"
 
 
 def test_verify_quadratic_suite(capsys):
@@ -289,27 +292,10 @@ def test_catalog_listing(capsys):
 
 
 # ---------------------------------------------------------------------------
-# environment
+# term budget
 
-def test_env_max_terms_budget(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERD_MAX_TERMS", "5")
-    code, _, err = run(["eval", "--eq", "1f1", "--m", "1",
-                        "--theta", "0.7", "--z", "9+4i"], capsys)
+def test_env_max_terms_budget(capsys):
+    code, _, err = run(["eval", "--eq", "1f1", "--m", "1", "--theta", "0.7",
+                        "--z", "9+4i", "--max-terms", "5"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "NoConvergence"
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERD_MAX_TERMS", "5")
-    doc = run_json(["eval", "--eq", "1f1", "--m", "1", "--theta", "0.7",
-                    "--z", "9+4i", "--max-terms", "10000"], capsys)
-    assert doc["records"][0]["flags"] == []
-
-
-def test_invalid_env_is_structured_error(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERD_MAX_TERMS", "many")
-    code, _, err = run(["eval", "--eq", "0f1", "--alpha", "0.5",
-                        "--z", "0.3"], capsys)
-    assert code == 2
-    payload = json.loads(err)
-    assert "HYPERD_MAX_TERMS" in payload["error"]["message"]

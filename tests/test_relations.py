@@ -66,6 +66,17 @@ def test_unknown_and_inapplicable(catalog):
     with pytest.raises(Inapplicable):
         check_relation("f2.recurDI.mm0",
                        {"m": 0, "beta": 0.3, "mu": 0.2}, 0.3, catalog)
+    # contiguity records check their parameter keys like every other record
+    with pytest.raises(Inapplicable):
+        check_relation("f1.contig.alpha-up", {"m": 1}, 0.3, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("f2.contigDI.c3", {"m": 1, "mu": 0.2}, 0.3, catalog)
+    # and the 1f1 companion contiguities, false at negative m, refuse it
+    with pytest.raises(Inapplicable):
+        check_relation("f1.contig.alpha-up", {"m": -1, "theta": 0.7},
+                       0.3, catalog)
+    with pytest.raises(UnknownRelation):
+        sweep_catalog(catalog, n=1, ids=["no.such"])
 
 
 def test_spot_checks(catalog):
