@@ -348,6 +348,8 @@ def _suite_ids(suite, catalog):
 
 
 def cmd_verify(args, stream, catalog=None):
+    if args.points < 1:
+        raise DomainError("--points must be at least 1, got %d" % args.points)
     catalog = catalog if catalog is not None else relations.build_catalog()
     records = []
     failures = []

@@ -42,6 +42,7 @@ from .series import (
     REL_TOL,
     EvalResult,
     LaurentExpansion,
+    _replay,
     deriv_coeffs,
     log_negated,
     principal_log,
@@ -125,8 +126,8 @@ def _principal(spec, mm):
     return tuple(out)
 
 
-def _tail_factory(spec, mm):
-    """Fresh-generator factory for d_0, d_1, ... of the order-mm expansion.
+def _tail(spec, mm):
+    """Generator of d_0, d_1, ... of the order-mm expansion.
 
     Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
     coefficient costs O(1) after the k = 0 seeds.
@@ -145,7 +146,7 @@ def _tail_factory(spec, mm):
                 p2 += 1.0 / (mm + k + 1)
                 k += 1
 
-        return gen
+        return gen()
 
     if spec.kind == "1f1":
         a = (1 + mm + spec.theta) / 2
@@ -166,7 +167,7 @@ def _tail_factory(spec, mm):
                 p2 += 1.0 / (mm + k + 1)
                 k += 1
 
-        return gen
+        return gen()
 
     a = (1 + mm + spec.beta - spec.mu) / 2
     b = (1 + mm + spec.beta + spec.mu) / 2
@@ -187,7 +188,7 @@ def _tail_factory(spec, mm):
             p2 += 1.0 / (mm + k + 1)
             k += 1
 
-    return gen
+    return gen()
 
 
 def d_expand(spec):
@@ -196,21 +197,26 @@ def d_expand(spec):
     For m >= 0 the principal part carries exactly m exact coefficients.
     For m < 0 the expansion is the power-shifted z^|m| * (expansion at |m|):
     the former principal coefficients become the leading polynomial part,
-    and no pole remains.
+    and no pole remains.  The expansion is built once per thread and DSpec
+    and its tail replayed after that (series._replay).
     """
+    principal, tail = _replay(repr(spec), lambda: _expand(spec))
+    return LaurentExpansion(principal=principal, tail_coeff=tail)
+
+
+def _expand(spec):
     m = int(spec.m)
     mm = abs(m)
     principal = _principal(spec, mm)
-    tail = _tail_factory(spec, mm)
+    tail = _tail(spec, mm)
     if m >= 0:
-        return LaurentExpansion(principal=principal, tail_coeff=tail)
+        return principal, tail
+    return (), _shifted(principal, tail)
 
-    def shifted(principal=principal, tail=tail, mm=mm):
-        for j in range(mm):
-            yield principal[mm - j - 1]
-        yield from tail()
 
-    return LaurentExpansion(principal=(), tail_coeff=shifted)
+def _shifted(principal, tail):
+    yield from reversed(principal)
+    yield from tail
 
 
 def _check_z(spec, z, pole_order):

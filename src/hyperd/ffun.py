@@ -30,6 +30,7 @@ from .series import (
     MAX_TERMS,
     REL_TOL,
     EvalResult,
+    _replay,
     deriv_coeffs,
     principal_pow,
     sum_power_series,
@@ -158,7 +159,16 @@ _TERMS = (_f0_terms, _f1_terms, _f2_terms)
 
 
 def _coeffs(p):
-    """(start index, fresh-generator factory) for the series of p.
+    """(start index, fresh-iterator factory) for the series of p.
+
+    The stream is built once per thread and parameter set and replayed
+    after that (series._replay).
+    """
+    return _replay(repr(p), lambda: _seed(p))
+
+
+def _seed(p):
+    """(start index, coefficient generator) for the series of p.
 
     The seed is read off the classical parameters (a, b, ..., c).  In the
     degenerate case alpha is snapped to m first, the sum starts at
@@ -175,7 +185,7 @@ def _coeffs(p):
         num = (functools.reduce(operator.mul, [pochhammer(u, n0) for u in upper])
                if n0 and upper else 1.0)
         c0 = num / (math.factorial(m + n0) * math.factorial(n0))
-    return n0, functools.partial(_TERMS[len(upper)], c0, n0, c, *upper)
+    return n0, _TERMS[len(upper)](c0, n0, c, *upper)
 
 
 def _check_domain(p, z):

@@ -328,7 +328,7 @@ def _f_params(kind, d, shift=None):
 
 
 def _d_spec(kind, d, shift=None):
-    p = _shifted(kind, d, shift, int(d["m"]))
+    p = _shifted(kind, d, shift, d["m"])
     return DSpec(kind, p.pop("alpha"), **p)
 
 
@@ -350,12 +350,15 @@ def _d_value(kind, d, z, shift=None):
 
 def _applicable(signature, kind=None, shifts=(), m_lo=None):
     """Applicability predicate of a record: every key of signature is
-    given, m >= m_lo, and for a companion relation of the given kind the
-    DSpec at the unshifted parameters and at each shift is regular."""
+    given, m is an integer >= m_lo, and for a companion relation of the
+    given kind the DSpec at the unshifted parameters and at each shift
+    is regular."""
     keys = set(signature.split(","))
 
     def applicable(d):
         if not keys <= set(d):
+            return False
+        if "m" in keys and not _is_int(d["m"]):
             return False
         if kind is not None:
             try:
@@ -363,8 +366,15 @@ def _applicable(signature, kind=None, shifts=(), m_lo=None):
                     _d_spec(kind, d, s)
             except (ParameterSingular, ValueError):
                 return False
-        return m_lo is None or int(d["m"]) >= m_lo
+        return m_lo is None or d["m"] >= m_lo
     return applicable
+
+
+def _is_int(m):
+    try:
+        return m == int(m)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 # ---------------------------------------------------------------------------

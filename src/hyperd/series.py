@@ -6,9 +6,22 @@ All branch handling in the package funnels through principal_log,
 log_negated and principal_pow so that every module agrees on the cuts:
 log z is cut on (-inf, 0], log(-z) on [0, inf).  Points exactly on a cut
 are rejected; we do not adopt a signed-zero side convention.
+
+Coefficient streams depend on the parameters only, never on z, so each
+stream is generated once and replayed (_replay): a grid of points at
+fixed parameters generates its coefficients, and their gamma/digamma
+seeds, once.  The memo is per thread and holds at most _MEMO_SIZE
+streams; it is cleared when full.  A stream keeps every value it has
+yielded, one complex (about 40 bytes with its slot) per term, so at the
+default max_terms a stream holds at most about 0.4 MB and a thread's
+memo at most about 26 MB; typical streams stop after a few hundred
+terms.
 """
 
 import cmath
+import itertools
+import operator
+import threading
 from dataclasses import dataclass, field
 
 from .errors import BranchCut, DomainError, NoConvergence
@@ -19,6 +32,39 @@ MAX_TERMS = 10000
 # consecutive small terms required before a series counts as converged;
 # a single test misfires when a coefficient happens to vanish
 _RUN = 3
+
+# streams kept per thread before the memo is cleared
+_MEMO_SIZE = 64
+
+
+class _Memo(threading.local):
+    def __init__(self):
+        self.streams = {}
+
+
+_memo = _Memo()
+
+
+def _replay(key, build):
+    """(head, factory) for build() = (head, stream), kept per thread.
+
+    key must tell apart every parameter set whose stream could differ in
+    any bit, the sign of a zero included: the repr of the parameters.
+    stream is an endless generator.  It is consumed lazily through one
+    itertools.tee whose buffer keeps every value yielded, and factory
+    (the tee's __copy__) returns a fresh iterator from the first value,
+    so a replay runs in C.  A stream that stopped, which for an endless
+    generator means it raised, is built anew on the next call instead
+    of being replayed as if it were finished.
+    """
+    streams = _memo.streams
+    hit = streams.get(key)
+    if hit is None or hit[1].gi_frame is None:
+        if len(streams) >= _MEMO_SIZE:
+            streams.clear()
+        head, gen = build()
+        hit = streams[key] = (head, gen, itertools.tee(gen, 1)[0].__copy__)
+    return hit[0], hit[2]
 
 
 @dataclass(frozen=True)
@@ -44,8 +90,10 @@ class LaurentExpansion:
     """Coefficients of sum_{k=1}^{m} d_{-k} z^{-k} + sum_{n>=0} d_n z^n.
 
     principal holds (d_{-1}, ..., d_{-m}); tail_coeff is a zero-argument
-    callable returning a fresh generator of d_0, d_1, ... so that the
-    expansion object itself stays immutable and reusable.
+    callable returning a fresh iterator over d_0, d_1, ... so that the
+    expansion object itself stays immutable and reusable.  For an
+    expansion from dfun.d_expand the iterators replay one stream kept per
+    thread (see _replay); consume them in the thread that built it.
     """
 
     principal: tuple
@@ -119,17 +167,12 @@ def deriv_coeffs(gen_factory, start, order):
     lead = max(start, order)
 
     def g():
-        it = gen_factory()
-        for _ in range(lead - start):
-            next(it)
-        n = lead
-        while True:
-            c = next(it)
-            f = 1.0
-            for j in range(order):
-                f *= n - j
-            yield f * c
-            n += 1
+        # ((1.0 * n) * (n-1)) ... * c_n, the arithmetic of a plain loop,
+        # chained from C iterators so that a replayed stream stays in C
+        f = itertools.repeat(1.0)
+        for j in range(order):
+            f = map(operator.mul, f, itertools.count(lead - j))
+        return map(operator.mul, f, itertools.islice(gen_factory(), lead - start, None))
 
     return lead - order, g
 

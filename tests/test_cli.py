@@ -239,6 +239,16 @@ def test_verify_suite_and_id_conflict(capsys):
     assert json.loads(err)["error"]["type"] == "UnknownRelation"
 
 
+def test_verify_points_below_one_rejected(capsys):
+    for argv in (["verify", "--points", "0"],
+                 ["verify", "--suite", "bessel", "--points", "-3"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "--points" in error["message"]
+
+
 def test_verify_quadratic_suite(capsys):
     doc = run_json(["verify", "--suite", "quadratic", "--points", "5"],
                    capsys)

@@ -75,6 +75,14 @@ def test_unknown_and_inapplicable(catalog):
     with pytest.raises(Inapplicable):
         check_relation("f1.contig.alpha-up", {"m": -1, "theta": 0.7},
                        0.3, catalog)
+    # m must be an integer, companion records and quadratic ones alike
+    with pytest.raises(Inapplicable):
+        check_relation("f0.contiguity", {"m": 1.5}, 0.4, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("f2.recurDI.p0m",
+                       {"m": 1.5, "beta": 0.3, "mu": 0.2}, 0.4, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("q.sasa3", {"m": 0.5, "beta": 0.3}, 0.4, catalog)
     with pytest.raises(UnknownRelation):
         sweep_catalog(catalog, n=1, ids=["no.such"])
 

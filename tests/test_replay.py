@@ -1,0 +1,171 @@
+"""Coefficient streams kept per thread and replayed (series._replay).
+
+A replayed stream must give the same bits as a freshly generated one,
+whatever order the evaluations come in and in whichever thread they run,
+and a stream that raised part-way must never be replayed as if it ended.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from hyperd import (
+    F0,
+    F1,
+    F2,
+    DSpec,
+    bessel,
+    d_eval,
+    d_eval_jet,
+    f_norm,
+    f_norm_jet,
+    log_solution,
+    u0,
+    u1,
+    u2,
+)
+from hyperd import dfun, ffun, series
+from hyperd.errors import HyperdError
+
+ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0), -0.45 + 0.1j,
+      3.0 - 1.5j)
+
+# each pair written with complex(x, -0.0) differs from its neighbour only
+# in the sign of a zero imaginary part, and compares equal to it
+F_PARAMS = (
+    F0(2), F0(-2), F0(-0.5), F0(complex(-0.5, -0.0)), F0(0.3 + 0.1j),
+    F1(0.7, 2), F1(0.7, -1), F1(0.7, 0.4), F1(complex(0.7, -0.0), 0.4),
+    F2(1, 0.3, 0.2), F2(0.4, 0.3, 0.2), F2(0.4, complex(0.3, -0.0), 0.2),
+    F2(-2, 0.3, 0.25),
+)
+SPECS = (
+    DSpec("0f1", -2), DSpec("0f1", 0), DSpec("0f1", 3),
+    DSpec("1f1", 2, theta=0.7), DSpec("1f1", 1, theta=0.7),
+    DSpec("1f1", 1, theta=complex(0.7, -0.0)), DSpec("1f1", -1, theta=0.7),
+    DSpec("2f1", 1, beta=0.3, mu=0.2),
+    DSpec("2f1", 1, beta=complex(0.3, -0.0), mu=0.2),
+    DSpec("2f1", 2, beta=0.3, mu=-0.45),
+)
+ROUTES = (None, "Connection", "LogPlusD", "Asymptotic2F0", "KummerReflected")
+ALPHAS = (2, -1, 0.4, 2 + 1e-11)
+
+CORPUS = (
+    [(f, (p, z)) for p in F_PARAMS for z in ZS for f in (f_norm, f_norm_jet)]
+    + [(f, (s, z)) for s in SPECS for z in ZS
+       for f in (d_eval, d_eval_jet, log_solution)]
+    + [(u0, (a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
+    + [(u1, (0.7, a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
+    + [(u2, (a, 0.3, 0.2, z, r)) for a in ALPHAS for z in ZS + (-3 + 0.5j,)
+       for r in ROUTES]
+    + [(bessel, (k, m, z)) for k in ("I", "J", "K", "H1", "H2")
+       for m in (0, 2, -1) for z in (1.2 + 0.3j, complex(0.8, -0.0))]
+)
+
+
+def _run(calls, fresh=False):
+    out = []
+    for fn, args in calls:
+        if fresh:
+            series._memo.streams.clear()
+        try:
+            out.append(repr(fn(*args)))
+        except (HyperdError, ValueError) as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+def test_replay_is_independent_of_order():
+    fresh = _run(CORPUS, fresh=True)
+    series._memo.streams.clear()
+    forward = _run(CORPUS)
+    series._memo.streams.clear()
+    backward = _run(CORPUS[::-1])[::-1]
+    assert forward == backward == fresh
+    assert sum(r.startswith("EvalResult") or r.startswith("(")
+               for r in forward) > len(CORPUS) // 2
+
+
+def test_keys_tell_signed_zeros_apart():
+    # equal parameters need not give equal bits, so equality is no key
+    assert F0(-0.5) == F0(complex(-0.5, -0.0))
+    series._memo.streams.clear()
+    f_norm(F0(-0.5), 0.3)
+    f_norm(F0(complex(-0.5, -0.0)), 0.3)
+    d_eval(DSpec("1f1", 1, theta=0.7), 0.3)
+    d_eval(DSpec("1f1", 1, theta=complex(0.7, -0.0)), 0.3)
+    assert len(series._memo.streams) == 4
+
+
+def test_memo_is_bounded():
+    series._memo.streams.clear()
+    for i in range(3 * series._MEMO_SIZE):
+        f_norm(F0(0.5 + i / 1000), 0.3)
+        assert len(series._memo.streams) <= series._MEMO_SIZE
+
+
+def test_threads_match_sequential_run():
+    expected = _run(CORPUS)
+    results = [None] * 4
+
+    def work(i):
+        # odd threads run the corpus backwards and threads 2 and 3 clear
+        # their memo before every call, so streams are built in some
+        # threads while others replay theirs
+        calls = CORPUS[::-1] if i % 2 else CORPUS
+        outs = [_run(calls, fresh=i >= 2) for _ in range(3)]
+        results[i] = [out[::-1] if i % 2 else out for out in outs]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected] * 3] * 4
+
+
+P, SPEC, Z = F1(0.7, 0.4), DSpec("1f1", -2, theta=0.7), 0.5 + 0.2j
+CALLS = {
+    "f_norm": lambda: f_norm(P, Z),
+    "f_norm_jet": lambda: f_norm_jet(P, Z),
+    "d_eval": lambda: d_eval(SPEC, Z),
+    "d_eval_jet": lambda: d_eval_jet(SPEC, Z),
+}
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
+    call = CALLS[name]
+    series._memo.streams.clear()
+    want = repr(call())
+    series._memo.streams.clear()
+    doom = [True]  # whether the next stream built fails at its 6th value
+
+    def failing(make):
+        def patched(*args):
+            doomed = doom[0]
+            doom[0] = persistent
+            for i, c in enumerate(make(*args)):
+                if doomed and i == 5:
+                    raise ZeroDivisionError("injected")
+                yield c
+        return patched
+
+    monkeypatch.setattr(ffun, "_TERMS", tuple(map(failing, ffun._TERMS)))
+    monkeypatch.setattr(dfun, "_tail", failing(dfun._tail))
+    with pytest.raises(ZeroDivisionError):
+        call()
+    # never the sum of the first five coefficients as if the stream ended
+    for _ in range(2):
+        if persistent:
+            with pytest.raises(ZeroDivisionError):
+                call()
+        else:
+            assert repr(call()) == want
