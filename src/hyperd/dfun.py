@@ -127,7 +127,7 @@ def _principal(spec, mm):
 
 
 def _tail(spec, mm):
-    """Generator of d_0, d_1, ... of the order-mm expansion.
+    """Generator of the complex d_0, d_1, ... of the order-mm expansion.
 
     Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
     coefficient costs O(1) after the k = 0 seeds.
@@ -140,7 +140,7 @@ def _tail(spec, mm):
             p2 = -EULER_GAMMA + harmonic(mm).real
             k = 0
             while True:
-                yield -(p1 + p2) * inv
+                yield complex(-(p1 + p2) * inv)
                 inv /= (k + 1) * (mm + k + 1)
                 p1 += 1.0 / (k + 1)
                 p2 += 1.0 / (mm + k + 1)

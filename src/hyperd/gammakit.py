@@ -9,7 +9,7 @@ g = 607/128, n = 15 set, good to ~1e-15 relative in the right half plane.
 
 import cmath
 import math
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
@@ -84,38 +84,73 @@ def cospi(z):
     return -c if n % 2 else c
 
 
-def _lanczos(z):
-    # valid for Re z >= 0.5
+def _lanczos(z, power=1):
+    """Gamma(z) ** power for power 1 or -1; valid for Re z >= 0.5.
+
+    Raises DomainError where the result overflows a double.
+    """
     zz = z - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
         acc += _LANCZOS_C[k] / (zz + k)
     t = zz + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    s = math.sqrt(2.0 * math.pi)
+    try:
+        g = s * t ** (zz + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        g = math.inf
+    if not cmath.isfinite(g):
+        # t ** (zz + 0.5) overflows long before Gamma does (from z = 142.6
+        # on the real axis, where Gamma is 4e244): take it in two halves,
+        # as accurate as the direct product, up to the overflow of Gamma
+        # itself (z = 171.6 on the real axis)
+        try:
+            h = t ** ((zz + 0.5) / 2)
+            g = s * h * cmath.exp(-t) * h * acc
+        except OverflowError:
+            pass
+    if cmath.isfinite(g):
+        return g if power == 1 else 1.0 / g
+    # Gamma(z) overflows, or a half power does far off the real axis:
+    # log space, good to about 3e-13 relative
+    lg = (zz + 0.5) * cmath.log(t) - t + cmath.log(s * acc)
+    try:
+        return cmath.exp(power * lg)
+    except OverflowError:
+        raise DomainError(f"Gamma(z) ** {power} overflows a double at z = {z}") from None
 
 
 def gamma(z):
     """Gamma(z) for complex z, reflection formula for Re z < 1/2.
 
-    Raises PoleError within POLE_TOL of a non-positive integer.
+    Raises PoleError within POLE_TOL of a non-positive integer and
+    DomainError where Gamma(z) overflows a double (z > 171.6 on the
+    real axis).
     """
     z = complex(z)
     if near_nonpositive_int(z) is not None:
         raise PoleError(f"gamma pole at z = {z}")
     if z.real < 0.5:
-        # DLMF 5.5.3
-        return math.pi / (sinpi(z) * _lanczos(1.0 - z))
+        # DLMF 5.5.3; past the overflow of Gamma(1-z) the quotient is tiny
+        try:
+            return math.pi / (sinpi(z) * _lanczos(1.0 - z))
+        except DomainError:
+            return math.pi * _lanczos(1.0 - z, -1) / sinpi(z)
     return _lanczos(z)
 
 
 def recip_gamma(z):
-    """1/Gamma(z); entire, exactly 0 at non-positive integers."""
+    """1/Gamma(z); entire, exactly 0 at non-positive integers.
+
+    Where Gamma(z) overflows the result is subnormal or 0; DomainError
+    where 1/Gamma(z) itself overflows (large negative Re z).
+    """
     z = complex(z)
     if near_nonpositive_int(z) is not None:
         return 0j
     if z.real < 0.5:
         return sinpi(z) * _lanczos(1.0 - z) / math.pi
-    return 1.0 / _lanczos(z)
+    return _lanczos(z, -1)
 
 
 def digamma(z):

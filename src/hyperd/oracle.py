@@ -213,7 +213,7 @@ def alpha_derivative(alpha, z, rel_tol=REL_TOL, max_terms=MAX_TERMS,
     def gen():
         j = 0
         while True:
-            yield _alpha_deriv_coeff(alpha, j)
+            yield complex(_alpha_deriv_coeff(alpha, j))
             j += 1
 
     res = sum_power_series(gen(), z, rel_tol, max_terms)

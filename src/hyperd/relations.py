@@ -815,6 +815,11 @@ _SKIPPABLE = (BranchCut, DomainError, Inapplicable, ParameterSingular,
               PoleAtOrigin, PoleError)
 
 
+def _check_points(n):
+    if n < 1:
+        raise DomainError("a sweep needs n >= 1 points, got n = %r" % (n,))
+
+
 def sweep_record(rec, n=SWEEP_POINTS, catalog=None):
     """Fixed pseudo-random grid of n applicable points for one record.
 
@@ -822,6 +827,7 @@ def sweep_record(rec, n=SWEEP_POINTS, catalog=None):
     from the grid version and the record id, and rejected draws (domain
     or branch-cut misses) consume the stream in a reproducible way.
     """
+    _check_points(n)
     rec = _resolve(rec, catalog)
     rng = random.Random("%s/%s" % (_GRID_VERSION, rec.id))
     points = []
@@ -847,6 +853,7 @@ def sweep_record(rec, n=SWEEP_POINTS, catalog=None):
 
 def sweep_catalog(catalog=None, n=SWEEP_POINTS, ids=None):
     """{id: worst scaled residual} over the fixed grid."""
+    _check_points(n)
     cat = catalog if catalog is not None else build_catalog()
     keys = sorted(cat) if ids is None else list(ids)
     out = {}

@@ -16,6 +16,13 @@ yielded, one complex (about 40 bytes with its slot) per term, so at the
 default max_terms a stream holds at most about 0.4 MB and a thread's
 memo at most about 26 MB; typical streams stop after a few hundred
 terms.
+
+Every coefficient stream in the package yields complex numbers, so the
+summation loop multiplies each coefficient as it comes, with no per-term
+conversion.  A float coefficient would still sum, but from Python 3.14
+on float * complex no longer goes through complex * complex (the zero
+imaginary part stays out of the product), which can change bits; the
+streams convert at their source instead.
 """
 
 import cmath
@@ -112,11 +119,13 @@ class LaurentExpansion:
 def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
     """Sum c_n z^n for n = start, start+1, ... with truncation control.
 
-    coeff yields c_start, c_start+1, ... in order.  Stops once _RUN
+    coeff yields c_start, c_start+1, ... in order, complex numbers in
+    every stream of the package (see the module docstring).  Stops once _RUN
     consecutive terms each have magnitude <= rel_tol * |partial sum|;
     err_estimate is the magnitude of the first omitted term (0 when the
     generator is exhausted).  Raises NoConvergence with the running
-    partial attached when max_terms is hit first.
+    partial attached when max_terms is hit first.  No coefficient past
+    the first omitted one (or past c_{start+max_terms-1}) is read.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -128,32 +137,27 @@ def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
     power = z**start if start else complex(1.0)
     small_run = 0
     used = 0
-    last_mag = 0.0
-    while used < max_terms:
-        try:
-            c = next(it)
-        except StopIteration:
-            return EvalResult(total, 0.0, max(used, 1))
-        term = complex(c) * power
+    # islice checks its count before it pulls, so no coefficient past
+    # max_terms is read
+    for c in itertools.islice(it, max_terms):
+        term = c * power
         total += term
         used += 1
         power *= z
-        last_mag = abs(term)
-        if last_mag <= rel_tol * abs(total):
+        if abs(term) <= rel_tol * abs(total):
             small_run += 1
             if small_run >= _RUN:
-                try:
-                    nxt = abs(complex(next(it)) * power)
-                except StopIteration:
-                    nxt = 0.0
-                return EvalResult(total, nxt, used)
+                c = next(it, None)
+                return EvalResult(total, 0.0 if c is None else abs(c * power), used)
         else:
             small_run = 0
+    if used < max_terms:
+        return EvalResult(total, 0.0, max(used, 1))
     raise NoConvergence(
         f"no convergence in {max_terms} terms at z = {z}",
         flag="TruncationMaxed",
         partial=total,
-        err=last_mag,
+        err=abs(term),
     )
 
 

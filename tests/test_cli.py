@@ -1,11 +1,13 @@
 """Command line surface: schemas, formats, exit codes, stability."""
 
+import io
 import json
 import math
 
 import pytest
 
 from hyperd import cli
+from hyperd.series import EvalResult
 
 
 def run(argv, capsys):
@@ -142,6 +144,82 @@ def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys):
     assert out.splitlines()[-1].split(",")[4] == "inf"
 
 
+# z -> result pairs with every float the writers treat apart: +-inf,
+# nan, -0.0, a subnormal, values that need all 17 digits; two flags and
+# none
+_ODD_RESULTS = (
+    (complex(0.1 + 0.2, -0.0),
+     EvalResult(complex(math.inf, -math.inf), math.nan, 7,
+                frozenset({"TruncationMaxed", "NearPole"}))),
+    (complex(-0.0, 0.25), EvalResult(complex(-0.0, 5e-324), 2.0 / 3.0, 1)),
+    (complex(1.5, 1.0 / 3.0),
+     EvalResult(complex(math.nan, -0.0), math.inf, 12345,
+                frozenset({"OnBranchCut"}))),
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["eval", "table"])
+def test_eval_rows_match_the_generic_writer(command, fmt, monkeypatch):
+    results = dict(_ODD_RESULTS)
+    monkeypatch.setattr(cli, "_points", lambda args: list(results))
+    monkeypatch.setattr(cli, "_evaluator", lambda args, lie: results.__getitem__)
+    args = cli._parser().parse_args(
+        [command, "--eq", "1f1", "--m", "2", "--theta", "0.5",
+         "--grid", "0:1:2,0:0:1", "--format", fmt])
+    out = io.StringIO()
+    assert cli.cmd_eval(args, out) == 0
+
+    lie, classical = cli._resolve_params(args)
+    doc = {"command": command, "eq": "1f1", "func": "F", "params": lie,
+           "classical": classical, "rel_tol": args.rel_tol,
+           "max_terms": args.max_terms}
+    records = [{"z_re": z.real, "z_im": z.imag,
+                "value_re": r.value.real, "value_im": r.value.imag,
+                "err_estimate": r.err_estimate, "terms_used": r.terms_used,
+                "flags": sorted(r.flags)} for z, r in _ODD_RESULTS]
+    want = io.StringIO()
+    cli._emit(doc, records, fmt, want)
+    assert out.getvalue() == want.getvalue()
+    if fmt == "json":
+        def reject(name):
+            raise ValueError("non-standard JSON constant %s" % name)
+
+        got = json.loads(out.getvalue(), parse_constant=reject)["records"]
+        assert [r["flags"] for r in got] == [["NearPole", "TruncationMaxed"],
+                                             [], ["OnBranchCut"]]
+        assert got[0]["value_re"] is None and got[0]["err_estimate"] is None
+        assert '{"z_re":-0,"z_im":0.25,"value_re":-0,' in out.getvalue()
+    else:
+        rows = out.getvalue().splitlines()[-3:]
+        assert rows == [
+            "0.30000000000000004,-0,inf,-inf,nan,7,NearPole|TruncationMaxed",
+            "-0,0.25,-0,4.9406564584124654e-324,0.66666666666666663,1,",
+            "1.5,0.33333333333333331,nan,-0,inf,12345,OnBranchCut"]
+
+
+def test_parser_is_reused_across_requests(capsys):
+    base = ["--eq", "0f1", "--alpha", "0.5"]
+
+    def z_re(argv):
+        return [r["z_re"] for r in run_json(argv, capsys)["records"]]
+
+    assert z_re(["eval"] + base + ["--z", "0.5"]) == [0.5]
+    parser = cli._parser()
+    with pytest.raises(SystemExit):
+        cli.main(["eval", "--eq", "3f1", "--z", "0.1"])
+    assert z_re(["eval"] + base + ["--z", "0.7", "--z", "0.9"]) == [0.7, 0.9]
+    with pytest.raises(SystemExit):
+        cli.main(["table"] + base + ["--z", "0.2"])
+    code, out, err = run(["table"] + base + ["--grid", "0.1:0.2:2,0:0:1"],
+                         capsys)
+    assert code == 0, err
+    rows = [ln for ln in out.splitlines() if ln and not ln.startswith("#")]
+    assert [float(ln.split(",")[0]) for ln in rows[1:]] == [0.1, 0.2]
+    assert z_re(["eval"] + base + ["--z", "0.3"]) == [0.3]
+    assert cli._parser() is parser
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 
@@ -196,6 +274,15 @@ def test_pole_maps_to_exit_2(capsys):
                        capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "BranchCut"
+
+
+def test_large_alpha_underflows_instead_of_overflow_error(capsys):
+    # 1/Gamma(191.5) is below the smallest subnormal; the Lanczos power
+    # behind it used to raise a raw OverflowError (exit 2)
+    doc = run_json(["eval", "--eq", "0f1", "--alpha", "190.5", "--z", "0.3"],
+                   capsys)
+    (rec,) = doc["records"]
+    assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
 
 
 def test_argparse_rejects_unknown_choice(capsys):

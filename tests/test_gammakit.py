@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperd.errors import PoleError
+from hyperd.errors import DomainError, PoleError
 from hyperd.gammakit import (
     EULER_GAMMA,
     cospi,
@@ -86,6 +86,24 @@ def test_poles():
         with pytest.raises(PoleError):
             digamma(float(n))
         assert recip_gamma(float(n)) == 0j
+
+
+def test_gamma_past_the_lanczos_power_overflow():
+    # the Lanczos power t ** (z - 1/2) overflows from z = 142.6 on, while
+    # Gamma itself stays finite up to z = 171.6
+    for x in [142.6, 142.7] + list(range(143, 172)):
+        assert _rel(gamma(x), math.gamma(x)) < 1e-13
+        assert _rel(recip_gamma(x), 1.0 / math.gamma(x)) < 1e-13
+    for x in (-150.5, -171.5):
+        assert _rel(gamma(x), math.gamma(x)) < 1e-13
+    r = recip_gamma(191.5)
+    assert r.real >= 0.0 and math.isfinite(r.real) and r.imag == 0.0
+    assert recip_gamma(175.0).real > 0.0  # subnormal, not flushed to 0
+    for z in (200.0, 171.7, complex(180.0, 3.0)):
+        with pytest.raises(DomainError):
+            gamma(z)
+    with pytest.raises(DomainError):
+        recip_gamma(-200.5)
 
 
 def test_sinpi_cospi_exact_at_small_arguments():

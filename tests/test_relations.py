@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperd.dfun import DSpec, d_eval, log_solution, log_solution_jet
-from hyperd.errors import Inapplicable, UnknownRelation
+from hyperd.errors import DomainError, Inapplicable, UnknownRelation
 from hyperd.ffun import F0, f_norm
 from hyperd.gammakit import pochhammer
 from hyperd.relations import (
@@ -85,6 +85,17 @@ def test_unknown_and_inapplicable(catalog):
         check_relation("q.sasa3", {"m": 0.5, "beta": 0.3}, 0.4, catalog)
     with pytest.raises(UnknownRelation):
         sweep_catalog(catalog, n=1, ids=["no.such"])
+
+
+def test_sweep_needs_a_point(catalog):
+    rec = catalog["f0.recurF.raise"]
+    for n in (0, -2):
+        with pytest.raises(DomainError, match="n = %d" % n):
+            sweep_record(rec, n=n, catalog=catalog)
+        with pytest.raises(DomainError, match="n = %d" % n):
+            sweep_catalog(catalog, n=n)
+    with pytest.raises(DomainError, match="n = 0"):
+        sweep_catalog(catalog, n=0, ids=[])
 
 
 def test_spot_checks(catalog):

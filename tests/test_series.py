@@ -33,12 +33,24 @@ def _geom_coeffs():
         yield 1.0
 
 
+def _guarded(coeffs, n):
+    """coeffs, failing when a coefficient past the first n is pulled."""
+    for i, c in enumerate(coeffs):
+        if i >= n:
+            raise AssertionError("coefficient %d pulled" % i)
+        yield c
+
+
 def test_exp_series():
     r = sum_power_series(_exp_coeffs(), 0.37)
     assert abs(r.value - math.exp(0.37)) < 1e-15
     assert r.err_estimate < 1e-15
     assert r.terms_used < 30
     assert r.flags == frozenset()
+    # the first omitted coefficient is read for the error estimate; the
+    # one after it is never pulled
+    g = sum_power_series(_guarded(_exp_coeffs(), r.terms_used + 1), 0.37)
+    assert g == r
 
 
 def test_geometric_series_complex():
@@ -63,18 +75,32 @@ def test_start_offset():
 
 
 def test_finite_generator_exhausts_cleanly():
-    r = sum_power_series(iter([1.0, 2.0, 3.0]), 2.0)
-    assert r.value == 1.0 + 4.0 + 12.0
-    assert r.err_estimate == 0.0
+    for coeffs in ([1.0, 2.0, 3.0], [1, 2, 3]):
+        r = sum_power_series(iter(coeffs), 2.0)
+        assert r.value == 1.0 + 4.0 + 12.0
+        assert r.err_estimate == 0.0
+        assert r.terms_used == 3
+    assert sum_power_series(iter([]), 2.0) == EvalResult(0j, 0.0, 1)
 
 
 def test_no_convergence_carries_partial():
-    with pytest.raises(NoConvergence) as ei:
-        sum_power_series(_geom_coeffs(), 1.5, max_terms=50)
-    exc = ei.value
-    assert exc.flag == "TruncationMaxed"
-    assert abs(exc.partial) > 1.0
-    assert exc.err > 0.0
+    cases = [
+        (_geom_coeffs, 1.5, 50, None, None),
+        # a finite stream exactly max_terms long is not known to be exhausted
+        (lambda: iter([1.0] * 5), 2.0, 5, 31.0, 16.0),
+        (lambda: iter([1] * 5), 2.0, 5, 31.0, 16.0),
+    ]
+    for coeffs, z, max_terms, partial, err in cases:
+        with pytest.raises(NoConvergence) as ei:
+            sum_power_series(_guarded(coeffs(), max_terms), z,
+                             max_terms=max_terms)
+        exc = ei.value
+        assert exc.flag == "TruncationMaxed"
+        assert abs(exc.partial) > 1.0
+        assert exc.err > 0.0
+        if partial is not None:
+            assert exc.partial == partial
+            assert exc.err == err
 
 
 def test_validation():
