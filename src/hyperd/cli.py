@@ -32,11 +32,14 @@ import math
 import sys
 
 from .errors import DomainError, HyperdError
-from .ffun import PARAMS_BY_KIND, f2_norm_I, f_norm, f_second
-from .dfun import DSpec, d_eval, d_eval_I, log_solution
+from .ffun import (PARAMS_BY_KIND, prepare_f2_norm_I, prepare_f_norm,
+                   prepare_f_second)
+from .dfun import (DSpec, prepare_d_eval, prepare_d_eval_I,
+                   prepare_log_solution)
 from .gammakit import near_int
 from .series import MAX_TERMS, REL_TOL
-from .ufun import URoute, bessel, u0, u1, u2
+from .ufun import (URoute, bessel, prepare_u0, prepare_u1, prepare_u2, u0,
+                   u1, u2)
 from . import oracle, relations
 
 __all__ = ["main"]
@@ -215,33 +218,56 @@ def _d_spec(eq, lie):
     return DSpec(eq, m, **{k: v for k, v in lie.items() if k != "alpha"})
 
 
+# --func -> the prepare function of the point function it names; the
+# U functions take the Lie parameters of their kind and the route
+_PREPARE_P = {"F": prepare_f_norm, "second": prepare_f_second,
+              "FI": prepare_f2_norm_I}
+_PREPARE_SPEC = {"D": prepare_d_eval, "DI": prepare_d_eval_I,
+                 "logsol": prepare_log_solution}
+_PREPARE_U = {"0f1": (prepare_u0, ("alpha",)),
+              "1f1": (prepare_u1, ("theta", "alpha")),
+              "2f1": (prepare_u2, ("alpha", "beta", "mu"))}
+
+
 def _evaluator(args, lie):
+    """The request's callable of one point.
+
+    Faults of the request itself (an --eq that --func does not take, a
+    D order that is not an integer, a DSpec that is rejected) are raised
+    here.  The parameter set is prepared once, at the first point: its
+    faults come after those of the point list, as when each point is
+    evaluated alone.
+    """
     eq = args.eq
     func = args.func
-    route = args.route
     rel_tol = args.rel_tol
     max_terms = args.max_terms
 
     if func in ("FI", "DI") and eq != "2f1":
         raise DomainError("--func %s is defined for --eq 2f1 only" % (func,))
 
-    if func in ("F", "second", "FI"):
+    if func in _PREPARE_P:
         p = PARAMS_BY_KIND[eq](**lie)
-        fn = {"F": f_norm, "second": f_second, "FI": f2_norm_I}[func]
-        return lambda z: fn(p, z, rel_tol, max_terms)
-    if func in ("D", "DI", "logsol"):
+        prepare = functools.partial(_PREPARE_P[func], p, rel_tol, max_terms)
+    elif func in _PREPARE_SPEC:
         spec = _d_spec(eq, lie)
-        fn = {"D": d_eval, "DI": d_eval_I, "logsol": log_solution}[func]
-        return lambda z: fn(spec, z, rel_tol, max_terms)
-    if func == "U":
-        if eq == "0f1":
-            return lambda z: u0(lie["alpha"], z, route, rel_tol, max_terms)
-        if eq == "1f1":
-            return lambda z: u1(lie["theta"], lie["alpha"], z, route,
-                                rel_tol, max_terms)
-        return lambda z: u2(lie["alpha"], lie["beta"], lie["mu"], z, route,
-                            rel_tol, max_terms)
-    raise DomainError("unknown function %r" % (func,))
+        prepare = functools.partial(_PREPARE_SPEC[func], spec, rel_tol,
+                                    max_terms)
+    elif func == "U":
+        fn, names = _PREPARE_U[eq]
+        prepare = functools.partial(fn, *(lie[k] for k in names),
+                                    args.route, rel_tol, max_terms)
+    else:
+        raise DomainError("unknown function %r" % (func,))
+    at = None
+
+    def evaluate(z):
+        nonlocal at
+        if at is None:
+            at = prepare()
+        return at(z)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,13 @@ relations to the U functions hold only for this choice.
 
 Negative order is a pure power shift, D_{-m} := z^m D_m, which turns the
 principal part into low-order polynomial coefficients and leaves no pole.
+
+As in ffun, every point function is its prepare function called at z:
+prepare_d_eval(spec, ...)(z) and so on, with the expansion looked up,
+the I-form prefactor computed and the F of log_solution prepared once.
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -32,16 +37,18 @@ from .ffun import (
     DEGENERACY_TOL,
     F2_SERIES_RADIUS,
     PARAMS_BY_KIND,
+    _check_order,
     _f2_I_prefactor,
     f_norm_jet,
+    prepare_f_norm,
 )
-from .ffun import f_norm as _f_norm
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
     MAX_TERMS,
     REL_TOL,
     EvalResult,
     LaurentExpansion,
+    _check_point,
     _replay,
     deriv_coeffs,
     log_negated,
@@ -61,7 +68,9 @@ class DSpec:
     theta is required for 1f1, beta and mu for 2f1, the fields of the
     kind's parameter class besides alpha.  Parameter sets that
     put a digamma weight or a principal-part Pochhammer at a pole are
-    rejected on construction.
+    rejected on construction, and so are non-finite parameters
+    (DomainError).  An order beyond ffun.MAX_ORDER raises DomainError when
+    the expansion is built.
     """
 
     kind: str
@@ -73,6 +82,8 @@ class DSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if not cmath.isfinite(self.m):
+            raise DomainError(f"m must be finite, got m = {self.m}")
         if self.m != int(self.m):
             raise ValueError(f"m must be an integer, got {self.m}")
         if self.kind == "1f1" and self.theta is None:
@@ -200,12 +211,18 @@ def d_expand(spec):
     and no pole remains.  The expansion is built once per thread and DSpec
     and its tail replayed after that (series._replay).
     """
-    principal, tail = _replay(repr(spec), lambda: _expand(spec))
+    principal, tail = _expansion(spec)
     return LaurentExpansion(principal=principal, tail_coeff=tail)
+
+
+def _expansion(spec):
+    # (principal, tail factory) of d_expand, without the wrapper object
+    return _replay(repr(spec), lambda: _expand(spec))
 
 
 def _expand(spec):
     m = int(spec.m)
+    _check_order(m)
     mm = abs(m)
     principal = _principal(spec, mm)
     tail = _tail(spec, mm)
@@ -220,6 +237,7 @@ def _shifted(principal, tail):
 
 
 def _check_z(spec, z, pole_order):
+    _check_point(z)
     if pole_order >= 1 and z == 0:
         raise PoleAtOrigin(f"D with m = {spec.m} has a pole at z = 0")
     if spec.kind == "2f1" and abs(z) > F2_SERIES_RADIUS:
@@ -228,35 +246,54 @@ def _check_z(spec, z, pole_order):
         )
 
 
+def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> d_eval(spec, z, rel_tol, max_terms)."""
+    expansion = _expansion(spec)
+
+    def d_at(z):
+        nonlocal expansion
+        z = complex(z)
+        if expansion is None:
+            expansion = _expansion(spec)
+        principal, tail_coeff = expansion
+        _check_z(spec, z, len(principal))
+        head = 0j
+        if principal:
+            w = 1.0 / z
+            pw = w
+            for c in principal:
+                head += c * pw
+                pw *= w
+        try:
+            tail = sum_power_series(tail_coeff(), z, rel_tol, max_terms)
+        except BaseException:
+            # a stream that raised is looked up, and so built, anew
+            expansion = None
+            raise
+        return EvalResult(head + tail.value, tail.err_estimate, tail.terms_used, tail.flags)
+
+    return d_at
+
+
 def d_eval(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """Value of D at z: exact principal part plus summed tail.
 
     err_estimate covers the tail truncation only.
+    prepare_d_eval(spec, rel_tol, max_terms)(z).
     """
-    z = complex(z)
-    exp = d_expand(spec)
-    _check_z(spec, z, exp.pole_order)
-    head = 0j
-    if exp.pole_order:
-        w = 1.0 / z
-        pw = w
-        for c in exp.principal:
-            head += c * pw
-            pw *= w
-    tail = sum_power_series(exp.tail_coeff(), z, rel_tol, max_terms)
-    return EvalResult(head + tail.value, tail.err_estimate, tail.terms_used, tail.flags)
+    return prepare_d_eval(spec, rel_tol, max_terms)(z)
 
 
 def d_eval_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """(D, D', D'') with the tail differentiated term by term."""
     z = complex(z)
-    exp = d_expand(spec)
-    _check_z(spec, z, exp.pole_order)
+    principal, tail_coeff = _expansion(spec)
+    _check_z(spec, z, len(principal))
     h0 = h1 = h2 = 0j
-    if exp.pole_order:
+    if principal:
         w = 1.0 / z
         pw = w
-        for i, c in enumerate(exp.principal):
+        for i, c in enumerate(principal):
             k = i + 1
             h0 += c * pw
             h1 += c * (-k) * pw * w
@@ -264,14 +301,14 @@ def d_eval_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
             pw *= w
     out = []
     for order in range(3):
-        s, g = deriv_coeffs(exp.tail_coeff, 0, order) if order else (0, exp.tail_coeff)
+        s, g = deriv_coeffs(tail_coeff, 0, order) if order else (0, tail_coeff)
         out.append(sum_power_series(g(), z, rel_tol, max_terms, start=s).value)
     return (h0 + out[0], h1 + out[1], h2 + out[2])
 
 
-def _log_branch(spec, z):
+def _log_branch(spec):
     # 0F1/1F1 carry log z, 2F1 carries log(-z)
-    return log_negated(z) if spec.kind == "2f1" else principal_log(z)
+    return log_negated if spec.kind == "2f1" else principal_log
 
 
 def log_combo(ell, f, d):
@@ -285,18 +322,26 @@ def log_combo(ell, f, d):
     return EvalResult(lf + d.value, err, f.terms_used + d.terms_used, f.flags | d.flags)
 
 
+def prepare_log_solution(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> log_solution(spec, z, rel_tol, max_terms)."""
+    log = _log_branch(spec)
+    f = prepare_f_norm(spec.params, rel_tol, max_terms)
+    d = prepare_d_eval(spec, rel_tol, max_terms)
+    return lambda z: log_combo(log(z), f(z), d(z))
+
+
 def log_solution(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """log z * F + D (log(-z) * F + D for 2f1) at order m."""
-    z = complex(z)
-    ell = _log_branch(spec, z)
-    f = _f_norm(spec.params, z, rel_tol, max_terms)
-    return log_combo(ell, f, d_eval(spec, z, rel_tol, max_terms))
+    """log z * F + D (log(-z) * F + D for 2f1) at order m.
+
+    prepare_log_solution(spec, rel_tol, max_terms)(z).
+    """
+    return prepare_log_solution(spec, rel_tol, max_terms)(z)
 
 
 def log_solution_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """(w, w', w'') for w = log z * F + D, with (log z)' = 1/z on either cut."""
     z = complex(z)
-    ell = _log_branch(spec, z)
+    ell = _log_branch(spec)(z)
     f0, f1, f2 = f_norm_jet(spec.params, z, rel_tol, max_terms)
     d0, d1, d2 = d_eval_jet(spec, z, rel_tol, max_terms)
     w0 = ell * f0 + d0
@@ -305,12 +350,21 @@ def log_solution_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     return (w0, w1, w2)
 
 
-def d_eval_I(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The symmetric form D^I = Gamma(a) Gamma(c-a) D for the 2f1 kind."""
+def prepare_d_eval_I(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> d_eval_I(spec, z, rel_tol, max_terms)."""
     if spec.kind != "2f1":
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    return d_eval(spec, z, rel_tol, max_terms).scaled(pref)
+    d = prepare_d_eval(spec, rel_tol, max_terms)
+    return lambda z: d(z).scaled(pref)
+
+
+def d_eval_I(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The symmetric form D^I = Gamma(a) Gamma(c-a) D for the 2f1 kind.
+
+    prepare_d_eval_I(spec, rel_tol, max_terms)(z).
+    """
+    return prepare_d_eval_I(spec, rel_tol, max_terms)(z)
 
 
 def d_eval_I_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):

@@ -16,6 +16,17 @@ series entire in the parameters:
 For integer alpha = m the reciprocal Gamma kills every term with
 m + n < 0, so the sum starts at n = max(0, -m); that convention is what
 keeps the degenerate case well defined and is preserved literally here.
+
+Every point function f(p, z, ...) is prepare_f(p, ...)(z): the prepare
+step does the work that depends on the parameters alone and returns a
+callable of z, so a grid at fixed parameters does that work once.  A
+part of the set-up that a lone call does only after a check of z (the
+coefficient stream of f_norm comes after the 2F1 disc check) is done at
+the first point that passes its checks and kept after that; until it
+succeeds it is redone, and fails, at every point, so each point raises
+what a lone call at that point raises.  A prepared callable replays
+coefficient streams kept per thread (series._replay): call it in the
+thread that made it.
 """
 
 import functools
@@ -30,6 +41,8 @@ from .series import (
     MAX_TERMS,
     REL_TOL,
     EvalResult,
+    _check_finite,
+    _check_point,
     _replay,
     deriv_coeffs,
     principal_pow,
@@ -41,6 +54,10 @@ F2_SERIES_RADIUS = 0.95
 
 # |alpha - m| below this is treated as the degenerate integer case
 DEGENERACY_TOL = 1e-9
+
+# largest |m| of an integer order: the series divide by |m|!, and 171!
+# overflows a double
+MAX_ORDER = 170
 
 _EPS = sys.float_info.epsilon
 
@@ -167,6 +184,15 @@ def _coeffs(p):
     return _replay(repr(p), lambda: _seed(p))
 
 
+def _check_order(m):
+    """DomainError naming m where |m| > MAX_ORDER."""
+    if abs(m) > MAX_ORDER:
+        raise DomainError(
+            f"integer order m = {m} is out of range: |m|! overflows a double "
+            f"beyond |m| = {MAX_ORDER}"
+        )
+
+
 def _seed(p):
     """(start index, coefficient generator) for the series of p.
 
@@ -175,11 +201,13 @@ def _seed(p):
     n0 = max(0, -m), and c = 1 + m stays an int so that every step divides
     by an exact integer.  The numerator (a)_n0 (b)_n0 is 1 unless m < 0.
     """
+    _check_finite(vars(p))
     m = near_int(p.alpha, DEGENERACY_TOL)
     if m is None:
         *upper, c = p.to_classical()
         n0, c0, c = 0, recip_gamma(c), complex(c)
     else:
+        _check_order(m)
         *upper, c = p._classical(m)
         n0 = max(0, -m)
         num = (functools.reduce(operator.mul, [pochhammer(u, n0) for u in upper])
@@ -191,18 +219,40 @@ def _seed(p):
 def _check_domain(p, z):
     if not isinstance(p, EquationParams):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
+    _check_point(z)
     if p.kind == "2f1" and abs(z) > F2_SERIES_RADIUS:
         raise DomainError(
             f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
         )
 
 
+def prepare_f_norm(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> f_norm(p, z, rel_tol, max_terms)."""
+    seed = None
+
+    def f_at(z):
+        nonlocal seed
+        z = complex(z)
+        _check_domain(p, z)
+        if seed is None:
+            seed = _coeffs(p)
+        start, gen = seed
+        try:
+            return sum_power_series(gen(), z, rel_tol, max_terms, start=start)
+        except BaseException:
+            # a stream that raised is looked up, and so built, anew
+            seed = None
+            raise
+
+    return f_at
+
+
 def f_norm(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The normalized solution F of the equation selected by p."""
-    z = complex(z)
-    _check_domain(p, z)
-    start, gen = _coeffs(p)
-    return sum_power_series(gen(), z, rel_tol, max_terms, start=start)
+    """The normalized solution F of the equation selected by p.
+
+    prepare_f_norm(p, rel_tol, max_terms)(z).
+    """
+    return prepare_f_norm(p, rel_tol, max_terms)(z)
 
 
 def f_norm_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
@@ -233,17 +283,23 @@ def _snap_alpha(p):
     return p if m is None else type(p)(**{**vars(p), "alpha": m})
 
 
+def prepare_f_second(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> f_second(p, z, rel_tol, max_terms)."""
+    p = _snap_alpha(p)
+    f = prepare_f_norm(_reflected(p), rel_tol, max_terms)
+    a = -p.alpha
+    return lambda z: f(z).scaled(principal_pow(z, a))
+
+
 def f_second(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """The power-behaved second solution z^(-alpha) F with reflected parameters.
 
     Reflection sends alpha -> -alpha (and mu -> -mu for 2F1).  For
     integer alpha the prefactor is an exact integer power, so no branch
     cut is introduced; the result is then proportional to f_norm.
+    prepare_f_second(p, rel_tol, max_terms)(z).
     """
-    z = complex(z)
-    p = _snap_alpha(p)
-    inner = f_norm(_reflected(p), z, rel_tol, max_terms)
-    return inner.scaled(principal_pow(z, -p.alpha))
+    return prepare_f_second(p, rel_tol, max_terms)(z)
 
 
 def f_second_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
@@ -301,12 +357,21 @@ def _f2_I_prefactor(p):
         raise ParameterSingular(f"F^I prefactor Gamma at a pole: {exc}") from exc
 
 
-def f2_norm_I(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The symmetric form F^I = Gamma(a) Gamma(c-a) F for the 2F1 kind."""
+def prepare_f2_norm_I(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> f2_norm_I(p, z, rel_tol, max_terms)."""
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    return f_norm(p, z, rel_tol, max_terms).scaled(pref)
+    f = prepare_f_norm(p, rel_tol, max_terms)
+    return lambda z: f(z).scaled(pref)
+
+
+def f2_norm_I(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The symmetric form F^I = Gamma(a) Gamma(c-a) F for the 2F1 kind.
+
+    prepare_f2_norm_I(p, rel_tol, max_terms)(z).
+    """
+    return prepare_f2_norm_I(p, rel_tol, max_terms)(z)
 
 
 def f2_norm_I_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):

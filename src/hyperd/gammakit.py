@@ -52,9 +52,13 @@ def near_int(z, tol=POLE_TOL):
     """Return the integer within tol of z, or None.
 
     Tolerance is measured in the complex plane, so a point with a large
-    imaginary part is never near an integer.
+    imaginary part is never near an integer.  DomainError where z is not
+    finite.
     """
-    n = round(z.real) if isinstance(z, complex) else round(z)
+    try:
+        n = round(z.real) if isinstance(z, complex) else round(z)
+    except (ValueError, OverflowError):
+        raise DomainError(f"argument {z} is not finite") from None
     if abs(complex(z) - n) <= tol:
         return int(n)
     return None
@@ -110,9 +114,16 @@ def _lanczos(z, power=1):
         except OverflowError:
             pass
     if cmath.isfinite(g):
-        return g if power == 1 else 1.0 / g
-    # Gamma(z) overflows, or a half power does far off the real axis:
-    # log space, good to about 3e-13 relative
+        if power == 1:
+            return g
+        # far off the real axis Gamma(z) itself is subnormal or 0 and its
+        # reciprocal may overflow: that goes through log space as well
+        if g:
+            r = 1.0 / g
+            if cmath.isfinite(r):
+                return r
+    # Gamma(z) or 1/Gamma(z) overflows, or a half power does far off the
+    # real axis: log space, good to about 3e-13 relative
     lg = (zz + 0.5) * cmath.log(t) - t + cmath.log(s * acc)
     try:
         return cmath.exp(power * lg)
@@ -143,7 +154,8 @@ def recip_gamma(z):
     """1/Gamma(z); entire, exactly 0 at non-positive integers.
 
     Where Gamma(z) overflows the result is subnormal or 0; DomainError
-    where 1/Gamma(z) itself overflows (large negative Re z).
+    where 1/Gamma(z) itself overflows (large negative Re z, or |Im z|
+    beyond about 452 near Re z = 1/2).
     """
     z = complex(z)
     if near_nonpositive_int(z) is not None:

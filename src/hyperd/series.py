@@ -116,6 +116,23 @@ class LaurentExpansion:
         return [next(gen) for _ in range(n)]
 
 
+def _check_point(z):
+    """DomainError unless the complex z is finite, so that no series is
+    summed at a nan or infinite point."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"z must be finite, got z = {z}")
+
+
+def _check_finite(params):
+    """DomainError naming the first entry of the mapping params, name to
+    value, that is not finite."""
+    if all(map(cmath.isfinite, params.values())):
+        return
+    for name, v in params.items():
+        if not cmath.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {name} = {v}")
+
+
 def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
     """Sum c_n z^n for n = start, start+1, ... with truncation control.
 

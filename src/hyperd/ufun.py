@@ -16,6 +16,12 @@ plus KummerReflected for the 2F1 kind, which routes through the
 within combined error estimates wherever they overlap; the error
 estimates include an explicit cancellation floor because all of these
 formulas subtract large intermediates.
+
+As in ffun, u0, u1 and u2 are prepare_u0(...)(z) and so on: the route,
+the series of its F and D and its Gamma weights are set up once per
+parameter set.  Weights that a lone call takes only after its series are
+taken at the first point that gets that far, and u2 prepares each route
+at the first point that takes it.
 """
 
 import cmath
@@ -23,7 +29,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import DSpec, d_eval, log_combo, log_solution
+from .dfun import DSpec, d_eval, log_combo, log_solution, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
@@ -38,12 +44,15 @@ from .ffun import (
     F2,
     f2f0_asymptotic,
     f_norm,
+    prepare_f_norm,
 )
 from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
 from .series import (
     MAX_TERMS,
     REL_TOL,
     EvalResult,
+    _check_finite,
+    _check_point,
     log_negated,
     principal_log,
     principal_pow,
@@ -114,69 +123,131 @@ def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
     return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
 
 
-def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0]."""
+def _log_plus_d(spec, prefactor, rel_tol, max_terms):
+    """The LogPlusD route: z -> prefactor() * log_solution(spec, z).
+
+    The prefactor is taken after the solution, at the first point whose
+    solution succeeds, and kept.
+    """
+    w = prepare_log_solution(spec, rel_tol, max_terms)
+    pref = None
+
+    def u_at(z):
+        nonlocal pref
+        inner = w(z)
+        if pref is None:
+            pref = prefactor()
+        return inner.scaled(pref)
+
+    return u_at
+
+
+def prepare_u0(alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> u0(alpha, z, route, rel_tol, max_terms)."""
     alpha = complex(alpha)
-    z = complex(z)
+    _check_finite({"alpha": alpha})
     route = _as_route(route) or _pick_route(alpha)
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        fn = f_norm(F0(alpha), z, rel_tol, max_terms)
-        fr = f_norm(F0(-alpha), z, rel_tol, max_terms)
-        pw = principal_pow(z, -alpha)
-        return _connection(_SQRT_PI, alpha, fn, fr, pw * fr.value, abs(pw) * fr.err_estimate,
-                           fn.value, fn.err_estimate)
+        f_n = prepare_f_norm(F0(alpha), rel_tol, max_terms)
+        f_r = prepare_f_norm(F0(-alpha), rel_tol, max_terms)
+
+        def u_at(z):
+            fn, fr = f_n(z), f_r(z)
+            pw = principal_pow(z, -alpha)
+            return _connection(_SQRT_PI, alpha, fn, fr, pw * fr.value, abs(pw) * fr.err_estimate,
+                               fn.value, fn.err_estimate)
+
+        return u_at
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
-        inner = log_solution(DSpec("0f1", m), z, rel_tol, max_terms)
-        return inner.scaled((-1.0) ** (m + 1) / _SQRT_PI)
+        return _log_plus_d(DSpec("0f1", m), lambda: (-1.0) ** (m + 1) / _SQRT_PI,
+                           rel_tol, max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
-        sq = principal_pow(z, 0.5)
-        pref = cmath.exp(-2.0 * sq) * principal_pow(z, -alpha / 2 - 0.25)
-        return f2f0_asymptotic(0.5 + alpha, 0.5 - alpha, -1.0 / (4.0 * sq), max_terms).scaled(pref)
+        a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
+
+        def u_at(z):
+            z = complex(z)
+            _check_point(z)
+            sq = principal_pow(z, 0.5)
+            pref = cmath.exp(-2.0 * sq) * principal_pow(z, e)
+            return f2f0_asymptotic(a, b, -1.0 / (4.0 * sq), max_terms).scaled(pref)
+
+        return u_at
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 0f1 kind")
 
 
-def u1(theta, alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0]."""
+def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0].
+
+    prepare_u0(alpha, route, rel_tol, max_terms)(z).
+    """
+    return prepare_u0(alpha, route, rel_tol, max_terms)(z)
+
+
+def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> u1(theta, alpha, z, route, rel_tol, max_terms)."""
     theta = complex(theta)
     alpha = complex(alpha)
-    z = complex(z)
+    _check_finite({"theta": theta, "alpha": alpha})
     route = _as_route(route) or _pick_route(alpha)
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        fn = f_norm(F1(theta, alpha), z, rel_tol, max_terms)
-        fr = f_norm(F1(theta, -alpha), z, rel_tol, max_terms)
-        pw = principal_pow(z, -alpha)
-        g1 = recip_gamma((1 + theta + alpha) / 2)
-        g2 = recip_gamma((1 + theta - alpha) / 2)
-        return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, abs(pw * g1) * fr.err_estimate,
-                           fn.value * g2, abs(g2) * fn.err_estimate)
+        f_n = prepare_f_norm(F1(theta, alpha), rel_tol, max_terms)
+        f_r = prepare_f_norm(F1(theta, -alpha), rel_tol, max_terms)
+        weights = None
+
+        def u_at(z):
+            nonlocal weights
+            fn, fr = f_n(z), f_r(z)
+            pw = principal_pow(z, -alpha)
+            if weights is None:
+                weights = recip_gamma((1 + theta + alpha) / 2), recip_gamma((1 + theta - alpha) / 2)
+            g1, g2 = weights
+            return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, abs(pw * g1) * fr.err_estimate,
+                               fn.value * g2, abs(g2) * fn.err_estimate)
+
+        return u_at
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = u1(theta, -m, z, URoute.LOG_PLUS_D, rel_tol, max_terms)
-            return inner.scaled(principal_pow(z, -m))
+            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D, rel_tol, max_terms)
+            return lambda z: inner(z).scaled(principal_pow(z, -m))
         q = (1 - m + theta) / 2
         if near_nonpositive_int(q) is not None:
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
             )
-        inner = log_solution(DSpec("1f1", m, theta=theta), z, rel_tol, max_terms)
-        return inner.scaled((-1.0) ** (m + 1) * recip_gamma(q))
+        return _log_plus_d(DSpec("1f1", m, theta=theta),
+                           lambda: (-1.0) ** (m + 1) * recip_gamma(q), rel_tol, max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
         a = (1 + theta + alpha) / 2
-        pref = principal_pow(z, -a)
-        return f2f0_asymptotic(a, (1 + theta - alpha) / 2, -1.0 / z, max_terms).scaled(pref)
+        b = (1 + theta - alpha) / 2
+
+        def u_at(z):
+            z = complex(z)
+            _check_point(z)
+            pref = principal_pow(z, -a)
+            return f2f0_asymptotic(a, b, -1.0 / z, max_terms).scaled(pref)
+
+        return u_at
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 1f1 kind")
+
+
+def u1(theta, alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0].
+
+    prepare_u1(theta, alpha, route, rel_tol, max_terms)(z).
+    """
+    return prepare_u1(theta, alpha, route, rel_tol, max_terms)(z)
 
 
 def _check_u2_cut(z):
@@ -184,63 +255,112 @@ def _check_u2_cut(z):
         raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
 
 
-def _pick_u2_route(alpha, z):
-    if abs(z) <= F2_SERIES_RADIUS:
-        return _pick_route(alpha)
-    if abs(z) >= 1.0 / F2_SERIES_RADIUS:
-        return URoute.ASYMPTOTIC_2F0
-    raise DomainError(
-        f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
-    )
+def prepare_u2(alpha, beta, mu, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The callable z -> u2(alpha, beta, mu, z, route, rel_tol, max_terms).
 
-
-def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The 2F1-kind U function, cut on [0, inf)."""
+    Without a route each point takes the route of its |z|: the one alpha
+    picks for |z| <= F2_SERIES_RADIUS, the 1/z series for
+    |1/z| <= F2_SERIES_RADIUS.  A route is prepared at the first point
+    that passes the cut check and takes it, so a point on the cut raises
+    BranchCut before any fault of the route's parameters.
+    """
     alpha = complex(alpha)
     beta = complex(beta)
     mu = complex(mu)
-    z = complex(z)
-    _check_u2_cut(z)
-    route = _as_route(route) or _pick_u2_route(alpha, z)
+    _check_finite({"alpha": alpha, "beta": beta, "mu": mu})
+    chosen = outer = None  # the given or alpha-picked route; the 1/z series
 
+    def u_at(z):
+        nonlocal chosen, outer
+        z = complex(z)
+        _check_point(z)
+        _check_u2_cut(z)
+        if route is None and abs(z) > F2_SERIES_RADIUS:
+            if abs(z) < 1.0 / F2_SERIES_RADIUS:
+                raise DomainError(
+                    f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
+                )
+            if outer is None:
+                outer = _u2_route(URoute.ASYMPTOTIC_2F0, alpha, beta, mu, rel_tol, max_terms)
+            return outer(z)
+        if chosen is None:
+            chosen = _u2_route(_as_route(route) or _pick_route(alpha), alpha, beta, mu,
+                               rel_tol, max_terms)
+        return chosen(z)
+
+    return u_at
+
+
+def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
+    """The per-point callable of one route of u2, for z off the cut."""
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        fn = f_norm(F2(alpha, beta, mu), z, rel_tol, max_terms)
-        fr = f_norm(F2(-alpha, beta, -mu), z, rel_tol, max_terms)
-        w1 = recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2)
-        w2 = recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2)
-        pw = cmath.exp(-alpha * log_negated(z))
-        return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
-                           pw * fr.value * w2, abs(pw * w2) * fr.err_estimate)
+        f_n = prepare_f_norm(F2(alpha, beta, mu), rel_tol, max_terms)
+        f_r = prepare_f_norm(F2(-alpha, beta, -mu), rel_tol, max_terms)
+        weights = None
+
+        def u_at(z):
+            nonlocal weights
+            fn, fr = f_n(z), f_r(z)
+            if weights is None:
+                weights = (
+                    recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
+                    recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
+                )
+            w1, w2 = weights
+            pw = cmath.exp(-alpha * log_negated(z))
+            return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
+                               pw * fr.value * w2, abs(pw * w2) * fr.err_estimate)
+
+        return u_at
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = u2(beta=beta, mu=mu, alpha=-m, z=z, route=URoute.LOG_PLUS_D,
-                       rel_tol=rel_tol, max_terms=max_terms)
-            return inner.scaled(principal_pow(complex(-z.real, -z.imag), -m))
+            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D, rel_tol, max_terms)
+            return lambda z: inner(z).scaled(principal_pow(complex(-z.real, -z.imag), -m))
         q1 = (1 - m - beta - mu) / 2
         q2 = (1 - m + beta - mu) / 2
         if near_nonpositive_int(q1) is not None or near_nonpositive_int(q2) is not None:
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
             )
-        inner = log_solution(DSpec("2f1", m, beta=beta, mu=mu), z, rel_tol, max_terms)
-        return inner.scaled((-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2))
+        return _log_plus_d(DSpec("2f1", m, beta=beta, mu=mu),
+                           lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2),
+                           rel_tol, max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
-        if abs(z) < 1.0 / F2_SERIES_RADIUS:
-            raise DomainError(
-                f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-            )
-        pref = cmath.exp((-1 - alpha - beta + mu) / 2 * log_negated(z))
-        return f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), 1.0 / z, rel_tol, max_terms).scaled(pref)
+        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), rel_tol, max_terms)
+        e = (-1 - alpha - beta + mu) / 2
+
+        def u_at(z):
+            if abs(z) < 1.0 / F2_SERIES_RADIUS:
+                raise DomainError(
+                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+                )
+            pref = cmath.exp(e * log_negated(z))
+            return f(1.0 / z).scaled(pref)
+
+        return u_at
 
     if route is URoute.KUMMER_REFLECTED:
-        pw = principal_pow(1.0 - z, -beta)
-        return u2(alpha, -beta, mu, z, None, rel_tol, max_terms).scaled(pw)
+        inner = prepare_u2(alpha, -beta, mu, None, rel_tol, max_terms)
+
+        def u_at(z):
+            pw = principal_pow(1.0 - z, -beta)
+            return inner(z).scaled(pw)
+
+        return u_at
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 2f1 kind")
+
+
+def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+    """The 2F1-kind U function, cut on [0, inf).
+
+    prepare_u2(alpha, beta, mu, route, rel_tol, max_terms)(z).
+    """
+    return prepare_u2(alpha, beta, mu, route, rel_tol, max_terms)(z)
 
 
 def bessel(kind, m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):

@@ -285,6 +285,29 @@ def test_large_alpha_underflows_instead_of_overflow_error(capsys):
     assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["--eq", "0f1", "--alpha", "nan", "--z", "0.5"], "alpha must be finite"),
+    (["--eq", "0f1", "--func", "D", "--alpha", "nan", "--z", "0.5"],
+     "not finite"),
+    (["--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "nan",
+      "--z", "0.5"], "alpha must be finite"),
+    (["--eq", "1f1", "--m", "1", "--theta", "0.7", "--z", "nan"],
+     "z must be finite"),
+    (["--eq", "0f1", "--func", "logsol", "--m", "1",
+      "--grid", "0.5:1e309:2,0.5:0.5:1"], "z must be finite"),
+    (["--eq", "0f1", "--m", "200", "--z", "0.5"], "m = 200"),
+    (["--eq", "0f1", "--func", "U", "--m", "-171", "--z", "0.5"],
+     "m = -171"),
+])
+def test_non_finite_and_out_of_range_input_is_a_domain_error(argv, needle,
+                                                            capsys):
+    code, out, err = run(["eval"] + argv, capsys)
+    assert (code, out) == (2, "")
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "DomainError"
+    assert needle in rec["message"]
+
+
 def test_argparse_rejects_unknown_choice(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--eq", "3f1", "--alpha", "0.5", "--z", "0.1"])

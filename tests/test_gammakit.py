@@ -248,3 +248,18 @@ def test_digamma_harmonic_property(z, k):
         return
     scale = max(1.0, abs(digamma(z)), abs(digamma(z + k)))
     assert abs(digamma(z + k) - digamma(z) - harmonic(k, z)) < 1e-10 * scale
+
+
+def test_recip_gamma_overflow_far_off_the_real_axis():
+    # |1/Gamma(1/2 + iy)| = sqrt(cosh(pi y) / pi) passes the largest double
+    # between y = 452 and y = 453 (4.3e308 at 453); short of that the
+    # direct Lanczos value stands, within 3e-13 of the true one
+    import mpmath as mp
+
+    got = recip_gamma(0.5 + 452j)
+    assert got == complex(6.029111008837973e+307, 6.56279057230081e+307)
+    want = complex(mp.rgamma(mp.mpc(0.5, 452)))
+    assert abs(got - want) <= 3e-13 * abs(want)
+    for z in (0.5 + 453j, 0.5 - 453j, 0.5 + 455j, 3.0 + 1e5j):
+        with pytest.raises(DomainError):
+            recip_gamma(z)

@@ -139,14 +139,10 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("persistent", [False, True])
-@pytest.mark.parametrize("name", sorted(CALLS))
-def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
-    call = CALLS[name]
-    series._memo.streams.clear()
-    want = repr(call())
-    series._memo.streams.clear()
-    doom = [True]  # whether the next stream built fails at its 6th value
+def _fail_streams(monkeypatch, persistent):
+    """Make the next stream built, or every one if persistent, raise at its
+    6th value."""
+    doom = [True]
 
     def failing(make):
         def patched(*args):
@@ -160,6 +156,16 @@ def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
 
     monkeypatch.setattr(ffun, "_TERMS", tuple(map(failing, ffun._TERMS)))
     monkeypatch.setattr(dfun, "_tail", failing(dfun._tail))
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
+    call = CALLS[name]
+    series._memo.streams.clear()
+    want = repr(call())
+    series._memo.streams.clear()
+    _fail_streams(monkeypatch, persistent)
     with pytest.raises(ZeroDivisionError):
         call()
     # never the sum of the first five coefficients as if the stream ended
@@ -169,3 +175,19 @@ def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
                 call()
         else:
             assert repr(call()) == want
+
+
+@pytest.mark.parametrize("prepare,arg", [(ffun.prepare_f_norm, P),
+                                         (dfun.prepare_d_eval, SPEC)])
+def test_prepared_callable_builds_a_raised_stream_again(monkeypatch, prepare,
+                                                        arg):
+    # a prepared callable keeps its stream from point to point, but not
+    # one that raised: the next point looks it up, and builds it, anew
+    series._memo.streams.clear()
+    want = repr(prepare(arg)(Z))
+    series._memo.streams.clear()
+    _fail_streams(monkeypatch, persistent=False)
+    at = prepare(arg)
+    with pytest.raises(ZeroDivisionError):
+        at(Z)
+    assert repr(at(Z)) == want
