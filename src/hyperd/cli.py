@@ -348,10 +348,8 @@ def _theorem_checks(rel_tol, max_terms):
             lim = oracle.limit_alpha(m, {"beta": 0.3, "mu": 0.2}, z, "2f1",
                                      rel_tol, max_terms).value
             checks.append(("theorem.udef.m%d.z%d" % (m, j), direct, lim))
-    out = []
-    for key, a, b in checks:
-        out.append((key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6))
-    return out
+    return [(key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6)
+            for key, a, b in checks]
 
 
 def _bessel_series(kind, m, z, terms=40):
@@ -414,16 +412,15 @@ def cmd_verify(args, stream, catalog=None):
     records = []
     failures = []
     max_residual = 0.0
+    extra = []
 
     if args.id:
         if args.suite:
             raise DomainError("give --suite or --id, not both")
         ids = [args.id]
-        extra = []
     else:
         suite = args.suite or "all"
         ids = _suite_ids(suite, catalog)
-        extra = []
         if suite in ("all", "bessel"):
             extra += _bessel_checks(args.rel_tol, args.max_terms)
         if suite in ("all", "theorems"):
@@ -551,9 +548,7 @@ def main(argv=None):
         if args.command == "catalog":
             return cmd_catalog(args, sys.stdout)
         raise DomainError("unknown command %r" % (args.command,))
-    except HyperdError as exc:
-        return _error(exc)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (HyperdError, ValueError, ZeroDivisionError, OverflowError) as exc:
         return _error(exc)
 
 

@@ -23,11 +23,15 @@ Negative order is a pure power shift, D_{-m} := z^m D_m, which turns the
 principal part into low-order polynomial coefficients and leaves no pole.
 
 As in ffun, every point function is its prepare function called at z:
-prepare_d_eval(spec, ...)(z) and so on, with the expansion looked up,
-the I-form prefactor computed and the F of log_solution prepared once.
+prepare_d_eval(spec, ...)(z) and so on, with the expansion built, the
+I-form prefactor computed and the F of log_solution prepared once.
+Public functions may be called from any thread; a prepared callable or
+a LaurentExpansion replays its own stream and belongs to the thread
+that made it.
 """
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -116,8 +120,8 @@ class DSpec:
         return DSpec(self.kind, m, self.theta, self.beta, self.mu)
 
 
-def _principal(spec, mm):
-    """(d_{-1}, ..., d_{-mm}) for the order-mm expansion."""
+def _principal(upper, mm):
+    """(d_{-1}, ..., d_{-mm}) at order mm for upper parameters (), (a,) or (a, b)."""
     out = []
     sign = 1.0
     fact = 1.0  # (k-1)!
@@ -126,24 +130,19 @@ def _principal(spec, mm):
             fact *= k - 1
             sign = -sign
         c = sign * fact / math.factorial(mm - k)
-        if spec.kind == "1f1":
-            a = (1 + mm + spec.theta) / 2
-            c = c * pochhammer(a, -k)
-        elif spec.kind == "2f1":
-            a = (1 + mm + spec.beta - spec.mu) / 2
-            b = (1 + mm + spec.beta + spec.mu) / 2
-            c = c * pochhammer(a, -k) * pochhammer(b, -k)
+        for u in upper:
+            c = c * pochhammer(u, -k)
         out.append(complex(c))
     return tuple(out)
 
 
-def _tail(spec, mm):
-    """Generator of the complex d_0, d_1, ... of the order-mm expansion.
+def _tail(upper, mm):
+    """Generator of the complex d_0, d_1, ... at order mm, upper as in _principal.
 
     Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
     coefficient costs O(1) after the k = 0 seeds.
     """
-    if spec.kind == "0f1":
+    if not upper:
 
         def gen():
             inv = 1.0 / math.factorial(mm)
@@ -159,8 +158,8 @@ def _tail(spec, mm):
 
         return gen()
 
-    if spec.kind == "1f1":
-        a = (1 + mm + spec.theta) / 2
+    if len(upper) == 1:
+        (a,) = upper
 
         def gen():
             # (a)_k / (k! (mm+k)!) as one amplitude; the factors overflow
@@ -180,8 +179,7 @@ def _tail(spec, mm):
 
         return gen()
 
-    a = (1 + mm + spec.beta - spec.mu) / 2
-    b = (1 + mm + spec.beta + spec.mu) / 2
+    a, b = upper
 
     def gen():
         amp = complex(1.0 / math.factorial(mm))
@@ -208,32 +206,24 @@ def d_expand(spec):
     For m >= 0 the principal part carries exactly m exact coefficients.
     For m < 0 the expansion is the power-shifted z^|m| * (expansion at |m|):
     the former principal coefficients become the leading polynomial part,
-    and no pole remains.  The expansion is built once per thread and DSpec
-    and its tail replayed after that (series._replay).
+    and no pole remains.  The iterators of tail_coeff replay one stream
+    (series._replay): the expansion belongs to the thread that made it.
     """
-    principal, tail = _expansion(spec)
+    principal, tail = _expand(spec)
     return LaurentExpansion(principal=principal, tail_coeff=tail)
 
 
-def _expansion(spec):
-    # (principal, tail factory) of d_expand, without the wrapper object
-    return _replay(repr(spec), lambda: _expand(spec))
-
-
 def _expand(spec):
+    # (principal, tail factory) of d_expand, without the wrapper object
     m = int(spec.m)
     _check_order(m)
     mm = abs(m)
-    principal = _principal(spec, mm)
-    tail = _tail(spec, mm)
+    *upper, _ = spec.params._classical(mm)
+    principal = _principal(upper, mm)
+    tail = _tail(upper, mm)
     if m >= 0:
-        return principal, tail
-    return (), _shifted(principal, tail)
-
-
-def _shifted(principal, tail):
-    yield from reversed(principal)
-    yield from tail
+        return principal, _replay(tail)
+    return (), _replay(itertools.chain(reversed(principal), tail))
 
 
 def _check_z(spec, z, pole_order):
@@ -246,15 +236,21 @@ def _check_z(spec, z, pole_order):
         )
 
 
+def _check_principal(spec, z, *heads):
+    # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel to nan
+    if not all(map(cmath.isfinite, heads)):
+        raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
+
+
 def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """The callable z -> d_eval(spec, z, rel_tol, max_terms)."""
-    expansion = _expansion(spec)
+    expansion = _expand(spec)
 
     def d_at(z):
         nonlocal expansion
         z = complex(z)
         if expansion is None:
-            expansion = _expansion(spec)
+            expansion = _expand(spec)
         principal, tail_coeff = expansion
         _check_z(spec, z, len(principal))
         head = 0j
@@ -264,10 +260,11 @@ def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
             for c in principal:
                 head += c * pw
                 pw *= w
+            _check_principal(spec, z, head)
         try:
             tail = sum_power_series(tail_coeff(), z, rel_tol, max_terms)
         except BaseException:
-            # a stream that raised is looked up, and so built, anew
+            # a stream that raised is built anew at the next point
             expansion = None
             raise
         return EvalResult(head + tail.value, tail.err_estimate, tail.terms_used, tail.flags)
@@ -287,18 +284,18 @@ def d_eval(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
 def d_eval_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """(D, D', D'') with the tail differentiated term by term."""
     z = complex(z)
-    principal, tail_coeff = _expansion(spec)
+    principal, tail_coeff = _expand(spec)
     _check_z(spec, z, len(principal))
     h0 = h1 = h2 = 0j
     if principal:
         w = 1.0 / z
         pw = w
-        for i, c in enumerate(principal):
-            k = i + 1
+        for k, c in enumerate(principal, 1):
             h0 += c * pw
             h1 += c * (-k) * pw * w
             h2 += c * k * (k + 1) * pw * w * w
             pw *= w
+        _check_principal(spec, z, h0, h1, h2)
     out = []
     for order in range(3):
         s, g = deriv_coeffs(tail_coeff, 0, order) if order else (0, tail_coeff)

@@ -24,9 +24,9 @@ part of the set-up that a lone call does only after a check of z (the
 coefficient stream of f_norm comes after the 2F1 disc check) is done at
 the first point that passes its checks and kept after that; until it
 succeeds it is redone, and fails, at every point, so each point raises
-what a lone call at that point raises.  A prepared callable replays
-coefficient streams kept per thread (series._replay): call it in the
-thread that made it.
+what a lone call at that point raises.  A public function may be called
+from any thread; a prepared callable keeps its coefficient stream
+(series._replay) and belongs to the thread that made it.
 """
 
 import functools
@@ -175,15 +175,6 @@ def _f2_terms(c0, n0, c, a, b):
 _TERMS = (_f0_terms, _f1_terms, _f2_terms)
 
 
-def _coeffs(p):
-    """(start index, fresh-iterator factory) for the series of p.
-
-    The stream is built once per thread and parameter set and replayed
-    after that (series._replay).
-    """
-    return _replay(repr(p), lambda: _seed(p))
-
-
 def _check_order(m):
     """DomainError naming m where |m| > MAX_ORDER."""
     if abs(m) > MAX_ORDER:
@@ -194,7 +185,7 @@ def _check_order(m):
 
 
 def _seed(p):
-    """(start index, coefficient generator) for the series of p.
+    """(start index, iterator factory) for the series of p (series._replay).
 
     The seed is read off the classical parameters (a, b, ..., c).  In the
     degenerate case alpha is snapped to m first, the sum starts at
@@ -213,7 +204,7 @@ def _seed(p):
         num = (functools.reduce(operator.mul, [pochhammer(u, n0) for u in upper])
                if n0 and upper else 1.0)
         c0 = num / (math.factorial(m + n0) * math.factorial(n0))
-    return n0, _TERMS[len(upper)](c0, n0, c, *upper)
+    return n0, _replay(_TERMS[len(upper)](c0, n0, c, *upper))
 
 
 def _check_domain(p, z):
@@ -235,12 +226,12 @@ def prepare_f_norm(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
         z = complex(z)
         _check_domain(p, z)
         if seed is None:
-            seed = _coeffs(p)
+            seed = _seed(p)
         start, gen = seed
         try:
             return sum_power_series(gen(), z, rel_tol, max_terms, start=start)
         except BaseException:
-            # a stream that raised is looked up, and so built, anew
+            # a stream that raised is built anew at the next point
             seed = None
             raise
 
@@ -259,7 +250,7 @@ def f_norm_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """(F, F', F'') by term-by-term differentiation of the series."""
     z = complex(z)
     _check_domain(p, z)
-    start, gen = _coeffs(p)
+    start, gen = _seed(p)
     out = []
     for order in range(3):
         s, g = deriv_coeffs(gen, start, order) if order else (start, gen)

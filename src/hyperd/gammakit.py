@@ -88,16 +88,49 @@ def cospi(z):
     return -c if n % 2 else c
 
 
+def _lanczos_sum(z):
+    # (zz, t, acc) with Gamma(z) = sqrt(2 pi) t^(zz + 1/2) e^(-t) acc
+    zz = z - 1.0
+    acc = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[k] / (zz + k)
+    return zz, zz + _LANCZOS_G + 0.5, acc
+
+
+def _log_gamma(z):
+    # log Gamma(z) up to a multiple of 2 pi i, for Re z >= 0.5
+    zz, t, acc = _lanczos_sum(z)
+    return (zz + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * math.pi) * acc)
+
+
+def _exp_power(lg, power, z):
+    # Gamma(z) ** power from lg = log Gamma(z)
+    try:
+        return cmath.exp(power * lg)
+    except OverflowError:
+        raise DomainError(f"Gamma(z) ** {power} overflows a double at z = {z}") from None
+
+
+def _log_reflected(z):
+    """log Gamma(z), up to a multiple of 2 pi i, for Re z < 1/2 where sin(pi z)
+    or its product with Gamma(1-z) overflows: DLMF 5.5.3 in log space.  With
+    z = n + r, s the sign of Im z and q = e^(2 i s pi r), |q| <= 1,
+    sin(pi z) = (-1)^n (i s / 2) e^(-i s pi r) (1 - q).
+    """
+    n = round(z.real)
+    r = z - n
+    s = 1.0 if r.imag > 0 else -1.0
+    q = cmath.exp(2j * s * math.pi * r)
+    log_sin = complex(-math.log(2.0), math.pi * (s / 2 + n % 2)) - 1j * s * math.pi * r
+    return math.log(math.pi) - log_sin - cmath.log(1 - q) - _log_gamma(1.0 - z)
+
+
 def _lanczos(z, power=1):
     """Gamma(z) ** power for power 1 or -1; valid for Re z >= 0.5.
 
     Raises DomainError where the result overflows a double.
     """
-    zz = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zz + k)
-    t = zz + _LANCZOS_G + 0.5
+    zz, t, acc = _lanczos_sum(z)
     s = math.sqrt(2.0 * math.pi)
     try:
         g = s * t ** (zz + 0.5) * cmath.exp(-t) * acc
@@ -124,11 +157,7 @@ def _lanczos(z, power=1):
                 return r
     # Gamma(z) or 1/Gamma(z) overflows, or a half power does far off the
     # real axis: log space, good to about 3e-13 relative
-    lg = (zz + 0.5) * cmath.log(t) - t + cmath.log(s * acc)
-    try:
-        return cmath.exp(power * lg)
-    except OverflowError:
-        raise DomainError(f"Gamma(z) ** {power} overflows a double at z = {z}") from None
+    return _exp_power(_log_gamma(z), power, z)
 
 
 def gamma(z):
@@ -144,9 +173,13 @@ def gamma(z):
     if z.real < 0.5:
         # DLMF 5.5.3; past the overflow of Gamma(1-z) the quotient is tiny
         try:
-            return math.pi / (sinpi(z) * _lanczos(1.0 - z))
+            s = sinpi(z)
+            g = math.pi / (s * _lanczos(1.0 - z))
         except DomainError:
-            return math.pi * _lanczos(1.0 - z, -1) / sinpi(z)
+            g = math.pi * _lanczos(1.0 - z, -1) / s
+        except OverflowError:
+            g = math.nan
+        return g if cmath.isfinite(g) else _exp_power(_log_reflected(z), 1, z)
     return _lanczos(z)
 
 
@@ -161,7 +194,11 @@ def recip_gamma(z):
     if near_nonpositive_int(z) is not None:
         return 0j
     if z.real < 0.5:
-        return sinpi(z) * _lanczos(1.0 - z) / math.pi
+        try:
+            g = sinpi(z) * _lanczos(1.0 - z) / math.pi
+        except OverflowError:
+            g = math.nan
+        return g if cmath.isfinite(g) else _exp_power(_log_reflected(z), -1, z)
     return _lanczos(z, -1)
 
 
@@ -177,7 +214,13 @@ def digamma(z):
     acc = 0j
     if z.real < 0.5:
         # DLMF 5.5.4: psi(z) = psi(1-z) - pi cot(pi z)
-        acc -= math.pi * cospi(z) / sinpi(z)
+        try:
+            pi_cot = math.pi * cospi(z) / sinpi(z)
+        except OverflowError:
+            pi_cot = math.nan
+        # where cos(pi z) or sin(pi z) overflows, cot(pi z) in its bounded form
+        # -i s (1 + q) / (1 - q), s and q as in _log_reflected, is -i s (|q| < 1e-600)
+        acc -= pi_cot if cmath.isfinite(pi_cot) else -1j * math.pi * math.copysign(1.0, z.imag)
         z = 1.0 - z
     while abs(z) < 10.0:
         acc -= 1.0 / z

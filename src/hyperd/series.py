@@ -7,15 +7,13 @@ log_negated and principal_pow so that every module agrees on the cuts:
 log z is cut on (-inf, 0], log(-z) on [0, inf).  Points exactly on a cut
 are rejected; we do not adopt a signed-zero side convention.
 
-Coefficient streams depend on the parameters only, never on z, so each
-stream is generated once and replayed (_replay): a grid of points at
-fixed parameters generates its coefficients, and their gamma/digamma
-seeds, once.  The memo is per thread and holds at most _MEMO_SIZE
-streams; it is cleared when full.  A stream keeps every value it has
-yielded, one complex (about 40 bytes with its slot) per term, so at the
-default max_terms a stream holds at most about 0.4 MB and a thread's
-memo at most about 26 MB; typical streams stop after a few hundred
-terms.
+Coefficient streams depend on the parameters only, never on z.  A
+stream is wrapped once in an itertools.tee (_replay), so the sums that
+share it (the points of a prepared callable, the three sums of a jet)
+generate its coefficients, and their gamma/digamma seeds, once; the
+tee keeps every value, about 40 bytes a term.  Public functions may be
+called from any thread; a prepared callable or a LaurentExpansion
+belongs to the thread that made it.
 
 Every coefficient stream in the package yields complex numbers, so the
 summation loop multiplies each coefficient as it comes, with no per-term
@@ -28,7 +26,6 @@ streams convert at their source instead.
 import cmath
 import itertools
 import operator
-import threading
 from dataclasses import dataclass, field
 
 from .errors import BranchCut, DomainError, NoConvergence
@@ -40,38 +37,13 @@ MAX_TERMS = 10000
 # a single test misfires when a coefficient happens to vanish
 _RUN = 3
 
-# streams kept per thread before the memo is cleared
-_MEMO_SIZE = 64
 
-
-class _Memo(threading.local):
-    def __init__(self):
-        self.streams = {}
-
-
-_memo = _Memo()
-
-
-def _replay(key, build):
-    """(head, factory) for build() = (head, stream), kept per thread.
-
-    key must tell apart every parameter set whose stream could differ in
-    any bit, the sign of a zero included: the repr of the parameters.
-    stream is an endless generator.  It is consumed lazily through one
-    itertools.tee whose buffer keeps every value yielded, and factory
-    (the tee's __copy__) returns a fresh iterator from the first value,
-    so a replay runs in C.  A stream that stopped, which for an endless
-    generator means it raised, is built anew on the next call instead
-    of being replayed as if it were finished.
-    """
-    streams = _memo.streams
-    hit = streams.get(key)
-    if hit is None or hit[1].gi_frame is None:
-        if len(streams) >= _MEMO_SIZE:
-            streams.clear()
-        head, gen = build()
-        hit = streams[key] = (head, gen, itertools.tee(gen, 1)[0].__copy__)
-    return hit[0], hit[2]
+def _replay(gen):
+    """Factory of iterators over the endless stream gen, each from its
+    first value: the __copy__ of one itertools.tee, so a replay runs in C.
+    A stream that raised has stopped, and its tee would replay it cut
+    short: build a new one instead."""
+    return itertools.tee(gen, 1)[0].__copy__
 
 
 @dataclass(frozen=True)
@@ -99,8 +71,8 @@ class LaurentExpansion:
     principal holds (d_{-1}, ..., d_{-m}); tail_coeff is a zero-argument
     callable returning a fresh iterator over d_0, d_1, ... so that the
     expansion object itself stays immutable and reusable.  For an
-    expansion from dfun.d_expand the iterators replay one stream kept per
-    thread (see _replay); consume them in the thread that built it.
+    expansion from dfun.d_expand the iterators replay one stream (see
+    _replay): the expansion belongs to the thread that made it.
     """
 
     principal: tuple

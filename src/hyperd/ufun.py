@@ -21,7 +21,8 @@ As in ffun, u0, u1 and u2 are prepare_u0(...)(z) and so on: the route,
 the series of its F and D and its Gamma weights are set up once per
 parameter set.  Weights that a lone call takes only after its series are
 taken at the first point that gets that far, and u2 prepares each route
-at the first point that takes it.
+at the first point that takes it.  Public functions may be called from
+any thread; a prepared callable belongs to the thread that made it.
 """
 
 import cmath

