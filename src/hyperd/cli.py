@@ -14,7 +14,8 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr).  --max-terms caps the series lengths.
+stderr).  --max-terms, the cap on series lengths, is the only series
+option; the eval/table header still echoes the fixed tolerance REL_TOL.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written
@@ -240,7 +241,6 @@ def _evaluator(args, lie):
     """
     eq = args.eq
     func = args.func
-    rel_tol = args.rel_tol
     max_terms = args.max_terms
 
     if func in ("FI", "DI") and eq != "2f1":
@@ -248,15 +248,14 @@ def _evaluator(args, lie):
 
     if func in _PREPARE_P:
         p = PARAMS_BY_KIND[eq](**lie)
-        prepare = functools.partial(_PREPARE_P[func], p, rel_tol, max_terms)
+        prepare = functools.partial(_PREPARE_P[func], p, max_terms)
     elif func in _PREPARE_SPEC:
         spec = _d_spec(eq, lie)
-        prepare = functools.partial(_PREPARE_SPEC[func], spec, rel_tol,
-                                    max_terms)
+        prepare = functools.partial(_PREPARE_SPEC[func], spec, max_terms)
     elif func == "U":
         fn, names = _PREPARE_U[eq]
         prepare = functools.partial(fn, *(lie[k] for k in names),
-                                    args.route, rel_tol, max_terms)
+                                    args.route, max_terms)
     else:
         raise DomainError("unknown function %r" % (func,))
     at = None
@@ -315,7 +314,7 @@ def cmd_eval(args, stream):
                                     "|".join(flags)))
     doc = {"command": args.command, "eq": args.eq, "func": args.func,
            "params": lie, "classical": classical,
-           "rel_tol": args.rel_tol, "max_terms": args.max_terms}
+           "rel_tol": REL_TOL, "max_terms": args.max_terms}
     if args.route:
         doc["route"] = args.route
     _write(doc, _EVAL_KEYS, rows, args.format, stream)
@@ -325,7 +324,7 @@ def cmd_eval(args, stream):
 # ---------------------------------------------------------------------------
 # verify
 
-def _theorem_checks(rel_tol, max_terms):
+def _theorem_checks(max_terms):
     """LogPlusD values of the degenerate theorems against the
     alpha -> m extrapolation of the generic connection formulas."""
     checks = []
@@ -333,20 +332,18 @@ def _theorem_checks(rel_tol, max_terms):
     zneg = complex(-0.5, 0.0)
     for m in range(0, 4):
         for j, z in enumerate((z0, z1)):
-            direct = u0(m, z, URoute.LOG_PLUS_D, rel_tol, max_terms).value
-            lim = oracle.limit_alpha(m, {}, z, "0f1", rel_tol, max_terms).value
+            direct = u0(m, z, URoute.LOG_PLUS_D, max_terms).value
+            lim = oracle.limit_alpha(m, {}, z, "0f1", max_terms).value
             checks.append(("theorem.th1.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((z0, z1)):
-            direct = u1(0.7, m, z, URoute.LOG_PLUS_D, rel_tol,
-                        max_terms).value
-            lim = oracle.limit_alpha(m, {"theta": 0.7}, z, "1f1", rel_tol,
+            direct = u1(0.7, m, z, URoute.LOG_PLUS_D, max_terms).value
+            lim = oracle.limit_alpha(m, {"theta": 0.7}, z, "1f1",
                                      max_terms).value
             checks.append(("theorem.th2.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((zneg, z1)):
-            direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D, rel_tol,
-                        max_terms).value
+            direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D, max_terms).value
             lim = oracle.limit_alpha(m, {"beta": 0.3, "mu": 0.2}, z, "2f1",
-                                     rel_tol, max_terms).value
+                                     max_terms).value
             checks.append(("theorem.udef.m%d.z%d" % (m, j), direct, lim))
     return [(key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6)
             for key, a, b in checks]
@@ -362,28 +359,27 @@ def _bessel_series(kind, m, z, terms=40):
     return s
 
 
-def _bessel_checks(rel_tol, max_terms):
+def _bessel_checks(max_terms):
     out = []
     zs = (0.6, 1.3)
     zc = complex(0.8, 0.5)
     for m in range(0, 4):
         for j, z in enumerate(zs):
             # modified Bessel function of the second kind two ways
-            k_log = bessel("K", m, z, rel_tol, max_terms).value
+            k_log = bessel("K", m, z, max_terms).value
             k_u = 0.5 * math.sqrt(math.pi) * (z / 2.0) ** m * \
-                u0(m, z * z / 4.0, URoute.LOG_PLUS_D, rel_tol,
-                   max_terms).value
+                u0(m, z * z / 4.0, URoute.LOG_PLUS_D, max_terms).value
             out.append(("bessel.K.route.m%d.z%d" % (m, j),
                         abs(k_log - k_u) / max(1.0, abs(k_log), abs(k_u)),
                         1e-8))
             for kind in ("I", "J"):
-                v = bessel(kind, m, z, rel_tol, max_terms).value
+                v = bessel(kind, m, z, max_terms).value
                 w = _bessel_series(kind, m, z)
                 out.append(("bessel.%s.series.m%d.z%d" % (kind, m, j),
                             abs(v - w) / max(1.0, abs(v), abs(w)), 1e-9))
-        h1 = bessel("H1", m, zc, rel_tol, max_terms).value
-        h2 = bessel("H2", m, zc, rel_tol, max_terms).value
-        jj = bessel("J", m, zc, rel_tol, max_terms).value
+        h1 = bessel("H1", m, zc, max_terms).value
+        h2 = bessel("H2", m, zc, max_terms).value
+        jj = bessel("J", m, zc, max_terms).value
         out.append(("bessel.H.sum.m%d" % (m,),
                     abs(h1 + h2 - 2.0 * jj) /
                     max(1.0, abs(h1), abs(h2), abs(jj)), 1e-9))
@@ -422,9 +418,9 @@ def cmd_verify(args, stream, catalog=None):
         suite = args.suite or "all"
         ids = _suite_ids(suite, catalog)
         if suite in ("all", "bessel"):
-            extra += _bessel_checks(args.rel_tol, args.max_terms)
+            extra += _bessel_checks(args.max_terms)
         if suite in ("all", "theorems"):
-            extra += _theorem_checks(args.rel_tol, args.max_terms)
+            extra += _theorem_checks(args.max_terms)
 
     worst = relations.sweep_catalog(catalog, n=args.points, ids=ids)
     checks = [(key, catalog[key].family, args.points, worst[key], args.tol)
@@ -488,7 +484,6 @@ def _add_param_args(sp):
 
 
 def _add_common(sp):
-    sp.add_argument("--rel-tol", type=float, default=REL_TOL)
     sp.add_argument("--max-terms", type=int, default=MAX_TERMS)
 
 

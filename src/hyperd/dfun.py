@@ -49,7 +49,6 @@ from .ffun import (
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
     MAX_TERMS,
-    REL_TOL,
     EvalResult,
     LaurentExpansion,
     _check_point,
@@ -242,8 +241,8 @@ def _check_principal(spec, z, *heads):
         raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
 
 
-def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> d_eval(spec, z, rel_tol, max_terms)."""
+def prepare_d_eval(spec, max_terms=MAX_TERMS):
+    """The callable z -> d_eval(spec, z, max_terms)."""
     expansion = _expand(spec)
 
     def d_at(z):
@@ -262,7 +261,7 @@ def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
                 pw *= w
             _check_principal(spec, z, head)
         try:
-            tail = sum_power_series(tail_coeff(), z, rel_tol, max_terms)
+            tail = sum_power_series(tail_coeff(), z, max_terms)
         except BaseException:
             # a stream that raised is built anew at the next point
             expansion = None
@@ -272,16 +271,16 @@ def prepare_d_eval(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     return d_at
 
 
-def d_eval(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def d_eval(spec, z, max_terms=MAX_TERMS):
     """Value of D at z: exact principal part plus summed tail.
 
     err_estimate covers the tail truncation only.
-    prepare_d_eval(spec, rel_tol, max_terms)(z).
+    prepare_d_eval(spec, max_terms)(z).
     """
-    return prepare_d_eval(spec, rel_tol, max_terms)(z)
+    return prepare_d_eval(spec, max_terms)(z)
 
 
-def d_eval_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def d_eval_jet(spec, z, max_terms=MAX_TERMS):
     """(D, D', D'') with the tail differentiated term by term."""
     z = complex(z)
     principal, tail_coeff = _expand(spec)
@@ -299,7 +298,7 @@ def d_eval_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     out = []
     for order in range(3):
         s, g = deriv_coeffs(tail_coeff, 0, order) if order else (0, tail_coeff)
-        out.append(sum_power_series(g(), z, rel_tol, max_terms, start=s).value)
+        out.append(sum_power_series(g(), z, max_terms, start=s).value)
     return (h0 + out[0], h1 + out[1], h2 + out[2])
 
 
@@ -319,53 +318,53 @@ def log_combo(ell, f, d):
     return EvalResult(lf + d.value, err, f.terms_used + d.terms_used, f.flags | d.flags)
 
 
-def prepare_log_solution(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> log_solution(spec, z, rel_tol, max_terms)."""
+def prepare_log_solution(spec, max_terms=MAX_TERMS):
+    """The callable z -> log_solution(spec, z, max_terms)."""
     log = _log_branch(spec)
-    f = prepare_f_norm(spec.params, rel_tol, max_terms)
-    d = prepare_d_eval(spec, rel_tol, max_terms)
+    f = prepare_f_norm(spec.params, max_terms)
+    d = prepare_d_eval(spec, max_terms)
     return lambda z: log_combo(log(z), f(z), d(z))
 
 
-def log_solution(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def log_solution(spec, z, max_terms=MAX_TERMS):
     """log z * F + D (log(-z) * F + D for 2f1) at order m.
 
-    prepare_log_solution(spec, rel_tol, max_terms)(z).
+    prepare_log_solution(spec, max_terms)(z).
     """
-    return prepare_log_solution(spec, rel_tol, max_terms)(z)
+    return prepare_log_solution(spec, max_terms)(z)
 
 
-def log_solution_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def log_solution_jet(spec, z, max_terms=MAX_TERMS):
     """(w, w', w'') for w = log z * F + D, with (log z)' = 1/z on either cut."""
     z = complex(z)
     ell = _log_branch(spec)(z)
-    f0, f1, f2 = f_norm_jet(spec.params, z, rel_tol, max_terms)
-    d0, d1, d2 = d_eval_jet(spec, z, rel_tol, max_terms)
+    f0, f1, f2 = f_norm_jet(spec.params, z, max_terms)
+    d0, d1, d2 = d_eval_jet(spec, z, max_terms)
     w0 = ell * f0 + d0
     w1 = ell * f1 + f0 / z + d1
     w2 = ell * f2 + 2 * f1 / z - f0 / (z * z) + d2
     return (w0, w1, w2)
 
 
-def prepare_d_eval_I(spec, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> d_eval_I(spec, z, rel_tol, max_terms)."""
+def prepare_d_eval_I(spec, max_terms=MAX_TERMS):
+    """The callable z -> d_eval_I(spec, z, max_terms)."""
     if spec.kind != "2f1":
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    d = prepare_d_eval(spec, rel_tol, max_terms)
+    d = prepare_d_eval(spec, max_terms)
     return lambda z: d(z).scaled(pref)
 
 
-def d_eval_I(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def d_eval_I(spec, z, max_terms=MAX_TERMS):
     """The symmetric form D^I = Gamma(a) Gamma(c-a) D for the 2f1 kind.
 
-    prepare_d_eval_I(spec, rel_tol, max_terms)(z).
+    prepare_d_eval_I(spec, max_terms)(z).
     """
-    return prepare_d_eval_I(spec, rel_tol, max_terms)(z)
+    return prepare_d_eval_I(spec, max_terms)(z)
 
 
-def d_eval_I_jet(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def d_eval_I_jet(spec, z, max_terms=MAX_TERMS):
     if spec.kind != "2f1":
         raise ValueError("d_eval_I_jet is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    return tuple(pref * v for v in d_eval_jet(spec, z, rel_tol, max_terms))
+    return tuple(pref * v for v in d_eval_jet(spec, z, max_terms))

@@ -19,9 +19,10 @@ class NoConvergence(HyperdError):
     """Series summation hit max_terms without meeting the stopping
     criterion."""
 
-    def __init__(self, message, flag="TruncationMaxed", partial=None, err=None):
+    flag = "TruncationMaxed"
+
+    def __init__(self, message, partial=None, err=None):
         super().__init__(message)
-        self.flag = flag
         self.partial = partial
         self.err = err
 

@@ -39,7 +39,6 @@ from .errors import DivergedImmediately, DomainError, ParameterSingular, PoleErr
 from .gammakit import gamma, near_int, pochhammer, recip_gamma
 from .series import (
     MAX_TERMS,
-    REL_TOL,
     EvalResult,
     _check_finite,
     _check_point,
@@ -217,8 +216,8 @@ def _check_domain(p, z):
         )
 
 
-def prepare_f_norm(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> f_norm(p, z, rel_tol, max_terms)."""
+def prepare_f_norm(p, max_terms=MAX_TERMS):
+    """The callable z -> f_norm(p, z, max_terms)."""
     seed = None
 
     def f_at(z):
@@ -229,7 +228,7 @@ def prepare_f_norm(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
             seed = _seed(p)
         start, gen = seed
         try:
-            return sum_power_series(gen(), z, rel_tol, max_terms, start=start)
+            return sum_power_series(gen(), z, max_terms, start=start)
         except BaseException:
             # a stream that raised is built anew at the next point
             seed = None
@@ -238,15 +237,15 @@ def prepare_f_norm(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     return f_at
 
 
-def f_norm(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f_norm(p, z, max_terms=MAX_TERMS):
     """The normalized solution F of the equation selected by p.
 
-    prepare_f_norm(p, rel_tol, max_terms)(z).
+    prepare_f_norm(p, max_terms)(z).
     """
-    return prepare_f_norm(p, rel_tol, max_terms)(z)
+    return prepare_f_norm(p, max_terms)(z)
 
 
-def f_norm_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f_norm_jet(p, z, max_terms=MAX_TERMS):
     """(F, F', F'') by term-by-term differentiation of the series."""
     z = complex(z)
     _check_domain(p, z)
@@ -254,7 +253,7 @@ def f_norm_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     out = []
     for order in range(3):
         s, g = deriv_coeffs(gen, start, order) if order else (start, gen)
-        out.append(sum_power_series(g(), z, rel_tol, max_terms, start=s).value)
+        out.append(sum_power_series(g(), z, max_terms, start=s).value)
     return tuple(out)
 
 
@@ -274,31 +273,31 @@ def _snap_alpha(p):
     return p if m is None else type(p)(**{**vars(p), "alpha": m})
 
 
-def prepare_f_second(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> f_second(p, z, rel_tol, max_terms)."""
+def prepare_f_second(p, max_terms=MAX_TERMS):
+    """The callable z -> f_second(p, z, max_terms)."""
     p = _snap_alpha(p)
-    f = prepare_f_norm(_reflected(p), rel_tol, max_terms)
+    f = prepare_f_norm(_reflected(p), max_terms)
     a = -p.alpha
     return lambda z: f(z).scaled(principal_pow(z, a))
 
 
-def f_second(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f_second(p, z, max_terms=MAX_TERMS):
     """The power-behaved second solution z^(-alpha) F with reflected parameters.
 
     Reflection sends alpha -> -alpha (and mu -> -mu for 2F1).  For
     integer alpha the prefactor is an exact integer power, so no branch
     cut is introduced; the result is then proportional to f_norm.
-    prepare_f_second(p, rel_tol, max_terms)(z).
+    prepare_f_second(p, max_terms)(z).
     """
-    return prepare_f_second(p, rel_tol, max_terms)(z)
+    return prepare_f_second(p, max_terms)(z)
 
 
-def f_second_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f_second_jet(p, z, max_terms=MAX_TERMS):
     """(g, g', g'') for g = z^(-alpha) F_reflected, by the product rule."""
     z = complex(z)
     p = _snap_alpha(p)
     a = p.alpha
-    f, f1, f2 = f_norm_jet(_reflected(p), z, rel_tol, max_terms)
+    f, f1, f2 = f_norm_jet(_reflected(p), z, max_terms)
     w = principal_pow(z, -a)
     g = w * f
     g1 = w * (f1 - a * f / z)
@@ -314,6 +313,8 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
     a rounding floor so the estimate stays meaningful once the terms drop
     below double precision).
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     a = complex(a)
     b = complex(b)
     z = complex(z)
@@ -348,25 +349,25 @@ def _f2_I_prefactor(p):
         raise ParameterSingular(f"F^I prefactor Gamma at a pole: {exc}") from exc
 
 
-def prepare_f2_norm_I(p, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> f2_norm_I(p, z, rel_tol, max_terms)."""
+def prepare_f2_norm_I(p, max_terms=MAX_TERMS):
+    """The callable z -> f2_norm_I(p, z, max_terms)."""
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    f = prepare_f_norm(p, rel_tol, max_terms)
+    f = prepare_f_norm(p, max_terms)
     return lambda z: f(z).scaled(pref)
 
 
-def f2_norm_I(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f2_norm_I(p, z, max_terms=MAX_TERMS):
     """The symmetric form F^I = Gamma(a) Gamma(c-a) F for the 2F1 kind.
 
-    prepare_f2_norm_I(p, rel_tol, max_terms)(z).
+    prepare_f2_norm_I(p, max_terms)(z).
     """
-    return prepare_f2_norm_I(p, rel_tol, max_terms)(z)
+    return prepare_f2_norm_I(p, max_terms)(z)
 
 
-def f2_norm_I_jet(p, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def f2_norm_I_jet(p, z, max_terms=MAX_TERMS):
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I_jet takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    return tuple(pref * v for v in f_norm_jet(p, z, rel_tol, max_terms))
+    return tuple(pref * v for v in f_norm_jet(p, z, max_terms))

@@ -195,7 +195,13 @@ def recip_gamma(z):
         return 0j
     if z.real < 0.5:
         try:
-            g = sinpi(z) * _lanczos(1.0 - z) / math.pi
+            s = sinpi(z)
+            g = s * _lanczos(1.0 - z) / math.pi
+        except DomainError:
+            # Gamma(1-z) overflows, the product need not: |s| Gamma(1-z) / pi
+            # in log space, and the phase of s, exact near the integers
+            lg = _log_gamma(1.0 - z) + math.log(abs(s) / math.pi)
+            g = s / abs(s) * _exp_power(-lg, -1, z)
         except OverflowError:
             g = math.nan
         return g if cmath.isfinite(g) else _exp_power(_log_reflected(z), -1, z)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, ExtrapolationUnstable, RoutesDisagree
 from .ffun import F0, F1, F2
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
-from .series import EvalResult, MAX_TERMS, REL_TOL, sum_power_series
+from .series import EvalResult, MAX_TERMS, sum_power_series
 from .dfun import d_eval_jet
 from .ffun import f_norm, f_norm_jet
 from .ufun import URoute, u0, u1, u2
@@ -38,6 +38,9 @@ _LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 _EXTRAP_FLOOR = 1e-13
 
 _FD_SCALE = 1e-4
+
+# scaled gap allowed between the two routes of alpha_derivative
+_ROUTES_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,34 +122,31 @@ def _inhom_rhs(spec, z, f0, f1):
     return (1.0 + m + spec.beta - m / z) * f0 + 2.0 * (z - 1.0) * f1
 
 
-def inhom_residual(spec, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def inhom_residual(spec, z, max_terms=MAX_TERMS):
     """|F(D) - RHS| at z, both sides via series derivatives."""
     z = complex(z)
     p = spec.params
-    d0, d1, d2 = d_eval_jet(spec, z, rel_tol, max_terms)
-    g0, g1, _ = f_norm_jet(p, z, rel_tol, max_terms)
+    d0, d1, d2 = d_eval_jet(spec, z, max_terms)
+    g0, g1, _ = f_norm_jet(p, z, max_terms)
     lhs = _operator(p, z, d0, d1, d2)
     rhs = _inhom_rhs(spec, z, g0, g1)
     return ResidualReport(residual=abs(lhs - rhs), method="SeriesDeriv",
                           detail={"lhs": lhs, "rhs": rhs})
 
 
-def _u_connection(kind, alpha, p_rest, z, rel_tol, max_terms):
+def _u_connection(kind, alpha, p_rest, z, max_terms):
     if kind == "0f1":
-        return u0(alpha, z, route=URoute.CONNECTION,
-                  rel_tol=rel_tol, max_terms=max_terms)
+        return u0(alpha, z, route=URoute.CONNECTION, max_terms=max_terms)
     if kind == "1f1":
         return u1(p_rest["theta"], alpha, z, route=URoute.CONNECTION,
-                  rel_tol=rel_tol, max_terms=max_terms)
+                  max_terms=max_terms)
     if kind == "2f1":
         return u2(alpha, p_rest["beta"], p_rest["mu"], z,
-                  route=URoute.CONNECTION, rel_tol=rel_tol,
-                  max_terms=max_terms)
+                  route=URoute.CONNECTION, max_terms=max_terms)
     raise DomainError("unknown equation kind %r" % (kind,))
 
 
-def limit_alpha(target_m, p_rest, z, kind="0f1",
-                rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def limit_alpha(target_m, p_rest, z, kind="0f1", max_terms=MAX_TERMS):
     """U at integer parameter via extrapolation of the generic formula.
 
     Evaluates the connection route at alpha = m + h down the ladder
@@ -162,7 +162,7 @@ def limit_alpha(target_m, p_rest, z, kind="0f1",
     hs = _LADDER
     rows = []
     for h in hs:
-        v = _u_connection(kind, m + h, p_rest, z, rel_tol, max_terms).value
+        v = _u_connection(kind, m + h, p_rest, z, max_terms).value
         rows.append([v])
     # Neville tableau evaluated at h = 0
     for j in range(1, len(hs)):
@@ -197,14 +197,13 @@ def _alpha_deriv_coeff(alpha, j):
     return -val / math.factorial(j)
 
 
-def alpha_derivative(alpha, z, rel_tol=REL_TOL, max_terms=MAX_TERMS,
-                     fd_step=1e-5, routes_tol=1e-6):
+def alpha_derivative(alpha, z, max_terms=MAX_TERMS, fd_step=1e-5):
     """d/d(alpha) of the normalized 0F1 solution, two independent ways.
 
     Series route: -sum_j psi(alpha+j+1) z^j / (Gamma(alpha+j+1) j!),
     with pole terms replaced by their finite limits.  Cross-checked
     against a central difference in alpha of the plain evaluator; a
-    disagreement beyond routes_tol (scaled) raises RoutesDisagree.
+    disagreement beyond _ROUTES_TOL (scaled) raises RoutesDisagree.
     Returns the series-route value.
     """
     z = complex(z)
@@ -216,13 +215,13 @@ def alpha_derivative(alpha, z, rel_tol=REL_TOL, max_terms=MAX_TERMS,
             yield complex(_alpha_deriv_coeff(alpha, j))
             j += 1
 
-    res = sum_power_series(gen(), z, rel_tol, max_terms)
-    plus = f_norm(F0(alpha=alpha + fd_step), z, rel_tol, max_terms).value
-    minus = f_norm(F0(alpha=alpha - fd_step), z, rel_tol, max_terms).value
+    res = sum_power_series(gen(), z, max_terms)
+    plus = f_norm(F0(alpha=alpha + fd_step), z, max_terms).value
+    minus = f_norm(F0(alpha=alpha - fd_step), z, max_terms).value
     fd = (plus - minus) / (2.0 * fd_step)
     gap = abs(res.value - fd)
     scale = max(1.0, abs(res.value))
-    if gap > routes_tol * scale:
+    if gap > _ROUTES_TOL * scale:
         raise RoutesDisagree(
             "alpha_derivative series %r vs finite difference %r" %
             (res.value, fd))
@@ -231,7 +230,7 @@ def alpha_derivative(alpha, z, rel_tol=REL_TOL, max_terms=MAX_TERMS,
                       terms_used=res.terms_used, flags=res.flags)
 
 
-def d_from_alpha_derivative(m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def d_from_alpha_derivative(m, z, max_terms=MAX_TERMS):
     """0F1 companion reconstructed from the two parameter derivatives.
 
     D_m(z) = d/d(alpha) F_alpha(z) at alpha = m, plus z^(-m) times the
@@ -241,8 +240,8 @@ def d_from_alpha_derivative(m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     """
     z = complex(z)
     m = int(m)
-    a = alpha_derivative(m, z, rel_tol, max_terms)
-    b = alpha_derivative(-m, z, rel_tol, max_terms)
+    a = alpha_derivative(m, z, max_terms)
+    b = alpha_derivative(-m, z, max_terms)
     value = a.value + z ** (-m) * b.value
     err = a.err_estimate + abs(z) ** (-m) * b.err_estimate
     return EvalResult(value=value, err_estimate=err,

@@ -50,8 +50,8 @@ def _replay(gen):
 class EvalResult:
     """Value of a series or special-function evaluation.
 
-    err_estimate is absolute.  flags is a frozenset drawn from
-    {"TruncationMaxed", "NearPole", "OnBranchCut"}.
+    err_estimate is absolute.  flags is a frozenset, empty or
+    {"TruncationMaxed"}.
     """
 
     value: complex
@@ -105,19 +105,17 @@ def _check_finite(params):
             raise DomainError(f"{name} must be finite, got {name} = {v}")
 
 
-def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
+def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     """Sum c_n z^n for n = start, start+1, ... with truncation control.
 
     coeff yields c_start, c_start+1, ... in order, complex numbers in
     every stream of the package (see the module docstring).  Stops once _RUN
-    consecutive terms each have magnitude <= rel_tol * |partial sum|;
+    consecutive terms each have magnitude <= REL_TOL * |partial sum|;
     err_estimate is the magnitude of the first omitted term (0 when the
     generator is exhausted).  Raises NoConvergence with the running
     partial attached when max_terms is hit first.  No coefficient past
     the first omitted one (or past c_{start+max_terms-1}) is read.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     z = complex(z)
@@ -133,7 +131,7 @@ def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
         total += term
         used += 1
         power *= z
-        if abs(term) <= rel_tol * abs(total):
+        if abs(term) <= REL_TOL * abs(total):
             small_run += 1
             if small_run >= _RUN:
                 c = next(it, None)
@@ -144,7 +142,6 @@ def sum_power_series(coeff, z, rel_tol=REL_TOL, max_terms=MAX_TERMS, start=0):
         return EvalResult(total, 0.0, max(used, 1))
     raise NoConvergence(
         f"no convergence in {max_terms} terms at z = {z}",
-        flag="TruncationMaxed",
         partial=total,
         err=abs(term),
     )

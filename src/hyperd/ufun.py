@@ -50,7 +50,6 @@ from .ffun import (
 from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
 from .series import (
     MAX_TERMS,
-    REL_TOL,
     EvalResult,
     _check_finite,
     _check_point,
@@ -124,13 +123,13 @@ def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
     return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
 
 
-def _log_plus_d(spec, prefactor, rel_tol, max_terms):
+def _log_plus_d(spec, prefactor, max_terms):
     """The LogPlusD route: z -> prefactor() * log_solution(spec, z).
 
     The prefactor is taken after the solution, at the first point whose
     solution succeeds, and kept.
     """
-    w = prepare_log_solution(spec, rel_tol, max_terms)
+    w = prepare_log_solution(spec, max_terms)
     pref = None
 
     def u_at(z):
@@ -143,16 +142,16 @@ def _log_plus_d(spec, prefactor, rel_tol, max_terms):
     return u_at
 
 
-def prepare_u0(alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> u0(alpha, z, route, rel_tol, max_terms)."""
+def prepare_u0(alpha, route=None, max_terms=MAX_TERMS):
+    """The callable z -> u0(alpha, z, route, max_terms)."""
     alpha = complex(alpha)
     _check_finite({"alpha": alpha})
     route = _as_route(route) or _pick_route(alpha)
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F0(alpha), rel_tol, max_terms)
-        f_r = prepare_f_norm(F0(-alpha), rel_tol, max_terms)
+        f_n = prepare_f_norm(F0(alpha), max_terms)
+        f_r = prepare_f_norm(F0(-alpha), max_terms)
 
         def u_at(z):
             fn, fr = f_n(z), f_r(z)
@@ -165,7 +164,7 @@ def prepare_u0(alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         return _log_plus_d(DSpec("0f1", m), lambda: (-1.0) ** (m + 1) / _SQRT_PI,
-                           rel_tol, max_terms)
+                           max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
         a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
@@ -182,16 +181,16 @@ def prepare_u0(alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     raise RouteInapplicable(f"route {route.value} does not apply to the 0f1 kind")
 
 
-def u0(alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def u0(alpha, z, route=None, max_terms=MAX_TERMS):
     """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0].
 
-    prepare_u0(alpha, route, rel_tol, max_terms)(z).
+    prepare_u0(alpha, route, max_terms)(z).
     """
-    return prepare_u0(alpha, route, rel_tol, max_terms)(z)
+    return prepare_u0(alpha, route, max_terms)(z)
 
 
-def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> u1(theta, alpha, z, route, rel_tol, max_terms)."""
+def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
+    """The callable z -> u1(theta, alpha, z, route, max_terms)."""
     theta = complex(theta)
     alpha = complex(alpha)
     _check_finite({"theta": theta, "alpha": alpha})
@@ -199,8 +198,8 @@ def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F1(theta, alpha), rel_tol, max_terms)
-        f_r = prepare_f_norm(F1(theta, -alpha), rel_tol, max_terms)
+        f_n = prepare_f_norm(F1(theta, alpha), max_terms)
+        f_r = prepare_f_norm(F1(theta, -alpha), max_terms)
         weights = None
 
         def u_at(z):
@@ -218,7 +217,7 @@ def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D, rel_tol, max_terms)
+            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D, max_terms)
             return lambda z: inner(z).scaled(principal_pow(z, -m))
         q = (1 - m + theta) / 2
         if near_nonpositive_int(q) is not None:
@@ -226,7 +225,7 @@ def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
                 f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
             )
         return _log_plus_d(DSpec("1f1", m, theta=theta),
-                           lambda: (-1.0) ** (m + 1) * recip_gamma(q), rel_tol, max_terms)
+                           lambda: (-1.0) ** (m + 1) * recip_gamma(q), max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
         a = (1 + theta + alpha) / 2
@@ -243,12 +242,12 @@ def prepare_u1(theta, alpha, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     raise RouteInapplicable(f"route {route.value} does not apply to the 1f1 kind")
 
 
-def u1(theta, alpha, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def u1(theta, alpha, z, route=None, max_terms=MAX_TERMS):
     """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0].
 
-    prepare_u1(theta, alpha, route, rel_tol, max_terms)(z).
+    prepare_u1(theta, alpha, route, max_terms)(z).
     """
-    return prepare_u1(theta, alpha, route, rel_tol, max_terms)(z)
+    return prepare_u1(theta, alpha, route, max_terms)(z)
 
 
 def _check_u2_cut(z):
@@ -256,8 +255,8 @@ def _check_u2_cut(z):
         raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
 
 
-def prepare_u2(alpha, beta, mu, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
-    """The callable z -> u2(alpha, beta, mu, z, route, rel_tol, max_terms).
+def prepare_u2(alpha, beta, mu, route=None, max_terms=MAX_TERMS):
+    """The callable z -> u2(alpha, beta, mu, z, route, max_terms).
 
     Without a route each point takes the route of its |z|: the one alpha
     picks for |z| <= F2_SERIES_RADIUS, the 1/z series for
@@ -282,22 +281,22 @@ def prepare_u2(alpha, beta, mu, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
             if outer is None:
-                outer = _u2_route(URoute.ASYMPTOTIC_2F0, alpha, beta, mu, rel_tol, max_terms)
+                outer = _u2_route(URoute.ASYMPTOTIC_2F0, alpha, beta, mu, max_terms)
             return outer(z)
         if chosen is None:
             chosen = _u2_route(_as_route(route) or _pick_route(alpha), alpha, beta, mu,
-                               rel_tol, max_terms)
+                               max_terms)
         return chosen(z)
 
     return u_at
 
 
-def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
+def _u2_route(route, alpha, beta, mu, max_terms):
     """The per-point callable of one route of u2, for z off the cut."""
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F2(alpha, beta, mu), rel_tol, max_terms)
-        f_r = prepare_f_norm(F2(-alpha, beta, -mu), rel_tol, max_terms)
+        f_n = prepare_f_norm(F2(alpha, beta, mu), max_terms)
+        f_r = prepare_f_norm(F2(-alpha, beta, -mu), max_terms)
         weights = None
 
         def u_at(z):
@@ -318,7 +317,7 @@ def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D, rel_tol, max_terms)
+            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D, max_terms)
             return lambda z: inner(z).scaled(principal_pow(complex(-z.real, -z.imag), -m))
         q1 = (1 - m - beta - mu) / 2
         q2 = (1 - m + beta - mu) / 2
@@ -328,10 +327,10 @@ def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
             )
         return _log_plus_d(DSpec("2f1", m, beta=beta, mu=mu),
                            lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2),
-                           rel_tol, max_terms)
+                           max_terms)
 
     if route is URoute.ASYMPTOTIC_2F0:
-        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), rel_tol, max_terms)
+        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), max_terms)
         e = (-1 - alpha - beta + mu) / 2
 
         def u_at(z):
@@ -345,7 +344,7 @@ def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
         return u_at
 
     if route is URoute.KUMMER_REFLECTED:
-        inner = prepare_u2(alpha, -beta, mu, None, rel_tol, max_terms)
+        inner = prepare_u2(alpha, -beta, mu, None, max_terms)
 
         def u_at(z):
             pw = principal_pow(1.0 - z, -beta)
@@ -356,15 +355,15 @@ def _u2_route(route, alpha, beta, mu, rel_tol, max_terms):
     raise RouteInapplicable(f"route {route.value} does not apply to the 2f1 kind")
 
 
-def u2(alpha, beta, mu, z, route=None, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def u2(alpha, beta, mu, z, route=None, max_terms=MAX_TERMS):
     """The 2F1-kind U function, cut on [0, inf).
 
-    prepare_u2(alpha, beta, mu, route, rel_tol, max_terms)(z).
+    prepare_u2(alpha, beta, mu, route, max_terms)(z).
     """
-    return prepare_u2(alpha, beta, mu, route, rel_tol, max_terms)(z)
+    return prepare_u2(alpha, beta, mu, route, max_terms)(z)
 
 
-def bessel(kind, m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
+def bessel(kind, m, z, max_terms=MAX_TERMS):
     """Bessel-family wrapper: kind in {I, J, K, H1, H2}, integer order m.
 
     Compositions of F_m and D_m at w = z^2/4:
@@ -389,15 +388,15 @@ def bessel(kind, m, z, rel_tol=REL_TOL, max_terms=MAX_TERMS):
     spec = DSpec("0f1", m)
 
     if kind == "I":
-        return f_norm(p, w, rel_tol, max_terms).scaled(half_pow)
+        return f_norm(p, w, max_terms).scaled(half_pow)
     if kind == "J":
-        return f_norm(p, -w, rel_tol, max_terms).scaled(half_pow)
+        return f_norm(p, -w, max_terms).scaled(half_pow)
     if kind == "K":
-        inner = log_solution(spec, w, rel_tol, max_terms)
+        inner = log_solution(spec, w, max_terms)
         return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):
         sign = 1.0 if kind == "H1" else -1.0
         ell = principal_log(w) - sign * 1j * math.pi
-        inner = log_combo(ell, f_norm(p, -w, rel_tol, max_terms), d_eval(spec, -w, rel_tol, max_terms))
+        inner = log_combo(ell, f_norm(p, -w, max_terms), d_eval(spec, -w, max_terms))
         return inner.scaled(sign * 1j / math.pi * half_pow)
     raise ValueError(f"unknown Bessel kind {kind!r}")

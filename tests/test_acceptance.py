@@ -18,7 +18,7 @@ from hyperd.ffun import F0, F1, F2, f_norm, f_norm_jet, f_second_jet
 from hyperd.gammakit import gamma, pochhammer, recip_gamma, sinpi
 from hyperd.oracle import inhom_residual, limit_alpha, ode_residual
 from hyperd.relations import build_catalog, sweep_catalog
-from hyperd.series import MAX_TERMS, REL_TOL, log_negated, principal_log, \
+from hyperd.series import MAX_TERMS, log_negated, principal_log, \
     principal_pow
 from hyperd.ufun import URoute, bessel, u0, u1, u2
 
@@ -424,7 +424,7 @@ def test_criterion_7_degenerate_proportionality():
 
 def _verify_args(**over):
     base = dict(id=None, suite=None, points=25, tol=1e-8, format="json",
-                rel_tol=REL_TOL, max_terms=MAX_TERMS)
+                max_terms=MAX_TERMS)
     base.update(over)
     return argparse.Namespace(command="verify", **base)
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from hyperd import cli
-from hyperd.series import EvalResult
+from hyperd.series import EvalResult, REL_TOL
 
 
 def run(argv, capsys):
@@ -172,7 +172,7 @@ def test_eval_rows_match_the_generic_writer(command, fmt, monkeypatch):
 
     lie, classical = cli._resolve_params(args)
     doc = {"command": command, "eq": "1f1", "func": "F", "params": lie,
-           "classical": classical, "rel_tol": args.rel_tol,
+           "classical": classical, "rel_tol": REL_TOL,
            "max_terms": args.max_terms}
     records = [{"z_re": z.real, "z_im": z.imag,
                 "value_re": r.value.real, "value_im": r.value.imag,
@@ -419,3 +419,27 @@ def test_env_max_terms_budget(capsys):
                         "--z", "9+4i", "--max-terms", "5"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "NoConvergence"
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_max_terms_below_one_is_rejected_on_every_route(budget, capsys):
+    # the asymptotic route refuses the budget as the series routes do
+    for route, z in (("Asymptotic2F0", "30"), ("Connection", "0.3")):
+        code, out, err = run(["eval", "--eq", "0f1", "--func", "U",
+                              "--alpha", "0.5", "--route", route, "--z", z,
+                              "--max-terms", budget], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "max_terms must be at least 1"}
+
+
+def test_rel_tol_is_not_an_option(capsys):
+    # every series stops at the fixed REL_TOL; the header still echoes it
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["eval", "--eq", "0f1", "--m", "1", "--z", "0.3",
+                  "--rel-tol", "1e-10"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+    doc = run_json(["eval", "--eq", "0f1", "--m", "1", "--z", "0.3"], capsys)
+    assert doc["rel_tol"] == REL_TOL

@@ -7,6 +7,7 @@ identities that need no external reference.
 
 import cmath
 import math
+import re
 import sys
 
 import pytest
@@ -320,4 +321,43 @@ def test_reflection_far_off_the_real_axis_in_public_calls():
     want = mp.rf(a, -1) / z + mp.nsum(
         lambda k: mp.rf(a, k) / (mp.factorial(k) * mp.factorial(k + 1)) * z ** k
         * (mp.digamma(a + k) - mp.digamma(k + 1) - mp.digamma(k + 2)), [0, mp.inf])
+    assert abs(got - complex(want)) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("z", [-170.9, -171 - 1e-8, -172.000001,
+                               -170.95 + 0.01j])
+def test_reflection_where_gamma_of_one_minus_z_overflows(z):
+    # Gamma(1 - z) overflows a double, but 1/Gamma(z) = sin(pi z)
+    # Gamma(1 - z) / pi need not: -7.3e307 at -170.9, 1.2e301 at
+    # -171 - 1e-8, where sin(pi z) is 3e-8 and a logarithm of it taken
+    # from exponentials would cancel
+    import mpmath as mp
+
+    z = complex(z)
+    got = recip_gamma(z)
+    want = complex(mp.rgamma(mp.mpc(z.real, z.imag)))
+    assert abs(got - want) <= 1e-12 * abs(want)
+    if z.imag == 0.0:
+        assert got.imag == 0.0
+    _check_against_mpmath(z)
+
+
+@pytest.mark.parametrize("z", [-171.3, -175.2, -170.7 + 0.5j])
+def test_recip_gamma_overflow_names_the_argument(z):
+    import mpmath as mp
+
+    z = complex(z)
+    assert abs(mp.rgamma(mp.mpc(z.real, z.imag))) > sys.float_info.max
+    with pytest.raises(DomainError, match=re.escape("at z = %s" % (z,))):
+        recip_gamma(z)
+
+
+def test_reflection_where_gamma_of_one_minus_c_overflows_in_public_calls():
+    import mpmath as mp
+
+    # F_alpha(z) = 0F1(; c; z) / Gamma(c) at c = -170.9, whose seed
+    # 1/Gamma(c) is -7.3e307
+    c = mp.mpf(-171.9 + 1)
+    got = f_norm(F0(-171.9), 0.3).value
+    want = mp.hyp0f1(c, 0.3) * mp.rgamma(c)
     assert abs(got - complex(want)) <= 1e-12 * abs(want)

@@ -195,19 +195,22 @@ PRECEDENCE = [
     ("F", "2f1", {"alpha": -400.5, "beta": 0.3, "mu": 0.2}, None,
      "-1.2:-0.4:2,0.1:0.1:1", "DomainError", "2F1 direct series"),
     ("F", "2f1", {"alpha": -400.5, "beta": 0.3, "mu": 0.2}, None,
-     "-0.5:-0.4:2,0.1:0.1:1", "DomainError", "Gamma(z) ** 1 overflows"),
+     "-0.5:-0.4:2,0.1:0.1:1", "DomainError",
+     "Gamma(z) ** -1 overflows a double at z = (-399.5+0j)"),
     # the Connection weights 1/Gamma((1+theta-+alpha)/2) overflow, but
     # are taken after z^-alpha, which is cut on the negative axis
     ("U", "1f1", {"alpha": 0.5, "theta": -400.0}, None,
      "-0.6:-0.2:2,0:0:1", "BranchCut", "principal_log cut"),
     ("U", "1f1", {"alpha": 0.5, "theta": -400.0}, None,
-     "0.2:0.6:2,0.1:0.1:1", "DomainError", "Gamma(z) ** 1 overflows"),
+     "0.2:0.6:2,0.1:0.1:1", "DomainError",
+     "Gamma(z) ** -1 overflows a double at z = (-199.25+0j)"),
     # the LogPlusD prefactor 1/Gamma(q) overflows at q = -250.25 and is
     # taken after the logarithmic solution
     ("U", "1f1", {"alpha": 1.0, "theta": -500.5}, None,
      "-0.6:-0.2:2,0:0:1", "BranchCut", "principal_log cut"),
     ("U", "1f1", {"alpha": 1.0, "theta": -500.5}, None,
-     "0.2:0.6:2,0.1:0.1:1", "DomainError", "Gamma(z) ** 1 overflows"),
+     "0.2:0.6:2,0.1:0.1:1", "DomainError",
+     "Gamma(z) ** -1 overflows a double at z = (-250.25+0j)"),
 ]
 
 

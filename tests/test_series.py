@@ -1,6 +1,7 @@
 """Summation engine, derivative reindexing and branch conventions."""
 
 import cmath
+import inspect
 import math
 
 import pytest
@@ -105,9 +106,24 @@ def test_no_convergence_carries_partial():
 
 def test_validation():
     with pytest.raises(ValueError):
-        sum_power_series(_geom_coeffs(), 0.1, rel_tol=0.0)
-    with pytest.raises(ValueError):
         sum_power_series(_geom_coeffs(), 0.1, max_terms=0)
+
+
+def test_no_public_function_takes_a_tolerance():
+    # every series stops at the fixed REL_TOL; max_terms is the only budget
+    import hyperd
+    from hyperd import dfun, ffun, oracle, ufun
+
+    fns = [getattr(hyperd, name) for name in hyperd.__all__]
+    fns += [getattr(mod, name) for mod in (ffun, dfun, ufun)
+            for name in dir(mod) if name.startswith("prepare_")]
+    fns += [getattr(oracle, name) for name in oracle.__all__]
+    fns = [f for f in fns if inspect.isfunction(f)]
+    assert len(fns) > 40
+    for f in fns:
+        params = inspect.signature(f).parameters
+        assert "rel_tol" not in params, f.__qualname__
+        assert "routes_tol" not in params, f.__qualname__
 
 
 def test_interior_zero_coefficient_does_not_stop_the_sum():
