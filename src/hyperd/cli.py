@@ -14,8 +14,10 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr).  --max-terms, the cap on series lengths, is the only series
-option; the eval/table header still echoes the fixed tolerance REL_TOL.
+stderr).  eval and table take --max-terms, the cap on series lengths,
+as their only series option, and their header echoes it with the fixed
+tolerance REL_TOL.  verify sums every series within the default
+MAX_TERMS and takes no --max-terms.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written
@@ -324,7 +326,7 @@ def cmd_eval(args, stream):
 # ---------------------------------------------------------------------------
 # verify
 
-def _theorem_checks(max_terms):
+def _theorem_checks():
     """LogPlusD values of the degenerate theorems against the
     alpha -> m extrapolation of the generic connection formulas."""
     checks = []
@@ -332,18 +334,17 @@ def _theorem_checks(max_terms):
     zneg = complex(-0.5, 0.0)
     for m in range(0, 4):
         for j, z in enumerate((z0, z1)):
-            direct = u0(m, z, URoute.LOG_PLUS_D, max_terms).value
-            lim = oracle.limit_alpha(m, {}, z, "0f1", max_terms).value
+            direct = u0(m, z, URoute.LOG_PLUS_D).value
+            lim = oracle.limit_alpha(m, {}, z, "0f1").value
             checks.append(("theorem.th1.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((z0, z1)):
-            direct = u1(0.7, m, z, URoute.LOG_PLUS_D, max_terms).value
-            lim = oracle.limit_alpha(m, {"theta": 0.7}, z, "1f1",
-                                     max_terms).value
+            direct = u1(0.7, m, z, URoute.LOG_PLUS_D).value
+            lim = oracle.limit_alpha(m, {"theta": 0.7}, z, "1f1").value
             checks.append(("theorem.th2.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((zneg, z1)):
-            direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D, max_terms).value
-            lim = oracle.limit_alpha(m, {"beta": 0.3, "mu": 0.2}, z, "2f1",
-                                     max_terms).value
+            direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D).value
+            lim = oracle.limit_alpha(m, {"beta": 0.3, "mu": 0.2}, z,
+                                     "2f1").value
             checks.append(("theorem.udef.m%d.z%d" % (m, j), direct, lim))
     return [(key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6)
             for key, a, b in checks]
@@ -359,27 +360,27 @@ def _bessel_series(kind, m, z, terms=40):
     return s
 
 
-def _bessel_checks(max_terms):
+def _bessel_checks():
     out = []
     zs = (0.6, 1.3)
     zc = complex(0.8, 0.5)
     for m in range(0, 4):
         for j, z in enumerate(zs):
             # modified Bessel function of the second kind two ways
-            k_log = bessel("K", m, z, max_terms).value
+            k_log = bessel("K", m, z).value
             k_u = 0.5 * math.sqrt(math.pi) * (z / 2.0) ** m * \
-                u0(m, z * z / 4.0, URoute.LOG_PLUS_D, max_terms).value
+                u0(m, z * z / 4.0, URoute.LOG_PLUS_D).value
             out.append(("bessel.K.route.m%d.z%d" % (m, j),
                         abs(k_log - k_u) / max(1.0, abs(k_log), abs(k_u)),
                         1e-8))
             for kind in ("I", "J"):
-                v = bessel(kind, m, z, max_terms).value
+                v = bessel(kind, m, z).value
                 w = _bessel_series(kind, m, z)
                 out.append(("bessel.%s.series.m%d.z%d" % (kind, m, j),
                             abs(v - w) / max(1.0, abs(v), abs(w)), 1e-9))
-        h1 = bessel("H1", m, zc, max_terms).value
-        h2 = bessel("H2", m, zc, max_terms).value
-        jj = bessel("J", m, zc, max_terms).value
+        h1 = bessel("H1", m, zc).value
+        h2 = bessel("H2", m, zc).value
+        jj = bessel("J", m, zc).value
         out.append(("bessel.H.sum.m%d" % (m,),
                     abs(h1 + h2 - 2.0 * jj) /
                     max(1.0, abs(h1), abs(h2), abs(jj)), 1e-9))
@@ -418,9 +419,9 @@ def cmd_verify(args, stream, catalog=None):
         suite = args.suite or "all"
         ids = _suite_ids(suite, catalog)
         if suite in ("all", "bessel"):
-            extra += _bessel_checks(args.max_terms)
+            extra += _bessel_checks()
         if suite in ("all", "theorems"):
-            extra += _theorem_checks(args.max_terms)
+            extra += _theorem_checks()
 
     worst = relations.sweep_catalog(catalog, n=args.points, ids=ids)
     checks = [(key, catalog[key].family, args.points, worst[key], args.tol)
@@ -523,7 +524,6 @@ def _parser():
     pv.add_argument("--points", type=int, default=relations.SWEEP_POINTS)
     pv.add_argument("--tol", type=float, default=relations.TOL_SWEEP)
     pv.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_common(pv)
 
     pc = sub.add_parser("catalog", help="list relation records")
     pc.add_argument("--format", default="json", choices=("json", "csv"))

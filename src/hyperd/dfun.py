@@ -282,6 +282,11 @@ def d_eval(spec, z, max_terms=MAX_TERMS):
 
 def d_eval_jet(spec, z, max_terms=MAX_TERMS):
     """(D, D', D'') with the tail differentiated term by term."""
+    return _d_jet(spec, z, max_terms)
+
+
+def _d_jet(spec, z, max_terms=MAX_TERMS, order=2):
+    # (D, ..., D^(order)) for order 1 or 2, as _f_jet
     z = complex(z)
     principal, tail_coeff = _expand(spec)
     _check_z(spec, z, len(principal))
@@ -292,14 +297,31 @@ def d_eval_jet(spec, z, max_terms=MAX_TERMS):
         for k, c in enumerate(principal, 1):
             h0 += c * pw
             h1 += c * (-k) * pw * w
-            h2 += c * k * (k + 1) * pw * w * w
+            if order > 1:
+                h2 += c * k * (k + 1) * pw * w * w
             pw *= w
+        if not (cmath.isfinite(h1) and cmath.isfinite(h2)):
+            h1, h2 = _power_first(principal, w, h1, h2)
         _check_principal(spec, z, h0, h1, h2)
+    heads = (h0, h1, h2)
     out = []
-    for order in range(3):
-        s, g = deriv_coeffs(tail_coeff, 0, order) if order else (0, tail_coeff)
-        out.append(sum_power_series(g(), z, max_terms, start=s).value)
-    return (h0 + out[0], h1 + out[1], h2 + out[2])
+    for k in range(order + 1):
+        s, g = deriv_coeffs(tail_coeff, 0, k) if k else (0, tail_coeff)
+        out.append(heads[k] + sum_power_series(g(), z, max_terms, start=s).value)
+    return tuple(out)
+
+
+def _power_first(principal, w, h1, h2):
+    """h1 and h2 of _d_jet, each not finite summed again with the powers
+    of w = 1/z applied first: at large m, c k (k+1) overflows a double
+    before the powers scale it down.  A finite one keeps its bits."""
+    g1 = g2 = 0j
+    pw = w
+    for k, c in enumerate(principal, 1):
+        g1 += c * (pw * w) * (-k)
+        g2 += c * (pw * w * w) * (k * (k + 1))
+        pw *= w
+    return (h1 if cmath.isfinite(h1) else g1, h2 if cmath.isfinite(h2) else g2)
 
 
 def _log_branch(spec):
@@ -364,7 +386,12 @@ def d_eval_I(spec, z, max_terms=MAX_TERMS):
 
 
 def d_eval_I_jet(spec, z, max_terms=MAX_TERMS):
+    return _d_I_jet(spec, z, max_terms)
+
+
+def _d_I_jet(spec, z, max_terms=MAX_TERMS, order=2):
+    # _d_jet of the I form
     if spec.kind != "2f1":
         raise ValueError("d_eval_I_jet is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    return tuple(pref * v for v in d_eval_jet(spec, z, max_terms))
+    return tuple(pref * v for v in _d_jet(spec, z, max_terms, order))

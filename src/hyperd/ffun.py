@@ -247,12 +247,18 @@ def f_norm(p, z, max_terms=MAX_TERMS):
 
 def f_norm_jet(p, z, max_terms=MAX_TERMS):
     """(F, F', F'') by term-by-term differentiation of the series."""
+    return _f_jet(p, z, max_terms)
+
+
+def _f_jet(p, z, max_terms=MAX_TERMS, order=2):
+    # (F, ..., F^(order)): each derivative is one more sum, so a caller
+    # that reads only F and F' passes order 1
     z = complex(z)
     _check_domain(p, z)
     start, gen = _seed(p)
     out = []
-    for order in range(3):
-        s, g = deriv_coeffs(gen, start, order) if order else (start, gen)
+    for k in range(order + 1):
+        s, g = deriv_coeffs(gen, start, k) if k else (start, gen)
         out.append(sum_power_series(g(), z, max_terms, start=s).value)
     return tuple(out)
 
@@ -367,7 +373,12 @@ def f2_norm_I(p, z, max_terms=MAX_TERMS):
 
 
 def f2_norm_I_jet(p, z, max_terms=MAX_TERMS):
+    return _f2_I_jet(p, z, max_terms)
+
+
+def _f2_I_jet(p, z, max_terms=MAX_TERMS, order=2):
+    # _f_jet of the I form
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I_jet takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    return tuple(pref * v for v in f_norm_jet(p, z, max_terms))
+    return tuple(pref * v for v in _f_jet(p, z, max_terms, order))

@@ -18,7 +18,7 @@ from .ffun import F0, F1, F2
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
 from .series import EvalResult, MAX_TERMS, sum_power_series
 from .dfun import d_eval_jet
-from .ffun import f_norm, f_norm_jet
+from .ffun import _f_jet, f_norm
 from .ufun import URoute, u0, u1, u2
 
 __all__ = [
@@ -127,7 +127,7 @@ def inhom_residual(spec, z, max_terms=MAX_TERMS):
     z = complex(z)
     p = spec.params
     d0, d1, d2 = d_eval_jet(spec, z, max_terms)
-    g0, g1, _ = f_norm_jet(p, z, max_terms)
+    g0, g1 = _f_jet(p, z, max_terms, order=1)
     lhs = _operator(p, z, d0, d1, d2)
     rhs = _inhom_rhs(spec, z, g0, g1)
     return ResidualReport(residual=abs(lhs - rhs), method="SeriesDeriv",

@@ -9,7 +9,7 @@ are rejected; we do not adopt a signed-zero side convention.
 
 Coefficient streams depend on the parameters only, never on z.  A
 stream is wrapped once in an itertools.tee (_replay), so the sums that
-share it (the points of a prepared callable, the three sums of a jet)
+share it (the points of a prepared callable, the sums of a jet)
 generate its coefficients, and their gamma/digamma seeds, once; the
 tee keeps every value, about 40 bytes a term.  Public functions may be
 called from any thread; a prepared callable or a LaurentExpansion
@@ -21,6 +21,11 @@ conversion.  A float coefficient would still sum, but from Python 3.14
 on float * complex no longer goes through complex * complex (the zero
 imaginary part stays out of the product), which can change bits; the
 streams convert at their source instead.
+
+Every convergent series stops by one rule: _RUN consecutive terms each
+at most REL_TOL of the partial sum.  The loop tests it once per group
+of _RUN terms, not at every term, and stops at the same term (see
+sum_power_series): the test costs more than a term's arithmetic.
 """
 
 import cmath
@@ -34,8 +39,13 @@ REL_TOL = 1e-14
 MAX_TERMS = 10000
 
 # consecutive small terms required before a series counts as converged;
-# a single test misfires when a coefficient happens to vanish
+# a single test misfires when a coefficient happens to vanish.
+# sum_power_series sums in groups of this many terms.
 _RUN = 3
+
+# the _RUN - 1 marks that complete the last group of sum_power_series
+_END = object()
+_ENDS = (_END,) * (_RUN - 1)
 
 
 def _replay(gen):
@@ -113,8 +123,23 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     consecutive terms each have magnitude <= REL_TOL * |partial sum|;
     err_estimate is the magnitude of the first omitted term (0 when the
     generator is exhausted).  Raises NoConvergence with the running
-    partial attached when max_terms is hit first.  No coefficient past
-    the first omitted one (or past c_{start+max_terms-1}) is read.
+    partial attached when max_terms is hit first, and DomainError naming
+    z when the partial sum is not finite where the summation ends.  No
+    coefficient past the first omitted one (or past c_{start+max_terms-1})
+    is read.
+
+    The terms are summed in groups of _RUN = 3 and only the last term of
+    a group is tested, which stops at exactly the term where a test of
+    every term stops.  While the term before a group is not small, no
+    run of _RUN small terms can end at the group's first or second term,
+    so the group's last term is read before any stop, as it would be
+    term by term.  When the last term is small, the two before it are
+    tested from their kept terms and partial sums: if both are small the
+    sum stops there; otherwise the loop tests term by term until a term
+    is not small, then returns to groups.  A group cut short by the end
+    of the stream or of max_terms holds fewer than _RUN terms and cannot
+    stop either.  The result, the error estimate, the exceptions and the
+    coefficients read are those of the term-by-term loop.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -122,22 +147,53 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     it = iter(coeff)
     total = 0j
     power = z**start if start else complex(1.0)
-    small_run = 0
     used = 0
+    tol = REL_TOL
     # islice checks its count before it pulls, so no coefficient past
-    # max_terms is read
-    for c in itertools.islice(it, max_terms):
-        term = c * power
-        total += term
-        used += 1
+    # max_terms is read; the _END marks complete a cut-short group
+    src = itertools.chain(itertools.islice(it, max_terms), _ENDS)
+    for a, b, c in zip(src, src, src):
+        if c is _END:
+            term = a * power
+            total += term
+            used += 1
+            if b is not _END:
+                power *= z
+                term = b * power
+                total += term
+                used += 1
+            break
+        term_a = a * power
         power *= z
-        if abs(term) <= REL_TOL * abs(total):
-            small_run += 1
-            if small_run >= _RUN:
-                c = next(it, None)
-                return EvalResult(total, 0.0 if c is None else abs(c * power), used)
-        else:
-            small_run = 0
+        total_a = total + term_a
+        term_b = b * power
+        power *= z
+        total_b = total_a + term_b
+        term = c * power
+        power *= z
+        total = total_b + term
+        used += 3
+        if abs(term) <= tol * abs(total):
+            run = 1
+            if abs(term_b) <= tol * abs(total_b):
+                run = 2
+                if abs(term_a) <= tol * abs(total_a):
+                    return _converged(it, total, power, used, z)
+            # term by term until the run ends (a nan term is not small);
+            # a mark ends the stream
+            for c in src:
+                if c is _END:
+                    break
+                term = c * power
+                total += term
+                used += 1
+                power *= z
+                if not abs(term) <= tol * abs(total):
+                    break
+                run += 1
+                if run == _RUN:
+                    return _converged(it, total, power, used, z)
+    _check_sum(total, z)
     if used < max_terms:
         return EvalResult(total, 0.0, max(used, 1))
     raise NoConvergence(
@@ -145,6 +201,20 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
         partial=total,
         err=abs(term),
     )
+
+
+def _converged(it, total, power, used, z):
+    """The EvalResult of a series that stopped after used terms; its
+    error estimate reads the next coefficient, if there is one."""
+    c = next(it, None)
+    _check_sum(total, z)
+    return EvalResult(total, 0.0 if c is None else abs(c * power), used)
+
+
+def _check_sum(total, z):
+    # an overflow (z**n first, at large |z|) or a nan leaves no value
+    if not cmath.isfinite(total):
+        raise DomainError(f"series sum is not finite at z = {z}: {total}")
 
 
 def deriv_coeffs(gen_factory, start, order):

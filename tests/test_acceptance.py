@@ -18,8 +18,7 @@ from hyperd.ffun import F0, F1, F2, f_norm, f_norm_jet, f_second_jet
 from hyperd.gammakit import gamma, pochhammer, recip_gamma, sinpi
 from hyperd.oracle import inhom_residual, limit_alpha, ode_residual
 from hyperd.relations import build_catalog, sweep_catalog
-from hyperd.series import MAX_TERMS, log_negated, principal_log, \
-    principal_pow
+from hyperd.series import log_negated, principal_log, principal_pow
 from hyperd.ufun import URoute, bessel, u0, u1, u2
 
 
@@ -423,8 +422,7 @@ def test_criterion_7_degenerate_proportionality():
 # criterion 8: CLI exit codes and catalog mutation testing
 
 def _verify_args(**over):
-    base = dict(id=None, suite=None, points=25, tol=1e-8, format="json",
-                max_terms=MAX_TERMS)
+    base = dict(id=None, suite=None, points=25, tol=1e-8, format="json")
     base.update(over)
     return argparse.Namespace(command="verify", **base)
 

@@ -443,3 +443,22 @@ def test_rel_tol_is_not_an_option(capsys):
     assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
     doc = run_json(["eval", "--eq", "0f1", "--m", "1", "--z", "0.3"], capsys)
     assert doc["rel_tol"] == REL_TOL
+
+
+def test_a_sum_that_is_not_finite_is_a_domain_error_record(capsys):
+    # z**n overflows at z = 1e4 long before the 0F1 series converges
+    code, out, err = run(["eval", "--eq", "0f1", "--alpha", "0.5",
+                          "--z", "10000"], capsys)
+    assert code == 2
+    assert out == ""
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "DomainError"
+    assert "at z = (10000+0j)" in rec["message"]
+
+
+def test_verify_takes_no_max_terms(capsys):
+    # the catalog sweep sums at the default budget, so verify offers none
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["verify", "--max-terms", "5"])
+    assert ei.value.code == 2
+    assert "--max-terms" in capsys.readouterr().err

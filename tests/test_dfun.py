@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hyperd.dfun import (
     DSpec,
+    _d_jet,
     d_eval,
     d_eval_I,
     d_eval_I_jet,
@@ -283,3 +284,33 @@ def test_principal_part_overflow_raises(m):
             call(spec, 0.5)
     # the same order at a point where the principal part fits
     assert cmath.isfinite(d_eval(spec, 50.0).value)
+
+
+def test_jet_at_large_m_where_the_coefficient_products_overflow():
+    # c k (k+1) with c = (k-1)!/(m-k)! overflows a double at m = 170
+    # before the powers of 1/z scale it down; the jet still fits one
+    spec = DSpec("0f1", 170)
+    z = 50.0
+    with mp.workdps(40):
+        m, zz = 170, mp.mpf(z)
+        d = [(-1) ** (k - 1) * mp.factorial(k - 1) / mp.factorial(m - k)
+             for k in range(1, m + 1)]
+        tail = [-(mp.digamma(k + 1) + mp.digamma(k + 1 + m))
+                / (mp.factorial(k) * mp.factorial(m + k)) for k in range(60)]
+        want = (
+            sum(c * zz ** -k for k, c in enumerate(d, 1))
+            + sum(t * zz ** k for k, t in enumerate(tail)),
+            sum(-k * c * zz ** (-k - 1) for k, c in enumerate(d, 1))
+            + sum(k * t * zz ** (k - 1) for k, t in enumerate(tail)),
+            sum(k * (k + 1) * c * zz ** (-k - 2) for k, c in enumerate(d, 1))
+            + sum(k * (k - 1) * t * zz ** (k - 2) for k, t in enumerate(tail)),
+        )
+    jet = d_eval_jet(spec, z)
+    assert jet[0] == d_eval(spec, z).value
+    for got, ref in zip(jet, want):
+        assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
+    # the 1-jet the relation records read is the same two values
+    assert _d_jet(spec, z, order=1) == jet[:2]
+    # where the products fit, the bits are those of the 2-jet
+    small = DSpec("1f1", 3, theta=0.7)
+    assert _d_jet(small, 0.4 + 0.2j, order=1) == d_eval_jet(small, 0.4 + 0.2j)[:2]

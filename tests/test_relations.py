@@ -258,3 +258,31 @@ def test_f0_recurrence_rows_property(alpha, z):
     for key in ("f0.recurF.raise", "f0.recurF.lower"):
         raw = check_relation(key, {"alpha": alpha}, z, _CAT)
         assert raw <= 1e-9 * max(1.0, abs(z) ** 2)
+
+
+def test_recurrence_records_sum_only_the_one_jet(catalog, monkeypatch):
+    # the lhs and the ladder read F and F' (D and D'), so the second
+    # derivative is never summed
+    from hyperd import dfun, ffun, relations
+
+    calls = []
+    for mod in (ffun, dfun):
+        real = mod.sum_power_series
+        monkeypatch.setattr(mod, "sum_power_series",
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    for kind, params in (("0f1", ffun.F0(1)), ("1f1", ffun.F1(0.7, 2)),
+                         ("2f1", ffun.F2(1, 0.3, 0.2))):
+        del calls[:]
+        jet = relations._F_EVAL[kind][1](params, 0.3 + 0.1j)
+        assert len(jet) == 2 and len(calls) == 2
+        want = (ffun.f2_norm_I_jet if kind == "2f1" else ffun.f_norm_jet)(
+            params, 0.3 + 0.1j)
+        assert jet == want[:2]
+        spec = DSpec(kind, 2, **{k: v for k, v in vars(params).items()
+                                 if k != "alpha"})
+        del calls[:]
+        jet = relations._D_EVAL[kind][1](spec, 0.3 + 0.1j)
+        assert len(jet) == 2 and len(calls) == 2
+        want = (dfun.d_eval_I_jet if kind == "2f1" else dfun.d_eval_jet)(
+            spec, 0.3 + 0.1j)
+        assert jet == want[:2]

@@ -2,6 +2,7 @@
 
 import cmath
 import inspect
+import itertools
 import math
 
 import pytest
@@ -264,3 +265,23 @@ def test_int_pow_matches_exp_log(n, z):
     got = principal_pow(z, n)
     want = cmath.exp(n * cmath.log(z))
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_a_sum_that_is_not_finite_raises_domain_error():
+    # z**n overflows long before the sum would converge, or the terms
+    # overflow into a "converged" inf; either way no value comes back
+    from hyperd.ffun import F0, F1, f_norm
+
+    for p, z in ((F0(0.5), 1e4), (F1(0.7, 2), 800.0), (F1(0.7, 2), -800.0)):
+        with pytest.raises(DomainError, match=f"at z = \\({z:g}\\+0j\\)"):
+            f_norm(p, z)
+    cases = [
+        (lambda: itertools.repeat(1e300 + 0j), 1e5 + 0j),
+        (lambda: itertools.repeat(1e300 + 0j), 1e5 + 1e5j),
+        (lambda: iter([1e308 + 0j] * 2 + [0j] * 10), 1 + 0j),
+        # a finite stream that runs out at an inf
+        (lambda: iter([1.0, float("inf")]), 0.5 + 0j),
+    ]
+    for coeffs, z in cases:
+        with pytest.raises(DomainError, match="not finite at z = "):
+            sum_power_series(coeffs(), z)
