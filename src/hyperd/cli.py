@@ -21,7 +21,9 @@ MAX_TERMS and takes no --max-terms.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written
-by one format string, the same bytes the generic writer gives it.
+by one format string, the same bytes the generic writer gives it.  A
+request formats each distinct real or imaginary part of z once, since a
+grid repeats its axis values from point to point.
 
 verify sweeps the selected catalog records through
 relations.sweep_catalog and adds the Bessel and theorem consistency
@@ -290,7 +292,7 @@ def _points(args):
 # as a dict, non-finite floats included (null in JSON)
 _EVAL_KEYS = ("z_re", "z_im", "value_re", "value_im", "err_estimate",
               "terms_used", "flags")
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%s\n"
+_CSV_ROW = "%s,%s,%.17g,%.17g,%.17g,%d,%s\n"
 _JSON_ROW = ('{"z_re":%s,"z_im":%s,"value_re":%s,"value_im":%s,'
              '"err_estimate":%s,"terms_used":%d,"flags":[%s]}')
 
@@ -299,21 +301,27 @@ def cmd_eval(args, stream):
     lie, classical = _resolve_params(args)
     evaluate = _evaluator(args, lie)
     as_json = args.format == "json"
+    label = _json_float if as_json else "%.17g".__mod__
+    # z part -> its text.  0.0 == -0.0, so a zero is keyed by its str;
+    # a nan key matches no other key.
+    labels = {}
     rows = []
     for z in _points(args):
         res = evaluate(z)
         v = res.value
-        flags = sorted(res.flags)
+        x, y = z.real, z.imag
+        kx, ky = x or str(x), y or str(y)
+        zx = labels.get(kx) or labels.setdefault(kx, label(x))
+        zy = labels.get(ky) or labels.setdefault(ky, label(y))
         if as_json:
+            flags = ",".join(map(_json_str, sorted(res.flags))) if res.flags else ""
             rows.append(_JSON_ROW % (
-                _json_float(z.real), _json_float(z.imag),
-                _json_float(v.real), _json_float(v.imag),
-                _json_float(res.err_estimate), res.terms_used,
-                ",".join(map(_json_str, flags))))
+                zx, zy, _json_float(v.real), _json_float(v.imag),
+                _json_float(res.err_estimate), res.terms_used, flags))
         else:
-            rows.append(_CSV_ROW % (z.real, z.imag, v.real, v.imag,
-                                    res.err_estimate, res.terms_used,
-                                    "|".join(flags)))
+            flags = "|".join(sorted(res.flags)) if res.flags else ""
+            rows.append(_CSV_ROW % (zx, zy, v.real, v.imag, res.err_estimate,
+                                    res.terms_used, flags))
     doc = {"command": args.command, "eq": args.eq, "func": args.func,
            "params": lie, "classical": classical,
            "rel_tol": REL_TOL, "max_terms": args.max_terms}

@@ -26,12 +26,17 @@ Every convergent series stops by one rule: _RUN consecutive terms each
 at most REL_TOL of the partial sum.  The loop tests it once per group
 of _RUN terms, not at every term, and stops at the same term (see
 sum_power_series): the test costs more than a term's arithmetic.
+
+Every sum and every point builds an EvalResult, several for a point of
+log z F + D or of U, so it is a NamedTuple: immutable, and built in
+under half the time of a frozen dataclass.
 """
 
 import cmath
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BranchCut, DomainError, NoConvergence
 
@@ -56,8 +61,7 @@ def _replay(gen):
     return itertools.tee(gen, 1)[0].__copy__
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of a series or special-function evaluation.
 
     err_estimate is absolute.  flags is a frozenset, empty or
@@ -67,7 +71,7 @@ class EvalResult:
     value: complex
     err_estimate: float
     terms_used: int
-    flags: frozenset = field(default_factory=frozenset)
+    flags: frozenset = frozenset()
 
     def scaled(self, c):
         """This result times c: value c*v, error |c|*err, same terms and flags."""
@@ -124,9 +128,11 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     err_estimate is the magnitude of the first omitted term (0 when the
     generator is exhausted).  Raises NoConvergence with the running
     partial attached when max_terms is hit first, and DomainError naming
-    z when the partial sum is not finite where the summation ends.  No
-    coefficient past the first omitted one (or past c_{start+max_terms-1})
-    is read.
+    z when the partial sum is not finite: where the summation ends, or
+    at the end of the first group whose partial sum is inf or nan (the
+    stop test reads such a group as small, and the branch that handles a
+    small group checks the sum first).  No coefficient past the first
+    omitted one (or past c_{start+max_terms-1}) is read.
 
     The terms are summed in groups of _RUN = 3 and only the last term of
     a group is tested, which stops at exactly the term where a test of
@@ -139,7 +145,8 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     is not small, then returns to groups.  A group cut short by the end
     of the stream or of max_terms holds fewer than _RUN terms and cannot
     stop either.  The result, the error estimate, the exceptions and the
-    coefficients read are those of the term-by-term loop.
+    coefficients read are those of the term-by-term loop, except that a
+    sum that is not finite raises without reading on.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -173,15 +180,18 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
         power *= z
         total = total_b + term
         used += 3
-        if abs(term) <= tol * abs(total):
+        # false for a nan term or an inf sum: a sum that is no longer
+        # finite comes here and raises
+        if not abs(term) > tol * abs(total):
+            if not cmath.isfinite(total):
+                break
             run = 1
             if abs(term_b) <= tol * abs(total_b):
-                run = 2
-                if abs(term_a) <= tol * abs(total_a):
-                    return _converged(it, total, power, used, z)
+                run = 2 if abs(term_a) > tol * abs(total_a) else _RUN
             # term by term until the run ends (a nan term is not small);
             # a mark ends the stream
-            for c in src:
+            while run < _RUN:
+                c = next(src)
                 if c is _END:
                     break
                 term = c * power
@@ -191,9 +201,14 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
                 if not abs(term) <= tol * abs(total):
                     break
                 run += 1
-                if run == _RUN:
-                    return _converged(it, total, power, used, z)
-    _check_sum(total, z)
+            if run == _RUN:
+                c = next(it, None)
+                if not cmath.isfinite(total):
+                    break
+                return EvalResult(total, 0.0 if c is None else abs(c * power), used)
+    # an overflow (z**n first, at large |z|) or a nan leaves no value
+    if not cmath.isfinite(total):
+        raise DomainError(f"series sum is not finite at z = {z}: {total}")
     if used < max_terms:
         return EvalResult(total, 0.0, max(used, 1))
     raise NoConvergence(
@@ -201,20 +216,6 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
         partial=total,
         err=abs(term),
     )
-
-
-def _converged(it, total, power, used, z):
-    """The EvalResult of a series that stopped after used terms; its
-    error estimate reads the next coefficient, if there is one."""
-    c = next(it, None)
-    _check_sum(total, z)
-    return EvalResult(total, 0.0 if c is None else abs(c * power), used)
-
-
-def _check_sum(total, z):
-    # an overflow (z**n first, at large |z|) or a nan leaves no value
-    if not cmath.isfinite(total):
-        raise DomainError(f"series sum is not finite at z = {z}: {total}")
 
 
 def deriv_coeffs(gen_factory, start, order):

@@ -146,7 +146,9 @@ def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys):
 
 # z -> result pairs with every float the writers treat apart: +-inf,
 # nan, -0.0, a subnormal, values that need all 17 digits; two flags and
-# none
+# none.  The last three points repeat z parts of the first three, with
+# +0.0 where those have -0.0 and a nan part, as grid points repeat
+# their axis values.
 _ODD_RESULTS = (
     (complex(0.1 + 0.2, -0.0),
      EvalResult(complex(math.inf, -math.inf), math.nan, 7,
@@ -155,15 +157,19 @@ _ODD_RESULTS = (
     (complex(1.5, 1.0 / 3.0),
      EvalResult(complex(math.nan, -0.0), math.inf, 12345,
                 frozenset({"OnBranchCut"}))),
+    (complex(0.0, 0.25), EvalResult(complex(1.0, 0.0), 0.0, 3)),
+    (complex(0.1 + 0.2, 0.0), EvalResult(complex(0.5, -0.5), 1e-300, 4)),
+    (complex(math.nan, 1.0 / 3.0), EvalResult(complex(2.0, 0.0), 0.0, 5)),
 )
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["eval", "table"])
 def test_eval_rows_match_the_generic_writer(command, fmt, monkeypatch):
-    results = dict(_ODD_RESULTS)
-    monkeypatch.setattr(cli, "_points", lambda args: list(results))
-    monkeypatch.setattr(cli, "_evaluator", lambda args, lie: results.__getitem__)
+    # the results in point order: +0.0 and -0.0 are equal dict keys
+    results = iter([r for _, r in _ODD_RESULTS])
+    monkeypatch.setattr(cli, "_points", lambda args: [z for z, _ in _ODD_RESULTS])
+    monkeypatch.setattr(cli, "_evaluator", lambda args, lie: lambda z: next(results))
     args = cli._parser().parse_args(
         [command, "--eq", "1f1", "--m", "2", "--theta", "0.5",
          "--grid", "0:1:2,0:0:1", "--format", fmt])
@@ -187,15 +193,20 @@ def test_eval_rows_match_the_generic_writer(command, fmt, monkeypatch):
 
         got = json.loads(out.getvalue(), parse_constant=reject)["records"]
         assert [r["flags"] for r in got] == [["NearPole", "TruncationMaxed"],
-                                             [], ["OnBranchCut"]]
+                                             [], ["OnBranchCut"], [], [], []]
         assert got[0]["value_re"] is None and got[0]["err_estimate"] is None
+        assert got[5]["z_re"] is None
         assert '{"z_re":-0,"z_im":0.25,"value_re":-0,' in out.getvalue()
+        assert '{"z_re":0,"z_im":0.25,"value_re":1,' in out.getvalue()
     else:
-        rows = out.getvalue().splitlines()[-3:]
+        rows = out.getvalue().splitlines()[-6:]
         assert rows == [
             "0.30000000000000004,-0,inf,-inf,nan,7,NearPole|TruncationMaxed",
             "-0,0.25,-0,4.9406564584124654e-324,0.66666666666666663,1,",
-            "1.5,0.33333333333333331,nan,-0,inf,12345,OnBranchCut"]
+            "1.5,0.33333333333333331,nan,-0,inf,12345,OnBranchCut",
+            "0,0.25,1,0,0,3,",
+            "0.30000000000000004,0,0.5,-0.5,1e-300,4,",
+            "nan,0.33333333333333331,2,0,0,5,"]
 
 
 def test_parser_is_reused_across_requests(capsys):

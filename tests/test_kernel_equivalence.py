@@ -3,9 +3,10 @@
 sum_power_series tests the stopping rule once per group of _RUN terms.
 _reference below is the loop that tests every term; both must give the
 same result or exception and pull the same number of coefficients.  The
-one intended difference: a partial sum that is not finite where the
-summation ends raises DomainError instead of returning it or raising
-NoConvergence with it.
+intended differences: a partial sum that is not finite raises
+DomainError instead of being returned or raised with NoConvergence, and
+the kernel raises it as soon as it sees the sum is not finite, so it may
+pull fewer coefficients than the reference, which reads on.
 """
 
 import cmath
@@ -85,9 +86,14 @@ def _outcome(fn, coeffs, z, max_terms, start):
 
 
 def _assert_same(coeffs, z, max_terms, start):
-    got = _outcome(sum_power_series, coeffs(), z, max_terms, start)
-    want = _outcome(_reference, coeffs(), z, max_terms, start)
+    got, got_pulled = _outcome(sum_power_series, coeffs(), z, max_terms, start)
+    want, want_pulled = _outcome(_reference, coeffs(), z, max_terms, start)
     assert got == want
+    if got == "DomainError":
+        # the kernel stops at the group where the sum turned non-finite
+        assert got_pulled <= want_pulled
+    else:
+        assert got_pulled == want_pulled
 
 
 _NAN = complex("nan")

@@ -233,8 +233,25 @@ def test_laurent_expansion_shape():
 
 def test_eval_result_immutable():
     r = EvalResult(1.0 + 0j, 0.0, 1)
-    with pytest.raises(Exception):
-        r.value = 2.0
+    for name, v in (("value", 2.0), ("err_estimate", 1.0), ("terms_used", 2),
+                    ("flags", frozenset({"TruncationMaxed"}))):
+        with pytest.raises(AttributeError):
+            setattr(r, name, v)
+    assert r == EvalResult(1.0 + 0j, 0.0, 1)
+
+
+def test_eval_result_contract():
+    r = EvalResult(value=complex(0.5, -2.0), err_estimate=1.5e-16,
+                   terms_used=12, flags=frozenset({"TruncationMaxed"}))
+    assert repr(r) == ("EvalResult(value=(0.5-2j), err_estimate=1.5e-16, "
+                       "terms_used=12, flags=frozenset({'TruncationMaxed'}))")
+    assert repr(EvalResult(1j, 0.0, 1)) == (
+        "EvalResult(value=1j, err_estimate=0.0, terms_used=1, flags=frozenset())")
+    same = EvalResult(complex(0.5, -2.0), 1.5e-16, 12,
+                      frozenset({"TruncationMaxed"}))
+    assert r == same and hash(r) == hash(same)
+    assert r != EvalResult(complex(0.5, -2.0), 1.5e-16, 12)
+    assert EvalResult(1j, 0.0, 1).flags == frozenset()
 
 
 def test_eval_result_scaled():
@@ -285,3 +302,29 @@ def test_a_sum_that_is_not_finite_raises_domain_error():
     for coeffs, z in cases:
         with pytest.raises(DomainError, match="not finite at z = "):
             sum_power_series(coeffs(), z)
+
+
+def test_a_sum_stops_once_it_is_not_finite(monkeypatch):
+    # a nan term is never small; the sum raises at the group where it
+    # turned non-finite instead of reading on to max_terms
+    from hyperd import dfun, ffun
+    from hyperd.ffun import F0, f_norm
+    from hyperd.ufun import u1
+
+    pulled = 0
+
+    def counted(coeff, *args, **kwargs):
+        def pull():
+            nonlocal pulled
+            for c in coeff:
+                pulled += 1
+                yield c
+        return sum_power_series(pull(), *args, **kwargs)
+
+    monkeypatch.setattr(ffun, "sum_power_series", counted)
+    monkeypatch.setattr(dfun, "sum_power_series", counted)
+    for call in (lambda: f_norm(F0(0.5), 1e4), lambda: u1(0.7, 1, 1e6)):
+        pulled = 0
+        with pytest.raises(DomainError, match="not finite"):
+            call()
+        assert 0 < pulled < 100
