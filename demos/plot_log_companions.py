@@ -10,7 +10,7 @@ alone solves an inhomogeneous one.
 """
 
 from hyperd import DSpec, d_eval, d_expand, f_norm, log_solution
-from hyperd.dfun import log_solution_jet
+from hyperd.dfun import prepare_log_solution
 from hyperd.oracle import inhom_residual, ode_residual
 
 # %%
@@ -32,21 +32,15 @@ print("D(0.5) =", d_eval(spec, z).value)
 
 # %%
 # The log solution w = log(z) F + D satisfies the homogeneous equation.
-# A plain callable gets differentiated by finite differences; an object
-# with a .jet method supplies exact series derivatives instead.
+# A plain callable gets differentiated by finite differences; a prepared
+# evaluator carries .jet(z, order), which supplies exact series
+# derivatives instead.
 
 print("w(0.5) =", log_solution(spec, z).value)
 
-
-class _Jet:
-    def __init__(self, fn):
-        self.jet = fn
-
-
 rep = ode_residual(lambda zz: log_solution(spec, zz).value, spec.params, z)
 print("ode residual, finite differences:", rep.residual)
-rep = ode_residual(_Jet(lambda zz: log_solution_jet(spec, zz)),
-                   spec.params, z)
+rep = ode_residual(prepare_log_solution(spec), spec.params, z)
 print("ode residual, series derivatives:", rep.residual)
 
 # %%

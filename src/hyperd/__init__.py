@@ -42,22 +42,16 @@ from .ffun import (
     F1,
     F2,
     f2_norm_I,
-    f2_norm_I_jet,
     f2f0_asymptotic,
     f_norm,
-    f_norm_jet,
     f_second,
-    f_second_jet,
 )
 from .dfun import (
     DSpec,
     d_eval,
     d_eval_I,
-    d_eval_I_jet,
-    d_eval_jet,
     d_expand,
     log_solution,
-    log_solution_jet,
 )
 from .ufun import URoute, bessel, u0, u1, u2
 from .oracle import (
@@ -88,10 +82,8 @@ __all__ = [
     "EvalResult", "LaurentExpansion", "MAX_TERMS", "REL_TOL",
     "EULER_GAMMA", "digamma", "gamma", "harmonic", "near_int", "pochhammer",
     "recip_gamma",
-    "F0", "F1", "F2", "f_norm", "f_norm_jet", "f_second",
-    "f_second_jet", "f2_norm_I", "f2_norm_I_jet", "f2f0_asymptotic",
-    "DSpec", "d_eval", "d_eval_jet", "d_eval_I", "d_eval_I_jet", "d_expand",
-    "log_solution", "log_solution_jet",
+    "F0", "F1", "F2", "f_norm", "f_second", "f2_norm_I", "f2f0_asymptotic",
+    "DSpec", "d_eval", "d_eval_I", "d_expand", "log_solution",
     "URoute", "bessel", "u0", "u1", "u2",
     "ResidualReport", "alpha_derivative", "d_from_alpha_derivative",
     "inhom_residual", "limit_alpha", "ode_residual",

@@ -42,7 +42,7 @@ from .ffun import (PARAMS_BY_KIND, prepare_f2_norm_I, prepare_f_norm,
 from .dfun import (DSpec, prepare_d_eval, prepare_d_eval_I,
                    prepare_log_solution)
 from .gammakit import near_int
-from .series import MAX_TERMS, REL_TOL
+from .series import MAX_TERMS, REL_TOL, _kept
 from .ufun import (URoute, bessel, prepare_u0, prepare_u1, prepare_u2, u0,
                    u1, u2)
 from . import oracle, relations
@@ -262,15 +262,8 @@ def _evaluator(args, lie):
                                     args.route, max_terms)
     else:
         raise DomainError("unknown function %r" % (func,))
-    at = None
-
-    def evaluate(z):
-        nonlocal at
-        if at is None:
-            at = prepare()
-        return at(z)
-
-    return evaluate
+    at = []
+    return lambda z: _kept(at, prepare)(z)
 
 
 # ---------------------------------------------------------------------------

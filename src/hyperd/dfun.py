@@ -24,7 +24,9 @@ principal part into low-order polynomial coefficients and leaves no pole.
 
 As in ffun, every point function is its prepare function called at z:
 prepare_d_eval(spec, ...)(z) and so on, with the expansion built, the
-I-form prefactor computed and the F of log_solution prepared once.
+I-form prefactor computed and the F of log_solution prepared once.  A
+prepared callable at carries at.jet(z, order) for order up to 2, as in
+ffun: at(z) is at.jet(z, 0)[0].
 Public functions may be called from any thread; a prepared callable or
 a LaurentExpansion replays its own stream and belongs to the thread
 that made it.
@@ -33,7 +35,6 @@ that made it.
 import cmath
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
@@ -43,7 +44,6 @@ from .ffun import (
     PARAMS_BY_KIND,
     _check_order,
     _f2_I_prefactor,
-    f_norm_jet,
     prepare_f_norm,
 )
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
@@ -52,6 +52,9 @@ from .series import (
     EvalResult,
     LaurentExpansion,
     _check_point,
+    _kept,
+    _prepared,
+    _product_jet,
     _replay,
     deriv_coeffs,
     log_negated,
@@ -60,8 +63,6 @@ from .series import (
 )
 
 _KINDS = tuple(PARAMS_BY_KIND)
-
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -225,50 +226,53 @@ def _expand(spec):
     return (), _replay(itertools.chain(reversed(principal), tail))
 
 
-def _check_z(spec, z, pole_order):
-    _check_point(z)
-    if pole_order >= 1 and z == 0:
-        raise PoleAtOrigin(f"D with m = {spec.m} has a pole at z = 0")
-    if spec.kind == "2f1" and abs(z) > F2_SERIES_RADIUS:
-        raise DomainError(
-            f"2F1 D series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-        )
-
-
-def _check_principal(spec, z, *heads):
-    # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel to nan
-    if not all(map(cmath.isfinite, heads)):
-        raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
-
-
 def prepare_d_eval(spec, max_terms=MAX_TERMS):
-    """The callable z -> d_eval(spec, z, max_terms)."""
-    expansion = _expand(spec)
+    """The callable z -> d_eval(spec, z, max_terms), with its .jet(z, order)
+    for order 0, 1 or 2: the principal part differentiated exactly, the
+    tail term by term over the same stream.  The expansion is built here."""
+    expansion = []
+    _kept(expansion, _expand, spec)
+    disc = spec.kind == "2f1"
 
-    def d_at(z):
-        nonlocal expansion
+    def jet(z, order):
+        if order > 2:
+            raise ValueError(f"D jets go to order 2, got order {order}")
         z = complex(z)
-        if expansion is None:
-            expansion = _expand(spec)
-        principal, tail_coeff = expansion
-        _check_z(spec, z, len(principal))
-        head = 0j
+        principal, tail_coeff = _kept(expansion, _expand, spec)
+        _check_point(z)
+        if principal and z == 0:
+            raise PoleAtOrigin(f"D with m = {spec.m} has a pole at z = 0")
+        if disc and abs(z) > F2_SERIES_RADIUS:
+            raise DomainError(
+                f"2F1 D series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+            )
+        heads = (0j, 0j, 0j)
         if principal:
             w = 1.0 / z
+            h0 = 0j
             pw = w
             for c in principal:
-                head += c * pw
+                h0 += c * pw
                 pw *= w
-            _check_principal(spec, z, head)
+            heads = (h0, *_principal_derivs(principal, w, order)) if order else (h0, 0j, 0j)
+            # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel to nan
+            if not all(map(cmath.isfinite, heads)):
+                raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
         try:
-            tail = sum_power_series(tail_coeff(), z, max_terms)
+            t = sum_power_series(tail_coeff(), z, max_terms)
+            out = (EvalResult(heads[0] + t.value, t.err_estimate, t.terms_used, t.flags),)
+            if order:
+                for k in range(1, order + 1):
+                    s, g = deriv_coeffs(tail_coeff, 0, k)
+                    t = sum_power_series(g(), z, max_terms, start=s)
+                    out += (EvalResult(heads[k] + t.value, t.err_estimate, t.terms_used, t.flags),)
         except BaseException:
             # a stream that raised is built anew at the next point
-            expansion = None
+            expansion.clear()
             raise
-        return EvalResult(head + tail.value, tail.err_estimate, tail.terms_used, tail.flags)
+        return out
 
-    return d_at
+    return _prepared(jet)
 
 
 def d_eval(spec, z, max_terms=MAX_TERMS):
@@ -280,41 +284,21 @@ def d_eval(spec, z, max_terms=MAX_TERMS):
     return prepare_d_eval(spec, max_terms)(z)
 
 
-def d_eval_jet(spec, z, max_terms=MAX_TERMS):
-    """(D, D', D'') with the tail differentiated term by term."""
-    return _d_jet(spec, z, max_terms)
-
-
-def _d_jet(spec, z, max_terms=MAX_TERMS, order=2):
-    # (D, ..., D^(order)) for order 1 or 2, as _f_jet
-    z = complex(z)
-    principal, tail_coeff = _expand(spec)
-    _check_z(spec, z, len(principal))
-    h0 = h1 = h2 = 0j
-    if principal:
-        w = 1.0 / z
-        pw = w
-        for k, c in enumerate(principal, 1):
-            h0 += c * pw
-            h1 += c * (-k) * pw * w
-            if order > 1:
-                h2 += c * k * (k + 1) * pw * w * w
-            pw *= w
-        if not (cmath.isfinite(h1) and cmath.isfinite(h2)):
-            h1, h2 = _power_first(principal, w, h1, h2)
-        _check_principal(spec, z, h0, h1, h2)
-    heads = (h0, h1, h2)
-    out = []
-    for k in range(order + 1):
-        s, g = deriv_coeffs(tail_coeff, 0, k) if k else (0, tail_coeff)
-        out.append(heads[k] + sum_power_series(g(), z, max_terms, start=s).value)
-    return tuple(out)
-
-
-def _power_first(principal, w, h1, h2):
-    """h1 and h2 of _d_jet, each not finite summed again with the powers
-    of w = 1/z applied first: at large m, c k (k+1) overflows a double
-    before the powers scale it down.  A finite one keeps its bits."""
+def _principal_derivs(principal, w, order):
+    """The first and, at order 2, second derivative of the principal part
+    at w = 1/z (0j for the second at order 1).  One that is not finite is
+    summed again with the powers of w applied first: at large m, c k (k+1)
+    overflows a double before the powers scale it down.  A finite one
+    keeps its bits."""
+    h1 = h2 = 0j
+    pw = w
+    for k, c in enumerate(principal, 1):
+        h1 += c * (-k) * pw * w
+        if order > 1:
+            h2 += c * k * (k + 1) * pw * w * w
+        pw *= w
+    if cmath.isfinite(h1) and cmath.isfinite(h2):
+        return h1, h2
     g1 = g2 = 0j
     pw = w
     for k, c in enumerate(principal, 1):
@@ -324,28 +308,23 @@ def _power_first(principal, w, h1, h2):
     return (h1 if cmath.isfinite(h1) else g1, h2 if cmath.isfinite(h2) else g2)
 
 
-def _log_branch(spec):
-    # 0F1/1F1 carry log z, 2F1 carries log(-z)
-    return log_negated if spec.kind == "2f1" else principal_log
-
-
-def log_combo(ell, f, d):
-    """ell * F + D from the results f = F and d = D, ell a logarithm.
-
-    The error propagates both truncation errors and adds the rounding
-    floor eps * (|ell F| + |D|), since the two terms can cancel.
-    """
-    lf = ell * f.value
-    err = abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
-    return EvalResult(lf + d.value, err, f.terms_used + d.terms_used, f.flags | d.flags)
-
-
 def prepare_log_solution(spec, max_terms=MAX_TERMS):
-    """The callable z -> log_solution(spec, z, max_terms)."""
-    log = _log_branch(spec)
-    f = prepare_f_norm(spec.params, max_terms)
-    d = prepare_d_eval(spec, max_terms)
-    return lambda z: log_combo(log(z), f(z), d(z))
+    """The callable z -> log_solution(spec, z, max_terms), with its
+    .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
+    where (log z)' = 1/z on either cut.  Entry 0 is
+    series.log_combo(ell, F, D)."""
+    # 0F1/1F1 carry log z, 2F1 carries log(-z)
+    log = log_negated if spec.kind == "2f1" else principal_log
+    f = prepare_f_norm(spec.params, max_terms).jet
+    d = prepare_d_eval(spec, max_terms).jet
+
+    def jet(z, order):
+        ell = log(z)
+        fs = f(z, order)
+        ds = d(z, order)
+        return _product_jet((ell, 1 / z, -1 / (z * z)) if order else (ell,), fs, ds)
+
+    return _prepared(jet)
 
 
 def log_solution(spec, z, max_terms=MAX_TERMS):
@@ -356,25 +335,14 @@ def log_solution(spec, z, max_terms=MAX_TERMS):
     return prepare_log_solution(spec, max_terms)(z)
 
 
-def log_solution_jet(spec, z, max_terms=MAX_TERMS):
-    """(w, w', w'') for w = log z * F + D, with (log z)' = 1/z on either cut."""
-    z = complex(z)
-    ell = _log_branch(spec)(z)
-    f0, f1, f2 = f_norm_jet(spec.params, z, max_terms)
-    d0, d1, d2 = d_eval_jet(spec, z, max_terms)
-    w0 = ell * f0 + d0
-    w1 = ell * f1 + f0 / z + d1
-    w2 = ell * f2 + 2 * f1 / z - f0 / (z * z) + d2
-    return (w0, w1, w2)
-
-
 def prepare_d_eval_I(spec, max_terms=MAX_TERMS):
-    """The callable z -> d_eval_I(spec, z, max_terms)."""
+    """The callable z -> d_eval_I(spec, z, max_terms), with its
+    .jet(z, order): the jet of D, each entry scaled by the prefactor."""
     if spec.kind != "2f1":
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    d = prepare_d_eval(spec, max_terms)
-    return lambda z: d(z).scaled(pref)
+    d = prepare_d_eval(spec, max_terms).jet
+    return _prepared(lambda z, order: tuple([r.scaled(pref) for r in d(z, order)]))
 
 
 def d_eval_I(spec, z, max_terms=MAX_TERMS):
@@ -383,15 +351,3 @@ def d_eval_I(spec, z, max_terms=MAX_TERMS):
     prepare_d_eval_I(spec, max_terms)(z).
     """
     return prepare_d_eval_I(spec, max_terms)(z)
-
-
-def d_eval_I_jet(spec, z, max_terms=MAX_TERMS):
-    return _d_I_jet(spec, z, max_terms)
-
-
-def _d_I_jet(spec, z, max_terms=MAX_TERMS, order=2):
-    # _d_jet of the I form
-    if spec.kind != "2f1":
-        raise ValueError("d_eval_I_jet is defined for the 2f1 kind only")
-    pref = _f2_I_prefactor(spec.params)
-    return tuple(pref * v for v in _d_jet(spec, z, max_terms, order))

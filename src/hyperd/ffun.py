@@ -27,6 +27,12 @@ succeeds it is redone, and fails, at every point, so each point raises
 what a lone call at that point raises.  A public function may be called
 from any thread; a prepared callable keeps its coefficient stream
 (series._replay) and belongs to the thread that made it.
+
+A prepared callable at carries its derivatives: at.jet(z, order) is
+(at, at', ..., at^(order)) at z as order + 1 EvalResults, and at(z) is
+at.jet(z, 0)[0], so the value and the derivatives pass the same checks
+and sum the same kept stream.  oracle.ode_residual reads the values of
+at.jet(z, 2), the relation records those of at.jet(z, 1).
 """
 
 import functools
@@ -42,6 +48,9 @@ from .series import (
     EvalResult,
     _check_finite,
     _check_point,
+    _kept,
+    _prepared,
+    _product_jet,
     _replay,
     deriv_coeffs,
     principal_pow,
@@ -206,35 +215,36 @@ def _seed(p):
     return n0, _replay(_TERMS[len(upper)](c0, n0, c, *upper))
 
 
-def _check_domain(p, z):
+def prepare_f_norm(p, max_terms=MAX_TERMS):
+    """The callable z -> f_norm(p, z, max_terms), with its .jet(z, order):
+    (F, F', ..., F^(order)) by term-by-term differentiation of the series,
+    each derivative one more sum over the same stream."""
     if not isinstance(p, EquationParams):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
-    _check_point(z)
-    if p.kind == "2f1" and abs(z) > F2_SERIES_RADIUS:
-        raise DomainError(
-            f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-        )
+    seed = []
+    disc = isinstance(p, F2)
 
-
-def prepare_f_norm(p, max_terms=MAX_TERMS):
-    """The callable z -> f_norm(p, z, max_terms)."""
-    seed = None
-
-    def f_at(z):
-        nonlocal seed
+    def jet(z, order):
         z = complex(z)
-        _check_domain(p, z)
-        if seed is None:
-            seed = _seed(p)
-        start, gen = seed
+        _check_point(z)
+        if disc and abs(z) > F2_SERIES_RADIUS:
+            raise DomainError(
+                f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+            )
+        start, gen = _kept(seed, _seed, p)
         try:
-            return sum_power_series(gen(), z, max_terms, start=start)
+            out = (sum_power_series(gen(), z, max_terms, start=start),)
+            if order:
+                for k in range(1, order + 1):
+                    s, g = deriv_coeffs(gen, start, k)
+                    out += (sum_power_series(g(), z, max_terms, start=s),)
         except BaseException:
             # a stream that raised is built anew at the next point
-            seed = None
+            seed.clear()
             raise
+        return out
 
-    return f_at
+    return _prepared(jet)
 
 
 def f_norm(p, z, max_terms=MAX_TERMS):
@@ -243,24 +253,6 @@ def f_norm(p, z, max_terms=MAX_TERMS):
     prepare_f_norm(p, max_terms)(z).
     """
     return prepare_f_norm(p, max_terms)(z)
-
-
-def f_norm_jet(p, z, max_terms=MAX_TERMS):
-    """(F, F', F'') by term-by-term differentiation of the series."""
-    return _f_jet(p, z, max_terms)
-
-
-def _f_jet(p, z, max_terms=MAX_TERMS, order=2):
-    # (F, ..., F^(order)): each derivative is one more sum, so a caller
-    # that reads only F and F' passes order 1
-    z = complex(z)
-    _check_domain(p, z)
-    start, gen = _seed(p)
-    out = []
-    for k in range(order + 1):
-        s, g = deriv_coeffs(gen, start, k) if k else (start, gen)
-        out.append(sum_power_series(g(), z, max_terms, start=s).value)
-    return tuple(out)
 
 
 def _reflected(p):
@@ -280,11 +272,25 @@ def _snap_alpha(p):
 
 
 def prepare_f_second(p, max_terms=MAX_TERMS):
-    """The callable z -> f_second(p, z, max_terms)."""
+    """The callable z -> f_second(p, z, max_terms), with its .jet(z, order)
+    by the product rule over z^a F_reflected, a = -alpha.  The j-th
+    derivative of z^a is a (a-1) ... (a-j+1) z^(a-j), and 0 where that
+    product vanishes, so that an integer a >= 0 has a jet at z = 0."""
     p = _snap_alpha(p)
-    f = prepare_f_norm(_reflected(p), max_terms)
+    f = prepare_f_norm(_reflected(p), max_terms).jet
     a = -p.alpha
-    return lambda z: f(z).scaled(principal_pow(z, a))
+
+    def jet(z, order):
+        fs = f(z, order)
+        s = (principal_pow(z, a),)
+        if order:
+            c = 1
+            for j in range(1, order + 1):
+                c *= a - j + 1
+                s += (c * principal_pow(z, a - j) if c else 0j,)
+        return _product_jet(s, fs)
+
+    return _prepared(jet)
 
 
 def f_second(p, z, max_terms=MAX_TERMS):
@@ -296,19 +302,6 @@ def f_second(p, z, max_terms=MAX_TERMS):
     prepare_f_second(p, max_terms)(z).
     """
     return prepare_f_second(p, max_terms)(z)
-
-
-def f_second_jet(p, z, max_terms=MAX_TERMS):
-    """(g, g', g'') for g = z^(-alpha) F_reflected, by the product rule."""
-    z = complex(z)
-    p = _snap_alpha(p)
-    a = p.alpha
-    f, f1, f2 = f_norm_jet(_reflected(p), z, max_terms)
-    w = principal_pow(z, -a)
-    g = w * f
-    g1 = w * (f1 - a * f / z)
-    g2 = w * (f2 - 2 * a * f1 / z + a * (a + 1) * f / (z * z))
-    return g, g1, g2
 
 
 def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
@@ -356,12 +349,13 @@ def _f2_I_prefactor(p):
 
 
 def prepare_f2_norm_I(p, max_terms=MAX_TERMS):
-    """The callable z -> f2_norm_I(p, z, max_terms)."""
+    """The callable z -> f2_norm_I(p, z, max_terms), with its .jet(z, order):
+    the jet of F, each entry scaled by the prefactor."""
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    f = prepare_f_norm(p, max_terms)
-    return lambda z: f(z).scaled(pref)
+    f = prepare_f_norm(p, max_terms).jet
+    return _prepared(lambda z, order: tuple([r.scaled(pref) for r in f(z, order)]))
 
 
 def f2_norm_I(p, z, max_terms=MAX_TERMS):
@@ -370,15 +364,3 @@ def f2_norm_I(p, z, max_terms=MAX_TERMS):
     prepare_f2_norm_I(p, max_terms)(z).
     """
     return prepare_f2_norm_I(p, max_terms)(z)
-
-
-def f2_norm_I_jet(p, z, max_terms=MAX_TERMS):
-    return _f2_I_jet(p, z, max_terms)
-
-
-def _f2_I_jet(p, z, max_terms=MAX_TERMS, order=2):
-    # _f_jet of the I form
-    if not isinstance(p, F2):
-        raise TypeError("f2_norm_I_jet takes F2 parameters")
-    pref = _f2_I_prefactor(p)
-    return tuple(pref * v for v in _f_jet(p, z, max_terms, order))

@@ -9,16 +9,15 @@ into the integer limit, and the psi-weighted series for the parameter
 derivative of the normalized 0F1 solution.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ExtrapolationUnstable, RoutesDisagree
-from .ffun import F0, F1, F2
+from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
+                     PoleAtOrigin, RoutesDisagree)
+from .ffun import F0, f_norm, prepare_f_norm
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
 from .series import EvalResult, MAX_TERMS, sum_power_series
-from .dfun import d_eval_jet
-from .ffun import _f_jet, f_norm
+from .dfun import prepare_d_eval
 from .ufun import URoute, u0, u1, u2
 
 __all__ = [
@@ -87,20 +86,20 @@ def _fd_jet(f, z, h):
 def ode_residual(f, p, z):
     """|F f|(z) for the homogeneous operator of p's equation.
 
-    f either carries a .jet(z) -> (f, f', f'') method (series-derivative
-    route) or is a plain callable of z, in which case 5-point finite
+    f either carries a .jet(z, order) method, as every prepared evaluator
+    of ffun and dfun does, whose f.jet(z, 2) gives (f, f', f'') as
+    results with a .value (series-derivative route), or is a plain
+    callable of z returning a complex, in which case 5-point finite
     differences with step 1e-4 * max(1, |z|) supply the derivatives.
     """
     z = complex(z)
     if hasattr(f, "jet"):
-        f0, f1, f2 = f.jet(z)
-        lhs = _operator(p, z, f0, f1, f2)
-        return ResidualReport(residual=abs(lhs), method="SeriesDeriv",
-                              detail={"value": lhs})
-    h = _FD_SCALE * max(1.0, abs(z))
-    f0, f1, f2 = _fd_jet(f, z, h)
-    lhs = _operator(p, z, f0, f1, f2)
-    return ResidualReport(residual=abs(lhs), method="FiniteDiff", step=h,
+        method, h, jet = "SeriesDeriv", None, [r.value for r in f.jet(z, 2)]
+    else:
+        h = _FD_SCALE * max(1.0, abs(z))
+        method, jet = "FiniteDiff", _fd_jet(f, z, h)
+    lhs = _operator(p, z, *jet)
+    return ResidualReport(residual=abs(lhs), method=method, step=h,
                           detail={"value": lhs})
 
 
@@ -111,7 +110,7 @@ def _inhom_rhs(spec, z, f0, f1):
     parameters.  Valid for all integer m in the 0F1 family and for
     m >= 0 in the other two (for negative m the companions are defined
     by the z^m shift, which rescales the forcing by the degenerate
-    proportionality constant).
+    proportionality constant); inhom_residual refuses the rest.
     """
     m = float(spec.m)
     if spec.kind == "0f1":
@@ -123,11 +122,15 @@ def _inhom_rhs(spec, z, f0, f1):
 
 
 def inhom_residual(spec, z, max_terms=MAX_TERMS):
-    """|F(D) - RHS| at z, both sides via series derivatives."""
+    """|F(D) - RHS| at z, both sides via series derivatives; Inapplicable
+    for m < 0 in the 1f1 and 2f1 kinds, where the forcing does not hold."""
+    if spec.m < 0 and spec.kind != "0f1":
+        raise Inapplicable(
+            f"the {spec.kind} inhomogeneous equation holds for m >= 0, got m = {spec.m}")
     z = complex(z)
     p = spec.params
-    d0, d1, d2 = d_eval_jet(spec, z, max_terms)
-    g0, g1 = _f_jet(p, z, max_terms, order=1)
+    d0, d1, d2 = (r.value for r in prepare_d_eval(spec, max_terms).jet(z, 2))
+    g0, g1 = (r.value for r in prepare_f_norm(p, max_terms).jet(z, 1))
     lhs = _operator(p, z, d0, d1, d2)
     rhs = _inhom_rhs(spec, z, g0, g1)
     return ResidualReport(residual=abs(lhs - rhs), method="SeriesDeriv",
@@ -207,7 +210,7 @@ def alpha_derivative(alpha, z, max_terms=MAX_TERMS, fd_step=1e-5):
     Returns the series-route value.
     """
     z = complex(z)
-    alpha = float(alpha)
+    alpha = complex(alpha)
 
     def gen():
         j = 0
@@ -240,6 +243,8 @@ def d_from_alpha_derivative(m, z, max_terms=MAX_TERMS):
     """
     z = complex(z)
     m = int(m)
+    if m > 0 and z == 0:
+        raise PoleAtOrigin(f"D with m = {m} has a pole at z = 0")
     a = alpha_derivative(m, z, max_terms)
     b = alpha_derivative(-m, z, max_terms)
     value = a.value + z ** (-m) * b.value

@@ -41,9 +41,9 @@ from functools import partial
 
 from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
-from .ffun import (F0, F1, F2, PARAMS_BY_KIND, _f2_I_jet, _f_jet, f2_norm_I,
-                   f_norm)
-from .dfun import DSpec, _d_I_jet, _d_jet, d_eval, d_eval_I
+from .ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f2_norm_I,
+                   prepare_f_norm)
+from .dfun import DSpec, d_eval, prepare_d_eval, prepare_d_eval_I
 from .gammakit import gamma
 from .series import EvalResult, principal_log, principal_pow
 from .ufun import u0, u1, u2
@@ -305,17 +305,15 @@ _ROWS_2F1 = (
 # evaluators behind the table rows
 
 # Per kind: the parameter signature of F (D has m in place of alpha), the
-# z sampler, and the (value, 1-jet) evaluators of F and of D: the records
-# read the value and the first derivative, never the second.  The 2F1
-# rows read the I normalization.
+# z sampler, and the prepare functions of F and of D: the records read
+# the value and the 1-jet .jet(z, 1), never the second derivative.  The
+# 2F1 rows read the I normalization.
 _SIGNATURE = {"0f1": "alpha", "1f1": "alpha,theta", "2f1": "alpha,beta,mu"}
 _Z_SAMPLER = {"0f1": _z_confluent, "1f1": _z_confluent, "2f1": _z_2f1}
-_F_JET1 = partial(_f_jet, order=1)
-_D_JET1 = partial(_d_jet, order=1)
-_F_EVAL = {"0f1": (f_norm, _F_JET1), "1f1": (f_norm, _F_JET1),
-           "2f1": (f2_norm_I, partial(_f2_I_jet, order=1))}
-_D_EVAL = {"0f1": (d_eval, _D_JET1), "1f1": (d_eval, _D_JET1),
-           "2f1": (d_eval_I, partial(_d_I_jet, order=1))}
+_F_PREPARE = {"0f1": prepare_f_norm, "1f1": prepare_f_norm,
+              "2f1": prepare_f2_norm_I}
+_D_PREPARE = {"0f1": prepare_d_eval, "1f1": prepare_d_eval,
+              "2f1": prepare_d_eval_I}
 
 
 def _shifted(kind, d, shift, alpha):
@@ -335,20 +333,12 @@ def _d_spec(kind, d, shift=None):
     return DSpec(kind, p.pop("alpha"), **p)
 
 
-def _f_jet1(kind, d, z):
-    return _F_EVAL[kind][1](_f_params(kind, d), z)
-
-
 def _f_value(kind, d, z, shift=None):
-    return _F_EVAL[kind][0](_f_params(kind, d, shift), z).value
-
-
-def _d_jet1(kind, d, z):
-    return _D_EVAL[kind][1](_d_spec(kind, d), z)
+    return _F_PREPARE[kind](_f_params(kind, d, shift))(z).value
 
 
 def _d_value(kind, d, z, shift=None):
-    return _D_EVAL[kind][0](_d_spec(kind, d, shift), z).value
+    return _D_PREPARE[kind](_d_spec(kind, d, shift))(z).value
 
 
 def _applicable(signature, kind=None, shifts=(), m_lo=None):
@@ -399,7 +389,8 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
     relation for the shifted value.  sampler draws the parameters.
     """
     name, shift, c1, c0, coeff, stmt = row
-    jet, spec = (_d_jet1, _d_spec) if companion else (_f_jet1, _f_params)
+    prepare, spec = ((_D_PREPARE[kind], _d_spec) if companion
+                     else (_F_PREPARE[kind], _f_params))
     signature = _SIGNATURE[kind]
     if companion:
         signature = signature.replace("alpha", "m")
@@ -407,8 +398,8 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
             "  (companion form: subtract (c1/z) F at the unshifted parameters)"
 
     def lhs(d, z):
-        g0, g1 = jet(kind, d, z)
-        return c1(d, z) * g1 + c0(d, z) * g0
+        g0, g1 = prepare(spec(kind, d)).jet(z, 1)
+        return c1(d, z) * g1.value + c0(d, z) * g0.value
 
     def rhs(d, z):
         if not companion:

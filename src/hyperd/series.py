@@ -34,7 +34,9 @@ under half the time of a frozen dataclass.
 
 import cmath
 import itertools
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +54,8 @@ _RUN = 3
 _END = object()
 _ENDS = (_END,) * (_RUN - 1)
 
+_EPS = sys.float_info.epsilon
+
 
 def _replay(gen):
     """Factory of iterators over the endless stream gen, each from its
@@ -59,6 +63,27 @@ def _replay(gen):
     A stream that raised has stopped, and its tee would replay it cut
     short: build a new one instead."""
     return itertools.tee(gen, 1)[0].__copy__
+
+
+def _kept(box, build, *args):
+    """box[0], put there by build(*args) if the list box is empty: built at
+    the first call that succeeds, kept until box.clear().  A list costs
+    less to set up than functools.cache, which verify would pay per point."""
+    if not box:
+        box.append(build(*args))
+    return box[0]
+
+
+def _prepared(jet):
+    """The point callable z -> jet(z, 0)[0] of a prepared evaluator, with
+    jet as its .jet: jet(z, order) is the value at z and its first order
+    derivatives, order + 1 EvalResults."""
+
+    def at(z):
+        return jet(z, 0)[0]
+
+    at.jet = jet
+    return at
 
 
 class EvalResult(NamedTuple):
@@ -76,6 +101,41 @@ class EvalResult(NamedTuple):
     def scaled(self, c):
         """This result times c: value c*v, error |c|*err, same terms and flags."""
         return EvalResult(c * self.value, abs(c) * self.err_estimate, self.terms_used, self.flags)
+
+
+def log_combo(ell, f, d):
+    """ell * F + D from the results f = F and d = D, ell a logarithm.
+
+    The error propagates both truncation errors and adds the rounding
+    floor eps * (|ell F| + |D|), since the two terms can cancel.
+    """
+    lf = ell * f.value
+    err = abs(ell) * f.err_estimate + d.err_estimate + _EPS * (abs(lf) + abs(d.value))
+    return EvalResult(lf + d.value, err, f.terms_used + d.terms_used, f.flags | d.flags)
+
+
+def _product_jet(s, g, d=None):
+    """The jet of s g, or of s g + d, at one point: s holds the scale and
+    its derivatives there, at least len(g) of them, and g and d are jets.
+
+    Entry 0 is g[0].scaled(s[0]), or log_combo(s[0], g[0], d[0]).  Entry
+    k >= 1 is the Leibniz sum of C(k, j) s^(j) g^(k-j) over j, plus d^(k).
+    Its error is the sum of C(k, j) |s^(j)| err(g^(k-j)), plus err(d^(k)),
+    and the rounding floor of log_combo: eps times the sum of the
+    magnitudes of the summands, since they can cancel.
+    """
+    out = (g[0].scaled(s[0]) if d is None else log_combo(s[0], g[0], d[0]),)
+    if len(g) == 1:
+        return out
+    for k in range(1, len(g)):
+        parts = [(math.comb(k, j) * s[j], g[k - j]) for j in range(k + 1)]
+        if d is not None:
+            parts.append((1.0, d[k]))
+        terms = [c * r.value for c, r in parts]
+        err = sum(abs(c) * r.err_estimate for c, r in parts) + _EPS * sum(map(abs, terms))
+        out += (EvalResult(sum(terms), err, sum(r.terms_used for _, r in parts),
+                           frozenset().union(*(r.flags for _, r in parts))),)
+    return out
 
 
 @dataclass(frozen=True)

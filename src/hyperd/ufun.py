@@ -30,7 +30,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import DSpec, d_eval, log_combo, log_solution, prepare_log_solution
+from .dfun import DSpec, d_eval, log_solution, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
@@ -53,6 +53,8 @@ from .series import (
     EvalResult,
     _check_finite,
     _check_point,
+    _kept,
+    log_combo,
     log_negated,
     principal_log,
     principal_pow,
@@ -130,16 +132,8 @@ def _log_plus_d(spec, prefactor, max_terms):
     solution succeeds, and kept.
     """
     w = prepare_log_solution(spec, max_terms)
-    pref = None
-
-    def u_at(z):
-        nonlocal pref
-        inner = w(z)
-        if pref is None:
-            pref = prefactor()
-        return inner.scaled(pref)
-
-    return u_at
+    pref = []
+    return lambda z: w(z).scaled(_kept(pref, prefactor))
 
 
 def prepare_u0(alpha, route=None, max_terms=MAX_TERMS):
@@ -200,15 +194,13 @@ def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
         _require_generic(alpha)
         f_n = prepare_f_norm(F1(theta, alpha), max_terms)
         f_r = prepare_f_norm(F1(theta, -alpha), max_terms)
-        weights = None
+        weights = []
 
         def u_at(z):
-            nonlocal weights
             fn, fr = f_n(z), f_r(z)
             pw = principal_pow(z, -alpha)
-            if weights is None:
-                weights = recip_gamma((1 + theta + alpha) / 2), recip_gamma((1 + theta - alpha) / 2)
-            g1, g2 = weights
+            g1, g2 = _kept(weights, lambda: (recip_gamma((1 + theta + alpha) / 2),
+                                             recip_gamma((1 + theta - alpha) / 2)))
             return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, abs(pw * g1) * fr.err_estimate,
                                fn.value * g2, abs(g2) * fn.err_estimate)
 
@@ -268,10 +260,9 @@ def prepare_u2(alpha, beta, mu, route=None, max_terms=MAX_TERMS):
     beta = complex(beta)
     mu = complex(mu)
     _check_finite({"alpha": alpha, "beta": beta, "mu": mu})
-    chosen = outer = None  # the given or alpha-picked route; the 1/z series
+    chosen, outer = [], []  # the given or alpha-picked route; the 1/z series
 
     def u_at(z):
-        nonlocal chosen, outer
         z = complex(z)
         _check_point(z)
         _check_u2_cut(z)
@@ -280,13 +271,9 @@ def prepare_u2(alpha, beta, mu, route=None, max_terms=MAX_TERMS):
                 raise DomainError(
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
-            if outer is None:
-                outer = _u2_route(URoute.ASYMPTOTIC_2F0, alpha, beta, mu, max_terms)
-            return outer(z)
-        if chosen is None:
-            chosen = _u2_route(_as_route(route) or _pick_route(alpha), alpha, beta, mu,
-                               max_terms)
-        return chosen(z)
+            return _kept(outer, _u2_route, URoute.ASYMPTOTIC_2F0, alpha, beta, mu, max_terms)(z)
+        return _kept(chosen, lambda: _u2_route(_as_route(route) or _pick_route(alpha), alpha,
+                                               beta, mu, max_terms))(z)
 
     return u_at
 
@@ -297,17 +284,14 @@ def _u2_route(route, alpha, beta, mu, max_terms):
         _require_generic(alpha)
         f_n = prepare_f_norm(F2(alpha, beta, mu), max_terms)
         f_r = prepare_f_norm(F2(-alpha, beta, -mu), max_terms)
-        weights = None
+        weights = []
 
         def u_at(z):
-            nonlocal weights
             fn, fr = f_n(z), f_r(z)
-            if weights is None:
-                weights = (
-                    recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
-                    recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
-                )
-            w1, w2 = weights
+            w1, w2 = _kept(weights, lambda: (
+                recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
+                recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
+            ))
             pw = cmath.exp(-alpha * log_negated(z))
             return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
                                pw * fr.value * w2, abs(pw * w2) * fr.err_estimate)
@@ -378,6 +362,8 @@ def bessel(kind, m, z, max_terms=MAX_TERMS):
     phase -w together with the explicit ∓ i pi in the logarithm, so that
     H1 + H2 = 2 J identically.
     """
+    if not cmath.isfinite(m):
+        raise DomainError(f"bessel order m must be finite, got m = {m}")
     if m != int(m):
         raise ValueError(f"bessel order must be an integer, got {m}")
     m = int(m)

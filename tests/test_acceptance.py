@@ -11,14 +11,15 @@ import dataclasses
 import io
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hyperd import cli
-from hyperd.dfun import DSpec, d_eval, d_expand, log_solution_jet
-from hyperd.ffun import F0, F1, F2, f_norm, f_norm_jet, f_second_jet
+from hyperd.dfun import DSpec, d_eval, d_expand, prepare_log_solution
+from hyperd.ffun import F0, F1, F2, f_norm, prepare_f_norm, prepare_f_second
 from hyperd.gammakit import gamma, pochhammer, recip_gamma, sinpi
 from hyperd.oracle import inhom_residual, limit_alpha, ode_residual
 from hyperd.relations import build_catalog, sweep_catalog
-from hyperd.series import log_negated, principal_log, principal_pow
+from hyperd.series import EvalResult, log_negated, principal_log, principal_pow
 from hyperd.ufun import URoute, bessel, u0, u1, u2
 
 
@@ -33,13 +34,6 @@ GRID_2 = _ring((0.35, 0.7), (0.5, 1.6, 2.7, -2.4, -1.3))
 
 THETAS = (0.3, 0.7, 1.9)
 BETA_MU = ((0.3, 0.2), (0.45, 0.1))
-
-
-class _Jet:
-    """Adapter handing a jet callable to ode_residual."""
-
-    def __init__(self, fn):
-        self.jet = fn
 
 
 # ---------------------------------------------------------------------------
@@ -90,27 +84,48 @@ def test_criterion_1_degenerate_theorem_suite():
 # ---------------------------------------------------------------------------
 # criterion 2: defining equations
 
+def _values(at, z):
+    return [r.value for r in at.jet(z, 2)]
+
+
+def _jet_of(fn):
+    """A 2-jet for ode_residual from fn(z) -> (w, w', w'')."""
+    return SimpleNamespace(
+        jet=lambda z, order: tuple(EvalResult(v, 0.0, 0) for v in fn(z)))
+
+
+def _scaled(at, c):
+    """c times the prepared evaluator at, as ode_residual reads it."""
+    return SimpleNamespace(
+        jet=lambda z, order: [r.scaled(c) for r in at.jet(z, order)])
+
+
 def _u0_generic_jet(alpha):
+    f, g = prepare_f_norm(F0(alpha)), prepare_f_second(F0(alpha))
+
     def jet(z):
         c = math.sqrt(math.pi) / sinpi(alpha)
-        f = f_norm_jet(F0(alpha), z)
-        g = f_second_jet(F0(alpha), z)
-        return tuple(c * (gv - fv) for gv, fv in zip(g, f))
+        return tuple(c * (gv - fv)
+                     for gv, fv in zip(_values(g, z), _values(f, z)))
     return jet
 
 
 def _u1_generic_jet(theta, alpha):
+    f, g = prepare_f_norm(F1(theta, alpha)), prepare_f_second(F1(theta, alpha))
+
     def jet(z):
         c = math.pi / sinpi(alpha)
         wp = recip_gamma((1 + theta + alpha) / 2)
         wm = recip_gamma((1 + theta - alpha) / 2)
-        f = f_norm_jet(F1(theta, alpha), z)
-        g = f_second_jet(F1(theta, alpha), z)
-        return tuple(c * (gv * wp - fv * wm) for gv, fv in zip(g, f))
+        return tuple(c * (gv * wp - fv * wm)
+                     for gv, fv in zip(_values(g, z), _values(f, z)))
     return jet
 
 
 def _u2_generic_jet(alpha, beta, mu):
+    f = prepare_f_norm(F2(alpha, beta, mu))
+    fr = prepare_f_norm(F2(-alpha, beta, -mu))
+
     def jet(z):
         import cmath
         c = -math.pi / sinpi(alpha)
@@ -118,14 +133,14 @@ def _u2_generic_jet(alpha, beta, mu):
             * recip_gamma((1 - alpha + beta - mu) / 2)
         w2 = recip_gamma((1 + alpha + beta - mu) / 2) \
             * recip_gamma((1 + alpha - beta - mu) / 2)
-        f = f_norm_jet(F2(alpha, beta, mu), z)
-        fr = f_norm_jet(F2(-alpha, beta, -mu), z)
+        r = _values(fr, z)
         w = cmath.exp(-alpha * log_negated(z))
-        g = (w * fr[0],
-             w * (fr[1] - alpha * fr[0] / z),
-             w * (fr[2] - 2 * alpha * fr[1] / z
-                  + alpha * (alpha + 1) * fr[0] / z ** 2))
-        return tuple(c * (fv * w1 - gv * w2) for fv, gv in zip(f, g))
+        g = (w * r[0],
+             w * (r[1] - alpha * r[0] / z),
+             w * (r[2] - 2 * alpha * r[1] / z
+                  + alpha * (alpha + 1) * r[0] / z ** 2))
+        return tuple(c * (fv * w1 - gv * w2)
+                     for fv, gv in zip(_values(f, z), g))
     return jet
 
 
@@ -136,53 +151,45 @@ def test_criterion_2_defining_equations():
     # F and the second solution, generic and degenerate parameters
     for al in (0.4, -0.6, 0.0, 1.0, 2.0):
         p = F0(al)
-        cases.append((_Jet(lambda z, p=p: f_norm_jet(p, z)), p, GRID_01))
-        cases.append((_Jet(lambda z, p=p: f_second_jet(p, z)), p, GRID_01))
+        cases.append((prepare_f_norm(p), p, GRID_01))
+        cases.append((prepare_f_second(p), p, GRID_01))
     for th in (0.7, 1.9):
         for al in (0.4, 0.0, 2.0):
             p = F1(th, al)
-            cases.append((_Jet(lambda z, p=p: f_norm_jet(p, z)), p, GRID_01))
-            cases.append((_Jet(lambda z, p=p: f_second_jet(p, z)), p,
-                          GRID_01))
+            cases.append((prepare_f_norm(p), p, GRID_01))
+            cases.append((prepare_f_second(p), p, GRID_01))
     for al in (0.4, 0.0, 1.0):
         p = F2(al, 0.3, 0.2)
-        cases.append((_Jet(lambda z, p=p: f_norm_jet(p, z)), p, GRID_2))
-        cases.append((_Jet(lambda z, p=p: f_second_jet(p, z)), p, GRID_2))
+        cases.append((prepare_f_norm(p), p, GRID_2))
+        cases.append((prepare_f_second(p), p, GRID_2))
 
     # log solutions
     for m in (0, 1, 2):
-        s0 = DSpec("0f1", m)
-        cases.append((_Jet(lambda z, s=s0: log_solution_jet(s, z)),
-                      F0(float(m)), GRID_01))
-        s1 = DSpec("1f1", m, theta=0.7)
-        cases.append((_Jet(lambda z, s=s1: log_solution_jet(s, z)),
+        cases.append((prepare_log_solution(DSpec("0f1", m)), F0(float(m)),
+                      GRID_01))
+        cases.append((prepare_log_solution(DSpec("1f1", m, theta=0.7)),
                       F1(0.7, float(m)), GRID_01))
-        s2 = DSpec("2f1", m, beta=0.3, mu=0.2)
-        cases.append((_Jet(lambda z, s=s2: log_solution_jet(s, z)),
+        cases.append((prepare_log_solution(DSpec("2f1", m, beta=0.3, mu=0.2)),
                       F2(float(m), 0.3, 0.2), GRID_2))
 
     # U: integer m through the log-solution jet, generic alpha through
     # the connection combination
     for m in (0, 1):
         c0 = (-1.0) ** (m + 1) / math.sqrt(math.pi)
-        s0 = DSpec("0f1", m)
-        cases.append((_Jet(lambda z, s=s0, c=c0:
-                           tuple(c * w for w in log_solution_jet(s, z))),
+        cases.append((_scaled(prepare_log_solution(DSpec("0f1", m)), c0),
                       F0(float(m)), GRID_01))
         c1 = (-1.0) ** (m + 1) * recip_gamma((1 - m + 0.7) / 2)
         s1 = DSpec("1f1", m, theta=0.7)
-        cases.append((_Jet(lambda z, s=s1, c=c1:
-                           tuple(c * w for w in log_solution_jet(s, z))),
+        cases.append((_scaled(prepare_log_solution(s1), c1),
                       F1(0.7, float(m)), GRID_01))
         c2 = (-1.0) ** (m + 1) * recip_gamma((1 - m - 0.5) / 2) \
             * recip_gamma((1 - m + 0.1) / 2)
         s2 = DSpec("2f1", m, beta=0.3, mu=0.2)
-        cases.append((_Jet(lambda z, s=s2, c=c2:
-                           tuple(c * w for w in log_solution_jet(s, z))),
+        cases.append((_scaled(prepare_log_solution(s2), c2),
                       F2(float(m), 0.3, 0.2), GRID_2))
-    cases.append((_Jet(_u0_generic_jet(0.4)), F0(0.4), GRID_01))
-    cases.append((_Jet(_u1_generic_jet(0.7, 0.4)), F1(0.7, 0.4), GRID_01))
-    cases.append((_Jet(_u2_generic_jet(0.4, 0.3, 0.2)), F2(0.4, 0.3, 0.2),
+    cases.append((_jet_of(_u0_generic_jet(0.4)), F0(0.4), GRID_01))
+    cases.append((_jet_of(_u1_generic_jet(0.7, 0.4)), F1(0.7, 0.4), GRID_01))
+    cases.append((_jet_of(_u2_generic_jet(0.4, 0.3, 0.2)), F2(0.4, 0.3, 0.2),
                   GRID_2))
 
     for f, p, grid in cases:

@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 
 from hyperd.dfun import (
     DSpec,
-    _d_jet,
     d_eval,
     d_eval_I,
-    d_eval_I_jet,
-    d_eval_jet,
     d_expand,
     log_solution,
-    log_solution_jet,
+    prepare_d_eval,
+    prepare_d_eval_I,
+    prepare_log_solution,
 )
 from hyperd.errors import BranchCut, DomainError, ParameterSingular, PoleAtOrigin
 from hyperd.ffun import F2, f_norm
@@ -34,6 +33,10 @@ from hyperd.ufun import u0
 
 def _rel(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _values(jet):
+    return [r.value for r in jet]
 
 
 def _spec(kind, m):
@@ -170,7 +173,7 @@ def test_jet_matches_finite_differences(kind):
     spec = _spec(kind, 2)
     z = complex(0.4, 0.3)
     h = 1e-4
-    d0, d1, d2 = d_eval_jet(spec, z)
+    d0, d1, d2 = _values(prepare_d_eval(spec).jet(z, 2))
     vals = {s: d_eval(spec, z + s * h).value for s in (-2, -1, 0, 1, 2)}
     fd1 = (-vals[2] + 8 * vals[1] - 8 * vals[-1] + vals[-2]) / (12 * h)
     fd2 = (-vals[2] + 16 * vals[1] - 30 * vals[0] + 16 * vals[-1] - vals[-2]) / (12 * h * h)
@@ -215,7 +218,7 @@ def test_log_solution_error_bound_0f1(m):
 def test_log_solution_jet_consistency():
     spec = DSpec("1f1", 1, theta=0.7)
     z = complex(0.6, 0.5)
-    w0, w1, w2 = log_solution_jet(spec, z)
+    w0, w1, w2 = _values(prepare_log_solution(spec).jet(z, 2))
     assert _rel(w0, log_solution(spec, z).value) < 1e-14
     h = 1e-4
     vals = {s: log_solution(spec, z + s * h).value for s in (-2, -1, 1, 2)}
@@ -232,8 +235,8 @@ def test_d_eval_I_prefactor_and_kind_guard():
     ca = (1 + 1 - 0.3 + 0.2) / 2
     pref = gamma(a) * gamma(ca)
     assert _rel(d_eval_I(spec, z).value, pref * d_eval(spec, z).value) < 1e-14
-    jet = d_eval_I_jet(spec, z)
-    base = d_eval_jet(spec, z)
+    jet = _values(prepare_d_eval_I(spec).jet(z, 2))
+    base = _values(prepare_d_eval(spec).jet(z, 2))
     for u, v in zip(jet, base):
         assert _rel(u, pref * v) < 1e-14
     with pytest.raises(ValueError):
@@ -278,7 +281,7 @@ def test_principal_part_overflow_raises(m):
     # beyond a double; the terms overflow and cancel to nan, which must
     # not come back as a value
     spec = DSpec("0f1", m)
-    for call in (d_eval, d_eval_jet, log_solution,
+    for call in (d_eval, lambda s, z: prepare_d_eval(s).jet(z, 2), log_solution,
                  lambda s, z: u0(s.m, z)):
         with pytest.raises(DomainError, match=f"m = {m} .* z = \\(0.5"):
             call(spec, 0.5)
@@ -305,12 +308,19 @@ def test_jet_at_large_m_where_the_coefficient_products_overflow():
             sum(k * (k + 1) * c * zz ** (-k - 2) for k, c in enumerate(d, 1))
             + sum(k * (k - 1) * t * zz ** (k - 2) for k, t in enumerate(tail)),
         )
-    jet = d_eval_jet(spec, z)
-    assert jet[0] == d_eval(spec, z).value
-    for got, ref in zip(jet, want):
+    at = prepare_d_eval(spec)
+    jet = at.jet(z, 2)
+    assert jet[0] == d_eval(spec, z)
+    for got, ref in zip(_values(jet), want):
         assert abs(got - complex(ref)) <= 1e-13 * abs(complex(ref))
     # the 1-jet the relation records read is the same two values
-    assert _d_jet(spec, z, order=1) == jet[:2]
+    assert at.jet(z, 1) == jet[:2]
     # where the products fit, the bits are those of the 2-jet
-    small = DSpec("1f1", 3, theta=0.7)
-    assert _d_jet(small, 0.4 + 0.2j, order=1) == d_eval_jet(small, 0.4 + 0.2j)[:2]
+    small = prepare_d_eval(DSpec("1f1", 3, theta=0.7))
+    assert small.jet(0.4 + 0.2j, 1) == small.jet(0.4 + 0.2j, 2)[:2]
+
+
+def test_jet_goes_to_order_two():
+    at = prepare_d_eval(DSpec("0f1", 2))
+    with pytest.raises(ValueError, match="order 2"):
+        at.jet(0.5, 3)

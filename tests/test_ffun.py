@@ -22,9 +22,9 @@ from hyperd.ffun import (
     f2_norm_I,
     f2f0_asymptotic,
     f_norm,
-    f_norm_jet,
     f_second,
-    f_second_jet,
+    prepare_f_norm,
+    prepare_f_second,
 )
 from hyperd.gammakit import gamma, pochhammer
 from hyperd.series import principal_pow
@@ -144,7 +144,7 @@ def test_jet_matches_finite_differences(kind):
          "2f1": F2(alpha=0.6, beta=0.3, mu=0.2)}[kind]
     z = complex(0.3, 0.25)
     h = 1e-4
-    f0, f1, f2 = f_norm_jet(p, z)
+    f0, f1, f2 = (r.value for r in prepare_f_norm(p).jet(z, 2))
     vals = {s: f_norm(p, z + s * h).value for s in (-2, -1, 0, 1, 2)}
     fd1 = (-vals[2] + 8 * vals[1] - 8 * vals[-1] + vals[-2]) / (12 * h)
     fd2 = (-vals[2] + 16 * vals[1] - 30 * vals[0] + 16 * vals[-1] - vals[-2]) / (12 * h * h)
@@ -180,7 +180,7 @@ def test_f_second_integer_alpha_is_proportional_to_f_norm():
 def test_f_second_jet_product_rule():
     p = F0(alpha=0.37)
     z = complex(0.8, 0.4)
-    g0, g1, g2 = f_second_jet(p, z)
+    g0, g1, g2 = (r.value for r in prepare_f_second(p).jet(z, 2))
     h = 1e-5
     vals = {s: f_second(p, z + s * h).value for s in (-2, -1, 0, 1, 2)}
     fd1 = (-vals[2] + 8 * vals[1] - 8 * vals[-1] + vals[-2]) / (12 * h)

@@ -11,22 +11,13 @@ import math
 import pytest
 
 from hyperd import oracle
-from hyperd.dfun import DSpec, d_eval, log_solution_jet
-from hyperd.errors import ExtrapolationUnstable, RoutesDisagree
-from hyperd.ffun import F0, F1, F2, f_norm, f_norm_jet, f_second_jet
+from hyperd.dfun import DSpec, d_eval, prepare_log_solution
+from hyperd.errors import (ExtrapolationUnstable, Inapplicable, PoleAtOrigin,
+                           RoutesDisagree)
+from hyperd.ffun import F0, F1, F2, f_norm, prepare_f_norm, prepare_f_second
 from hyperd.gammakit import EULER_GAMMA, recip_gamma
 from hyperd.series import principal_log
 from hyperd.ufun import URoute, u0, u1, u2
-
-
-class _Jet:
-    """Adapter giving ode_residual a .jet route for any jet function."""
-
-    def __init__(self, jet_fn):
-        self._fn = jet_fn
-
-    def jet(self, z):
-        return self._fn(z)
 
 
 _GRIDS = {
@@ -52,7 +43,7 @@ _PARAMS = {
 def test_ode_residual_f_norm(kind):
     for p in _PARAMS[kind]:
         for z in _GRIDS[kind]:
-            rep = oracle.ode_residual(_Jet(lambda w, p=p: f_norm_jet(p, w)), p, z)
+            rep = oracle.ode_residual(prepare_f_norm(p), p, z)
             assert rep.method == "SeriesDeriv"
             assert rep.residual < 1e-12
 
@@ -63,7 +54,7 @@ def test_ode_residual_f_second(kind):
         for z in _GRIDS[kind]:
             if z.imag == 0.0 and z.real <= 0.0:
                 continue  # z^(-alpha) cut
-            rep = oracle.ode_residual(_Jet(lambda w, p=p: f_second_jet(p, w)), p, z)
+            rep = oracle.ode_residual(prepare_f_second(p), p, z)
             assert rep.residual < 1e-10
 
 
@@ -99,10 +90,14 @@ def test_inhom_residual_on_validity_domain(kind, m):
 
 def test_inhom_contract_does_not_extend_to_negative_m_confluent():
     # for m < 0 the 1f1/2f1 companions are rescaled by the degenerate
-    # proportionality constant, so the m >= 0 forcing is simply wrong
-    spec = DSpec("1f1", -2, theta=0.7)
-    rep = oracle.inhom_residual(spec, complex(0.5, 0.3))
-    assert rep.residual > 1e-2
+    # proportionality constant, so the m >= 0 forcing does not hold and
+    # the residual would read as a failure: the oracle refuses instead
+    for spec in (DSpec("1f1", -2, theta=0.7), DSpec("1f1", -1, theta=0.7),
+                 DSpec("2f1", -2, beta=0.3, mu=0.2)):
+        with pytest.raises(Inapplicable, match="m >= 0"):
+            oracle.inhom_residual(spec, complex(0.5, 0.1))
+    # the 0f1 forcing holds at every m
+    assert oracle.inhom_residual(DSpec("0f1", -2), 0.5 + 0.1j).residual < 1e-14
 
 
 def test_log_solution_satisfies_homogeneous_equation():
@@ -115,8 +110,7 @@ def test_log_solution_satisfies_homogeneous_equation():
                 continue
             if kind == "2f1" and z.imag == 0.0 and z.real >= 0.0:
                 continue
-            rep = oracle.ode_residual(
-                _Jet(lambda w, spec=spec: log_solution_jet(spec, w)), p, z)
+            rep = oracle.ode_residual(prepare_log_solution(spec), p, z)
             assert rep.residual < 1e-10
 
 
@@ -182,6 +176,27 @@ def test_alpha_derivative_pole_coefficients():
 def test_alpha_derivative_routes_disagree_guard():
     with pytest.raises(RoutesDisagree):
         oracle.alpha_derivative(0.3, 0.45, fd_step=0.4)
+
+
+def test_alpha_derivative_takes_complex_alpha():
+    import mpmath as mp
+
+    # a real alpha given as a complex is the real alpha
+    assert oracle.alpha_derivative(complex(0.5, 0), 0.3) == \
+        oracle.alpha_derivative(0.5, 0.3)
+    for alpha in (0.5 + 0.3j, -2 + 0.2j):
+        got = oracle.alpha_derivative(alpha, 0.3).value
+        want = complex(mp.diff(lambda t: mp.hyp0f1(t + 1, 0.3) * mp.rgamma(t + 1),
+                               mp.mpc(alpha)))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_d_from_alpha_derivative_pole_at_origin():
+    with pytest.raises(PoleAtOrigin, match="m = 2"):
+        oracle.d_from_alpha_derivative(2, 0)
+    # D_0 has no pole: its value at 0 is -2 psi(1) = 2 gamma
+    assert abs(oracle.d_from_alpha_derivative(0, 0).value
+               - 2 * EULER_GAMMA) < 1e-12
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])

@@ -224,6 +224,58 @@ def test_precedence_of_point_and_parameter_faults(func, eq, lie, route, grid,
     assert rec["message"].startswith(message)
 
 
+# ---------------------------------------------------------------------------
+# the jet of a prepared callable: at(z) is at.jet(z, 0)[0]
+
+JET_ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0),
+          complex(-0.45, 0.0), complex(-0.45, -0.0), -0.45 + 0.1j, 0.0,
+          2.5 - 1.5j)
+JET_PARAMS = (F0(2), F0(-2), F0(0.37), F0(complex(-0.5, -0.0)), F1(0.7, 2),
+              F1(0.7, -1), F1(complex(0.7, -0.0), 0.4), F2(1, 0.3, 0.2),
+              F2(-2, 0.3, 0.25), F2(0.4, complex(0.3, -0.0), 0.2))
+JET_SPECS = (DSpec("0f1", 3), DSpec("0f1", -2), DSpec("1f1", 2, theta=0.7),
+             DSpec("1f1", -1, theta=complex(0.7, -0.0)),
+             DSpec("2f1", 1, beta=0.3, mu=0.2),
+             DSpec("2f1", -2, beta=complex(0.3, -0.0), mu=0.2))
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except (HyperdError, ValueError, TypeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _prepared_corpus():
+    from hyperd.dfun import prepare_d_eval, prepare_d_eval_I, prepare_log_solution
+    from hyperd.ffun import prepare_f2_norm_I, prepare_f_norm, prepare_f_second
+
+    for p in JET_PARAMS:
+        yield from ((prepare, p) for prepare in (prepare_f_norm, prepare_f_second))
+        if isinstance(p, F2):
+            yield prepare_f2_norm_I, p
+    for spec in JET_SPECS:
+        yield from ((prepare, spec) for prepare in (prepare_d_eval, prepare_log_solution))
+        if spec.kind == "2f1":
+            yield prepare_d_eval_I, spec
+
+
+@pytest.mark.parametrize("prepare,arg", list(_prepared_corpus()))
+def test_jet_entry_zero_is_the_point_value(prepare, arg):
+    at = prepare(arg)
+    for z in JET_ZS:
+        want = _outcome(lambda: at(z))
+        for k in (0, 1, 2):
+            got = _outcome(lambda: at.jet(z, k))
+            if want.startswith("EvalResult"):
+                assert got.startswith("(" + want), (k, z)
+                assert len(at.jet(z, k)) == k + 1
+            else:
+                # a point that raises raises the same from the jet
+                assert got == want, (k, z)
+        assert _outcome(lambda: at.jet(z, 1)) == _outcome(lambda: at.jet(z, 2)[:2])
+
+
 def test_prepared_routes_stay_per_point():
     # one prepared u2 serves points on either side of the annulus and
     # raises for the point inside it without losing the other routes

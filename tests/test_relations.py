@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperd.dfun import DSpec, d_eval, log_solution, log_solution_jet
+from hyperd.dfun import DSpec, d_eval, log_solution, prepare_log_solution
 from hyperd.errors import DomainError, Inapplicable, UnknownRelation
 from hyperd.ffun import F0, f_norm
 from hyperd.gammakit import pochhammer
@@ -191,9 +191,9 @@ def test_log_solution_meta_property():
     z = complex(0.5, 0.4)
     for m in (0, 2):
         spec = DSpec("0f1", m)
-        _, w1, _ = log_solution_jet(spec, z)
+        _, w1 = prepare_log_solution(spec).jet(z, 1)
         want = log_solution(spec.with_m(m + 1), z).value
-        assert abs(w1 - want) < 1e-11
+        assert abs(w1.value - want) < 1e-11
 
 
 def test_sweep_record_determinism(catalog):
@@ -263,26 +263,25 @@ def test_f0_recurrence_rows_property(alpha, z):
 def test_recurrence_records_sum_only_the_one_jet(catalog, monkeypatch):
     # the lhs and the ladder read F and F' (D and D'), so the second
     # derivative is never summed
-    from hyperd import dfun, ffun, relations
+    from hyperd import dfun, ffun
 
     calls = []
     for mod in (ffun, dfun):
         real = mod.sum_power_series
         monkeypatch.setattr(mod, "sum_power_series",
                             lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
-    for kind, params in (("0f1", ffun.F0(1)), ("1f1", ffun.F1(0.7, 2)),
-                         ("2f1", ffun.F2(1, 0.3, 0.2))):
+    z = 0.3 + 0.1j
+    for key, d in (("f0.recurF.raise", {"alpha": 1}),
+                   ("f1.recurF.raise-up", {"alpha": 2, "theta": 0.7}),
+                   ("f2.recurFI.pp0", {"alpha": 1, "beta": 0.3, "mu": 0.2}),
+                   ("f0.recurD.raise", {"m": 2}),
+                   ("f1.recurD.raise-up", {"m": 2, "theta": 0.7}),
+                   ("f2.recurDI.pp0", {"m": 2, "beta": 0.3, "mu": 0.2})):
+        rec = catalog[key]
         del calls[:]
-        jet = relations._F_EVAL[kind][1](params, 0.3 + 0.1j)
-        assert len(jet) == 2 and len(calls) == 2
-        want = (ffun.f2_norm_I_jet if kind == "2f1" else ffun.f_norm_jet)(
-            params, 0.3 + 0.1j)
-        assert jet == want[:2]
-        spec = DSpec(kind, 2, **{k: v for k, v in vars(params).items()
-                                 if k != "alpha"})
+        rec.lhs(d, z)
+        assert len(calls) == 2, key
+        # the ladder adds the value of F at the unshifted parameters to D's
         del calls[:]
-        jet = relations._D_EVAL[kind][1](spec, 0.3 + 0.1j)
-        assert len(jet) == 2 and len(calls) == 2
-        want = (dfun.d_eval_I_jet if kind == "2f1" else dfun.d_eval_jet)(
-            spec, 0.3 + 0.1j)
-        assert jet == want[:2]
+        rec.ladder(d, z)
+        assert len(calls) == (3 if "recurD" in key else 2), key

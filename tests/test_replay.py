@@ -17,9 +17,7 @@ from hyperd import (
     DSpec,
     bessel,
     d_eval,
-    d_eval_jet,
     f_norm,
-    f_norm_jet,
     log_solution,
     u0,
     u1,
@@ -27,6 +25,19 @@ from hyperd import (
 )
 from hyperd import dfun, ffun
 from hyperd.errors import HyperdError
+
+
+# the 2-jets of the prepared callables, one fresh prepare per call
+def f_norm_2jet(p, z):
+    return ffun.prepare_f_norm(p).jet(z, 2)
+
+
+def d_eval_2jet(spec, z):
+    return dfun.prepare_d_eval(spec).jet(z, 2)
+
+
+def log_solution_2jet(spec, z):
+    return dfun.prepare_log_solution(spec).jet(z, 2)
 
 ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0), -0.45 + 0.1j,
       3.0 - 1.5j)
@@ -51,9 +62,9 @@ ROUTES = (None, "Connection", "LogPlusD", "Asymptotic2F0", "KummerReflected")
 ALPHAS = (2, -1, 0.4, 2 + 1e-11)
 
 CORPUS = (
-    [(f, (p, z)) for p in F_PARAMS for z in ZS for f in (f_norm, f_norm_jet)]
+    [(f, (p, z)) for p in F_PARAMS for z in ZS for f in (f_norm, f_norm_2jet)]
     + [(f, (s, z)) for s in SPECS for z in ZS
-       for f in (d_eval, d_eval_jet, log_solution)]
+       for f in (d_eval, d_eval_2jet, log_solution, log_solution_2jet)]
     + [(u0, (a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
     + [(u1, (0.7, a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
     + [(u2, (a, 0.3, 0.2, z, r)) for a in ALPHAS for z in ZS + (-3 + 0.5j,)
@@ -108,9 +119,9 @@ def test_threads_match_sequential_run():
 P, SPEC, Z = F1(0.7, 0.4), DSpec("1f1", -2, theta=0.7), 0.5 + 0.2j
 CALLS = {
     "f_norm": lambda: f_norm(P, Z),
-    "f_norm_jet": lambda: f_norm_jet(P, Z),
+    "f_norm_jet": lambda: f_norm_2jet(P, Z),
     "d_eval": lambda: d_eval(SPEC, Z),
-    "d_eval_jet": lambda: d_eval_jet(SPEC, Z),
+    "d_eval_jet": lambda: d_eval_2jet(SPEC, Z),
 }
 
 
@@ -155,10 +166,19 @@ def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
 def test_prepared_callable_builds_a_raised_stream_again(monkeypatch, prepare,
                                                         arg):
     # a prepared callable keeps its stream from point to point, but not
-    # one that raised: the next point builds it anew
-    want = repr(prepare(arg)(Z))
+    # one that raised: the next point builds it anew, for the value as for
+    # the jet
+    fresh = prepare(arg)
+    want, want_jet = repr(fresh(Z)), repr(fresh.jet(Z, 2))
     _fail_streams(monkeypatch, persistent=False)
     at = prepare(arg)
     with pytest.raises(ZeroDivisionError):
         at(Z)
+    assert repr(at.jet(Z, 2)) == want_jet
+    assert repr(at(Z)) == want
+    _fail_streams(monkeypatch, persistent=False)
+    at = prepare(arg)
+    with pytest.raises(ZeroDivisionError):
+        at.jet(Z, 2)
+    assert repr(at.jet(Z, 2)) == want_jet
     assert repr(at(Z)) == want

@@ -256,6 +256,12 @@ def test_bessel_hankel(m):
         assert abs(h1 + h2 - 2.0 * jj) < 1e-13 * max(1.0, abs(jj))
 
 
+@pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
+def test_bessel_non_finite_order_is_a_domain_error(m):
+    with pytest.raises(DomainError, match="m = "):
+        bessel("I", m, 1)
+
+
 def test_bessel_k_matches_u0_composition():
     # K_m(z) = (sqrt(pi)/2) (z/2)^m U_m(z^2/4)
     for m in (0, 1, 2, 3):
