@@ -17,6 +17,14 @@ For integer alpha = m the reciprocal Gamma kills every term with
 m + n < 0, so the sum starts at n = max(0, -m); that convention is what
 keeps the degenerate case well defined and is preserved literally here.
 
+F is summed through one of two maps that keep c, and with it m, fixed,
+where the map's series is the shorter: Kummer's for 1F1 at Re z < 0,
+F_{theta,alpha}(z) = e^z F_{-theta,alpha}(-z) (DLMF 13.2.39), whose
+terms at -z do not cancel, and Pfaff's for 2F1 where |z/(z-1)| < |z|,
+F_{alpha,beta,mu}(z) = (1-z)^(-a) F_{alpha,-mu,-beta}(z/(z-1)),
+a = (1+alpha+beta-mu)/2 (DLMF 15.8.1).  0F1 and every other point sum
+the series above (see prepare_f_norm).
+
 Every point function f(p, z, ...) is prepare_f(p, ...)(z): the prepare
 step does the work that depends on the parameters alone and returns a
 callable of z, so a grid at fixed parameters does that work once.  A
@@ -31,23 +39,28 @@ from any thread; a prepared callable keeps its coefficient stream
 A prepared callable at carries its derivatives: at.jet(z, order) is
 (at, at', ..., at^(order)) at z as order + 1 EvalResults, and at(z) is
 at.jet(z, 0)[0], so the value and the derivatives pass the same checks
-and sum the same kept stream.  oracle.ode_residual reads the values of
+and sum the same kept stream.  At a point that takes a map the jet
+sums the map's stream alone, and the chain rule and Leibniz's rule
+carry its derivatives to F's.  oracle.ode_residual reads the values of
 at.jet(z, 2), the relation records those of at.jet(z, 1).
 """
 
+import cmath
 import functools
 import math
 import operator
 import sys
 from dataclasses import dataclass
 
-from .errors import DivergedImmediately, DomainError, ParameterSingular, PoleError
+from .errors import (DivergedImmediately, DomainError, NoConvergence, ParameterSingular,
+                     PoleError)
 from .gammakit import gamma, near_int, pochhammer, recip_gamma
 from .series import (
     MAX_TERMS,
     EvalResult,
     _check_finite,
     _check_point,
+    _combined_jet,
     _kept,
     _prepared,
     _product_jet,
@@ -192,8 +205,10 @@ def _check_order(m):
         )
 
 
-def _seed(p):
-    """(start index, iterator factory) for the series of p (series._replay).
+def _seed(p, image=None):
+    """(start index, iterator factory) for the series of p (series._replay),
+    or for the series whose classical parameters are image(a, ..., c) of
+    those of p.
 
     The seed is read off the classical parameters (a, b, ..., c).  In the
     degenerate case alpha is snapped to m first, the sum starts at
@@ -202,12 +217,14 @@ def _seed(p):
     """
     _check_finite(vars(p))
     m = near_int(p.alpha, DEGENERACY_TOL)
+    if m is not None:
+        _check_order(m)
+    *upper, c = p._classical(p.alpha if m is None else m)
+    if image is not None:
+        *upper, c = image(*upper, c)
     if m is None:
-        *upper, c = p.to_classical()
         n0, c0, c = 0, recip_gamma(c), complex(c)
     else:
-        _check_order(m)
-        *upper, c = p._classical(m)
         n0 = max(0, -m)
         num = (functools.reduce(operator.mul, [pochhammer(u, n0) for u in upper])
                if n0 and upper else 1.0)
@@ -215,34 +232,148 @@ def _seed(p):
     return n0, _replay(_TERMS[len(upper)](c0, n0, c, *upper))
 
 
-def prepare_f_norm(p, max_terms=MAX_TERMS):
-    """The callable z -> f_norm(p, z, max_terms), with its .jet(z, order):
-    (F, F', ..., F^(order)) by term-by-term differentiation of the series,
-    each derivative one more sum over the same stream."""
+def _kummer(a, c):
+    # 1F1(a; c; z) = e^z 1F1(c-a; c; -z): F_{theta,alpha} -> F_{-theta,alpha}
+    return c - a, c
+
+
+def _pfaff(a, b, c):
+    # 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)):
+    # F_{alpha,beta,mu} -> F_{alpha,-mu,-beta}
+    return a, c - b, c
+
+
+@functools.cache
+def _kummer_rows(order):
+    # complex, so that a combination multiplies complex by complex (see the
+    # series module)
+    return tuple([tuple([complex((-1) ** i * math.comb(k, i)) for i in range(k + 1)])
+                  for k in range(1, order + 1)])
+
+
+def _kummer_weights(p):
+    """weights(z, order) of F = e^z G(-z): (scale, rows), the scale e^z and
+    rows[k-1][i] the factor of G^(i)(-z) in F^(k)(z) / e^z, which is
+    (-1)^i C(k, i) by Leibniz's rule."""
+    return lambda z, order: (cmath.exp(z), _kummer_rows(order))
+
+
+def _pfaff_weights(p):
+    """weights(z, order) of F = (1-z)^(-a) G(x), x = z/(z-1), with a at the
+    snapped alpha, as G is summed: (scale, rows), the scale (1-z)^(-a) and
+    rows[k-1][i] the factor of G^(i)(x) in F^(k)(z) / (1-z)^(-a), which is
+    (-1)^i C(k, i) (a+i)_(k-i) u^(k+i) with u = 1/(1-z).
+
+    Leibniz's rule over the scale, whose j-th derivative is
+    (a)_j u^(a+j), and the chain rule, by which the m-th derivative of
+    G(x(z)) is the sum of (-1)^i L(m, i) u^(m+i) G^(i)(x) with L the
+    unsigned Lah numbers, collapse to these factors: d/dz = u^2 d/du, and
+    (u^2 d/du)^k = u^(k+1) (d/du)^k u^(k-1).
+    """
+    m = near_int(p.alpha, DEGENERACY_TOL)
+    a = complex(p._classical(p.alpha if m is None else m)[0])
+
+    def weights(z, order):
+        # Re(1 - z) > 0 inside the disc: the principal power, no cut
+        u = 1 / (1 - z)
+        return (1 - z) ** -a, [
+            [(-1) ** i * math.comb(k, i) * math.prod([a + j for j in range(i, k)]) * u ** (k + i)
+             for i in range(k + 1)] for k in range(1, order + 1)]
+
+    return weights
+
+
+def _mapped_seed(p, image, weights):
+    """_seed(p, image) and weights(p): the stream of the image and its
+    weights at a point, taken once the parameters have passed the checks
+    of the seed."""
+    return (*_seed(p, image), weights(p))
+
+
+def _named(exc, x, z, scale):
+    """exc, raised by a sum at the image x of z, as raised at z: its
+    message names z, and a NoConvergence carries the partial sum and
+    error times scale."""
+    msg = str(exc).replace(f"z = {x}", f"z = {z}")
+    if isinstance(exc, NoConvergence):
+        return NoConvergence(msg, partial=scale * exc.partial, err=abs(scale) * exc.err)
+    return DomainError(msg)
+
+
+def _check_params(p):
     if not isinstance(p, EquationParams):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
-    seed = []
+
+
+def prepare_f_norm(p, max_terms=MAX_TERMS):
+    """The callable z -> f_norm(p, z, max_terms), with its .jet(z, order).
+
+    After the point check and the 2F1 disc check, two kinds of point sum
+    the series of a map that keeps alpha, and with it m, fixed, because
+    that series is shorter there:
+
+    - 1F1 at Re z < 0, by Kummer's map (DLMF 13.2.39):
+      F_{theta,alpha}(z) = e^z G(-z), G = F_{-theta,alpha}, whose terms
+      at -z do not alternate and cancel;
+    - 2F1 where |z/(z-1)| < |z|, by Pfaff's map (DLMF 15.8.1):
+      F_{alpha,beta,mu}(z) = (1-z)^(-a) G(z/(z-1)), G = F_{alpha,-mu,-beta},
+      a = (1+alpha+beta-mu)/2.
+
+    Every other point, and every 0F1 point, sums the series of p.  The
+    jet is (F, F', ..., F^(order)).  Where no map is taken, F^(k) sums
+    the series of p differentiated k times term by term, one more sum
+    over the same stream.  At a mapped point the jet of G at x is summed
+    so, from G's stream alone, and F^(k) is the scale times the sum over
+    i <= k of w(k, i) G^(i)(x) (series._combined_jet), the w from
+    Leibniz's rule and the chain rule: (-1)^i C(k, i) for x = -z, and
+    (-1)^i C(k, i) (a+i)_(k-i) u^(k+i) for x = z/(z-1), u = 1/(1-z)
+    (_pfaff_weights).  A sum of G that raises names z.
+    """
+    _check_params(p)
     disc = isinstance(p, F2)
+    kummer = isinstance(p, F1)
+    # the map of the kind (a 0F1 takes none)
+    image, weights = (_pfaff, _pfaff_weights) if disc else (_kummer, _kummer_weights)
+    # the kept streams of p and of its image, each built at the first
+    # point that sums it
+    direct, mapped = [], []
 
     def jet(z, order):
         z = complex(z)
         _check_point(z)
-        if disc and abs(z) > F2_SERIES_RADIUS:
-            raise DomainError(
-                f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-            )
-        start, gen = _kept(seed, _seed, p)
+        if disc:
+            if abs(z) > F2_SERIES_RADIUS:
+                raise DomainError(
+                    f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+                )
+            # |z/(z-1)| < |z|
+            x = z / (z - 1) if abs(z - 1) > 1 else None
+        else:
+            x = -z if kummer and z.real < 0 else None
+        if x is None:
+            box, x = direct, z
+            start, gen = _kept(direct, _seed, p)
+        else:
+            box = mapped
+            start, gen, at = _kept(mapped, _mapped_seed, p, image, weights)
         try:
-            out = (sum_power_series(gen(), z, max_terms, start=start),)
+            out = (sum_power_series(gen(), x, max_terms, start=start),)
             if order:
                 for k in range(1, order + 1):
                     s, g = deriv_coeffs(gen, start, k)
-                    out += (sum_power_series(g(), z, max_terms, start=s),)
-        except BaseException:
+                    out += (sum_power_series(g(), x, max_terms, start=s),)
+        except BaseException as exc:
             # a stream that raised is built anew at the next point
-            seed.clear()
-            raise
-        return out
+            box.clear()
+            if box is direct or not isinstance(exc, (DomainError, NoConvergence)):
+                raise
+            raise _named(exc, x, z, at(z, 0)[0]) from None
+        if box is direct:
+            return out
+        scale, rows = at(z, order)
+        if not order:
+            return (out[0].scaled(scale),)
+        return tuple([r.scaled(scale) for r in _combined_jet(rows, out)])
 
     return _prepared(jet)
 
@@ -260,9 +391,7 @@ def _reflected(p):
         return F0(alpha=-p.alpha)
     if isinstance(p, F1):
         return F1(theta=p.theta, alpha=-p.alpha)
-    if isinstance(p, F2):
-        return F2(alpha=-p.alpha, beta=p.beta, mu=-p.mu)
-    raise TypeError(f"unsupported parameter type {type(p).__name__}")
+    return F2(alpha=-p.alpha, beta=p.beta, mu=-p.mu)
 
 
 def _snap_alpha(p):
@@ -276,6 +405,7 @@ def prepare_f_second(p, max_terms=MAX_TERMS):
     by the product rule over z^a F_reflected, a = -alpha.  The j-th
     derivative of z^a is a (a-1) ... (a-j+1) z^(a-j), and 0 where that
     product vanishes, so that an integer a >= 0 has a jet at z = 0."""
+    _check_params(p)
     p = _snap_alpha(p)
     f = prepare_f_norm(_reflected(p), max_terms).jet
     a = -p.alpha

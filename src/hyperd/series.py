@@ -131,11 +131,26 @@ def _product_jet(s, g, d=None):
         parts = [(math.comb(k, j) * s[j], g[k - j]) for j in range(k + 1)]
         if d is not None:
             parts.append((1.0, d[k]))
-        terms = [c * r.value for c, r in parts]
-        err = sum(abs(c) * r.err_estimate for c, r in parts) + _EPS * sum(map(abs, terms))
-        out += (EvalResult(sum(terms), err, sum(r.terms_used for _, r in parts),
-                           frozenset().union(*(r.flags for _, r in parts))),)
+        out += (_linear(parts),)
     return out
+
+
+def _combined_jet(rows, g):
+    """The jet whose entry 0 is g[0] and entry k >= 1 is the sum of
+    rows[k-1][i] g[i] over i <= k, g a jet: the jet of G(x(z)) when the
+    chain rule gives its k-th derivative as that combination of the
+    derivatives of G at x.  Errors as in _product_jet."""
+    return (g[0],) + tuple([_linear(list(zip(row, g))) for row in rows])
+
+
+def _linear(parts):
+    """The sum of c r over the pairs (c, r) of parts, r EvalResults.  Its
+    error is the sum of |c| err(r) plus eps times the sum of the
+    magnitudes of the summands, since they can cancel."""
+    terms = [c * r.value for c, r in parts]
+    err = sum([abs(c) * r.err_estimate for c, r in parts]) + _EPS * sum(map(abs, terms))
+    return EvalResult(sum(terms), err, sum([r.terms_used for _, r in parts]),
+                      frozenset().union(*[r.flags for _, r in parts]))
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,10 @@ def test_seventeen_digit_round_trip(capsys):
 
 
 def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys):
-    # the 1F1 series at z = -60 cancels so far that err_estimate is inf
-    argv = ["--eq", "1f1", "--a", "1.85", "--c", "3"]
-    code, out, err = run(["eval"] + argv + ["--z", "-60"], capsys)
+    # U of 1F1 at alpha = -170, z = 150 comes back as inf+nanj with an
+    # infinite err_estimate (an open defect: it should raise)
+    argv = ["--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "-170"]
+    code, out, err = run(["eval"] + argv + ["--z", "150"], capsys)
     assert code == 0, err
 
     def reject(name):
@@ -139,7 +140,7 @@ def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys):
 
     (rec,) = json.loads(out, parse_constant=reject)["records"]
     assert rec["err_estimate"] is None
-    code, out, err = run(["table"] + argv + ["--grid=-60:-60:1,0:0:1"], capsys)
+    code, out, err = run(["table"] + argv + ["--grid=150:150:1,0:0:1"], capsys)
     assert code == 0, err
     assert out.splitlines()[-1].split(",")[4] == "inf"
 
