@@ -14,10 +14,9 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr).  eval and table take --max-terms, the cap on series lengths,
-as their only series option, and their header echoes it with the fixed
-tolerance REL_TOL.  verify sums every series within the default
-MAX_TERMS and takes no --max-terms.
+stderr).  Every series stops by the fixed tolerance REL_TOL within the
+fixed budget MAX_TERMS; no subcommand takes an option for either, and the
+eval/table header echoes both.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written
@@ -245,21 +244,19 @@ def _evaluator(args, lie):
     """
     eq = args.eq
     func = args.func
-    max_terms = args.max_terms
 
     if func in ("FI", "DI") and eq != "2f1":
         raise DomainError("--func %s is defined for --eq 2f1 only" % (func,))
 
     if func in _PREPARE_P:
         p = PARAMS_BY_KIND[eq](**lie)
-        prepare = functools.partial(_PREPARE_P[func], p, max_terms)
+        prepare = functools.partial(_PREPARE_P[func], p)
     elif func in _PREPARE_SPEC:
         spec = _d_spec(eq, lie)
-        prepare = functools.partial(_PREPARE_SPEC[func], spec, max_terms)
+        prepare = functools.partial(_PREPARE_SPEC[func], spec)
     elif func == "U":
         fn, names = _PREPARE_U[eq]
-        prepare = functools.partial(fn, *(lie[k] for k in names),
-                                    args.route, max_terms)
+        prepare = functools.partial(fn, *(lie[k] for k in names), args.route)
     else:
         raise DomainError("unknown function %r" % (func,))
     at = []
@@ -317,7 +314,7 @@ def cmd_eval(args, stream):
                                     res.terms_used, flags))
     doc = {"command": args.command, "eq": args.eq, "func": args.func,
            "params": lie, "classical": classical,
-           "rel_tol": REL_TOL, "max_terms": args.max_terms}
+           "rel_tol": REL_TOL, "max_terms": MAX_TERMS}
     if args.route:
         doc["route"] = args.route
     _write(doc, _EVAL_KEYS, rows, args.format, stream)
@@ -485,12 +482,8 @@ def _add_param_args(sp):
                     help="force a U evaluation route")
 
 
-def _add_common(sp):
-    sp.add_argument("--max-terms", type=int, default=MAX_TERMS)
-
-
 # built on the first main() call and reused after that: each parse
-# returns a fresh namespace, and building the 44 actions takes about a
+# returns a fresh namespace, and building the 42 actions takes about a
 # tenth of a 294-point F table request
 @functools.cache
 def _parser():
@@ -507,14 +500,12 @@ def _parser():
     pe.add_argument("--grid", default=None,
                     help="re0:re1:n,im0:im1:m (row-major, imaginary outer)")
     pe.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_common(pe)
 
     pt = sub.add_parser("table", help="evaluate over a grid, CSV by default")
     _add_param_args(pt)
     pt.add_argument("--grid", required=True,
                     help="re0:re1:n,im0:im1:m (row-major, imaginary outer)")
     pt.add_argument("--format", default="csv", choices=("json", "csv"))
-    _add_common(pt)
 
     pv = sub.add_parser("verify", help="run identity suites")
     pv.add_argument("--suite", default=None,

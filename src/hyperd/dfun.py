@@ -23,7 +23,7 @@ Negative order is a pure power shift, D_{-m} := z^m D_m, which turns the
 principal part into low-order polynomial coefficients and leaves no pole.
 
 As in ffun, every point function is its prepare function called at z:
-prepare_d_eval(spec, ...)(z) and so on, with the expansion built, the
+prepare_d_eval(spec)(z) and so on, with the expansion built, the
 I-form prefactor computed and the F of log_solution prepared once.  A
 prepared callable at carries at.jet(z, order) for order up to 2, as in
 ffun: at(z) is at.jet(z, 0)[0].
@@ -48,7 +48,6 @@ from .ffun import (
 )
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
-    MAX_TERMS,
     EvalResult,
     LaurentExpansion,
     _check_point,
@@ -226,8 +225,8 @@ def _expand(spec):
     return (), _replay(itertools.chain(reversed(principal), tail))
 
 
-def prepare_d_eval(spec, max_terms=MAX_TERMS):
-    """The callable z -> d_eval(spec, z, max_terms), with its .jet(z, order)
+def prepare_d_eval(spec):
+    """The callable z -> d_eval(spec, z), with its .jet(z, order)
     for order 0, 1 or 2: the principal part differentiated exactly, the
     tail term by term over the same stream.  The expansion is built here."""
     expansion = []
@@ -259,12 +258,12 @@ def prepare_d_eval(spec, max_terms=MAX_TERMS):
             if not all(map(cmath.isfinite, heads)):
                 raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
         try:
-            t = sum_power_series(tail_coeff(), z, max_terms)
+            t = sum_power_series(tail_coeff(), z)
             out = (EvalResult(heads[0] + t.value, t.err_estimate, t.terms_used, t.flags),)
             if order:
                 for k in range(1, order + 1):
                     s, g = deriv_coeffs(tail_coeff, 0, k)
-                    t = sum_power_series(g(), z, max_terms, start=s)
+                    t = sum_power_series(g(), z, start=s)
                     out += (EvalResult(heads[k] + t.value, t.err_estimate, t.terms_used, t.flags),)
         except BaseException:
             # a stream that raised is built anew at the next point
@@ -275,13 +274,13 @@ def prepare_d_eval(spec, max_terms=MAX_TERMS):
     return _prepared(jet)
 
 
-def d_eval(spec, z, max_terms=MAX_TERMS):
+def d_eval(spec, z):
     """Value of D at z: exact principal part plus summed tail.
 
     err_estimate covers the tail truncation only.
-    prepare_d_eval(spec, max_terms)(z).
+    prepare_d_eval(spec)(z).
     """
-    return prepare_d_eval(spec, max_terms)(z)
+    return prepare_d_eval(spec)(z)
 
 
 def _principal_derivs(principal, w, order):
@@ -308,15 +307,15 @@ def _principal_derivs(principal, w, order):
     return (h1 if cmath.isfinite(h1) else g1, h2 if cmath.isfinite(h2) else g2)
 
 
-def prepare_log_solution(spec, max_terms=MAX_TERMS):
-    """The callable z -> log_solution(spec, z, max_terms), with its
+def prepare_log_solution(spec):
+    """The callable z -> log_solution(spec, z), with its
     .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
     where (log z)' = 1/z on either cut.  Entry 0 is
     series.log_combo(ell, F, D)."""
     # 0F1/1F1 carry log z, 2F1 carries log(-z)
     log = log_negated if spec.kind == "2f1" else principal_log
-    f = prepare_f_norm(spec.params, max_terms).jet
-    d = prepare_d_eval(spec, max_terms).jet
+    f = prepare_f_norm(spec.params).jet
+    d = prepare_d_eval(spec).jet
 
     def jet(z, order):
         ell = log(z)
@@ -327,27 +326,27 @@ def prepare_log_solution(spec, max_terms=MAX_TERMS):
     return _prepared(jet)
 
 
-def log_solution(spec, z, max_terms=MAX_TERMS):
+def log_solution(spec, z):
     """log z * F + D (log(-z) * F + D for 2f1) at order m.
 
-    prepare_log_solution(spec, max_terms)(z).
+    prepare_log_solution(spec)(z).
     """
-    return prepare_log_solution(spec, max_terms)(z)
+    return prepare_log_solution(spec)(z)
 
 
-def prepare_d_eval_I(spec, max_terms=MAX_TERMS):
-    """The callable z -> d_eval_I(spec, z, max_terms), with its
+def prepare_d_eval_I(spec):
+    """The callable z -> d_eval_I(spec, z), with its
     .jet(z, order): the jet of D, each entry scaled by the prefactor."""
     if spec.kind != "2f1":
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
     pref = _f2_I_prefactor(spec.params)
-    d = prepare_d_eval(spec, max_terms).jet
+    d = prepare_d_eval(spec).jet
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in d(z, order)]))
 
 
-def d_eval_I(spec, z, max_terms=MAX_TERMS):
+def d_eval_I(spec, z):
     """The symmetric form D^I = Gamma(a) Gamma(c-a) D for the 2f1 kind.
 
-    prepare_d_eval_I(spec, max_terms)(z).
+    prepare_d_eval_I(spec)(z).
     """
-    return prepare_d_eval_I(spec, max_terms)(z)
+    return prepare_d_eval_I(spec)(z)

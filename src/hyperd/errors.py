@@ -16,8 +16,8 @@ class PoleError(HyperdError):
 
 
 class NoConvergence(HyperdError):
-    """Series summation hit max_terms without meeting the stopping
-    criterion."""
+    """Series summation hit its term budget (series.MAX_TERMS for every
+    evaluator) without meeting the stopping criterion."""
 
     flag = "TruncationMaxed"
 

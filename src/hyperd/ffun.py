@@ -25,9 +25,9 @@ F_{alpha,beta,mu}(z) = (1-z)^(-a) F_{alpha,-mu,-beta}(z/(z-1)),
 a = (1+alpha+beta-mu)/2 (DLMF 15.8.1).  0F1 and every other point sum
 the series above (see prepare_f_norm).
 
-Every point function f(p, z, ...) is prepare_f(p, ...)(z): the prepare
-step does the work that depends on the parameters alone and returns a
-callable of z, so a grid at fixed parameters does that work once.  A
+Every point function f(p, z) is prepare_f(p)(z): the prepare step does
+the work that depends on the parameters alone and returns a callable of
+z, so a grid at fixed parameters does that work once.  A
 part of the set-up that a lone call does only after a check of z (the
 coefficient stream of f_norm comes after the 2F1 disc check) is done at
 the first point that passes its checks and kept after that; until it
@@ -305,8 +305,8 @@ def _check_params(p):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
 
 
-def prepare_f_norm(p, max_terms=MAX_TERMS):
-    """The callable z -> f_norm(p, z, max_terms), with its .jet(z, order).
+def prepare_f_norm(p):
+    """The callable z -> f_norm(p, z), with its .jet(z, order).
 
     After the point check and the 2F1 disc check, two kinds of point sum
     the series of a map that keeps alpha, and with it m, fixed, because
@@ -357,11 +357,11 @@ def prepare_f_norm(p, max_terms=MAX_TERMS):
             box = mapped
             start, gen, at = _kept(mapped, _mapped_seed, p, image, weights)
         try:
-            out = (sum_power_series(gen(), x, max_terms, start=start),)
+            out = (sum_power_series(gen(), x, start=start),)
             if order:
                 for k in range(1, order + 1):
                     s, g = deriv_coeffs(gen, start, k)
-                    out += (sum_power_series(g(), x, max_terms, start=s),)
+                    out += (sum_power_series(g(), x, start=s),)
         except BaseException as exc:
             # a stream that raised is built anew at the next point
             box.clear()
@@ -378,12 +378,12 @@ def prepare_f_norm(p, max_terms=MAX_TERMS):
     return _prepared(jet)
 
 
-def f_norm(p, z, max_terms=MAX_TERMS):
+def f_norm(p, z):
     """The normalized solution F of the equation selected by p.
 
-    prepare_f_norm(p, max_terms)(z).
+    prepare_f_norm(p)(z).
     """
-    return prepare_f_norm(p, max_terms)(z)
+    return prepare_f_norm(p)(z)
 
 
 def _reflected(p):
@@ -400,14 +400,14 @@ def _snap_alpha(p):
     return p if m is None else type(p)(**{**vars(p), "alpha": m})
 
 
-def prepare_f_second(p, max_terms=MAX_TERMS):
-    """The callable z -> f_second(p, z, max_terms), with its .jet(z, order)
+def prepare_f_second(p):
+    """The callable z -> f_second(p, z), with its .jet(z, order)
     by the product rule over z^a F_reflected, a = -alpha.  The j-th
     derivative of z^a is a (a-1) ... (a-j+1) z^(a-j), and 0 where that
     product vanishes, so that an integer a >= 0 has a jet at z = 0."""
     _check_params(p)
     p = _snap_alpha(p)
-    f = prepare_f_norm(_reflected(p), max_terms).jet
+    f = prepare_f_norm(_reflected(p)).jet
     a = -p.alpha
 
     def jet(z, order):
@@ -423,15 +423,15 @@ def prepare_f_second(p, max_terms=MAX_TERMS):
     return _prepared(jet)
 
 
-def f_second(p, z, max_terms=MAX_TERMS):
+def f_second(p, z):
     """The power-behaved second solution z^(-alpha) F with reflected parameters.
 
     Reflection sends alpha -> -alpha (and mu -> -mu for 2F1).  For
     integer alpha the prefactor is an exact integer power, so no branch
     cut is introduced; the result is then proportional to f_norm.
-    prepare_f_second(p, max_terms)(z).
+    prepare_f_second(p)(z).
     """
-    return prepare_f_second(p, max_terms)(z)
+    return prepare_f_second(p)(z)
 
 
 def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
@@ -478,19 +478,19 @@ def _f2_I_prefactor(p):
         raise ParameterSingular(f"F^I prefactor Gamma at a pole: {exc}") from exc
 
 
-def prepare_f2_norm_I(p, max_terms=MAX_TERMS):
-    """The callable z -> f2_norm_I(p, z, max_terms), with its .jet(z, order):
+def prepare_f2_norm_I(p):
+    """The callable z -> f2_norm_I(p, z), with its .jet(z, order):
     the jet of F, each entry scaled by the prefactor."""
     if not isinstance(p, F2):
         raise TypeError("f2_norm_I takes F2 parameters")
     pref = _f2_I_prefactor(p)
-    f = prepare_f_norm(p, max_terms).jet
+    f = prepare_f_norm(p).jet
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in f(z, order)]))
 
 
-def f2_norm_I(p, z, max_terms=MAX_TERMS):
+def f2_norm_I(p, z):
     """The symmetric form F^I = Gamma(a) Gamma(c-a) F for the 2F1 kind.
 
-    prepare_f2_norm_I(p, max_terms)(z).
+    prepare_f2_norm_I(p)(z).
     """
-    return prepare_f2_norm_I(p, max_terms)(z)
+    return prepare_f2_norm_I(p)(z)

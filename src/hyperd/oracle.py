@@ -16,7 +16,7 @@ from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
                      PoleAtOrigin, RoutesDisagree)
 from .ffun import F0, f_norm, prepare_f_norm
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
-from .series import EvalResult, MAX_TERMS, sum_power_series
+from .series import EvalResult, sum_power_series
 from .dfun import prepare_d_eval
 from .ufun import URoute, u0, u1, u2
 
@@ -40,6 +40,9 @@ _FD_SCALE = 1e-4
 
 # scaled gap allowed between the two routes of alpha_derivative
 _ROUTES_TOL = 1e-6
+
+# the central-difference step in alpha of alpha_derivative
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def _inhom_rhs(spec, z, f0, f1):
     return (1.0 + m + spec.beta - m / z) * f0 + 2.0 * (z - 1.0) * f1
 
 
-def inhom_residual(spec, z, max_terms=MAX_TERMS):
+def inhom_residual(spec, z):
     """|F(D) - RHS| at z, both sides via series derivatives; Inapplicable
     for m < 0 in the 1f1 and 2f1 kinds, where the forcing does not hold."""
     if spec.m < 0 and spec.kind != "0f1":
@@ -129,27 +132,26 @@ def inhom_residual(spec, z, max_terms=MAX_TERMS):
             f"the {spec.kind} inhomogeneous equation holds for m >= 0, got m = {spec.m}")
     z = complex(z)
     p = spec.params
-    d0, d1, d2 = (r.value for r in prepare_d_eval(spec, max_terms).jet(z, 2))
-    g0, g1 = (r.value for r in prepare_f_norm(p, max_terms).jet(z, 1))
+    d0, d1, d2 = (r.value for r in prepare_d_eval(spec).jet(z, 2))
+    g0, g1 = (r.value for r in prepare_f_norm(p).jet(z, 1))
     lhs = _operator(p, z, d0, d1, d2)
     rhs = _inhom_rhs(spec, z, g0, g1)
     return ResidualReport(residual=abs(lhs - rhs), method="SeriesDeriv",
                           detail={"lhs": lhs, "rhs": rhs})
 
 
-def _u_connection(kind, alpha, p_rest, z, max_terms):
+def _u_connection(kind, alpha, p_rest, z):
     if kind == "0f1":
-        return u0(alpha, z, route=URoute.CONNECTION, max_terms=max_terms)
+        return u0(alpha, z, route=URoute.CONNECTION)
     if kind == "1f1":
-        return u1(p_rest["theta"], alpha, z, route=URoute.CONNECTION,
-                  max_terms=max_terms)
+        return u1(p_rest["theta"], alpha, z, route=URoute.CONNECTION)
     if kind == "2f1":
         return u2(alpha, p_rest["beta"], p_rest["mu"], z,
-                  route=URoute.CONNECTION, max_terms=max_terms)
+                  route=URoute.CONNECTION)
     raise DomainError("unknown equation kind %r" % (kind,))
 
 
-def limit_alpha(target_m, p_rest, z, kind="0f1", max_terms=MAX_TERMS):
+def limit_alpha(target_m, p_rest, z, kind="0f1"):
     """U at integer parameter via extrapolation of the generic formula.
 
     Evaluates the connection route at alpha = m + h down the ladder
@@ -165,7 +167,7 @@ def limit_alpha(target_m, p_rest, z, kind="0f1", max_terms=MAX_TERMS):
     hs = _LADDER
     rows = []
     for h in hs:
-        v = _u_connection(kind, m + h, p_rest, z, max_terms).value
+        v = _u_connection(kind, m + h, p_rest, z).value
         rows.append([v])
     # Neville tableau evaluated at h = 0
     for j in range(1, len(hs)):
@@ -200,13 +202,14 @@ def _alpha_deriv_coeff(alpha, j):
     return -val / math.factorial(j)
 
 
-def alpha_derivative(alpha, z, max_terms=MAX_TERMS, fd_step=1e-5):
+def alpha_derivative(alpha, z):
     """d/d(alpha) of the normalized 0F1 solution, two independent ways.
 
     Series route: -sum_j psi(alpha+j+1) z^j / (Gamma(alpha+j+1) j!),
     with pole terms replaced by their finite limits.  Cross-checked
-    against a central difference in alpha of the plain evaluator; a
-    disagreement beyond _ROUTES_TOL (scaled) raises RoutesDisagree.
+    against a central difference in alpha, step _FD_STEP, of the plain
+    evaluator; a disagreement beyond _ROUTES_TOL (scaled) raises
+    RoutesDisagree.
     Returns the series-route value.
     """
     z = complex(z)
@@ -218,10 +221,10 @@ def alpha_derivative(alpha, z, max_terms=MAX_TERMS, fd_step=1e-5):
             yield complex(_alpha_deriv_coeff(alpha, j))
             j += 1
 
-    res = sum_power_series(gen(), z, max_terms)
-    plus = f_norm(F0(alpha=alpha + fd_step), z, max_terms).value
-    minus = f_norm(F0(alpha=alpha - fd_step), z, max_terms).value
-    fd = (plus - minus) / (2.0 * fd_step)
+    res = sum_power_series(gen(), z)
+    plus = f_norm(F0(alpha=alpha + _FD_STEP), z).value
+    minus = f_norm(F0(alpha=alpha - _FD_STEP), z).value
+    fd = (plus - minus) / (2.0 * _FD_STEP)
     gap = abs(res.value - fd)
     scale = max(1.0, abs(res.value))
     if gap > _ROUTES_TOL * scale:
@@ -233,7 +236,7 @@ def alpha_derivative(alpha, z, max_terms=MAX_TERMS, fd_step=1e-5):
                       terms_used=res.terms_used, flags=res.flags)
 
 
-def d_from_alpha_derivative(m, z, max_terms=MAX_TERMS):
+def d_from_alpha_derivative(m, z):
     """0F1 companion reconstructed from the two parameter derivatives.
 
     D_m(z) = d/d(alpha) F_alpha(z) at alpha = m, plus z^(-m) times the
@@ -245,8 +248,8 @@ def d_from_alpha_derivative(m, z, max_terms=MAX_TERMS):
     m = int(m)
     if m > 0 and z == 0:
         raise PoleAtOrigin(f"D with m = {m} has a pole at z = 0")
-    a = alpha_derivative(m, z, max_terms)
-    b = alpha_derivative(-m, z, max_terms)
+    a = alpha_derivative(m, z)
+    b = alpha_derivative(-m, z)
     value = a.value + z ** (-m) * b.value
     err = a.err_estimate + abs(z) ** (-m) * b.err_estimate
     return EvalResult(value=value, err_estimate=err,

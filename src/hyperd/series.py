@@ -25,7 +25,10 @@ streams convert at their source instead.
 Every convergent series stops by one rule: _RUN consecutive terms each
 at most REL_TOL of the partial sum.  The loop tests it once per group
 of _RUN terms, not at every term, and stops at the same term (see
-sum_power_series): the test costs more than a term's arithmetic.
+sum_power_series): the test costs more than a term's arithmetic.  Every
+evaluator sums within the one budget MAX_TERMS; only the two kernels,
+sum_power_series and ffun.f2f0_asymptotic, take a max_terms argument,
+which their own tests drive.
 
 Every sum and every point builds an EvalResult, several for a point of
 log z F + D or of U, so it is a NamedTuple: immutable, and built in
@@ -352,17 +355,26 @@ def principal_pow(z, a):
 
     Integer exponents (including a = 0) are computed by repeated
     multiplication, so they are defined for every z != 0 and keep real
-    arguments exactly real.
+    arguments exactly real.  Where z**a is not finite (it overflows a
+    double, or a negative integer power of a z whose positive power
+    underflows to 0) DomainError names z and a.
     """
     z = complex(z)
     a = complex(a)
-    if a.imag == 0.0 and a.real == round(a.real):
-        n = int(a.real)
-        if n == 0:
-            return complex(1.0)
-        if z == 0:
-            if n < 0:
-                raise DomainError("0 cannot be raised to a negative power")
-            return complex(0.0)
-        return _int_pow(z, n)
-    return cmath.exp(a * principal_log(z))
+    try:
+        if a.imag == 0.0 and a.real == round(a.real):
+            n = int(a.real)
+            if n == 0:
+                return complex(1.0)
+            if z == 0:
+                if n < 0:
+                    raise DomainError("0 cannot be raised to a negative power")
+                return complex(0.0)
+            w = _int_pow(z, n)
+        else:
+            w = cmath.exp(a * principal_log(z))
+        if cmath.isfinite(w):
+            return w
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"z**a is not finite at z = {z}, a = {a}")

@@ -11,11 +11,9 @@ Three evaluation routes are offered for each U:
   Asymptotic2F0 the expansion about infinity (optimally truncated 2F0
                 for 0F1/1F1, the defining 1/z series for 2F1).
 
-plus KummerReflected for the 2F1 kind, which routes through the
-(1-z)^(-beta) reflection and re-selects automatically.  Routes agree
-within combined error estimates wherever they overlap; the error
-estimates include an explicit cancellation floor because all of these
-formulas subtract large intermediates.
+Routes agree within combined error estimates wherever they overlap;
+the error estimates include an explicit cancellation floor because all
+of these formulas subtract large intermediates.
 
 As in ffun, u0, u1 and u2 are prepare_u0(...)(z) and so on: the route,
 the series of its F and D and its Gamma weights are set up once per
@@ -49,7 +47,6 @@ from .ffun import (
 )
 from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
 from .series import (
-    MAX_TERMS,
     EvalResult,
     _check_finite,
     _check_point,
@@ -73,7 +70,6 @@ class URoute(Enum):
     CONNECTION = "Connection"
     LOG_PLUS_D = "LogPlusD"
     ASYMPTOTIC_2F0 = "Asymptotic2F0"
-    KUMMER_REFLECTED = "KummerReflected"
 
 
 def _as_route(route):
@@ -125,27 +121,27 @@ def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
     return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
 
 
-def _log_plus_d(spec, prefactor, max_terms):
+def _log_plus_d(spec, prefactor):
     """The LogPlusD route: z -> prefactor() * log_solution(spec, z).
 
     The prefactor is taken after the solution, at the first point whose
     solution succeeds, and kept.
     """
-    w = prepare_log_solution(spec, max_terms)
+    w = prepare_log_solution(spec)
     pref = []
     return lambda z: w(z).scaled(_kept(pref, prefactor))
 
 
-def prepare_u0(alpha, route=None, max_terms=MAX_TERMS):
-    """The callable z -> u0(alpha, z, route, max_terms)."""
+def prepare_u0(alpha, route=None):
+    """The callable z -> u0(alpha, z, route)."""
     alpha = complex(alpha)
     _check_finite({"alpha": alpha})
     route = _as_route(route) or _pick_route(alpha)
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F0(alpha), max_terms)
-        f_r = prepare_f_norm(F0(-alpha), max_terms)
+        f_n = prepare_f_norm(F0(alpha))
+        f_r = prepare_f_norm(F0(-alpha))
 
         def u_at(z):
             fn, fr = f_n(z), f_r(z)
@@ -157,8 +153,7 @@ def prepare_u0(alpha, route=None, max_terms=MAX_TERMS):
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
-        return _log_plus_d(DSpec("0f1", m), lambda: (-1.0) ** (m + 1) / _SQRT_PI,
-                           max_terms)
+        return _log_plus_d(DSpec("0f1", m), lambda: (-1.0) ** (m + 1) / _SQRT_PI)
 
     if route is URoute.ASYMPTOTIC_2F0:
         a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
@@ -168,23 +163,23 @@ def prepare_u0(alpha, route=None, max_terms=MAX_TERMS):
             _check_point(z)
             sq = principal_pow(z, 0.5)
             pref = cmath.exp(-2.0 * sq) * principal_pow(z, e)
-            return f2f0_asymptotic(a, b, -1.0 / (4.0 * sq), max_terms).scaled(pref)
+            return f2f0_asymptotic(a, b, -1.0 / (4.0 * sq)).scaled(pref)
 
         return u_at
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 0f1 kind")
 
 
-def u0(alpha, z, route=None, max_terms=MAX_TERMS):
+def u0(alpha, z, route=None):
     """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0].
 
-    prepare_u0(alpha, route, max_terms)(z).
+    prepare_u0(alpha, route)(z).
     """
-    return prepare_u0(alpha, route, max_terms)(z)
+    return prepare_u0(alpha, route)(z)
 
 
-def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
-    """The callable z -> u1(theta, alpha, z, route, max_terms)."""
+def prepare_u1(theta, alpha, route=None):
+    """The callable z -> u1(theta, alpha, z, route)."""
     theta = complex(theta)
     alpha = complex(alpha)
     _check_finite({"theta": theta, "alpha": alpha})
@@ -192,8 +187,8 @@ def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
 
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F1(theta, alpha), max_terms)
-        f_r = prepare_f_norm(F1(theta, -alpha), max_terms)
+        f_n = prepare_f_norm(F1(theta, alpha))
+        f_r = prepare_f_norm(F1(theta, -alpha))
         weights = []
 
         def u_at(z):
@@ -209,7 +204,7 @@ def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D, max_terms)
+            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D)
             return lambda z: inner(z).scaled(principal_pow(z, -m))
         q = (1 - m + theta) / 2
         if near_nonpositive_int(q) is not None:
@@ -217,7 +212,7 @@ def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
                 f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
             )
         return _log_plus_d(DSpec("1f1", m, theta=theta),
-                           lambda: (-1.0) ** (m + 1) * recip_gamma(q), max_terms)
+                           lambda: (-1.0) ** (m + 1) * recip_gamma(q))
 
     if route is URoute.ASYMPTOTIC_2F0:
         a = (1 + theta + alpha) / 2
@@ -227,19 +222,19 @@ def prepare_u1(theta, alpha, route=None, max_terms=MAX_TERMS):
             z = complex(z)
             _check_point(z)
             pref = principal_pow(z, -a)
-            return f2f0_asymptotic(a, b, -1.0 / z, max_terms).scaled(pref)
+            return f2f0_asymptotic(a, b, -1.0 / z).scaled(pref)
 
         return u_at
 
     raise RouteInapplicable(f"route {route.value} does not apply to the 1f1 kind")
 
 
-def u1(theta, alpha, z, route=None, max_terms=MAX_TERMS):
+def u1(theta, alpha, z, route=None):
     """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0].
 
-    prepare_u1(theta, alpha, route, max_terms)(z).
+    prepare_u1(theta, alpha, route)(z).
     """
-    return prepare_u1(theta, alpha, route, max_terms)(z)
+    return prepare_u1(theta, alpha, route)(z)
 
 
 def _check_u2_cut(z):
@@ -247,8 +242,8 @@ def _check_u2_cut(z):
         raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
 
 
-def prepare_u2(alpha, beta, mu, route=None, max_terms=MAX_TERMS):
-    """The callable z -> u2(alpha, beta, mu, z, route, max_terms).
+def prepare_u2(alpha, beta, mu, route=None):
+    """The callable z -> u2(alpha, beta, mu, z, route).
 
     Without a route each point takes the route of its |z|: the one alpha
     picks for |z| <= F2_SERIES_RADIUS, the 1/z series for
@@ -271,19 +266,19 @@ def prepare_u2(alpha, beta, mu, route=None, max_terms=MAX_TERMS):
                 raise DomainError(
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
-            return _kept(outer, _u2_route, URoute.ASYMPTOTIC_2F0, alpha, beta, mu, max_terms)(z)
+            return _kept(outer, _u2_route, URoute.ASYMPTOTIC_2F0, alpha, beta, mu)(z)
         return _kept(chosen, lambda: _u2_route(_as_route(route) or _pick_route(alpha), alpha,
-                                               beta, mu, max_terms))(z)
+                                               beta, mu))(z)
 
     return u_at
 
 
-def _u2_route(route, alpha, beta, mu, max_terms):
+def _u2_route(route, alpha, beta, mu):
     """The per-point callable of one route of u2, for z off the cut."""
     if route is URoute.CONNECTION:
         _require_generic(alpha)
-        f_n = prepare_f_norm(F2(alpha, beta, mu), max_terms)
-        f_r = prepare_f_norm(F2(-alpha, beta, -mu), max_terms)
+        f_n = prepare_f_norm(F2(alpha, beta, mu))
+        f_r = prepare_f_norm(F2(-alpha, beta, -mu))
         weights = []
 
         def u_at(z):
@@ -301,7 +296,7 @@ def _u2_route(route, alpha, beta, mu, max_terms):
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
         if m < 0:
-            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D, max_terms)
+            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D)
             return lambda z: inner(z).scaled(principal_pow(complex(-z.real, -z.imag), -m))
         q1 = (1 - m - beta - mu) / 2
         q2 = (1 - m + beta - mu) / 2
@@ -310,11 +305,10 @@ def _u2_route(route, alpha, beta, mu, max_terms):
                 f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
             )
         return _log_plus_d(DSpec("2f1", m, beta=beta, mu=mu),
-                           lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2),
-                           max_terms)
+                           lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2))
 
     if route is URoute.ASYMPTOTIC_2F0:
-        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha), max_terms)
+        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha))
         e = (-1 - alpha - beta + mu) / 2
 
         def u_at(z):
@@ -327,27 +321,18 @@ def _u2_route(route, alpha, beta, mu, max_terms):
 
         return u_at
 
-    if route is URoute.KUMMER_REFLECTED:
-        inner = prepare_u2(alpha, -beta, mu, None, max_terms)
-
-        def u_at(z):
-            pw = principal_pow(1.0 - z, -beta)
-            return inner(z).scaled(pw)
-
-        return u_at
-
     raise RouteInapplicable(f"route {route.value} does not apply to the 2f1 kind")
 
 
-def u2(alpha, beta, mu, z, route=None, max_terms=MAX_TERMS):
+def u2(alpha, beta, mu, z, route=None):
     """The 2F1-kind U function, cut on [0, inf).
 
-    prepare_u2(alpha, beta, mu, route, max_terms)(z).
+    prepare_u2(alpha, beta, mu, route)(z).
     """
-    return prepare_u2(alpha, beta, mu, route, max_terms)(z)
+    return prepare_u2(alpha, beta, mu, route)(z)
 
 
-def bessel(kind, m, z, max_terms=MAX_TERMS):
+def bessel(kind, m, z):
     """Bessel-family wrapper: kind in {I, J, K, H1, H2}, integer order m.
 
     Compositions of F_m and D_m at w = z^2/4:
@@ -374,15 +359,15 @@ def bessel(kind, m, z, max_terms=MAX_TERMS):
     spec = DSpec("0f1", m)
 
     if kind == "I":
-        return f_norm(p, w, max_terms).scaled(half_pow)
+        return f_norm(p, w).scaled(half_pow)
     if kind == "J":
-        return f_norm(p, -w, max_terms).scaled(half_pow)
+        return f_norm(p, -w).scaled(half_pow)
     if kind == "K":
-        inner = log_solution(spec, w, max_terms)
+        inner = log_solution(spec, w)
         return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):
         sign = 1.0 if kind == "H1" else -1.0
         ell = principal_log(w) - sign * 1j * math.pi
-        inner = log_combo(ell, f_norm(p, -w, max_terms), d_eval(spec, -w, max_terms))
+        inner = log_combo(ell, f_norm(p, -w), d_eval(spec, -w))
         return inner.scaled(sign * 1j / math.pi * half_pow)
     raise ValueError(f"unknown Bessel kind {kind!r}")

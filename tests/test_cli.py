@@ -1,13 +1,14 @@
 """Command line surface: schemas, formats, exit codes, stability."""
 
+import functools
 import io
 import json
 import math
 
 import pytest
 
-from hyperd import cli
-from hyperd.series import EvalResult, REL_TOL
+from hyperd import cli, ffun, series
+from hyperd.series import EvalResult, MAX_TERMS, REL_TOL
 
 
 def run(argv, capsys):
@@ -128,9 +129,11 @@ def test_seventeen_digit_round_trip(capsys):
     assert rec["value_re"] == want.real
 
 
-def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys):
-    # U of 1F1 at alpha = -170, z = 150 comes back as inf+nanj with an
-    # infinite err_estimate (an open defect: it should raise)
+def test_non_finite_floats_are_null_in_json_and_kept_in_csv(capsys, monkeypatch):
+    # an evaluator whose result is inf+nanj with an infinite err_estimate;
+    # no real input is known to return one
+    monkeypatch.setattr(cli, "_evaluator", lambda args, lie: lambda z: EvalResult(
+        complex(math.inf, math.nan), math.inf, 1))
     argv = ["--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "-170"]
     code, out, err = run(["eval"] + argv + ["--z", "150"], capsys)
     assert code == 0, err
@@ -180,7 +183,7 @@ def test_eval_rows_match_the_generic_writer(command, fmt, monkeypatch):
     lie, classical = cli._resolve_params(args)
     doc = {"command": command, "eq": "1f1", "func": "F", "params": lie,
            "classical": classical, "rel_tol": REL_TOL,
-           "max_terms": args.max_terms}
+           "max_terms": MAX_TERMS}
     records = [{"z_re": z.real, "z_im": z.imag,
                 "value_re": r.value.real, "value_im": r.value.imag,
                 "err_estimate": r.err_estimate, "terms_used": r.terms_used,
@@ -426,24 +429,30 @@ def test_catalog_listing(capsys):
 # ---------------------------------------------------------------------------
 # term budget
 
-def test_env_max_terms_budget(capsys):
+def test_env_max_terms_budget(capsys, monkeypatch):
+    # a series that runs out of its budget is a NoConvergence record
+    monkeypatch.setattr(ffun, "sum_power_series",
+                        functools.partial(series.sum_power_series, max_terms=5))
     code, _, err = run(["eval", "--eq", "1f1", "--m", "1", "--theta", "0.7",
-                        "--z", "9+4i", "--max-terms", "5"], capsys)
+                        "--z", "9+4i"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["type"] == "NoConvergence"
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-def test_max_terms_below_one_is_rejected_on_every_route(budget, capsys):
-    # the asymptotic route refuses the budget as the series routes do
-    for route, z in (("Asymptotic2F0", "30"), ("Connection", "0.3")):
-        code, out, err = run(["eval", "--eq", "0f1", "--func", "U",
-                              "--alpha", "0.5", "--route", route, "--z", z,
-                              "--max-terms", budget], capsys)
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "type": "ValueError", "message": "max_terms must be at least 1"}
+@pytest.mark.parametrize("command,where", [("eval", ["--z", "0.3"]),
+                                           ("table", ["--grid=0.3:0.3:1,0:0:1"])],
+                         ids=["eval", "table"])
+def test_max_terms_is_not_an_option(command, where, capsys):
+    # every series sums within the fixed MAX_TERMS; the header echoes it
+    argv = [command, "--eq", "0f1", "--m", "1"] + where
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv + ["--max-terms", "5"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --max-terms" in capsys.readouterr().err
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert code == 0, err
+    assert MAX_TERMS == 10000
+    assert '"rel_tol":1e-14,"max_terms":10000,' in out
 
 
 def test_rel_tol_is_not_an_option(capsys):

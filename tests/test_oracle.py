@@ -144,8 +144,8 @@ def test_limit_alpha_guard_fires_on_a_corrupted_constituent(monkeypatch):
 
     real = oracle._u_connection
 
-    def spiky(kind, alpha, p_rest, z, max_terms):
-        base = real(kind, alpha, p_rest, z, max_terms)
+    def spiky(kind, alpha, p_rest, z):
+        base = real(kind, alpha, p_rest, z)
         v = base.value
         # one wrong rung: extrapolation must refuse, not average it away
         if abs(float(alpha) - 1.005) < 1e-12:
@@ -173,9 +173,11 @@ def test_alpha_derivative_pole_coefficients():
     assert abs(oracle._alpha_deriv_coeff(-3.0, 0) - 2.0) < 1e-15
 
 
-def test_alpha_derivative_routes_disagree_guard():
+def test_alpha_derivative_routes_disagree_guard(monkeypatch):
+    # a step this coarse puts the central difference far off the series
+    monkeypatch.setattr(oracle, "_FD_STEP", 0.4)
     with pytest.raises(RoutesDisagree):
-        oracle.alpha_derivative(0.3, 0.45, fd_step=0.4)
+        oracle.alpha_derivative(0.3, 0.45)
 
 
 def test_alpha_derivative_takes_complex_alpha():

@@ -58,7 +58,7 @@ SPECS = (
     DSpec("2f1", 1, beta=complex(0.3, -0.0), mu=0.2),
     DSpec("2f1", 2, beta=0.3, mu=-0.45),
 )
-ROUTES = (None, "Connection", "LogPlusD", "Asymptotic2F0", "KummerReflected")
+ROUTES = (None, "Connection", "LogPlusD", "Asymptotic2F0")
 ALPHAS = (2, -1, 0.4, 2 + 1e-11)
 
 CORPUS = (

@@ -111,7 +111,8 @@ def test_validation():
 
 
 def test_no_public_function_takes_a_tolerance():
-    # every series stops at the fixed REL_TOL; max_terms is the only budget
+    # every series stops at the fixed REL_TOL within the fixed MAX_TERMS;
+    # only the two summation kernels take a budget, for their own tests
     import hyperd
     from hyperd import dfun, ffun, oracle, ufun
 
@@ -121,10 +122,16 @@ def test_no_public_function_takes_a_tolerance():
     fns += [getattr(oracle, name) for name in oracle.__all__]
     fns = [f for f in fns if inspect.isfunction(f)]
     assert len(fns) > 40
+    kernels = (sum_power_series, ffun.f2f0_asymptotic)
+    for f in kernels:
+        assert "max_terms" in inspect.signature(f).parameters
     for f in fns:
         params = inspect.signature(f).parameters
         assert "rel_tol" not in params, f.__qualname__
         assert "routes_tol" not in params, f.__qualname__
+        assert "fd_step" not in params, f.__qualname__
+        if f not in kernels:
+            assert "max_terms" not in params, f.__qualname__
 
 
 def test_interior_zero_coefficient_does_not_stop_the_sum():
@@ -211,6 +218,21 @@ def test_principal_pow_integer_exact():
     # negative real basis with integer exponent stays exactly real
     v = principal_pow(-3.0, 4)
     assert v.imag == 0.0 and v.real == 81.0
+
+
+def test_a_power_that_is_not_finite_is_a_domain_error():
+    # z**a overflows (z^-20.5 at 1e-30, 150^170) or its inverse underflows
+    # to 0 (0.001^170): each names z and a instead of a raw error or inf
+    from hyperd import F0, f_second, u0, u1
+
+    cases = [(lambda: f_second(F0(20.5), 1e-30), "z = (1e-30+0j), a = (-20.5+0j)"),
+             (lambda: u0(20.5, 1e-30), "z = (1e-30+0j), a = (-20.5-0j)"),
+             (lambda: f_second(F0(170), 1e-3), "z = (0.001+0j), a = (-170+0j)"),
+             (lambda: u1(0.7, -170, 150), "z = (150+0j), a = (170+0j)")]
+    for call, where in cases:
+        with pytest.raises(DomainError, match=r"z\*\*a is not finite") as ei:
+            call()
+        assert where in str(ei.value)
 
 
 def test_principal_pow_fractional():
