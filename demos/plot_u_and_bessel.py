@@ -11,7 +11,7 @@ routes are implemented and must agree.
 
 import math
 
-from hyperd import URoute, bessel, u1, u2
+from hyperd import F1, URoute, bessel, u1, u2
 from hyperd.oracle import limit_alpha
 
 # %%
@@ -33,7 +33,7 @@ for route in (URoute.LOG_PLUS_D, None):
 # The two must be consistent: walking alpha -> m along the connection
 # route and extrapolating reproduces the log-route value.
 
-lim = limit_alpha(2, {"theta": 0.7}, z, kind="1f1")
+lim = limit_alpha(F1(theta=0.7, alpha=2), z)
 direct = u1(0.7, 2, z, URoute.LOG_PLUS_D)
 print("extrapolated:", lim.value)
 print("direct      :", direct.value)

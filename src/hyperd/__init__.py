@@ -47,7 +47,6 @@ from .ffun import (
     f_second,
 )
 from .dfun import (
-    DSpec,
     d_eval,
     d_eval_I,
     d_expand,
@@ -83,7 +82,7 @@ __all__ = [
     "EULER_GAMMA", "digamma", "gamma", "harmonic", "near_int", "pochhammer",
     "recip_gamma",
     "F0", "F1", "F2", "f_norm", "f_second", "f2_norm_I", "f2f0_asymptotic",
-    "DSpec", "d_eval", "d_eval_I", "d_expand", "log_solution",
+    "d_eval", "d_eval_I", "d_expand", "log_solution",
     "URoute", "bessel", "u0", "u1", "u2",
     "ResidualReport", "alpha_derivative", "d_from_alpha_derivative",
     "inhom_residual", "limit_alpha", "ode_residual",

@@ -36,14 +36,11 @@ import math
 import sys
 
 from .errors import DomainError, HyperdError
-from .ffun import (PARAMS_BY_KIND, prepare_f2_norm_I, prepare_f_norm,
-                   prepare_f_second)
-from .dfun import (DSpec, prepare_d_eval, prepare_d_eval_I,
-                   prepare_log_solution)
-from .gammakit import near_int
+from .ffun import (F0, F1, F2, PARAMS_BY_KIND, prepare_f2_norm_I,
+                   prepare_f_norm, prepare_f_second)
+from .dfun import prepare_d_eval, prepare_d_eval_I, prepare_log_solution
 from .series import MAX_TERMS, REL_TOL, _kept
-from .ufun import (URoute, bessel, prepare_u0, prepare_u1, prepare_u2, u0,
-                   u1, u2)
+from .ufun import URoute, _prepare_u, bessel, u0, u1, u2
 from . import oracle, relations
 
 __all__ = ["main"]
@@ -214,51 +211,33 @@ def _resolve_params(args):
     return lie, dict(zip(names, p.to_classical()))
 
 
-def _d_spec(eq, lie):
-    m = near_int(lie["alpha"])
-    if m is None:
-        raise DomainError("this function needs integer m, got alpha=%r"
-                          % (lie["alpha"],))
-    return DSpec(eq, m, **{k: v for k, v in lie.items() if k != "alpha"})
-
-
-# --func -> the prepare function of the point function it names; the
-# U functions take the Lie parameters of their kind and the route
-_PREPARE_P = {"F": prepare_f_norm, "second": prepare_f_second,
-              "FI": prepare_f2_norm_I}
-_PREPARE_SPEC = {"D": prepare_d_eval, "DI": prepare_d_eval_I,
-                 "logsol": prepare_log_solution}
-_PREPARE_U = {"0f1": (prepare_u0, ("alpha",)),
-              "1f1": (prepare_u1, ("theta", "alpha")),
-              "2f1": (prepare_u2, ("alpha", "beta", "mu"))}
+# --func -> the prepare function of the point function it names, each
+# taking the parameter set of the request; U takes the route too
+_PREPARE = {"F": prepare_f_norm, "second": prepare_f_second,
+            "FI": prepare_f2_norm_I, "D": prepare_d_eval,
+            "DI": prepare_d_eval_I, "logsol": prepare_log_solution,
+            "U": _prepare_u}
 
 
 def _evaluator(args, lie):
     """The request's callable of one point.
 
-    Faults of the request itself (an --eq that --func does not take, a
-    D order that is not an integer, a DSpec that is rejected) are raised
-    here.  The parameter set is prepared once, at the first point: its
-    faults come after those of the point list, as when each point is
-    evaluated alone.
+    A fault of the request itself (an --eq that --func does not take) is
+    raised here.  The parameter set is prepared once, at the first point:
+    its faults (a D order that is not an integer, a singular D) come
+    after those of the point list, as when each point is evaluated
+    alone.
     """
     eq = args.eq
     func = args.func
 
     if func in ("FI", "DI") and eq != "2f1":
         raise DomainError("--func %s is defined for --eq 2f1 only" % (func,))
-
-    if func in _PREPARE_P:
-        p = PARAMS_BY_KIND[eq](**lie)
-        prepare = functools.partial(_PREPARE_P[func], p)
-    elif func in _PREPARE_SPEC:
-        spec = _d_spec(eq, lie)
-        prepare = functools.partial(_PREPARE_SPEC[func], spec)
-    elif func == "U":
-        fn, names = _PREPARE_U[eq]
-        prepare = functools.partial(fn, *(lie[k] for k in names), args.route)
-    else:
+    if func not in _PREPARE:
         raise DomainError("unknown function %r" % (func,))
+    prepare = functools.partial(_PREPARE[func], PARAMS_BY_KIND[eq](**lie))
+    if func == "U":
+        prepare = functools.partial(prepare, args.route)
     at = []
     return lambda z: _kept(at, prepare)(z)
 
@@ -333,16 +312,15 @@ def _theorem_checks():
     for m in range(0, 4):
         for j, z in enumerate((z0, z1)):
             direct = u0(m, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(m, {}, z, "0f1").value
+            lim = oracle.limit_alpha(F0(m), z).value
             checks.append(("theorem.th1.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((z0, z1)):
             direct = u1(0.7, m, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(m, {"theta": 0.7}, z, "1f1").value
+            lim = oracle.limit_alpha(F1(0.7, m), z).value
             checks.append(("theorem.th2.m%d.z%d" % (m, j), direct, lim))
         for j, z in enumerate((zneg, z1)):
             direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(m, {"beta": 0.3, "mu": 0.2}, z,
-                                     "2f1").value
+            lim = oracle.limit_alpha(F2(m, 0.3, 0.2), z).value
             checks.append(("theorem.udef.m%d.z%d" % (m, j), direct, lim))
     return [(key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6)
             for key, a, b in checks]

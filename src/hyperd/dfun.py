@@ -22,8 +22,14 @@ relations to the U functions hold only for this choice.
 Negative order is a pure power shift, D_{-m} := z^m D_m, which turns the
 principal part into low-order polynomial coefficients and leaves no pole.
 
+Every function here takes the F0, F1 or F2 that F takes, at an alpha
+within DEGENERACY_TOL of the integer m: D_m is selected by F0(m),
+D_{theta,m} by F1(theta, m) and D_{m,beta,mu} by F2(m, beta, mu).  The
+parameters are checked once, when the expansion is built or an
+evaluator prepared (_d_params).
+
 As in ffun, every point function is its prepare function called at z:
-prepare_d_eval(spec)(z) and so on, with the expansion built, the
+prepare_d_eval(p)(z) and so on, with the expansion built, the
 I-form prefactor computed and the F of log_solution prepared once.  A
 prepared callable at carries at.jet(z, order) for order up to 2, as in
 ffun: at(z) is at.jet(z, 0)[0].
@@ -35,14 +41,16 @@ that made it.
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
 from .ffun import (
     DEGENERACY_TOL,
     F2_SERIES_RADIUS,
-    PARAMS_BY_KIND,
+    F1,
+    F2,
     _check_order,
+    _check_params,
     _f2_I_prefactor,
     prepare_f_norm,
 )
@@ -50,6 +58,7 @@ from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
     EvalResult,
     LaurentExpansion,
+    _check_finite,
     _check_point,
     _kept,
     _prepared,
@@ -61,62 +70,35 @@ from .series import (
     sum_power_series,
 )
 
-_KINDS = tuple(PARAMS_BY_KIND)
+def _d_params(p):
+    """p with alpha set to its integer m, once p is checked to select a D.
 
-
-@dataclass(frozen=True)
-class DSpec:
-    """Selects one D function: equation kind, integer order m, extra params.
-
-    theta is required for 1f1, beta and mu for 2f1, the fields of the
-    kind's parameter class besides alpha.  Parameter sets that
-    put a digamma weight or a principal-part Pochhammer at a pole are
-    rejected on construction, and so are non-finite parameters
-    (DomainError).  An order beyond ffun.MAX_ORDER raises DomainError when
-    the expansion is built.
+    TypeError for an argument that is not a parameter set, DomainError for
+    a parameter that is not finite or an alpha farther than
+    DEGENERACY_TOL from every integer m, and ParameterSingular where a
+    digamma weight or a principal-part Pochhammer of D_|m| sits at a pole:
+    an integer (1+|m|+theta)/2 <= |m| for 1F1, an integer
+    a, b = (1+|m|+beta∓mu)/2 for 2F1.  An order beyond ffun.MAX_ORDER
+    raises DomainError when the expansion is built.
     """
-
-    kind: str
-    m: int
-    theta: complex = None
-    beta: complex = None
-    mu: complex = None
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not cmath.isfinite(self.m):
-            raise DomainError(f"m must be finite, got m = {self.m}")
-        if self.m != int(self.m):
-            raise ValueError(f"m must be an integer, got {self.m}")
-        if self.kind == "1f1" and self.theta is None:
-            raise ValueError("1f1 DSpec requires theta")
-        if self.kind == "2f1" and (self.beta is None or self.mu is None):
-            raise ValueError("2f1 DSpec requires beta and mu")
-        mm = abs(int(self.m))
-        if self.kind == "1f1":
-            a = (1 + mm + self.theta) / 2
-            n = near_int(a, DEGENERACY_TOL)
-            if n is not None and n <= mm:
-                raise ParameterSingular(
-                    f"(1+m+theta)/2 = {a} is an integer <= m; D undefined"
-                )
-        elif self.kind == "2f1":
-            a = (1 + mm + self.beta - self.mu) / 2
-            b = (1 + mm + self.beta + self.mu) / 2
-            if near_int(a, DEGENERACY_TOL) is not None or near_int(b, DEGENERACY_TOL) is not None:
-                raise ParameterSingular(
-                    f"integer classical parameter (a, b) = ({a}, {b}); D undefined"
-                )
-
-    @property
-    def params(self):
-        """The EquationParams with alpha = m."""
-        cls = PARAMS_BY_KIND[self.kind]
-        return cls(**{k: self.m if k == "alpha" else getattr(self, k) for k in cls.__match_args__})
-
-    def with_m(self, m):
-        return DSpec(self.kind, m, self.theta, self.beta, self.mu)
+    _check_params(p)
+    m = near_int(p.alpha, DEGENERACY_TOL)
+    if m is None:
+        raise DomainError(f"this function needs integer m, got alpha={p.alpha!r}")
+    mm = abs(m)
+    if isinstance(p, F1):
+        a = (1 + mm + p.theta) / 2
+        n = near_int(a, DEGENERACY_TOL)
+        if n is not None and n <= mm:
+            raise ParameterSingular(f"(1+m+theta)/2 = {a} is an integer <= m; D undefined")
+    elif isinstance(p, F2):
+        a = (1 + mm + p.beta - p.mu) / 2
+        b = (1 + mm + p.beta + p.mu) / 2
+        if near_int(a, DEGENERACY_TOL) is not None or near_int(b, DEGENERACY_TOL) is not None:
+            raise ParameterSingular(f"integer classical parameter (a, b) = ({a}, {b}); D undefined")
+    # a non-finite real part has raised in near_int above
+    _check_finite(vars(p))
+    return p if type(p.alpha) is int else replace(p, alpha=m)
 
 
 def _principal(upper, mm):
@@ -199,8 +181,8 @@ def _tail(upper, mm):
     return gen()
 
 
-def d_expand(spec):
-    """LaurentExpansion of D for any integer order m.
+def d_expand(p):
+    """LaurentExpansion of D for any integer order m = alpha of p.
 
     For m >= 0 the principal part carries exactly m exact coefficients.
     For m < 0 the expansion is the power-shifted z^|m| * (expansion at |m|):
@@ -208,16 +190,17 @@ def d_expand(spec):
     and no pole remains.  The iterators of tail_coeff replay one stream
     (series._replay): the expansion belongs to the thread that made it.
     """
-    principal, tail = _expand(spec)
+    principal, tail = _expand(_d_params(p))
     return LaurentExpansion(principal=principal, tail_coeff=tail)
 
 
-def _expand(spec):
-    # (principal, tail factory) of d_expand, without the wrapper object
-    m = int(spec.m)
+def _expand(p):
+    # (principal, tail factory) of d_expand, without the wrapper object,
+    # for a p that passed _d_params
+    m = p.alpha
     _check_order(m)
     mm = abs(m)
-    *upper, _ = spec.params._classical(mm)
+    *upper, _ = p._classical(mm)
     principal = _principal(upper, mm)
     tail = _tail(upper, mm)
     if m >= 0:
@@ -225,22 +208,28 @@ def _expand(spec):
     return (), _replay(itertools.chain(reversed(principal), tail))
 
 
-def prepare_d_eval(spec):
-    """The callable z -> d_eval(spec, z), with its .jet(z, order)
+def prepare_d_eval(p):
+    """The callable z -> d_eval(p, z), with its .jet(z, order)
     for order 0, 1 or 2: the principal part differentiated exactly, the
-    tail term by term over the same stream.  The expansion is built here."""
+    tail term by term over the same stream.  p is checked (_d_params) and
+    the expansion built here."""
+    return _prepared(_d_jet(_d_params(p)))
+
+
+def _d_jet(p):
+    # the jet of prepare_d_eval for a p that passed _d_params
     expansion = []
-    _kept(expansion, _expand, spec)
-    disc = spec.kind == "2f1"
+    _kept(expansion, _expand, p)
+    disc = isinstance(p, F2)
 
     def jet(z, order):
         if order > 2:
             raise ValueError(f"D jets go to order 2, got order {order}")
         z = complex(z)
-        principal, tail_coeff = _kept(expansion, _expand, spec)
+        principal, tail_coeff = _kept(expansion, _expand, p)
         _check_point(z)
         if principal and z == 0:
-            raise PoleAtOrigin(f"D with m = {spec.m} has a pole at z = 0")
+            raise PoleAtOrigin(f"D with m = {p.alpha} has a pole at z = 0")
         if disc and abs(z) > F2_SERIES_RADIUS:
             raise DomainError(
                 f"2F1 D series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
@@ -256,7 +245,7 @@ def prepare_d_eval(spec):
             heads = (h0, *_principal_derivs(principal, w, order)) if order else (h0, 0j, 0j)
             # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel to nan
             if not all(map(cmath.isfinite, heads)):
-                raise DomainError(f"principal part of D with m = {spec.m} overflows a double at z = {z}")
+                raise DomainError(f"principal part of D with m = {p.alpha} overflows a double at z = {z}")
         try:
             t = sum_power_series(tail_coeff(), z)
             out = (EvalResult(heads[0] + t.value, t.err_estimate, t.terms_used, t.flags),)
@@ -271,16 +260,16 @@ def prepare_d_eval(spec):
             raise
         return out
 
-    return _prepared(jet)
+    return jet
 
 
-def d_eval(spec, z):
+def d_eval(p, z):
     """Value of D at z: exact principal part plus summed tail.
 
     err_estimate covers the tail truncation only.
-    prepare_d_eval(spec)(z).
+    prepare_d_eval(p)(z).
     """
-    return prepare_d_eval(spec)(z)
+    return prepare_d_eval(p)(z)
 
 
 def _principal_derivs(principal, w, order):
@@ -307,15 +296,16 @@ def _principal_derivs(principal, w, order):
     return (h1 if cmath.isfinite(h1) else g1, h2 if cmath.isfinite(h2) else g2)
 
 
-def prepare_log_solution(spec):
-    """The callable z -> log_solution(spec, z), with its
+def prepare_log_solution(p):
+    """The callable z -> log_solution(p, z), with its
     .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
     where (log z)' = 1/z on either cut.  Entry 0 is
     series.log_combo(ell, F, D)."""
+    p = _d_params(p)
     # 0F1/1F1 carry log z, 2F1 carries log(-z)
-    log = log_negated if spec.kind == "2f1" else principal_log
-    f = prepare_f_norm(spec.params).jet
-    d = prepare_d_eval(spec).jet
+    log = log_negated if isinstance(p, F2) else principal_log
+    f = prepare_f_norm(p).jet
+    d = _d_jet(p)
 
     def jet(z, order):
         ell = log(z)
@@ -326,27 +316,28 @@ def prepare_log_solution(spec):
     return _prepared(jet)
 
 
-def log_solution(spec, z):
+def log_solution(p, z):
     """log z * F + D (log(-z) * F + D for 2f1) at order m.
 
-    prepare_log_solution(spec)(z).
+    prepare_log_solution(p)(z).
     """
-    return prepare_log_solution(spec)(z)
+    return prepare_log_solution(p)(z)
 
 
-def prepare_d_eval_I(spec):
-    """The callable z -> d_eval_I(spec, z), with its
+def prepare_d_eval_I(p):
+    """The callable z -> d_eval_I(p, z), with its
     .jet(z, order): the jet of D, each entry scaled by the prefactor."""
-    if spec.kind != "2f1":
+    p = _d_params(p)
+    if not isinstance(p, F2):
         raise ValueError("d_eval_I is defined for the 2f1 kind only")
-    pref = _f2_I_prefactor(spec.params)
-    d = prepare_d_eval(spec).jet
+    pref = _f2_I_prefactor(p)
+    d = _d_jet(p)
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in d(z, order)]))
 
 
-def d_eval_I(spec, z):
+def d_eval_I(p, z):
     """The symmetric form D^I = Gamma(a) Gamma(c-a) D for the 2f1 kind.
 
-    prepare_d_eval_I(spec)(z).
+    prepare_d_eval_I(p)(z).
     """
-    return prepare_d_eval_I(spec)(z)
+    return prepare_d_eval_I(p)(z)

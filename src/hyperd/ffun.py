@@ -159,8 +159,8 @@ class F2(EquationParams):
 
 
 # equation kind -> parameter class.  The field order matters: the
-# relation tables list their parameter shifts in it, and the fields
-# besides alpha are the extra parameters a DSpec of that kind takes.
+# relation tables list their parameter shifts in it, and ufun._prepare_u
+# passes the fields in it to prepare_u0, prepare_u1 and prepare_u2.
 PARAMS_BY_KIND = {cls.kind: cls for cls in (F0, F1, F2)}
 
 

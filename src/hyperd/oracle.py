@@ -10,15 +10,15 @@ derivative of the normalized 0F1 solution.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
                      PoleAtOrigin, RoutesDisagree)
-from .ffun import F0, f_norm, prepare_f_norm
-from .gammakit import digamma, near_nonpositive_int, recip_gamma
-from .series import EvalResult, sum_power_series
-from .dfun import prepare_d_eval
-from .ufun import URoute, u0, u1, u2
+from .ffun import DEGENERACY_TOL, F0, _check_params, f_norm, prepare_f_norm
+from .gammakit import digamma, near_int, near_nonpositive_int, recip_gamma
+from .series import EvalResult, principal_pow, sum_power_series
+from .dfun import _d_jet, _d_params
+from .ufun import URoute, _prepare_u
 
 __all__ = [
     "ResidualReport",
@@ -106,7 +106,7 @@ def ode_residual(f, p, z):
                           detail={"value": lhs})
 
 
-def _inhom_rhs(spec, z, f0, f1):
+def _inhom_rhs(p, z, f0, f1):
     """Right side of the inhomogeneous equation satisfied by D.
 
     The forcing is built from the normalized solution at the same
@@ -115,44 +115,35 @@ def _inhom_rhs(spec, z, f0, f1):
     by the z^m shift, which rescales the forcing by the degenerate
     proportionality constant); inhom_residual refuses the rest.
     """
-    m = float(spec.m)
-    if spec.kind == "0f1":
+    m = float(p.alpha)
+    if p.kind == "0f1":
         return -(m / z) * f0 - 2.0 * f1
-    if spec.kind == "1f1":
+    if p.kind == "1f1":
         return (1.0 - m / z) * f0 - 2.0 * f1
     # a + b = 1 + m + beta
-    return (1.0 + m + spec.beta - m / z) * f0 + 2.0 * (z - 1.0) * f1
+    return (1.0 + m + p.beta - m / z) * f0 + 2.0 * (z - 1.0) * f1
 
 
-def inhom_residual(spec, z):
-    """|F(D) - RHS| at z, both sides via series derivatives; Inapplicable
-    for m < 0 in the 1f1 and 2f1 kinds, where the forcing does not hold."""
-    if spec.m < 0 and spec.kind != "0f1":
+def inhom_residual(p, z):
+    """|F(D) - RHS| at z for the D of p, at alpha = m, both sides via
+    series derivatives; Inapplicable for m < 0 in the 1f1 and 2f1 kinds,
+    where the forcing does not hold."""
+    p = _d_params(p)
+    if p.alpha < 0 and p.kind != "0f1":
         raise Inapplicable(
-            f"the {spec.kind} inhomogeneous equation holds for m >= 0, got m = {spec.m}")
+            f"the {p.kind} inhomogeneous equation holds for m >= 0, got m = {p.alpha}")
     z = complex(z)
-    p = spec.params
-    d0, d1, d2 = (r.value for r in prepare_d_eval(spec).jet(z, 2))
+    d0, d1, d2 = (r.value for r in _d_jet(p)(z, 2))
     g0, g1 = (r.value for r in prepare_f_norm(p).jet(z, 1))
     lhs = _operator(p, z, d0, d1, d2)
-    rhs = _inhom_rhs(spec, z, g0, g1)
+    rhs = _inhom_rhs(p, z, g0, g1)
     return ResidualReport(residual=abs(lhs - rhs), method="SeriesDeriv",
                           detail={"lhs": lhs, "rhs": rhs})
 
 
-def _u_connection(kind, alpha, p_rest, z):
-    if kind == "0f1":
-        return u0(alpha, z, route=URoute.CONNECTION)
-    if kind == "1f1":
-        return u1(p_rest["theta"], alpha, z, route=URoute.CONNECTION)
-    if kind == "2f1":
-        return u2(alpha, p_rest["beta"], p_rest["mu"], z,
-                  route=URoute.CONNECTION)
-    raise DomainError("unknown equation kind %r" % (kind,))
-
-
-def limit_alpha(target_m, p_rest, z, kind="0f1"):
-    """U at integer parameter via extrapolation of the generic formula.
+def limit_alpha(p, z):
+    """U at the parameters p, at alpha within DEGENERACY_TOL of an integer
+    m, via extrapolation of the generic formula.
 
     Evaluates the connection route at alpha = m + h down the ladder
     h = 1e-2, 5e-3, 2.5e-3, 1.25e-3 and Neville-extrapolates to h = 0.
@@ -161,13 +152,15 @@ def limit_alpha(target_m, p_rest, z, kind="0f1"):
     rounding floor); anything slower means a wrong constituent and is
     reported as ExtrapolationUnstable rather than averaged away.
     """
+    _check_params(p)
+    m = near_int(p.alpha, DEGENERACY_TOL)
+    if m is None:
+        raise DomainError(f"limit_alpha needs integer m, got alpha={p.alpha!r}")
     z = complex(z)
-    m = int(target_m)
-    p_rest = dict(p_rest or {})
     hs = _LADDER
     rows = []
     for h in hs:
-        v = _u_connection(kind, m + h, p_rest, z).value
+        v = _prepare_u(replace(p, alpha=m + h), URoute.CONNECTION)(z).value
         rows.append([v])
     # Neville tableau evaluated at h = 0
     for j in range(1, len(hs)):
@@ -250,7 +243,7 @@ def d_from_alpha_derivative(m, z):
         raise PoleAtOrigin(f"D with m = {m} has a pole at z = 0")
     a = alpha_derivative(m, z)
     b = alpha_derivative(-m, z)
-    value = a.value + z ** (-m) * b.value
+    value = a.value + principal_pow(z, -m) * b.value
     err = a.err_estimate + abs(z) ** (-m) * b.err_estimate
     return EvalResult(value=value, err_estimate=err,
                       terms_used=a.terms_used + b.terms_used,

@@ -14,8 +14,9 @@ record, D picking up the commutator term -(c1/z) F, and each row of
 _CONTIGUITY yields one companion contiguity record.  Every record
 shares one applicability rule: the keys of its signature are given,
 m is at least the row's lower bound where it has one, and for the
-companion relations the DSpec at the unshifted parameters and at every
-shift is regular.  An inapplicable point raises Inapplicable.
+companion relations the D at the unshifted parameters and at every
+shift is regular (dfun._d_params).  An inapplicable point raises
+Inapplicable.
 
 Key namespace (public, consumed by the CLI):
 
@@ -43,7 +44,7 @@ from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
 from .ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f2_norm_I,
                    prepare_f_norm)
-from .dfun import DSpec, d_eval, prepare_d_eval, prepare_d_eval_I
+from .dfun import _d_params, d_eval, prepare_d_eval, prepare_d_eval_I
 from .gammakit import gamma
 from .series import EvalResult, principal_log, principal_pow
 from .ufun import u0, u1, u2
@@ -316,21 +317,12 @@ _D_PREPARE = {"0f1": prepare_d_eval, "1f1": prepare_d_eval,
               "2f1": prepare_d_eval_I}
 
 
-def _shifted(kind, d, shift, alpha):
-    """Fields of kind's parameter class at d with the given alpha, plus
-    shift, which lists one offset per field in field order."""
-    names = PARAMS_BY_KIND[kind].__match_args__
-    return {k: (alpha if k == "alpha" else d[k]) + (shift[i] if shift else 0)
-            for i, k in enumerate(names)}
-
-
 def _f_params(kind, d, shift=None):
-    return PARAMS_BY_KIND[kind](**_shifted(kind, d, shift, _al(d)))
-
-
-def _d_spec(kind, d, shift=None):
-    p = _shifted(kind, d, shift, d["m"])
-    return DSpec(kind, p.pop("alpha"), **p)
+    """kind's parameter set at d, alpha read as _al(d) (m for a D), plus
+    shift, which lists one offset per field in field order."""
+    cls = PARAMS_BY_KIND[kind]
+    return cls(**{k: (_al(d) if k == "alpha" else d[k]) + (shift[i] if shift else 0)
+                  for i, k in enumerate(cls.__match_args__)})
 
 
 def _f_value(kind, d, z, shift=None):
@@ -338,14 +330,14 @@ def _f_value(kind, d, z, shift=None):
 
 
 def _d_value(kind, d, z, shift=None):
-    return _D_PREPARE[kind](_d_spec(kind, d, shift))(z).value
+    return _D_PREPARE[kind](_f_params(kind, d, shift))(z).value
 
 
 def _applicable(signature, kind=None, shifts=(), m_lo=None):
     """Applicability predicate of a record: every key of signature is
     given, m is an integer >= m_lo, and for a companion relation of the
-    given kind the DSpec at the unshifted parameters and at each shift
-    is regular."""
+    given kind the D at the unshifted parameters and at each shift is
+    regular."""
     keys = set(signature.split(","))
 
     def applicable(d):
@@ -356,8 +348,8 @@ def _applicable(signature, kind=None, shifts=(), m_lo=None):
         if kind is not None:
             try:
                 for s in (None,) + shifts:
-                    _d_spec(kind, d, s)
-            except (ParameterSingular, ValueError):
+                    _d_params(_f_params(kind, d, s))
+            except ParameterSingular:
                 return False
         return m_lo is None or d["m"] >= m_lo
     return applicable
@@ -389,8 +381,7 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
     relation for the shifted value.  sampler draws the parameters.
     """
     name, shift, c1, c0, coeff, stmt = row
-    prepare, spec = ((_D_PREPARE[kind], _d_spec) if companion
-                     else (_F_PREPARE[kind], _f_params))
+    prepare = _D_PREPARE[kind] if companion else _F_PREPARE[kind]
     signature = _SIGNATURE[kind]
     if companion:
         signature = signature.replace("alpha", "m")
@@ -398,7 +389,7 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
             "  (companion form: subtract (c1/z) F at the unshifted parameters)"
 
     def lhs(d, z):
-        g0, g1 = prepare(spec(kind, d)).jet(z, 1)
+        g0, g1 = prepare(_f_params(kind, d)).jet(z, 1)
         return c1(d, z) * g1.value + c0(d, z) * g0.value
 
     def rhs(d, z):
@@ -421,7 +412,7 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
         sample=lambda rng: (sampler(rng), _Z_SAMPLER[kind](rng)),
         applicable=_applicable(signature, kind if companion else None,
                                (shift,), m_lo),
-        ladder=ladder, shifted=lambda d: spec(kind, d, shift))
+        ladder=ladder, shifted=lambda d: _f_params(kind, d, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +585,14 @@ def _quadratic_records():
     _LOG4 = math.log(4.0)
 
     def d5_lhs(d, z):
-        return d_eval(DSpec(kind="0f1", m=int(d["m"])), z * z).value
+        return d_eval(F0(int(d["m"])), z * z).value
 
     def d5_rhs(d, z):
         m = int(d["m"])
         scale = math.factorial(2 * m) / math.factorial(m)
         w = 4.0 * z
         f = f_norm(F1(theta=0.0, alpha=2 * m), w).value
-        dd = d_eval(DSpec(kind="1f1", m=2 * m, theta=0.0), w).value
+        dd = d_eval(F1(theta=0.0, alpha=2 * m), w).value
         return scale * cmath.exp(-2.0 * z) * (_LOG4 * f + dd)
 
     recs.append(_record(
@@ -709,16 +700,15 @@ def _quadratic_records():
         uu0_lhs, uu0_rhs, uu0_sample))
 
     def sasa3_lhs(d, z):
-        return d_eval(DSpec(kind="2f1", m=2 * int(d["m"]), beta=d["beta"],
-                            mu=-d["beta"]), z).value
+        return d_eval(F2(2 * int(d["m"]), d["beta"], -d["beta"]), z).value
 
     def sasa3_rhs(d, z):
         m = int(d["m"])
         w = z * z / (4.0 * (z - 1.0))
-        spec = DSpec(kind="2f1", m=m, beta=-0.5, mu=-d["beta"])
+        p = F2(m, -0.5, -d["beta"])
         pref = principal_pow(1.0 - z, -0.25 - 0.5 * m - 0.5 * d["beta"])
-        bracket = d_eval(spec, w).value - \
-            principal_log(4.0 * (1.0 - z)) * f_norm(spec.params, w).value
+        bracket = d_eval(p, w).value - \
+            principal_log(4.0 * (1.0 - z)) * f_norm(p, w).value
         return (math.factorial(m) / math.factorial(2 * m)) * pref * bracket
 
     recs.append(_record(

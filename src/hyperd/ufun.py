@@ -28,7 +28,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import DSpec, d_eval, log_solution, prepare_log_solution
+from .dfun import d_eval, log_solution, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
@@ -41,6 +41,7 @@ from .ffun import (
     F0,
     F1,
     F2,
+    _check_params,
     f2f0_asymptotic,
     f_norm,
     prepare_f_norm,
@@ -121,13 +122,35 @@ def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
     return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
 
 
-def _log_plus_d(spec, prefactor):
-    """The LogPlusD route: z -> prefactor() * log_solution(spec, z).
+def _product_err(pw, w, err):
+    """|pw w| err, the error of a weighted term pw w F with |F| off by err.
+    Where pw w overflows it is formed as |pw| (|w| err), which stays
+    finite (inf * 0 is nan)."""
+    pww = pw * w
+    if cmath.isfinite(pww):
+        return abs(pww) * err
+    return abs(pw) * (abs(w) * err)
+
+
+def _negated_pow(z, a):
+    """(-z)**a as exp(a log(-z)), cut on [0, inf); DomainError naming z and
+    a where it is not finite, as series.principal_pow."""
+    try:
+        w = cmath.exp(a * log_negated(z))
+        if cmath.isfinite(w):
+            return w
+    except OverflowError:
+        pass
+    raise DomainError(f"(-z)**a is not finite at z = {z}, a = {a}")
+
+
+def _log_plus_d(p, prefactor):
+    """The LogPlusD route: z -> prefactor() * log_solution(p, z).
 
     The prefactor is taken after the solution, at the first point whose
     solution succeeds, and kept.
     """
-    w = prepare_log_solution(spec)
+    w = prepare_log_solution(p)
     pref = []
     return lambda z: w(z).scaled(_kept(pref, prefactor))
 
@@ -153,7 +176,7 @@ def prepare_u0(alpha, route=None):
 
     if route is URoute.LOG_PLUS_D:
         m = _require_int(alpha)
-        return _log_plus_d(DSpec("0f1", m), lambda: (-1.0) ** (m + 1) / _SQRT_PI)
+        return _log_plus_d(F0(m), lambda: (-1.0) ** (m + 1) / _SQRT_PI)
 
     if route is URoute.ASYMPTOTIC_2F0:
         a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
@@ -196,7 +219,7 @@ def prepare_u1(theta, alpha, route=None):
             pw = principal_pow(z, -alpha)
             g1, g2 = _kept(weights, lambda: (recip_gamma((1 + theta + alpha) / 2),
                                              recip_gamma((1 + theta - alpha) / 2)))
-            return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, abs(pw * g1) * fr.err_estimate,
+            return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, _product_err(pw, g1, fr.err_estimate),
                                fn.value * g2, abs(g2) * fn.err_estimate)
 
         return u_at
@@ -211,7 +234,7 @@ def prepare_u1(theta, alpha, route=None):
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
             )
-        return _log_plus_d(DSpec("1f1", m, theta=theta),
+        return _log_plus_d(F1(theta, m),
                            lambda: (-1.0) ** (m + 1) * recip_gamma(q))
 
     if route is URoute.ASYMPTOTIC_2F0:
@@ -287,9 +310,9 @@ def _u2_route(route, alpha, beta, mu):
                 recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
                 recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
             ))
-            pw = cmath.exp(-alpha * log_negated(z))
+            pw = _negated_pow(z, -alpha)
             return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
-                               pw * fr.value * w2, abs(pw * w2) * fr.err_estimate)
+                               pw * fr.value * w2, _product_err(pw, w2, fr.err_estimate))
 
         return u_at
 
@@ -304,7 +327,7 @@ def _u2_route(route, alpha, beta, mu):
             raise ParameterSingular(
                 f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
             )
-        return _log_plus_d(DSpec("2f1", m, beta=beta, mu=mu),
+        return _log_plus_d(F2(m, beta, mu),
                            lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2))
 
     if route is URoute.ASYMPTOTIC_2F0:
@@ -316,7 +339,7 @@ def _u2_route(route, alpha, beta, mu):
                 raise DomainError(
                     f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
                 )
-            pref = cmath.exp(e * log_negated(z))
+            pref = _negated_pow(z, e)
             return f(1.0 / z).scaled(pref)
 
         return u_at
@@ -330,6 +353,15 @@ def u2(alpha, beta, mu, z, route=None):
     prepare_u2(alpha, beta, mu, route)(z).
     """
     return prepare_u2(alpha, beta, mu, route)(z)
+
+
+def _prepare_u(p, route):
+    """The prepared U of the kind of p at its fields, in the order
+    prepare_u0(alpha), prepare_u1(theta, alpha) and
+    prepare_u2(alpha, beta, mu) take them."""
+    _check_params(p)
+    prepare = {"0f1": prepare_u0, "1f1": prepare_u1, "2f1": prepare_u2}[p.kind]
+    return prepare(*vars(p).values(), route)
 
 
 def bessel(kind, m, z):
@@ -356,18 +388,17 @@ def bessel(kind, m, z):
     w = z * z / 4.0
     half_pow = principal_pow(z / 2.0, m)
     p = F0(m)
-    spec = DSpec("0f1", m)
 
     if kind == "I":
         return f_norm(p, w).scaled(half_pow)
     if kind == "J":
         return f_norm(p, -w).scaled(half_pow)
     if kind == "K":
-        inner = log_solution(spec, w)
+        inner = log_solution(p, w)
         return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):
         sign = 1.0 if kind == "H1" else -1.0
         ell = principal_log(w) - sign * 1j * math.pi
-        inner = log_combo(ell, f_norm(p, -w), d_eval(spec, -w))
+        inner = log_combo(ell, f_norm(p, -w), d_eval(p, -w))
         return inner.scaled(sign * 1j / math.pi * half_pow)
     raise ValueError(f"unknown Bessel kind {kind!r}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from hyperd import cli
-from hyperd.dfun import DSpec, d_eval, d_expand, prepare_log_solution
+from hyperd.dfun import d_eval, d_expand, prepare_log_solution
 from hyperd.ffun import F0, F1, F2, f_norm, prepare_f_norm, prepare_f_second
 from hyperd.gammakit import gamma, pochhammer, recip_gamma, sinpi
 from hyperd.oracle import inhom_residual, limit_alpha, ode_residual
@@ -47,8 +47,8 @@ def test_criterion_1_degenerate_theorem_suite():
         for z in GRID_01:
             a = u0(m, z, URoute.LOG_PLUS_D).value
             b = pref * (principal_log(z) * f_norm(F0(float(m)), z).value
-                        + d_eval(DSpec("0f1", m), z).value)
-            c = limit_alpha(m, {}, z, kind="0f1").value
+                        + d_eval(F0(m), z).value)
+            c = limit_alpha(F0(m), z).value
             worst_direct = max(worst_direct, abs(a - b))
             worst_limit = max(worst_limit, abs(a - c))
         for th in THETAS:
@@ -57,8 +57,8 @@ def test_criterion_1_degenerate_theorem_suite():
                 a = u1(th, m, z, URoute.LOG_PLUS_D).value
                 b = pref * (principal_log(z)
                             * f_norm(F1(th, float(m)), z).value
-                            + d_eval(DSpec("1f1", m, theta=th), z).value)
-                c = limit_alpha(m, {"theta": th}, z, kind="1f1").value
+                            + d_eval(F1(th, m), z).value)
+                c = limit_alpha(F1(th, m), z).value
                 worst_direct = max(worst_direct, abs(a - b))
                 worst_limit = max(worst_limit, abs(a - c))
         for be, mu in BETA_MU:
@@ -69,10 +69,8 @@ def test_criterion_1_degenerate_theorem_suite():
                 a = u2(m, be, mu, z, URoute.LOG_PLUS_D).value
                 b = pref * (log_negated(z)
                             * f_norm(F2(float(m), be, mu), z).value
-                            + d_eval(DSpec("2f1", m, beta=be, mu=mu),
-                                     z).value)
-                c = limit_alpha(m, {"beta": be, "mu": mu}, z,
-                                kind="2f1").value
+                            + d_eval(F2(m, be, mu), z).value)
+                c = limit_alpha(F2(m, be, mu), z).value
                 worst_direct = max(worst_direct, abs(a - b))
                 worst_limit = max(worst_limit, abs(a - c))
     print("criterion 1: worst |U - logform| = %.3e (tol 1e-9), "
@@ -165,26 +163,26 @@ def test_criterion_2_defining_equations():
 
     # log solutions
     for m in (0, 1, 2):
-        cases.append((prepare_log_solution(DSpec("0f1", m)), F0(float(m)),
+        cases.append((prepare_log_solution(F0(m)), F0(float(m)),
                       GRID_01))
-        cases.append((prepare_log_solution(DSpec("1f1", m, theta=0.7)),
+        cases.append((prepare_log_solution(F1(0.7, m)),
                       F1(0.7, float(m)), GRID_01))
-        cases.append((prepare_log_solution(DSpec("2f1", m, beta=0.3, mu=0.2)),
+        cases.append((prepare_log_solution(F2(m, 0.3, 0.2)),
                       F2(float(m), 0.3, 0.2), GRID_2))
 
     # U: integer m through the log-solution jet, generic alpha through
     # the connection combination
     for m in (0, 1):
         c0 = (-1.0) ** (m + 1) / math.sqrt(math.pi)
-        cases.append((_scaled(prepare_log_solution(DSpec("0f1", m)), c0),
+        cases.append((_scaled(prepare_log_solution(F0(m)), c0),
                       F0(float(m)), GRID_01))
         c1 = (-1.0) ** (m + 1) * recip_gamma((1 - m + 0.7) / 2)
-        s1 = DSpec("1f1", m, theta=0.7)
+        s1 = F1(0.7, m)
         cases.append((_scaled(prepare_log_solution(s1), c1),
                       F1(0.7, float(m)), GRID_01))
         c2 = (-1.0) ** (m + 1) * recip_gamma((1 - m - 0.5) / 2) \
             * recip_gamma((1 - m + 0.1) / 2)
-        s2 = DSpec("2f1", m, beta=0.3, mu=0.2)
+        s2 = F2(m, 0.3, 0.2)
         cases.append((_scaled(prepare_log_solution(s2), c2),
                       F2(float(m), 0.3, 0.2), GRID_2))
     cases.append((_jet_of(_u0_generic_jet(0.4)), F0(0.4), GRID_01))
@@ -201,17 +199,16 @@ def test_criterion_2_defining_equations():
     for m in (-2, 0, 1, 2, 3):
         for z in GRID_01:
             worst_inhom = max(worst_inhom,
-                              inhom_residual(DSpec("0f1", m), z).residual)
+                              inhom_residual(F0(m), z).residual)
     for m in (0, 1, 2, 3):
         for z in GRID_01:
             worst_inhom = max(
                 worst_inhom,
-                inhom_residual(DSpec("1f1", m, theta=0.7), z).residual)
+                inhom_residual(F1(0.7, m), z).residual)
         for z in GRID_2:
             worst_inhom = max(
                 worst_inhom,
-                inhom_residual(DSpec("2f1", m, beta=0.3, mu=0.2),
-                               z).residual)
+                inhom_residual(F2(m, 0.3, 0.2), z).residual)
     print("criterion 2: worst ode residual %.3e, worst inhomogeneous "
           "residual %.3e (tol 1e-8)" % (worst_ode, worst_inhom))
     assert worst_inhom <= 1e-8
@@ -251,7 +248,7 @@ def test_criterion_5_coefficient_recursions():
     worst = 0.0
 
     for m in range(5):
-        d = d_expand(DSpec("0f1", m)).tail_list(31)
+        d = d_expand(F0(m)).tail_list(31)
         for n in range(30):
             rec = (d[n] - (m + 2 * n + 2)
                    / (math.factorial(m + n + 1) * math.factorial(n + 1))) \
@@ -260,7 +257,7 @@ def test_criterion_5_coefficient_recursions():
 
         for th in THETAS:
             a = (1 + m + th) / 2
-            d = d_expand(DSpec("1f1", m, theta=th)).tail_list(31)
+            d = d_expand(F1(th, m)).tail_list(31)
             for k in range(30):
                 pk = pochhammer(a, k)
                 rec = ((k + a) * d[k]
@@ -273,7 +270,7 @@ def test_criterion_5_coefficient_recursions():
         be, mu = 0.3, 0.2
         a = (1 + m + be - mu) / 2
         b = (1 + m + be + mu) / 2
-        d = d_expand(DSpec("2f1", m, beta=be, mu=mu)).tail_list(31)
+        d = d_expand(F2(m, be, mu)).tail_list(31)
         for k in range(30):
             pk = pochhammer(a, k) * pochhammer(b, k)
             rec = ((a + k) * (b + k) * d[k]
@@ -291,7 +288,7 @@ def test_criterion_5_coefficient_recursions():
     # principal parts against exact rational closed forms, bit for bit
     exact = 0
     for m in range(5):
-        got = d_expand(DSpec("0f1", m)).principal
+        got = d_expand(F0(m)).principal
         want = [Fraction((-1) ** (k - 1) * math.factorial(k - 1),
                          math.factorial(m - k)) for k in range(1, m + 1)]
         assert len(got) == m
@@ -301,7 +298,7 @@ def test_criterion_5_coefficient_recursions():
     for m in (1, 2, 3, 4):
         th = m + 1  # integer a = m + 1, above the pole range
         a = Fraction(1 + m + th, 2)
-        got = d_expand(DSpec("1f1", m, theta=float(th))).principal
+        got = d_expand(F1(float(th), m)).principal
         dk = Fraction(1, math.factorial(m - 1)) / (a - 1)
         want = [dk]
         for k in range(2, m + 1):
@@ -315,8 +312,7 @@ def test_criterion_5_coefficient_recursions():
                       (4, Fraction(1, 4), Fraction(1, 4))):
         a = (1 + m + be - mu) / 2
         b = (1 + m + be + mu) / 2
-        got = d_expand(DSpec("2f1", m, beta=float(be),
-                             mu=float(mu))).principal
+        got = d_expand(F2(m, float(be), float(mu))).principal
         dk = Fraction(1, math.factorial(m - 1)) / ((a - 1) * (b - 1))
         want = [dk]
         for k in range(2, m + 1):

@@ -263,6 +263,15 @@ def test_d_needs_integer_m(capsys):
     assert "integer m" in json.loads(err)["error"]["message"]
 
 
+def test_u2_power_overflow_is_a_domain_error(capsys):
+    # (-z)^(-alpha) at z = -1e-300 overflows; it was a raw OverflowError
+    code, out, err = run(["eval", "--eq", "2f1", "--func", "U", "--alpha", "2.5",
+                          "--beta", "0.3", "--mu", "0.2", "--z=-1e-300"], capsys)
+    assert (code, out) == (2, "")
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "DomainError" and "a = (-2.5-0j)" in rec["message"]
+
+
 def test_fi_requires_2f1(capsys):
     code, _, err = run(["eval", "--eq", "0f1", "--func", "FI",
                         "--alpha", "0.5", "--z", "0.3"], capsys)

@@ -6,6 +6,7 @@ generators inside the package.
 """
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperd.dfun import (
-    DSpec,
     d_eval,
     d_eval_I,
     d_expand,
@@ -25,7 +25,7 @@ from hyperd.dfun import (
     prepare_log_solution,
 )
 from hyperd.errors import BranchCut, DomainError, ParameterSingular, PoleAtOrigin
-from hyperd.ffun import F2, f_norm
+from hyperd.ffun import F0, F1, F2, f_norm
 from hyperd.gammakit import EULER_GAMMA, digamma, harmonic, pochhammer
 from hyperd.series import log_negated, principal_log, principal_pow
 from hyperd.ufun import u0
@@ -41,10 +41,10 @@ def _values(jet):
 
 def _spec(kind, m):
     if kind == "0f1":
-        return DSpec(kind, m)
+        return F0(m)
     if kind == "1f1":
-        return DSpec(kind, m, theta=0.7)
-    return DSpec(kind, m, beta=0.3, mu=0.2)
+        return F1(0.7, m)
+    return F2(m, 0.3, 0.2)
 
 
 # closed forms for the coefficients, written out directly
@@ -96,7 +96,7 @@ def test_coefficients_match_closed_forms(kind, m):
 def test_0f1_principal_exact_rational():
     # (-1)^(k-1) (k-1)!/(m-k)! is an integer; the stored values are exact
     for m in range(5):
-        exp = d_expand(DSpec("0f1", m))
+        exp = d_expand(F0(m))
         for k in range(1, m + 1):
             want = Fraction((-1) ** (k - 1) * math.factorial(k - 1),
                             math.factorial(m - k))
@@ -106,7 +106,7 @@ def test_0f1_principal_exact_rational():
 def test_0f1_tail_harmonic_form():
     # psi(k+1) + psi(k+1+m) = H_k + H_k(m+1) + (H_m - 2 gamma)
     m = 3
-    exp = d_expand(DSpec("0f1", m))
+    exp = d_expand(F0(m))
     C = harmonic(m).real - 2.0 * EULER_GAMMA
     for k, c in enumerate(exp.tail_list(10)):
         want = -(harmonic(k).real + harmonic(k, m + 1.0).real + C) \
@@ -124,48 +124,62 @@ def test_negative_m_is_power_shift(kind, m):
 
 
 def test_negative_m_has_no_pole():
-    exp = d_expand(DSpec("0f1", -2))
+    exp = d_expand(F0(-2))
     assert exp.pole_order == 0
     # leading polynomial coefficients are the reversed principal part
-    pos = d_expand(DSpec("0f1", 2))
+    pos = d_expand(F0(2))
     lead = exp.tail_list(2)
     assert lead[0] == pos.principal[1]
     assert lead[1] == pos.principal[0]
-    d_eval(DSpec("0f1", -2), 0.0)  # regular at the origin
+    d_eval(F0(-2), 0.0)  # regular at the origin
 
 
 def test_pole_and_domain_guards():
     with pytest.raises(PoleAtOrigin):
-        d_eval(DSpec("0f1", 2), 0.0)
+        d_eval(F0(2), 0.0)
     with pytest.raises(DomainError):
-        d_eval(DSpec("2f1", 1, beta=0.3, mu=0.2), 0.97)
-    d_eval(DSpec("0f1", 0), 0.0)
+        d_eval(F2(1, 0.3, 0.2), 0.97)
+    d_eval(F0(0), 0.0)
 
 
 def test_dspec_validation():
-    with pytest.raises(ValueError):
-        DSpec("3f2", 0)
-    with pytest.raises(ValueError):
-        DSpec("0f1", 0.5)
-    with pytest.raises(ValueError):
-        DSpec("1f1", 1)
-    with pytest.raises(ValueError):
-        DSpec("2f1", 1, beta=0.3)
+    # the parameter set that selects a D is checked when a D evaluator is
+    # prepared or the expansion built
+    with pytest.raises(TypeError):
+        prepare_d_eval(("3f2", 0))  # not a parameter set
+    with pytest.raises(DomainError, match="integer m, got alpha=0.5"):
+        prepare_d_eval(F0(0.5))
+    with pytest.raises(TypeError):
+        F1(alpha=1)  # theta is required
+    with pytest.raises(TypeError):
+        F2(1, beta=0.3)  # mu is required
+    with pytest.raises(TypeError):
+        F0(2, theta=0.7)  # and a field of another kind is refused
     # 1f1: integer a <= m collides with the principal Pochhammer
-    with pytest.raises(ParameterSingular):
-        DSpec("1f1", 2, theta=1.0)  # a = 2 = m
-    DSpec("1f1", 2, theta=3.0)  # a = 3 > m is fine
+    with pytest.raises(ParameterSingular, match="is an integer <= m"):
+        prepare_d_eval(F1(1.0, 2))  # a = 2 = m
+    prepare_d_eval(F1(3.0, 2))  # a = 3 > m is fine
     # 2f1: integer a or b is degenerate-within-degenerate
     with pytest.raises(ParameterSingular):
-        DSpec("2f1", 1, beta=1.0, mu=-1.0)  # a = 2
+        prepare_d_eval(F2(1, 1.0, -1.0))  # a = 2
     with pytest.raises(ParameterSingular):
-        DSpec("2f1", 1, beta=1.0, mu=1.0)  # b = 2
+        prepare_d_eval(F2(1, 1.0, 1.0))  # b = 2
+    # every D evaluator checks, and the rule reads |m|
+    for build in (d_expand, prepare_log_solution, prepare_d_eval_I):
+        with pytest.raises(ParameterSingular):
+            build(F2(1, 1.0, -1.0))
+    with pytest.raises(ParameterSingular):
+        prepare_d_eval(F1(1.0, -2))
+    # an alpha within DEGENERACY_TOL of m is m
+    assert d_eval(F2(1 + 1e-11, 0.3, 0.2), 0.3) == d_eval(F2(1, 0.3, 0.2), 0.3)
 
 
 def test_with_m():
-    s = DSpec("2f1", 1, beta=0.3, mu=0.2)
-    t = s.with_m(3)
+    # the D of another order: the same parameters with alpha moved
+    s = F2(1, 0.3, 0.2)
+    t = dataclasses.replace(s, alpha=3)
     assert t.m == 3 and t.beta == s.beta and t.mu == s.mu and t.kind == s.kind
+    assert d_expand(t).pole_order == 3
 
 
 @pytest.mark.parametrize("kind", ["0f1", "1f1", "2f1"])
@@ -183,16 +197,16 @@ def test_jet_matches_finite_differences(kind):
 
 
 def test_log_solution_composition_and_cuts():
-    spec = DSpec("0f1", 1)
+    spec = F0(1)
     z = complex(0.5, 0.4)
-    want = principal_log(z) * f_norm(spec.params, z).value + d_eval(spec, z).value
+    want = principal_log(z) * f_norm(spec, z).value + d_eval(spec, z).value
     assert _rel(log_solution(spec, z).value, want) < 1e-15
     with pytest.raises(BranchCut):
         log_solution(spec, -0.5)
 
-    spec2 = DSpec("2f1", 1, beta=0.3, mu=0.2)
+    spec2 = F2(1, 0.3, 0.2)
     zneg = complex(-0.5, 0.0)
-    want2 = log_negated(zneg) * f_norm(spec2.params, zneg).value \
+    want2 = log_negated(zneg) * f_norm(spec2, zneg).value \
         + d_eval(spec2, zneg).value
     assert _rel(log_solution(spec2, zneg).value, want2) < 1e-15
     with pytest.raises(BranchCut):
@@ -211,12 +225,12 @@ def test_log_solution_error_bound_0f1(m):
         u = 2 / mp.sqrt(mp.pi) * zm ** (-mp.mpf(m) / 2) \
             * mp.besselk(m, 2 * mp.sqrt(zm))
         want = complex(u * (-1) ** (m + 1) * mp.sqrt(mp.pi))
-    got = log_solution(DSpec("0f1", m), z)
+    got = log_solution(F0(m), z)
     assert abs(got.value - want) <= got.err_estimate
 
 
 def test_log_solution_jet_consistency():
-    spec = DSpec("1f1", 1, theta=0.7)
+    spec = F1(0.7, 1)
     z = complex(0.6, 0.5)
     w0, w1, w2 = _values(prepare_log_solution(spec).jet(z, 2))
     assert _rel(w0, log_solution(spec, z).value) < 1e-14
@@ -228,7 +242,7 @@ def test_log_solution_jet_consistency():
 
 
 def test_d_eval_I_prefactor_and_kind_guard():
-    spec = DSpec("2f1", 1, beta=0.3, mu=0.2)
+    spec = F2(1, 0.3, 0.2)
     z = complex(-0.3, 0.2)
     from hyperd.gammakit import gamma
     a = (1 + 1 + 0.3 - 0.2) / 2
@@ -240,15 +254,15 @@ def test_d_eval_I_prefactor_and_kind_guard():
     for u, v in zip(jet, base):
         assert _rel(u, pref * v) < 1e-14
     with pytest.raises(ValueError):
-        d_eval_I(DSpec("0f1", 1), z)
+        d_eval_I(F0(1), z)
 
 
 def test_deep_argument_does_not_overflow():
     # separated factorial factors would hit inf*0 = nan near k ~ 150
-    spec = DSpec("2f1", 3, beta=0.3, mu=0.2)
+    spec = F2(3, 0.3, 0.2)
     r = d_eval(spec, complex(-0.4, 0.6))
     assert r.terms_used < 200
-    spec1 = DSpec("1f1", 2, theta=0.7)
+    spec1 = F1(0.7, 2)
     r1 = d_eval(spec1, complex(9.0, 4.0))
     assert r1.value == r1.value  # not nan
 
@@ -257,9 +271,9 @@ def test_kummer_reflection_of_d():
     # D_{m,beta,mu}(z) = (1-z)^(-beta) D_{m,-beta,mu}(z)
     for m in (0, 1, 2):
         for z in (complex(-0.4, 0.0), complex(0.25, 0.4), complex(-0.2, -0.5)):
-            lhs = d_eval(DSpec("2f1", m, beta=0.3, mu=0.2), z).value
+            lhs = d_eval(F2(m, 0.3, 0.2), z).value
             rhs = principal_pow(1.0 - z, -0.3) \
-                * d_eval(DSpec("2f1", m, beta=-0.3, mu=0.2), z).value
+                * d_eval(F2(m, -0.3, 0.2), z).value
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs), abs(rhs))
 
 
@@ -270,8 +284,8 @@ def test_kummer_reflection_of_d():
 def test_negative_m_shift_property(m, z):
     if abs(z) > 0.9:
         return
-    lo = d_eval(DSpec("0f1", -m), z).value
-    hi = d_eval(DSpec("0f1", m), z).value
+    lo = d_eval(F0(-m), z).value
+    hi = d_eval(F0(m), z).value
     assert abs(lo - z ** m * hi) <= 1e-11 * max(1.0, abs(lo), abs(hi))
 
 
@@ -280,7 +294,7 @@ def test_principal_part_overflow_raises(m):
     # the k = m term (m-1)! z^-m alone is about 6e355 at m = 170, z = 0.5,
     # beyond a double; the terms overflow and cancel to nan, which must
     # not come back as a value
-    spec = DSpec("0f1", m)
+    spec = F0(m)
     for call in (d_eval, lambda s, z: prepare_d_eval(s).jet(z, 2), log_solution,
                  lambda s, z: u0(s.m, z)):
         with pytest.raises(DomainError, match=f"m = {m} .* z = \\(0.5"):
@@ -292,7 +306,7 @@ def test_principal_part_overflow_raises(m):
 def test_jet_at_large_m_where_the_coefficient_products_overflow():
     # c k (k+1) with c = (k-1)!/(m-k)! overflows a double at m = 170
     # before the powers of 1/z scale it down; the jet still fits one
-    spec = DSpec("0f1", 170)
+    spec = F0(170)
     z = 50.0
     with mp.workdps(40):
         m, zz = 170, mp.mpf(z)
@@ -316,11 +330,11 @@ def test_jet_at_large_m_where_the_coefficient_products_overflow():
     # the 1-jet the relation records read is the same two values
     assert at.jet(z, 1) == jet[:2]
     # where the products fit, the bits are those of the 2-jet
-    small = prepare_d_eval(DSpec("1f1", 3, theta=0.7))
+    small = prepare_d_eval(F1(0.7, 3))
     assert small.jet(0.4 + 0.2j, 1) == small.jet(0.4 + 0.2j, 2)[:2]
 
 
 def test_jet_goes_to_order_two():
-    at = prepare_d_eval(DSpec("0f1", 2))
+    at = prepare_d_eval(F0(2))
     with pytest.raises(ValueError, match="order 2"):
         at.jet(0.5, 3)

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperd.dfun import DSpec, d_eval
+from hyperd.dfun import d_eval
 from hyperd.errors import DomainError, PoleError
-from hyperd.ffun import F0, f_norm
+from hyperd.ffun import F0, F1, f_norm
 from hyperd.gammakit import (
     EULER_GAMMA,
     cospi,
@@ -316,7 +316,7 @@ def test_reflection_far_off_the_real_axis_in_public_calls():
     assert abs(got - complex(want)) <= 1e-12 * abs(want)
     # D_{theta,1} with a = (2 + theta)/2 = 300i: the tail weights hold
     # psi(300i + k) (the principal part is in test_dfun)
-    got = d_eval(DSpec("1f1", 1, theta=-2 + 600j), 0.3).value
+    got = d_eval(F1(-2 + 600j, 1), 0.3).value
     a, z = mp.mpc(0, 300), mp.mpf(0.3)
     want = mp.rf(a, -1) / z + mp.nsum(
         lambda k: mp.rf(a, k) / (mp.factorial(k) * mp.factorial(k + 1)) * z ** k

@@ -144,10 +144,8 @@ def _package_streams():
         "F2(1,0.3,0.2)": ffun._seed(ffun.F2(1, 0.3, 0.2)),
         "F2(-2,0.3,0.2)": ffun._seed(ffun.F2(-2, 0.3, 0.2)),
     }
-    for spec in (dfun.DSpec("0f1", 2), dfun.DSpec("0f1", -2),
-                 dfun.DSpec("1f1", 1, theta=0.7),
-                 dfun.DSpec("2f1", 0, beta=0.3, mu=0.2)):
-        seeds["D%s" % (spec,)] = (0, dfun._expand(spec)[1])
+    for p in (ffun.F0(2), ffun.F0(-2), ffun.F1(0.7, 1), ffun.F2(0, 0.3, 0.2)):
+        seeds["D%s" % (p,)] = (0, dfun._expand(p)[1])
     out = []
     for name, (start, gen) in seeds.items():
         for order in range(3):

@@ -15,7 +15,8 @@ import random
 import mpmath as mp
 import pytest
 
-from hyperd import F1, F2, DSpec, f_norm, f_second, ffun, series
+from hyperd import F1, F2, f_norm, f_second, ffun, series
+from hyperd.dfun import prepare_d_eval, prepare_d_eval_I, prepare_log_solution
 from hyperd.errors import DomainError, NoConvergence
 from hyperd.ffun import (_seed, prepare_f2_norm_I, prepare_f_norm,
                          prepare_f_second)
@@ -205,8 +206,9 @@ def test_the_disc_check_comes_before_the_map():
         f_norm(F2(0.3, 0.2, 0.1), z)
 
 
-@pytest.mark.parametrize("prepare", [prepare_f_norm, prepare_f_second, prepare_f2_norm_I])
-@pytest.mark.parametrize("bad", ["x", None, DSpec("0f1", 1)], ids=["str", "None", "DSpec"])
+@pytest.mark.parametrize("prepare", [prepare_f_norm, prepare_f_second, prepare_f2_norm_I,
+                                     prepare_d_eval, prepare_d_eval_I, prepare_log_solution])
+@pytest.mark.parametrize("bad", ["x", None, {"alpha": 1.0}], ids=["str", "None", "dict"])
 def test_prepare_refuses_what_is_not_a_parameter_set(prepare, bad):
     with pytest.raises(TypeError):
         prepare(bad)

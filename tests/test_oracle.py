@@ -11,10 +11,11 @@ import math
 import pytest
 
 from hyperd import oracle
-from hyperd.dfun import DSpec, d_eval, prepare_log_solution
-from hyperd.errors import (ExtrapolationUnstable, Inapplicable, PoleAtOrigin,
-                           RoutesDisagree)
-from hyperd.ffun import F0, F1, F2, f_norm, prepare_f_norm, prepare_f_second
+from hyperd.dfun import d_eval, prepare_log_solution
+from hyperd.errors import (DomainError, ExtrapolationUnstable, Inapplicable,
+                           PoleAtOrigin, RoutesDisagree)
+from hyperd.ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f_norm,
+                         prepare_f_second)
 from hyperd.gammakit import EULER_GAMMA, recip_gamma
 from hyperd.series import principal_log
 from hyperd.ufun import URoute, u0, u1, u2
@@ -78,13 +79,9 @@ def test_ode_residual_detects_a_non_solution():
                                     ("1f1", 0), ("1f1", 1), ("1f1", 3),
                                     ("2f1", 0), ("2f1", 2)])
 def test_inhom_residual_on_validity_domain(kind, m):
-    spec = {
-        "0f1": lambda m: DSpec("0f1", m),
-        "1f1": lambda m: DSpec("1f1", m, theta=0.7),
-        "2f1": lambda m: DSpec("2f1", m, beta=0.3, mu=0.2),
-    }[kind](m)
+    p = {"0f1": F0(m), "1f1": F1(0.7, m), "2f1": F2(m, 0.3, 0.2)}[kind]
     for z in _GRIDS[kind]:
-        rep = oracle.inhom_residual(spec, z)
+        rep = oracle.inhom_residual(p, z)
         assert rep.residual < 1e-10, (kind, m, z, rep.residual)
 
 
@@ -92,25 +89,21 @@ def test_inhom_contract_does_not_extend_to_negative_m_confluent():
     # for m < 0 the 1f1/2f1 companions are rescaled by the degenerate
     # proportionality constant, so the m >= 0 forcing does not hold and
     # the residual would read as a failure: the oracle refuses instead
-    for spec in (DSpec("1f1", -2, theta=0.7), DSpec("1f1", -1, theta=0.7),
-                 DSpec("2f1", -2, beta=0.3, mu=0.2)):
+    for p in (F1(0.7, -2), F1(0.7, -1), F2(-2, 0.3, 0.2)):
         with pytest.raises(Inapplicable, match="m >= 0"):
-            oracle.inhom_residual(spec, complex(0.5, 0.1))
+            oracle.inhom_residual(p, complex(0.5, 0.1))
     # the 0f1 forcing holds at every m
-    assert oracle.inhom_residual(DSpec("0f1", -2), 0.5 + 0.1j).residual < 1e-14
+    assert oracle.inhom_residual(F0(-2), 0.5 + 0.1j).residual < 1e-14
 
 
 def test_log_solution_satisfies_homogeneous_equation():
-    for kind, spec in [("0f1", DSpec("0f1", 1)),
-                       ("1f1", DSpec("1f1", 2, theta=0.7)),
-                       ("2f1", DSpec("2f1", 1, beta=0.3, mu=0.2))]:
-        p = spec.params
+    for kind, p in [("0f1", F0(1)), ("1f1", F1(0.7, 2)), ("2f1", F2(1, 0.3, 0.2))]:
         for z in _GRIDS[kind]:
             if kind != "2f1" and z.imag == 0.0 and z.real <= 0.0:
                 continue
             if kind == "2f1" and z.imag == 0.0 and z.real >= 0.0:
                 continue
-            rep = oracle.ode_residual(prepare_log_solution(spec), p, z)
+            rep = oracle.ode_residual(prepare_log_solution(p), p, z)
             assert rep.residual < 1e-10
 
 
@@ -132,7 +125,7 @@ def test_u_functions_satisfy_equations_via_finite_differences():
 def test_limit_alpha_reproduces_the_degenerate_values(kind, rest, mk_u):
     z = complex(-0.4, 0.6) if kind == "2f1" else complex(0.7, 0.0)
     for m in (0, 1, 2):
-        lim = oracle.limit_alpha(m, rest, z, kind)
+        lim = oracle.limit_alpha(PARAMS_BY_KIND[kind](alpha=m, **rest), z)
         direct = mk_u(m, z).value
         scale = max(1.0, abs(direct))
         assert abs(lim.value - direct) / scale < 1e-9
@@ -142,19 +135,37 @@ def test_limit_alpha_reproduces_the_degenerate_values(kind, rest, mk_u):
 def test_limit_alpha_guard_fires_on_a_corrupted_constituent(monkeypatch):
     from hyperd.series import EvalResult
 
-    real = oracle._u_connection
+    real = oracle._prepare_u
 
-    def spiky(kind, alpha, p_rest, z):
-        base = real(kind, alpha, p_rest, z)
-        v = base.value
-        # one wrong rung: extrapolation must refuse, not average it away
-        if abs(float(alpha) - 1.005) < 1e-12:
-            v = v * (1.0 + 1e-3)
-        return EvalResult(v, base.err_estimate, base.terms_used, base.flags)
+    def spiky(p, route):
+        at = real(p, route)
 
-    monkeypatch.setattr(oracle, "_u_connection", spiky)
+        def u_at(z):
+            base = at(z)
+            v = base.value
+            # one wrong rung: extrapolation must refuse, not average it away
+            if abs(float(p.alpha) - 1.005) < 1e-12:
+                v = v * (1.0 + 1e-3)
+            return EvalResult(v, base.err_estimate, base.terms_used, base.flags)
+
+        return u_at
+
+    monkeypatch.setattr(oracle, "_prepare_u", spiky)
     with pytest.raises(ExtrapolationUnstable):
-        oracle.limit_alpha(1, {}, 0.7, "0f1")
+        oracle.limit_alpha(F0(1), 0.7)
+
+
+def test_oracles_take_the_parameters_of_f():
+    # limit_alpha and inhom_residual take F0/F1/F2 at alpha within
+    # DEGENERACY_TOL of m, and refuse what is not a parameter set
+    z = complex(0.7, 0.0)
+    assert oracle.limit_alpha(F1(0.7, 2 + 1e-11), z) == oracle.limit_alpha(F1(0.7, 2), z)
+    assert oracle.inhom_residual(F0(1 - 1e-11), z) == oracle.inhom_residual(F0(1), z)
+    for call in (oracle.limit_alpha, oracle.inhom_residual):
+        with pytest.raises(DomainError, match="integer m, got alpha=0.5"):
+            call(F0(0.5), z)
+        with pytest.raises(TypeError):
+            call({"alpha": 1}, z)
 
 
 def test_alpha_derivative_at_origin():
@@ -201,11 +212,17 @@ def test_d_from_alpha_derivative_pole_at_origin():
                - 2 * EULER_GAMMA) < 1e-12
 
 
+def test_d_from_alpha_derivative_where_z_to_the_minus_m_overflows():
+    # (1e-120)^3 underflows to 0, and its inverse was a raw ZeroDivisionError
+    with pytest.raises(DomainError, match=r"z = \(1e-120\+0j\), a = \(-3\+0j\)"):
+        oracle.d_from_alpha_derivative(3, 1e-120)
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_d_reconstruction_from_parameter_derivatives(m):
     for z in (complex(0.7, 0.0), complex(0.4, 0.5)):
         rec = oracle.d_from_alpha_derivative(m, z)
-        direct = d_eval(DSpec("0f1", m), z)
+        direct = d_eval(F0(m), z)
         scale = max(1.0, abs(direct.value))
         assert abs(rec.value - direct.value) / scale < 1e-12
 
@@ -217,7 +234,7 @@ def test_de_lhospital_bracket():
     m = 1
     close = u0(m + 1e-4, z, URoute.CONNECTION).value
     exact = u0(m, z, URoute.LOG_PLUS_D).value
-    lim = oracle.limit_alpha(m, {}, z, "0f1").value
+    lim = oracle.limit_alpha(F0(m), z).value
     assert abs(lim - exact) < 1e-10
     assert abs(close - exact) < 1e-3  # continuity of the family
 

@@ -19,7 +19,6 @@ from hyperd import (
     F0,
     F1,
     F2,
-    DSpec,
     d_eval,
     d_eval_I,
     f2_norm_I,
@@ -72,14 +71,11 @@ def _public(func, eq, lie, route):
     """The public point function that the request names, as z -> result."""
     alpha = lie["alpha"]
     extra = {k: v for k, v in lie.items() if k != "alpha"}
-    if func in ("F", "second", "FI"):
+    if func != "U":
         p = PARAMS[eq](alpha=alpha, **extra)
-        fn = {"F": f_norm, "second": f_second, "FI": f2_norm_I}[func]
+        fn = {"F": f_norm, "second": f_second, "FI": f2_norm_I, "D": d_eval,
+              "DI": d_eval_I, "logsol": log_solution}[func]
         return lambda z: fn(p, z)
-    if func in ("D", "DI", "logsol"):
-        spec = DSpec(eq, round(alpha), **extra)
-        fn = {"D": d_eval, "DI": d_eval_I, "logsol": log_solution}[func]
-        return lambda z: fn(spec, z)
     if eq == "0f1":
         return lambda z: u0(alpha, z, route)
     if eq == "1f1":
@@ -233,10 +229,8 @@ JET_ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0),
 JET_PARAMS = (F0(2), F0(-2), F0(0.37), F0(complex(-0.5, -0.0)), F1(0.7, 2),
               F1(0.7, -1), F1(complex(0.7, -0.0), 0.4), F2(1, 0.3, 0.2),
               F2(-2, 0.3, 0.25), F2(0.4, complex(0.3, -0.0), 0.2))
-JET_SPECS = (DSpec("0f1", 3), DSpec("0f1", -2), DSpec("1f1", 2, theta=0.7),
-             DSpec("1f1", -1, theta=complex(0.7, -0.0)),
-             DSpec("2f1", 1, beta=0.3, mu=0.2),
-             DSpec("2f1", -2, beta=complex(0.3, -0.0), mu=0.2))
+JET_D_PARAMS = (F0(3), F0(-2), F1(0.7, 2), F1(complex(0.7, -0.0), -1),
+                F2(1, 0.3, 0.2), F2(-2, complex(0.3, -0.0), 0.2))
 
 
 def _outcome(call):
@@ -254,10 +248,10 @@ def _prepared_corpus():
         yield from ((prepare, p) for prepare in (prepare_f_norm, prepare_f_second))
         if isinstance(p, F2):
             yield prepare_f2_norm_I, p
-    for spec in JET_SPECS:
-        yield from ((prepare, spec) for prepare in (prepare_d_eval, prepare_log_solution))
-        if spec.kind == "2f1":
-            yield prepare_d_eval_I, spec
+    for p in JET_D_PARAMS:
+        yield from ((prepare, p) for prepare in (prepare_d_eval, prepare_log_solution))
+        if isinstance(p, F2):
+            yield prepare_d_eval_I, p
 
 
 @pytest.mark.parametrize("prepare,arg", list(_prepared_corpus()))
@@ -310,11 +304,10 @@ NON_FINITE = [
     ("f_norm inf z", lambda: f_norm(F1(0.7, 2), complex(INF, 1.0))),
     ("f_second alpha", lambda: f_second(F0(NAN), 0.5)),
     ("f2_norm_I beta", lambda: f2_norm_I(F2(0.5, NAN, 0.2), 0.5)),
-    ("DSpec theta", lambda: DSpec("1f1", 1, theta=NAN)),
-    ("DSpec m", lambda: DSpec("0f1", NAN)),
-    ("d_eval z", lambda: d_eval(DSpec("0f1", 1), NAN)),
-    ("log_solution z", lambda: log_solution(DSpec("1f1", 1, theta=0.7),
-                                            complex(1.0, INF))),
+    ("d_eval theta", lambda: d_eval(F1(NAN, 1), 0.5)),
+    ("d_eval alpha", lambda: d_eval(F0(NAN), 0.5)),
+    ("d_eval z", lambda: d_eval(F0(1), NAN)),
+    ("log_solution z", lambda: log_solution(F1(0.7, 1), complex(1.0, INF))),
     ("u0 alpha", lambda: u0(NAN, 0.5)),
     ("u0 alpha asymptotic", lambda: u0(NAN, 0.5, URoute.ASYMPTOTIC_2F0)),
     ("u0 z asymptotic", lambda: u0(0.5, INF, URoute.ASYMPTOTIC_2F0)),
@@ -349,8 +342,8 @@ def test_non_finite_input_is_a_domain_error(name, call, monkeypatch):
     lambda: f_norm(F0(200), 0.5),
     lambda: f_norm(F1(0.7, -171), 0.5),
     lambda: f_second(F2(171, 0.3, 0.2), 0.5),
-    lambda: d_eval(DSpec("0f1", 200), 0.5),
-    lambda: d_eval(DSpec("1f1", -171, theta=0.7), 0.5),
+    lambda: d_eval(F0(200), 0.5),
+    lambda: d_eval(F1(0.7, -171), 0.5),
     lambda: u0(200, 0.5),
 ])
 def test_order_beyond_factorial_range_is_a_domain_error(call):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperd.dfun import DSpec, d_eval, log_solution, prepare_log_solution
+from hyperd.dfun import d_eval, log_solution, prepare_log_solution
 from hyperd.errors import DomainError, Inapplicable, UnknownRelation
 from hyperd.ffun import F0, f_norm
 from hyperd.gammakit import pochhammer
@@ -151,7 +151,7 @@ def test_f_ladder_round_trip(catalog):
 def test_d_ladder_produces_the_shifted_companion(catalog):
     z = complex(0.45, 0.25)
     got = apply_ladder("f0.recurD.raise", {"m": 1}, z, catalog)
-    want = d_eval(DSpec("0f1", 2), z).value
+    want = d_eval(F0(2), z).value
     assert abs(got.value - want) < 1e-11
 
 
@@ -164,8 +164,8 @@ def test_ladder_guards(catalog):
 
 
 def test_shifted_metadata(catalog):
-    spec = catalog["f0.recurD.raise"].shifted({"m": 1})
-    assert spec == DSpec("0f1", 2)
+    params = catalog["f0.recurD.raise"].shifted({"m": 1})
+    assert params == F0(2)
     params = catalog["f0.recurF.raise"].shifted({"alpha": 0.3})
     assert params == F0(alpha=1.3)
 
@@ -190,9 +190,8 @@ def test_log_solution_meta_property():
     # equals log z F_{m+1} + D_{m+1}, the commutator term cancelling
     z = complex(0.5, 0.4)
     for m in (0, 2):
-        spec = DSpec("0f1", m)
-        _, w1 = prepare_log_solution(spec).jet(z, 1)
-        want = log_solution(spec.with_m(m + 1), z).value
+        _, w1 = prepare_log_solution(F0(m)).jet(z, 1)
+        want = log_solution(F0(m + 1), z).value
         assert abs(w1.value - want) < 1e-11
 
 

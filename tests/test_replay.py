@@ -14,7 +14,6 @@ from hyperd import (
     F0,
     F1,
     F2,
-    DSpec,
     bessel,
     d_eval,
     f_norm,
@@ -32,12 +31,12 @@ def f_norm_2jet(p, z):
     return ffun.prepare_f_norm(p).jet(z, 2)
 
 
-def d_eval_2jet(spec, z):
-    return dfun.prepare_d_eval(spec).jet(z, 2)
+def d_eval_2jet(p, z):
+    return dfun.prepare_d_eval(p).jet(z, 2)
 
 
-def log_solution_2jet(spec, z):
-    return dfun.prepare_log_solution(spec).jet(z, 2)
+def log_solution_2jet(p, z):
+    return dfun.prepare_log_solution(p).jet(z, 2)
 
 ZS = (0.3 + 0.2j, complex(0.6, 0.0), complex(0.6, -0.0), -0.45 + 0.1j,
       3.0 - 1.5j)
@@ -50,20 +49,17 @@ F_PARAMS = (
     F2(1, 0.3, 0.2), F2(0.4, 0.3, 0.2), F2(0.4, complex(0.3, -0.0), 0.2),
     F2(-2, 0.3, 0.25),
 )
-SPECS = (
-    DSpec("0f1", -2), DSpec("0f1", 0), DSpec("0f1", 3),
-    DSpec("1f1", 2, theta=0.7), DSpec("1f1", 1, theta=0.7),
-    DSpec("1f1", 1, theta=complex(0.7, -0.0)), DSpec("1f1", -1, theta=0.7),
-    DSpec("2f1", 1, beta=0.3, mu=0.2),
-    DSpec("2f1", 1, beta=complex(0.3, -0.0), mu=0.2),
-    DSpec("2f1", 2, beta=0.3, mu=-0.45),
+D_PARAMS = (
+    F0(-2), F0(0), F0(3),
+    F1(0.7, 2), F1(0.7, 1), F1(complex(0.7, -0.0), 1), F1(0.7, -1),
+    F2(1, 0.3, 0.2), F2(1, complex(0.3, -0.0), 0.2), F2(2, 0.3, -0.45),
 )
 ROUTES = (None, "Connection", "LogPlusD", "Asymptotic2F0")
 ALPHAS = (2, -1, 0.4, 2 + 1e-11)
 
 CORPUS = (
     [(f, (p, z)) for p in F_PARAMS for z in ZS for f in (f_norm, f_norm_2jet)]
-    + [(f, (s, z)) for s in SPECS for z in ZS
+    + [(f, (s, z)) for s in D_PARAMS for z in ZS
        for f in (d_eval, d_eval_2jet, log_solution, log_solution_2jet)]
     + [(u0, (a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
     + [(u1, (0.7, a, z, r)) for a in ALPHAS for z in ZS for r in ROUTES]
@@ -116,12 +112,12 @@ def test_threads_match_sequential_run():
     assert results == [[expected] * 3] * 4
 
 
-P, SPEC, Z = F1(0.7, 0.4), DSpec("1f1", -2, theta=0.7), 0.5 + 0.2j
+P, PD, Z = F1(0.7, 0.4), F1(0.7, -2), 0.5 + 0.2j
 CALLS = {
     "f_norm": lambda: f_norm(P, Z),
     "f_norm_jet": lambda: f_norm_2jet(P, Z),
-    "d_eval": lambda: d_eval(SPEC, Z),
-    "d_eval_jet": lambda: d_eval_2jet(SPEC, Z),
+    "d_eval": lambda: d_eval(PD, Z),
+    "d_eval_jet": lambda: d_eval_2jet(PD, Z),
 }
 
 
@@ -162,7 +158,7 @@ def test_stream_that_raised_is_built_again(monkeypatch, name, persistent):
 
 
 @pytest.mark.parametrize("prepare,arg", [(ffun.prepare_f_norm, P),
-                                         (dfun.prepare_d_eval, SPEC)])
+                                         (dfun.prepare_d_eval, PD)])
 def test_prepared_callable_builds_a_raised_stream_again(monkeypatch, prepare,
                                                         arg):
     # a prepared callable keeps its stream from point to point, but not

@@ -205,6 +205,26 @@ def test_connection_error_estimate_covers_cancellation():
     assert abs(r.value - want) <= 3.0 * r.err_estimate
 
 
+def test_connection_error_estimate_stays_finite_where_the_weight_overflows():
+    # 30^150.5 times 1/Gamma(-74.4) overflows a double though the term
+    # fits; the error estimate was inf * 0 = nan, and the value keeps its bits
+    r = u1(0.7, -150.5, 30)
+    assert r.value == complex(1.7492200541523555e+158, -0.0)
+    assert math.isfinite(r.err_estimate)
+    assert 0 < r.err_estimate < 1e-15 * abs(r.value)
+
+
+def test_a_power_of_minus_z_that_is_not_finite_is_a_domain_error():
+    # (-z)^(-alpha) of the Connection route and (-z)^e of the 1/z series
+    # overflow; each names z and the exponent instead of a raw OverflowError
+    cases = [(lambda: u2(2.5, 0.3, 0.2, -1e-300), "z = (-1e-300+0j), a = (-2.5-0j)"),
+             (lambda: u2(-400.5, 0.3, 0.2, -1e300), "z = (-1e+300+0j), a = (199.7+0j)")]
+    for call, where in cases:
+        with pytest.raises(DomainError, match=r"\(-z\)\*\*a is not finite") as ei:
+            call()
+        assert where in str(ei.value)
+
+
 # Bessel wrappers
 
 
