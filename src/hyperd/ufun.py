@@ -15,6 +15,19 @@ Routes agree within combined error estimates wherever they overlap;
 the error estimates include an explicit cancellation floor because all
 of these formulas subtract large intermediates.
 
+Without a route, u0 and u1 answer far points from Asymptotic2F0 first.
+A point is far when Re z > 0 and the expansion variable x (-1/z for
+1F1, -1/(4 sqrt z) for 0F1) has |x| <= 2/ln(1/eps), eps the double
+epsilon: |z| >= U1_FAR_RADIUS = 18.02 for u1 and |z| >= U0_FAR_RADIUS =
+20.30 for u0.  There the expansion's smallest term, about e^(-1/|x|), is
+below sqrt(eps), and F, which grows like e^z or e^(2 sqrt z) while U
+decays, makes the series routes cancel more than that.  The far value
+is kept when its err_estimate <= sqrt(eps) |value| (DLMF 13.7(ii) bounds
+the remainder by the first omitted term for |ph z| <= pi/2).  Otherwise,
+or where the expansion raises a HyperdError, the point takes the route
+alpha picks, as every near point does.  Forced routes are taken as
+given at every z.
+
 As in ffun, u0, u1 and u2 are prepare_u0(...)(z) and so on: the route,
 the series of its F and D and its Gamma weights are set up once per
 parameter set.  Weights that a lone call takes only after its series are
@@ -32,6 +45,7 @@ from .dfun import d_eval, log_solution, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
+    HyperdError,
     ParameterSingular,
     RouteInapplicable,
 )
@@ -65,6 +79,13 @@ _EPS = sys.float_info.epsilon
 CONNECTION_INT_BAND = 1e-6
 
 _SQRT_PI = math.sqrt(math.pi)
+
+# the far rule of the module docstring: |x| <= 2/ln(1/eps) as a radius in
+# |z| (18.02 for u1, 20.30 for u0), and the far value's error bound
+_LN_INV_EPS = math.log(1.0 / _EPS)
+U1_FAR_RADIUS = _LN_INV_EPS / 2.0
+U0_FAR_RADIUS = (_LN_INV_EPS / 8.0) ** 2
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 class URoute(Enum):
@@ -155,12 +176,53 @@ def _log_plus_d(p, prefactor):
     return lambda z: w(z).scaled(_kept(pref, prefactor))
 
 
+def _far_value(far, radius, z):
+    """far(z), the Asymptotic2F0 value at z, where the far rule of the
+    module docstring takes it: Re z > 0, |z| >= radius, no HyperdError
+    and err_estimate <= sqrt(eps) |value|.  None everywhere else."""
+    if z.real <= 0.0 or abs(z) < radius:
+        return None
+    try:
+        r = far(z)
+    except HyperdError:
+        return None
+    return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
+
+
+def _far_first(far, radius, near):
+    """The automatic route: z -> the far value where _far_value gives one,
+    else near()(z).  The near route is built at the first point that
+    needs it, so its faults (an alpha in the gap band, a vanishing
+    prefactor) are raised there and not by far points."""
+    built = []
+
+    def u_at(z):
+        r = _far_value(far, radius, complex(z))
+        return r if r is not None else _kept(built, near)(z)
+
+    return u_at
+
+
 def prepare_u0(alpha, route=None):
-    """The callable z -> u0(alpha, z, route)."""
+    """The callable z -> u0(alpha, z, route).
+
+    Without a route, far points (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30)
+    take Asymptotic2F0 when its error estimate is within sqrt(eps) of the
+    value; every other point, and a far point whose expansion raises or
+    falls short, takes the route alpha picks, built at the first point
+    that needs it.
+    """
     alpha = complex(alpha)
     _check_finite({"alpha": alpha})
-    route = _as_route(route) or _pick_route(alpha)
+    route = _as_route(route)
+    if route is None:
+        return _far_first(_u0_route(URoute.ASYMPTOTIC_2F0, alpha), U0_FAR_RADIUS,
+                          lambda: _u0_route(_pick_route(alpha), alpha))
+    return _u0_route(route, alpha)
 
+
+def _u0_route(route, alpha):
+    """The per-point callable of one route of u0."""
     if route is URoute.CONNECTION:
         _require_generic(alpha)
         f_n = prepare_f_norm(F0(alpha))
@@ -202,12 +264,26 @@ def u0(alpha, z, route=None):
 
 
 def prepare_u1(theta, alpha, route=None):
-    """The callable z -> u1(theta, alpha, z, route)."""
+    """The callable z -> u1(theta, alpha, z, route).
+
+    Without a route, far points (Re z > 0, |z| >= U1_FAR_RADIUS = 18.02)
+    take Asymptotic2F0 when its error estimate is within sqrt(eps) of the
+    value; every other point, and a far point whose expansion raises or
+    falls short, takes the route alpha picks, built at the first point
+    that needs it.
+    """
     theta = complex(theta)
     alpha = complex(alpha)
     _check_finite({"theta": theta, "alpha": alpha})
-    route = _as_route(route) or _pick_route(alpha)
+    route = _as_route(route)
+    if route is None:
+        return _far_first(_u1_route(URoute.ASYMPTOTIC_2F0, theta, alpha), U1_FAR_RADIUS,
+                          lambda: _u1_route(_pick_route(alpha), theta, alpha))
+    return _u1_route(route, theta, alpha)
 
+
+def _u1_route(route, theta, alpha):
+    """The per-point callable of one route of u1."""
     if route is URoute.CONNECTION:
         _require_generic(alpha)
         f_n = prepare_f_norm(F1(theta, alpha))
@@ -372,12 +448,15 @@ def bessel(kind, m, z):
         I_m(z)  = (z/2)^m  F_m(w)
         J_m(z)  = (z/2)^m  F_m(-w)
         K_m(z)  = (-1)^(m+1)/2 (z/2)^m (log w * F_m(w) + D_m(w))
+                = (sqrt(pi)/2) (z/2)^m U_m(w)
         H1_m(z) = +(i/pi) (z/2)^m ((log w - i pi) F_m(-w) + D_m(-w))
         H2_m(z) = -(i/pi) (z/2)^m ((log w + i pi) F_m(-w) + D_m(-w))
 
-    The Hankel pair carries the rotated argument e^(∓ i pi) w as the exact
-    phase -w together with the explicit ∓ i pi in the logarithm, so that
-    H1 + H2 = 2 J identically.
+    K takes the second form where w is a far point of u0 whose
+    Asymptotic2F0 value u0 would keep; the log form cancels there, as
+    for U.  The Hankel pair carries the rotated argument e^(∓ i pi) w as
+    the exact phase -w together with the explicit ∓ i pi in the
+    logarithm, so that H1 + H2 = 2 J identically.
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
@@ -394,6 +473,9 @@ def bessel(kind, m, z):
     if kind == "J":
         return f_norm(p, -w).scaled(half_pow)
     if kind == "K":
+        far = _far_value(_u0_route(URoute.ASYMPTOTIC_2F0, m), U0_FAR_RADIUS, w)
+        if far is not None:
+            return far.scaled(_SQRT_PI / 2.0 * half_pow)
         inner = log_solution(p, w)
         return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):

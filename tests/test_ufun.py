@@ -7,10 +7,13 @@ Tricomi's function, the Bessel wrappers are the standard I, J, K, H.
 
 import cmath
 import math
+import random
+import sys
 
 import mpmath as mp
 import pytest
 
+from hyperd.dfun import log_solution
 from hyperd.errors import (
     BranchCut,
     DomainError,
@@ -18,9 +21,21 @@ from hyperd.errors import (
     ParameterSingular,
     RouteInapplicable,
 )
+from hyperd.ffun import F0
 from hyperd.gammakit import gamma
 from hyperd.series import principal_pow
-from hyperd.ufun import CONNECTION_INT_BAND, URoute, bessel, u0, u1, u2
+from hyperd.ufun import (
+    CONNECTION_INT_BAND,
+    U0_FAR_RADIUS,
+    U1_FAR_RADIUS,
+    URoute,
+    bessel,
+    prepare_u0,
+    prepare_u1,
+    u0,
+    u1,
+    u2,
+)
 
 mp.mp.dps = 30
 
@@ -189,6 +204,132 @@ def test_route_picking_and_bands():
     assert CONNECTION_INT_BAND == 1e-6
 
 
+# the far route: Asymptotic2F0 first at Re z > 0 beyond the radius
+
+_SQRT_EPS = math.sqrt(sys.float_info.epsilon)
+
+
+def test_far_radii_follow_from_the_double_epsilon():
+    # |x| <= 2/ln(1/eps), x = -1/z for 1F1 and -1/(4 sqrt z) for 0F1
+    bound = 2.0 / math.log(1.0 / sys.float_info.epsilon)
+    assert U1_FAR_RADIUS == pytest.approx(1.0 / bound, rel=1e-15)
+    assert 1.0 / (4.0 * math.sqrt(U0_FAR_RADIUS)) == pytest.approx(bound, rel=1e-15)
+    assert round(U1_FAR_RADIUS, 2) == 18.02 and round(U0_FAR_RADIUS, 2) == 20.30
+
+
+def _u_ref40(kind, theta, alpha, z):
+    with mp.workdps(40):
+        zm, al = _mpc(z), mp.mpmathify(alpha)
+        if kind == "0f1":
+            v = 2 / mp.sqrt(mp.pi) * zm ** (-al / 2) * mp.besselk(al, 2 * mp.sqrt(zm))
+        else:
+            v = mp.hyperu((1 + mp.mpmathify(theta) + al) / 2, 1 + al, zm)
+        return complex(v)
+
+
+def test_far_route_survey_against_mpmath():
+    # seeded 0F1/1F1 U points at 18 <= |z| <= 60, |ph z| <= 1.45: integer
+    # m in [-2, 4], generic and complex alpha, complex theta.  Every point
+    # the far rule takes has the forced Asymptotic2F0 value, bounded by
+    # its own estimate and within 1e-8 relative of mpmath at 40 digits
+    rng = random.Random(1517)
+    far = 0
+    for i in range(96):
+        kind = ("0f1", "1f1")[i % 2]
+        if rng.random() < 0.5:
+            alpha = rng.randint(-2, 4)
+        else:
+            alpha = complex(rng.uniform(-2.5, 4.5), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        theta = complex(rng.uniform(0.1, 1.9), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
+        z = cmath.rect(rng.uniform(18.0, 60.0), rng.uniform(-1.45, 1.45))
+        if kind == "0f1":
+            auto, radius = prepare_u0(alpha), U0_FAR_RADIUS
+            forced = prepare_u0(alpha, URoute.ASYMPTOTIC_2F0)
+        else:
+            auto, radius = prepare_u1(theta, alpha), U1_FAR_RADIUS
+            forced = prepare_u1(theta, alpha, URoute.ASYMPTOTIC_2F0)
+        try:
+            r = forced(z)
+        except HyperdError:
+            continue
+        if abs(z) < radius or r.err_estimate > _SQRT_EPS * abs(r.value):
+            continue
+        far += 1
+        assert auto(z) == r
+        want = _u_ref40(kind, theta, alpha, z)
+        assert abs(r.value - want) <= r.err_estimate, (kind, theta, alpha, z)
+        assert abs(r.value - want) <= 1e-8 * abs(want), (kind, theta, alpha, z)
+    assert far >= 80
+
+
+def test_far_route_answers_where_log_plus_d_cancels():
+    # LogPlusD sums 199 terms to 1.89 here, with an estimate of 2.45
+    r = u1(0.7, 2, 40)
+    assert r.terms_used == 41
+    assert r.value == pytest.approx(1.0942230917487e-3, rel=1e-12)
+    assert abs(r.value - _u_ref40("1f1", 0.7, 2, 40)) <= r.err_estimate < 1e-16
+    assert u1(0.7, 2, 40, URoute.LOG_PLUS_D).terms_used == 199
+
+
+def test_points_the_far_rule_leaves_keep_their_values():
+    # just inside the radius, Re z <= 0, and a far point whose expansion
+    # falls short: the bits of the route alpha picks
+    reprs = {
+        (0.7, 2, 18.0): "EvalResult(value=(0.004830540693576995+0j), err_estimate=5.886512362323598e-10, "
+                        "terms_used=124, flags=frozenset())",
+        (0.7, 2, complex(-30, 5)): "EvalResult(value=(0.0012771221431194162+0.0012497558527154137j), "
+                                   "err_estimate=1.6388721185068005e-18, terms_used=194, flags=frozenset())",
+        (0.7, 2, 30j): "EvalResult(value=(-0.0018041288070606322-0.0004131740511009471j), "
+                       "err_estimate=8.5488698784362e-18, terms_used=218, flags=frozenset())",
+        (0.7, 12, 20.0): "EvalResult(value=(6.2042726401815114e-09-0j), err_estimate=7.822650246819353e-17, "
+                         "terms_used=123, flags=frozenset())",
+    }
+    for args, want in reprs.items():
+        assert repr(u1(*args)) == want
+    assert repr(u0(2, 20.29)) == ("EvalResult(value=(3.4592696710124517e-06-0j), "
+                                  "err_estimate=3.242740746798409e-14, terms_used=46, flags=frozenset())")
+    near = [(0.37, complex(20.0, 2.0)), (2, complex(-30.0, 5.0)), (1, 20.0), (-2, complex(0.0, 40.0))]
+    for alpha, z in near:
+        route = URoute.CONNECTION if alpha == 0.37 else URoute.LOG_PLUS_D
+        assert repr(u0(alpha, z)) == repr(u0(alpha, z, route))
+    for theta, alpha, z in [(0.7, 0.37, 18.0), (0.7 + 0.2j, 3, complex(17.9, 1.0)), (1.1, -1, complex(-25.0, 0.5))]:
+        route = URoute.CONNECTION if alpha == 0.37 else URoute.LOG_PLUS_D
+        assert repr(u1(theta, alpha, z)) == repr(u1(theta, alpha, z, route))
+
+
+def test_forced_routes_ignore_the_far_rule():
+    r = u1(0.7, 2, 40, URoute.LOG_PLUS_D)
+    assert repr(r) == ("EvalResult(value=(1.8876680442630869+0j), err_estimate=2.4501997557892468, "
+                       "terms_used=199, flags=frozenset())")
+    assert u0(2.5, 30.0, URoute.CONNECTION) != u0(2.5, 30.0)
+    assert u1(0.7, 0.37, 1.0, URoute.ASYMPTOTIC_2F0) != u1(0.7, 0.37, 1.0)
+
+
+def test_a_far_attempt_that_falls_short_falls_back():
+    # the 2F0 terms grow from the first (|a b / z| ~ 48), so the estimate
+    # is the value itself; LogPlusD then raises as it always has
+    r = u1(0.7, -170, 150, URoute.ASYMPTOTIC_2F0)
+    assert r.err_estimate > _SQRT_EPS * abs(r.value)
+    with pytest.raises(DomainError, match=r"z\*\*a is not finite"):
+        u1(0.7, -170, 150)
+
+
+def test_far_points_in_the_gap_band_take_the_expansion():
+    # 1e-9 < |alpha - m| <= 1e-6: no series route applies, the far value
+    # divides by no sin(pi alpha)
+    for alpha in (2.0 + 1e-8, 2.0 + 1e-7j, -1.0 - 5e-7):
+        at0 = prepare_u0(alpha)
+        r = at0(30.0)
+        assert abs(r.value - _u_ref40("0f1", 0.0, alpha, 30.0)) <= r.err_estimate
+        with pytest.raises(RouteInapplicable):
+            at0(0.9)
+        at1 = prepare_u1(0.7, alpha)
+        r = at1(complex(25.0, 10.0))
+        assert abs(r.value - _u_ref40("1f1", 0.7, alpha, complex(25.0, 10.0))) <= r.err_estimate
+        with pytest.raises(RouteInapplicable):
+            at1(complex(-25.0, 10.0))
+
+
 def test_route_accepts_strings():
     z = 0.9
     assert u0(1.0, z, "LogPlusD").value == u0(1.0, z, URoute.LOG_PLUS_D).value
@@ -266,6 +407,24 @@ def test_bessel_k_matches_u0_composition():
             u = u0(m, z * z / 4.0, URoute.LOG_PLUS_D).value
             want = 0.5 * math.sqrt(math.pi) * (z / 2.0) ** m * u
             assert _rel(k, want) < 1e-13
+
+
+def test_bessel_k_at_large_argument():
+    # the log form returned -9.2e-4 and -2848 here
+    for m, z in ((1, 30.0), (3, 45.0), (0, complex(20.0, 15.0)), (-2, 40.0)):
+        r = bessel("K", m, z)
+        want = complex(mp.besselk(m, _mpc(z)))
+        assert _rel(r.value, want) < 1e-13 * abs(want)
+        assert abs(r.value - want) <= r.err_estimate
+    assert bessel("K", 1, 30.0).value == pytest.approx(2.16773200189155e-14, rel=1e-13)
+
+
+def test_bessel_k_keeps_the_log_form_bits_off_the_far_route():
+    # w = z^2/4 inside the radius or with Re w <= 0
+    for m, z in ((1, 9.0), (2, complex(3.0, 5.0)), (0, 0.6), (3, complex(-20.0, 25.0))):
+        w = complex(z) ** 2 / 4.0
+        want = log_solution(F0(m), w).scaled((-1.0) ** (m + 1) / 2.0 * principal_pow(z / 2.0, m))
+        assert repr(bessel("K", m, z)) == repr(want)
 
 
 def test_bessel_bad_inputs():
