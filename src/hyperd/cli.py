@@ -40,7 +40,7 @@ from .ffun import (F0, F1, F2, PARAMS_BY_KIND, prepare_f2_norm_I,
                    prepare_f_norm, prepare_f_second)
 from .dfun import prepare_d_eval, prepare_d_eval_I, prepare_log_solution
 from .series import MAX_TERMS, REL_TOL, _kept
-from .ufun import URoute, _prepare_u, bessel, u0, u1, u2
+from .ufun import URoute, bessel, prepare_u, u0
 from . import oracle, relations
 
 __all__ = ["main"]
@@ -216,7 +216,7 @@ def _resolve_params(args):
 _PREPARE = {"F": prepare_f_norm, "second": prepare_f_second,
             "FI": prepare_f2_norm_I, "D": prepare_d_eval,
             "DI": prepare_d_eval_I, "logsol": prepare_log_solution,
-            "U": _prepare_u}
+            "U": prepare_u}
 
 
 def _evaluator(args, lie):
@@ -310,18 +310,12 @@ def _theorem_checks():
     z0, z1 = complex(0.7, 0.0), complex(-0.4, 0.6)
     zneg = complex(-0.5, 0.0)
     for m in range(0, 4):
-        for j, z in enumerate((z0, z1)):
-            direct = u0(m, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(F0(m), z).value
-            checks.append(("theorem.th1.m%d.z%d" % (m, j), direct, lim))
-        for j, z in enumerate((z0, z1)):
-            direct = u1(0.7, m, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(F1(0.7, m), z).value
-            checks.append(("theorem.th2.m%d.z%d" % (m, j), direct, lim))
-        for j, z in enumerate((zneg, z1)):
-            direct = u2(m, 0.3, 0.2, z, URoute.LOG_PLUS_D).value
-            lim = oracle.limit_alpha(F2(m, 0.3, 0.2), z).value
-            checks.append(("theorem.udef.m%d.z%d" % (m, j), direct, lim))
+        for name, p, zs in (("th1", F0(m), (z0, z1)), ("th2", F1(0.7, m), (z0, z1)),
+                            ("udef", F2(m, 0.3, 0.2), (zneg, z1))):
+            direct = prepare_u(p, URoute.LOG_PLUS_D)
+            for j, z in enumerate(zs):
+                checks.append(("theorem.%s.m%d.z%d" % (name, m, j), direct(z).value,
+                               oracle.limit_alpha(p, z).value))
     return [(key, abs(a - b) / max(1.0, abs(a), abs(b)), 1e-6)
             for key, a, b in checks]
 

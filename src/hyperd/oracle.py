@@ -18,7 +18,7 @@ from .ffun import DEGENERACY_TOL, F0, _check_params, f_norm, prepare_f_norm
 from .gammakit import digamma, near_int, near_nonpositive_int, recip_gamma
 from .series import EvalResult, principal_pow, sum_power_series
 from .dfun import _d_jet, _d_params
-from .ufun import URoute, _prepare_u
+from .ufun import URoute, prepare_u
 
 __all__ = [
     "ResidualReport",
@@ -160,7 +160,7 @@ def limit_alpha(p, z):
     hs = _LADDER
     rows = []
     for h in hs:
-        v = _prepare_u(replace(p, alpha=m + h), URoute.CONNECTION)(z).value
+        v = prepare_u(replace(p, alpha=m + h), URoute.CONNECTION)(z).value
         rows.append([v])
     # Neville tableau evaluated at h = 0
     for j in range(1, len(hs)):

@@ -28,17 +28,20 @@ or where the expansion raises a HyperdError, the point takes the route
 alpha picks, as every near point does.  Forced routes are taken as
 given at every z.
 
-As in ffun, u0, u1 and u2 are prepare_u0(...)(z) and so on: the route,
-the series of its F and D and its Gamma weights are set up once per
-parameter set.  Weights that a lone call takes only after its series are
-taken at the first point that gets that far, and u2 prepares each route
-at the first point that takes it.  Public functions may be called from
-any thread; a prepared callable belongs to the thread that made it.
+As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
+its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
+u1 and u2 likewise.  prepare_u sets up the route, the series of its F
+and D and its Gamma weights once per parameter set.  Weights that a lone
+call takes only after its series are taken at the first point that gets
+that far, and the 2F1 U builds each route at the first point that takes
+it.  Public functions may be called from any thread; a prepared
+callable belongs to the thread that made it.
 """
 
 import cmath
 import math
 import sys
+from dataclasses import replace
 from enum import Enum
 
 from .dfun import d_eval, log_solution, prepare_log_solution
@@ -56,6 +59,7 @@ from .ffun import (
     F1,
     F2,
     _check_params,
+    _reflected,
     f2f0_asymptotic,
     f_norm,
     prepare_f_norm,
@@ -101,7 +105,6 @@ def _as_route(route):
 
 
 def _int_distance(alpha):
-    alpha = complex(alpha)
     return abs(alpha - round(alpha.real))
 
 
@@ -132,17 +135,6 @@ def _require_generic(alpha):
         )
 
 
-def _connection(c, alpha, fn, fr, t1, e1, t2, e2):
-    """Connection-route combination c (t1 - t2) / sin(pi alpha) of two
-    weighted series terms with absolute errors e1 and e2; fn and fr are
-    the two series results, whose terms and flags the result carries.
-    Each caller keeps the term order and sign of its own formula, which
-    fix the rounding and the sign of zero imaginary parts on the axis."""
-    s = sinpi(alpha)
-    err = abs(c) / abs(s) * (e1 + e2) + _EPS * abs(c) / abs(s) * (abs(t1) + abs(t2))
-    return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
-
-
 def _product_err(pw, w, err):
     """|pw w| err, the error of a weighted term pw w F with |F| off by err.
     Where pw w overflows it is formed as |pw| (|w| err), which stays
@@ -165,15 +157,125 @@ def _negated_pow(z, a):
     raise DomainError(f"(-z)**a is not finite at z = {z}, a = {a}")
 
 
-def _log_plus_d(p, prefactor):
-    """The LogPlusD route: z -> prefactor() * log_solution(p, z).
+def _connection(p):
+    """The Connection route: c (t1 - t2) / sin(pi alpha) from F at p and at
+    its reflection, with the constant c, the two weighted terms t1 and t2
+    and their absolute errors per kind.  Each kind keeps the term order
+    and sign of its own formula, which fix the rounding and the sign of
+    zero imaginary parts on the axis.  The Gamma weights are taken at the
+    first point whose series succeed, and kept."""
+    alpha = p.alpha
+    _require_generic(alpha)
+    f_n, f_r = prepare_f_norm(p), prepare_f_norm(_reflected(p))
+    weights = []
+    if p.kind == "0f1":
+        def terms(z, fn, fr):
+            pw = principal_pow(z, -alpha)
+            return _SQRT_PI, pw * fr.value, abs(pw) * fr.err_estimate, fn.value, fn.err_estimate
+    elif p.kind == "1f1":
+        theta = p.theta
 
-    The prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.
-    """
+        def terms(z, fn, fr):
+            pw = principal_pow(z, -alpha)
+            g1, g2 = _kept(weights, lambda: (recip_gamma((1 + theta + alpha) / 2),
+                                             recip_gamma((1 + theta - alpha) / 2)))
+            return (math.pi, pw * fr.value * g1, _product_err(pw, g1, fr.err_estimate),
+                    fn.value * g2, abs(g2) * fn.err_estimate)
+    else:
+        beta, mu = p.beta, p.mu
+
+        def terms(z, fn, fr):
+            w1, w2 = _kept(weights, lambda: (
+                recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
+                recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
+            ))
+            pw = _negated_pow(z, -alpha)
+            return (-math.pi, fn.value * w1, abs(w1) * fn.err_estimate,
+                    pw * fr.value * w2, _product_err(pw, w2, fr.err_estimate))
+
+    def u_at(z):
+        fn, fr = f_n(z), f_r(z)
+        c, t1, e1, t2, e2 = terms(z, fn, fr)
+        s = sinpi(alpha)
+        err = abs(c) / abs(s) * (e1 + e2) + _EPS * abs(c) / abs(s) * (abs(t1) + abs(t2))
+        return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+
+    return u_at
+
+
+def _log_form(p):
+    """The LogPlusD route: z -> prefactor * log_solution(p, z) at m = alpha,
+    and at m < 0 the U at -m times z^-m (1F1) or (-z)^-m (2F1).  The
+    prefactor is taken after the solution, at the first point whose
+    solution succeeds, and kept."""
+    m = _require_int(p.alpha)
+    if m < 0 and p.kind != "0f1":
+        inner = _log_form(replace(p, alpha=-m))
+        if p.kind == "1f1":
+            return lambda z: inner(z).scaled(principal_pow(z, -m))
+        return lambda z: inner(z).scaled(principal_pow(-z, -m))
+    sign = (-1.0) ** (m + 1)
+    if p.kind == "0f1":
+        prefactor = lambda: sign / _SQRT_PI
+    elif p.kind == "1f1":
+        q = (1 - m + p.theta) / 2
+        if near_nonpositive_int(q) is not None:
+            raise ParameterSingular(
+                f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
+            )
+        prefactor = lambda: sign * recip_gamma(q)
+    else:
+        q1 = (1 - m - p.beta - p.mu) / 2
+        q2 = (1 - m + p.beta - p.mu) / 2
+        if near_nonpositive_int(q1) is not None or near_nonpositive_int(q2) is not None:
+            raise ParameterSingular(
+                f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
+            )
+        prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
     w = prepare_log_solution(p)
     pref = []
     return lambda z: w(z).scaled(_kept(pref, prefactor))
+
+
+def _asymptotic(p):
+    """The Asymptotic2F0 route: the 2F0 expansion in x = -1/(4 sqrt z)
+    (0F1) or x = -1/z (1F1) times its prefactor, the 2F1 series in 1/z
+    times (-z)^e for the 2F1 kind."""
+    alpha = p.alpha
+    if p.kind == "2f1":
+        f = prepare_f_norm(F2(alpha=-p.mu, beta=p.beta, mu=-alpha))
+        e = (-1 - alpha - p.beta + p.mu) / 2
+
+        def u_at(z):
+            if abs(z) < 1.0 / F2_SERIES_RADIUS:
+                raise DomainError(
+                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+                )
+            pref = _negated_pow(z, e)
+            return f(1.0 / z).scaled(pref)
+
+        return u_at
+    is_0f1 = p.kind == "0f1"
+    if is_0f1:
+        a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
+    else:
+        a, b = (1 + p.theta + alpha) / 2, (1 + p.theta - alpha) / 2
+
+    def u_at(z):
+        z = complex(z)
+        _check_point(z)
+        if is_0f1:
+            sq = principal_pow(z, 0.5)
+            pref, x = cmath.exp(-2.0 * sq) * principal_pow(z, e), -1.0 / (4.0 * sq)
+        else:
+            pref, x = principal_pow(z, -a), -1.0 / z
+        return f2f0_asymptotic(a, b, x).scaled(pref)
+
+    return u_at
+
+
+_ROUTES = {URoute.CONNECTION: _connection, URoute.LOG_PLUS_D: _log_form,
+           URoute.ASYMPTOTIC_2F0: _asymptotic}
 
 
 def _far_value(far, radius, z):
@@ -203,241 +305,72 @@ def _far_first(far, radius, near):
     return u_at
 
 
-def prepare_u0(alpha, route=None):
-    """The callable z -> u0(alpha, z, route).
+def prepare_u(p, route=None):
+    """The callable z -> U at the parameter set p (F0, F1 or F2) and z.
 
-    Without a route, far points (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30)
-    take Asymptotic2F0 when its error estimate is within sqrt(eps) of the
-    value; every other point, and a far point whose expansion raises or
-    falls short, takes the route alpha picks, built at the first point
-    that needs it.
+    A given route is taken at every z; the 0F1 and 1F1 kinds build it
+    here.  Without one, a far 0F1 or 1F1 point (Re z > 0, |z| >=
+    U0_FAR_RADIUS = 20.30 or U1_FAR_RADIUS = 18.02) takes Asymptotic2F0
+    when its error estimate is within sqrt(eps) of the value; every other
+    point, and a far point whose expansion raises or falls short, takes
+    the route alpha picks, built at the first point that needs it.
+
+    The 2F1 U is cut on [0, inf).  Without a route each of its points
+    takes the route of its |z|: the one alpha picks for |z| <=
+    F2_SERIES_RADIUS, the 1/z series for |1/z| <= F2_SERIES_RADIUS.  A
+    route is built at the first point that passes the cut check and takes
+    it, so a point on the cut raises BranchCut before any fault of the
+    route's parameters.
     """
-    alpha = complex(alpha)
-    _check_finite({"alpha": alpha})
+    _check_params(p)
+    p = type(p)(*map(complex, vars(p).values()))
+    _check_finite(vars(p))
     route = _as_route(route)
-    if route is None:
-        return _far_first(_u0_route(URoute.ASYMPTOTIC_2F0, alpha), U0_FAR_RADIUS,
-                          lambda: _u0_route(_pick_route(alpha), alpha))
-    return _u0_route(route, alpha)
-
-
-def _u0_route(route, alpha):
-    """The per-point callable of one route of u0."""
-    if route is URoute.CONNECTION:
-        _require_generic(alpha)
-        f_n = prepare_f_norm(F0(alpha))
-        f_r = prepare_f_norm(F0(-alpha))
-
-        def u_at(z):
-            fn, fr = f_n(z), f_r(z)
-            pw = principal_pow(z, -alpha)
-            return _connection(_SQRT_PI, alpha, fn, fr, pw * fr.value, abs(pw) * fr.err_estimate,
-                               fn.value, fn.err_estimate)
-
-        return u_at
-
-    if route is URoute.LOG_PLUS_D:
-        m = _require_int(alpha)
-        return _log_plus_d(F0(m), lambda: (-1.0) ** (m + 1) / _SQRT_PI)
-
-    if route is URoute.ASYMPTOTIC_2F0:
-        a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
-
-        def u_at(z):
-            z = complex(z)
-            _check_point(z)
-            sq = principal_pow(z, 0.5)
-            pref = cmath.exp(-2.0 * sq) * principal_pow(z, e)
-            return f2f0_asymptotic(a, b, -1.0 / (4.0 * sq)).scaled(pref)
-
-        return u_at
-
-    raise RouteInapplicable(f"route {route.value} does not apply to the 0f1 kind")
-
-
-def u0(alpha, z, route=None):
-    """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0].
-
-    prepare_u0(alpha, route)(z).
-    """
-    return prepare_u0(alpha, route)(z)
-
-
-def prepare_u1(theta, alpha, route=None):
-    """The callable z -> u1(theta, alpha, z, route).
-
-    Without a route, far points (Re z > 0, |z| >= U1_FAR_RADIUS = 18.02)
-    take Asymptotic2F0 when its error estimate is within sqrt(eps) of the
-    value; every other point, and a far point whose expansion raises or
-    falls short, takes the route alpha picks, built at the first point
-    that needs it.
-    """
-    theta = complex(theta)
-    alpha = complex(alpha)
-    _check_finite({"theta": theta, "alpha": alpha})
-    route = _as_route(route)
-    if route is None:
-        return _far_first(_u1_route(URoute.ASYMPTOTIC_2F0, theta, alpha), U1_FAR_RADIUS,
-                          lambda: _u1_route(_pick_route(alpha), theta, alpha))
-    return _u1_route(route, theta, alpha)
-
-
-def _u1_route(route, theta, alpha):
-    """The per-point callable of one route of u1."""
-    if route is URoute.CONNECTION:
-        _require_generic(alpha)
-        f_n = prepare_f_norm(F1(theta, alpha))
-        f_r = prepare_f_norm(F1(theta, -alpha))
-        weights = []
-
-        def u_at(z):
-            fn, fr = f_n(z), f_r(z)
-            pw = principal_pow(z, -alpha)
-            g1, g2 = _kept(weights, lambda: (recip_gamma((1 + theta + alpha) / 2),
-                                             recip_gamma((1 + theta - alpha) / 2)))
-            return _connection(math.pi, alpha, fn, fr, pw * fr.value * g1, _product_err(pw, g1, fr.err_estimate),
-                               fn.value * g2, abs(g2) * fn.err_estimate)
-
-        return u_at
-
-    if route is URoute.LOG_PLUS_D:
-        m = _require_int(alpha)
-        if m < 0:
-            inner = prepare_u1(theta, -m, URoute.LOG_PLUS_D)
-            return lambda z: inner(z).scaled(principal_pow(z, -m))
-        q = (1 - m + theta) / 2
-        if near_nonpositive_int(q) is not None:
-            raise ParameterSingular(
-                f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
-            )
-        return _log_plus_d(F1(theta, m),
-                           lambda: (-1.0) ** (m + 1) * recip_gamma(q))
-
-    if route is URoute.ASYMPTOTIC_2F0:
-        a = (1 + theta + alpha) / 2
-        b = (1 + theta - alpha) / 2
-
-        def u_at(z):
-            z = complex(z)
-            _check_point(z)
-            pref = principal_pow(z, -a)
-            return f2f0_asymptotic(a, b, -1.0 / z).scaled(pref)
-
-        return u_at
-
-    raise RouteInapplicable(f"route {route.value} does not apply to the 1f1 kind")
-
-
-def u1(theta, alpha, z, route=None):
-    """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0].
-
-    prepare_u1(theta, alpha, route)(z).
-    """
-    return prepare_u1(theta, alpha, route)(z)
-
-
-def _check_u2_cut(z):
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
-
-
-def prepare_u2(alpha, beta, mu, route=None):
-    """The callable z -> u2(alpha, beta, mu, z, route).
-
-    Without a route each point takes the route of its |z|: the one alpha
-    picks for |z| <= F2_SERIES_RADIUS, the 1/z series for
-    |1/z| <= F2_SERIES_RADIUS.  A route is prepared at the first point
-    that passes the cut check and takes it, so a point on the cut raises
-    BranchCut before any fault of the route's parameters.
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    mu = complex(mu)
-    _check_finite({"alpha": alpha, "beta": beta, "mu": mu})
+    if p.kind != "2f1":
+        if route is not None:
+            return _ROUTES[route](p)
+        return _far_first(_asymptotic(p), U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS,
+                          lambda: _ROUTES[_pick_route(p.alpha)](p))
     chosen, outer = [], []  # the given or alpha-picked route; the 1/z series
 
     def u_at(z):
         z = complex(z)
         _check_point(z)
-        _check_u2_cut(z)
+        if z.imag == 0.0 and z.real >= 0.0:
+            raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
         if route is None and abs(z) > F2_SERIES_RADIUS:
             if abs(z) < 1.0 / F2_SERIES_RADIUS:
                 raise DomainError(
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
-            return _kept(outer, _u2_route, URoute.ASYMPTOTIC_2F0, alpha, beta, mu)(z)
-        return _kept(chosen, lambda: _u2_route(_as_route(route) or _pick_route(alpha), alpha,
-                                               beta, mu))(z)
+            return _kept(outer, _asymptotic, p)(z)
+        return _kept(chosen, lambda: _ROUTES[route or _pick_route(p.alpha)](p))(z)
 
     return u_at
 
 
-def _u2_route(route, alpha, beta, mu):
-    """The per-point callable of one route of u2, for z off the cut."""
-    if route is URoute.CONNECTION:
-        _require_generic(alpha)
-        f_n = prepare_f_norm(F2(alpha, beta, mu))
-        f_r = prepare_f_norm(F2(-alpha, beta, -mu))
-        weights = []
+def u0(alpha, z, route=None):
+    """U_alpha(z): the solution with e^(-2 sqrt z) decay, cut on (-inf, 0].
 
-        def u_at(z):
-            fn, fr = f_n(z), f_r(z)
-            w1, w2 = _kept(weights, lambda: (
-                recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
-                recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
-            ))
-            pw = _negated_pow(z, -alpha)
-            return _connection(-math.pi, alpha, fn, fr, fn.value * w1, abs(w1) * fn.err_estimate,
-                               pw * fr.value * w2, _product_err(pw, w2, fr.err_estimate))
+    prepare_u(F0(alpha), route)(z).
+    """
+    return prepare_u(F0(alpha), route)(z)
 
-        return u_at
 
-    if route is URoute.LOG_PLUS_D:
-        m = _require_int(alpha)
-        if m < 0:
-            inner = prepare_u2(-m, beta, mu, URoute.LOG_PLUS_D)
-            return lambda z: inner(z).scaled(principal_pow(complex(-z.real, -z.imag), -m))
-        q1 = (1 - m - beta - mu) / 2
-        q2 = (1 - m + beta - mu) / 2
-        if near_nonpositive_int(q1) is not None or near_nonpositive_int(q2) is not None:
-            raise ParameterSingular(
-                f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
-            )
-        return _log_plus_d(F2(m, beta, mu),
-                           lambda: (-1.0) ** (m + 1) * recip_gamma(q1) * recip_gamma(q2))
+def u1(theta, alpha, z, route=None):
+    """Tricomi-type U_{theta,alpha}(z), cut on (-inf, 0].
 
-    if route is URoute.ASYMPTOTIC_2F0:
-        f = prepare_f_norm(F2(alpha=-mu, beta=beta, mu=-alpha))
-        e = (-1 - alpha - beta + mu) / 2
-
-        def u_at(z):
-            if abs(z) < 1.0 / F2_SERIES_RADIUS:
-                raise DomainError(
-                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-                )
-            pref = _negated_pow(z, e)
-            return f(1.0 / z).scaled(pref)
-
-        return u_at
-
-    raise RouteInapplicable(f"route {route.value} does not apply to the 2f1 kind")
+    prepare_u(F1(theta, alpha), route)(z).
+    """
+    return prepare_u(F1(theta, alpha), route)(z)
 
 
 def u2(alpha, beta, mu, z, route=None):
     """The 2F1-kind U function, cut on [0, inf).
 
-    prepare_u2(alpha, beta, mu, route)(z).
+    prepare_u(F2(alpha, beta, mu), route)(z).
     """
-    return prepare_u2(alpha, beta, mu, route)(z)
-
-
-def _prepare_u(p, route):
-    """The prepared U of the kind of p at its fields, in the order
-    prepare_u0(alpha), prepare_u1(theta, alpha) and
-    prepare_u2(alpha, beta, mu) take them."""
-    _check_params(p)
-    prepare = {"0f1": prepare_u0, "1f1": prepare_u1, "2f1": prepare_u2}[p.kind]
-    return prepare(*vars(p).values(), route)
+    return prepare_u(F2(alpha, beta, mu), route)(z)
 
 
 def bessel(kind, m, z):
@@ -452,11 +385,13 @@ def bessel(kind, m, z):
         H1_m(z) = +(i/pi) (z/2)^m ((log w - i pi) F_m(-w) + D_m(-w))
         H2_m(z) = -(i/pi) (z/2)^m ((log w + i pi) F_m(-w) + D_m(-w))
 
-    K takes the second form where w is a far point of u0 whose
-    Asymptotic2F0 value u0 would keep; the log form cancels there, as
-    for U.  The Hankel pair carries the rotated argument e^(∓ i pi) w as
-    the exact phase -w together with the explicit ∓ i pi in the
-    logarithm, so that H1 + H2 = 2 J identically.
+    log w is taken on the sheet of z, as 2 log(z/2), cut where z is on
+    (-inf, 0]; where Re z > 0 it is the principal log w, which is the
+    same there.  K takes the second form where Re z > 0 and w is a far
+    point of u0 whose Asymptotic2F0 value u0 would keep; the log form
+    cancels there, as for U.  The Hankel pair carries the rotated
+    argument e^(∓ i pi) w as the exact phase -w together with the
+    explicit ∓ i pi in the logarithm, so that H1 + H2 = 2 J identically.
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
@@ -473,14 +408,17 @@ def bessel(kind, m, z):
     if kind == "J":
         return f_norm(p, -w).scaled(half_pow)
     if kind == "K":
-        far = _far_value(_u0_route(URoute.ASYMPTOTIC_2F0, m), U0_FAR_RADIUS, w)
-        if far is not None:
-            return far.scaled(_SQRT_PI / 2.0 * half_pow)
-        inner = log_solution(p, w)
+        if z.real > 0.0:
+            far = _far_value(_asymptotic(p), U0_FAR_RADIUS, w)
+            if far is not None:
+                return far.scaled(_SQRT_PI / 2.0 * half_pow)
+            inner = log_solution(p, w)
+        else:
+            inner = log_combo(2.0 * principal_log(z / 2.0), f_norm(p, w), d_eval(p, w))
         return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
     if kind in ("H1", "H2"):
         sign = 1.0 if kind == "H1" else -1.0
-        ell = principal_log(w) - sign * 1j * math.pi
+        ell = (principal_log(w) if z.real > 0.0 else 2.0 * principal_log(z / 2.0)) - sign * 1j * math.pi
         inner = log_combo(ell, f_norm(p, -w), d_eval(p, -w))
         return inner.scaled(sign * 1j / math.pi * half_pow)
     raise ValueError(f"unknown Bessel kind {kind!r}")

@@ -135,7 +135,7 @@ def test_limit_alpha_reproduces_the_degenerate_values(kind, rest, mk_u):
 def test_limit_alpha_guard_fires_on_a_corrupted_constituent(monkeypatch):
     from hyperd.series import EvalResult
 
-    real = oracle._prepare_u
+    real = oracle.prepare_u
 
     def spiky(p, route):
         at = real(p, route)
@@ -150,7 +150,7 @@ def test_limit_alpha_guard_fires_on_a_corrupted_constituent(monkeypatch):
 
         return u_at
 
-    monkeypatch.setattr(oracle, "_prepare_u", spiky)
+    monkeypatch.setattr(oracle, "prepare_u", spiky)
     with pytest.raises(ExtrapolationUnstable):
         oracle.limit_alpha(F0(1), 0.7)
 

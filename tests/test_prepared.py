@@ -273,9 +273,9 @@ def test_jet_entry_zero_is_the_point_value(prepare, arg):
 def test_prepared_routes_stay_per_point():
     # one prepared u2 serves points on either side of the annulus and
     # raises for the point inside it without losing the other routes
-    from hyperd.ufun import prepare_u2
+    from hyperd.ufun import prepare_u
 
-    at = prepare_u2(1, 0.3, 0.2)
+    at = prepare_u(F2(1, 0.3, 0.2))
     zs = (-0.5 + 0.1j, -1.5 + 0.1j, -1.0 + 0.1j, -0.5 + 0.3j, -1.5 + 0.3j)
     for z in zs:
         try:

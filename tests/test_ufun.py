@@ -13,7 +13,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from hyperd.dfun import log_solution
+from hyperd.dfun import d_eval, log_solution
 from hyperd.errors import (
     BranchCut,
     DomainError,
@@ -21,17 +21,16 @@ from hyperd.errors import (
     ParameterSingular,
     RouteInapplicable,
 )
-from hyperd.ffun import F0
+from hyperd.ffun import F0, F1, F2, f_norm
 from hyperd.gammakit import gamma
-from hyperd.series import principal_pow
+from hyperd.series import log_combo, principal_log, principal_pow
 from hyperd.ufun import (
     CONNECTION_INT_BAND,
     U0_FAR_RADIUS,
     U1_FAR_RADIUS,
     URoute,
     bessel,
-    prepare_u0,
-    prepare_u1,
+    prepare_u,
     u0,
     u1,
     u2,
@@ -243,11 +242,11 @@ def test_far_route_survey_against_mpmath():
         theta = complex(rng.uniform(0.1, 1.9), rng.choice((0.0, rng.uniform(-1.0, 1.0))))
         z = cmath.rect(rng.uniform(18.0, 60.0), rng.uniform(-1.45, 1.45))
         if kind == "0f1":
-            auto, radius = prepare_u0(alpha), U0_FAR_RADIUS
-            forced = prepare_u0(alpha, URoute.ASYMPTOTIC_2F0)
+            auto, radius = prepare_u(F0(alpha)), U0_FAR_RADIUS
+            forced = prepare_u(F0(alpha), URoute.ASYMPTOTIC_2F0)
         else:
-            auto, radius = prepare_u1(theta, alpha), U1_FAR_RADIUS
-            forced = prepare_u1(theta, alpha, URoute.ASYMPTOTIC_2F0)
+            auto, radius = prepare_u(F1(theta, alpha)), U1_FAR_RADIUS
+            forced = prepare_u(F1(theta, alpha), URoute.ASYMPTOTIC_2F0)
         try:
             r = forced(z)
         except HyperdError:
@@ -318,12 +317,12 @@ def test_far_points_in_the_gap_band_take_the_expansion():
     # 1e-9 < |alpha - m| <= 1e-6: no series route applies, the far value
     # divides by no sin(pi alpha)
     for alpha in (2.0 + 1e-8, 2.0 + 1e-7j, -1.0 - 5e-7):
-        at0 = prepare_u0(alpha)
+        at0 = prepare_u(F0(alpha))
         r = at0(30.0)
         assert abs(r.value - _u_ref40("0f1", 0.0, alpha, 30.0)) <= r.err_estimate
         with pytest.raises(RouteInapplicable):
             at0(0.9)
-        at1 = prepare_u1(0.7, alpha)
+        at1 = prepare_u(F1(0.7, alpha))
         r = at1(complex(25.0, 10.0))
         assert abs(r.value - _u_ref40("1f1", 0.7, alpha, complex(25.0, 10.0))) <= r.err_estimate
         with pytest.raises(RouteInapplicable):
@@ -335,6 +334,52 @@ def test_route_accepts_strings():
     assert u0(1.0, z, "LogPlusD").value == u0(1.0, z, URoute.LOG_PLUS_D).value
     with pytest.raises(ValueError):
         u0(1.0, z, "NoSuchRoute")
+
+
+@pytest.mark.parametrize("arg", [0.5, None, "F0", (0.7, 2), {"alpha": 1.0}])
+def test_prepare_u_takes_a_parameter_set(arg):
+    with pytest.raises(TypeError, match="unsupported parameter type"):
+        prepare_u(arg)
+
+
+def _outcome(call):
+    try:
+        return repr(call())
+    except HyperdError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+# per kind: the public point function, the parameter class, the fields
+# at integer m, at m < 0 and at generic alpha, and points near, far, on
+# the cut and (2F1) in the annulus 0.95 < |z| < 1/0.95
+U_KINDS = {
+    "0f1": (u0, F0, [(2.0,), (-2.0,), (0.37,)],
+            [0.9, complex(0.8, 1.1), complex(-0.7, 0.5), complex(-0.5, 0.0), 30.0, complex(25.0, -10.0)]),
+    "1f1": (u1, F1, [(0.7, 2.0), (0.7, -2.0), (0.7, 0.37)],
+            [0.9, complex(0.8, 1.1), complex(-0.7, 0.5), complex(-0.5, 0.0), 30.0, complex(25.0, -10.0)]),
+    "2f1": (u2, F2, [(2.0, 0.3, 0.2), (-1.0, 0.3, 0.2), (0.37, 0.3, 0.2)],
+            [complex(-0.5, 0.1), complex(-1.5, 0.1), complex(-1.0, 0.1), complex(-0.5, 0.0), 0.3,
+             complex(-3.0, 0.2)]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(U_KINDS))
+@pytest.mark.parametrize("route", [None] + list(URoute))
+def test_prepare_u_gives_the_bits_of_the_point_functions(kind, route):
+    # float fields, as the CLI passes them, and complex fields; one
+    # prepared callable serves every point as a lone call does, and a
+    # forced route that does not apply raises at every point
+    u, cls, fields_list, zs = U_KINDS[kind]
+    for fields in fields_list:
+        for fs in (fields, tuple(map(complex, fields))):
+            want = [_outcome(lambda: u(*fs, z, route)) for z in zs]
+            assert [_outcome(lambda: prepare_u(cls(*fs), route)(z)) for z in zs] == want
+            try:
+                at = prepare_u(cls(*fs), route)
+            except HyperdError as exc:
+                assert want == ["%s: %s" % (type(exc).__name__, exc)] * len(zs)
+                continue
+            assert [_outcome(lambda: at(z)) for z in zs] == want, (fs, route)
 
 
 def test_connection_error_estimate_covers_cancellation():
@@ -393,6 +438,60 @@ def test_bessel_hankel(m):
         assert abs(h1 + h2 - 2.0 * jj) < 1e-13 * max(1.0, abs(jj))
 
 
+# |z| <= 8 in the four quadrants, on the imaginary axis (+0.0 and -0.0
+# real parts), on both lips of the cut of K, H1 and H2, and two points
+# at Re z < 0 where the principal log of w = z^2/4 put K_m(z) and H1 on
+# the sheet of -z (K_1(-1+0.5i) was -0.376-0.402i, H1 37x off)
+BESSEL_ZS = ([cmath.rect(r, ph) for r in (0.3, 2.0, 7.5) for ph in (0.6, 2.1, 2.9, -0.4, -1.8, -3.0)]
+             + [complex(0.0, y) for y in (0.4, 3.0, -1.5, -8.0)] + [complex(-0.0, 2.5), complex(-0.0, -2.5)]
+             + [complex(-2.0, 1e-300), complex(-2.0, -1e-300), complex(-1.0, 0.5), complex(-0.5, 2.0)])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, -2])
+def test_bessel_k_and_hankel_on_every_sheet(m):
+    # log w is 2 log(z/2).  Each result is within 1e-12 of mpmath relative
+    # to the larger of itself and the F term it is formed from (I for K, J
+    # for the Hankel pair): the log form cancels where the function decays
+    # (K at Re z > 0, H1 at Im z > 0, H2 at Im z < 0), and is within 1e-12
+    # relative where it grows
+    for z in BESSEL_ZS:
+        zm = _mpc(z)
+        i_m, j_m = abs(complex(mp.besseli(m, zm))), abs(complex(mp.besselj(m, zm)))
+        for kind, ref, scale, grows in (("K", mp.besselk, i_m, z.real <= 0),
+                                        ("H1", mp.hankel1, j_m, z.imag <= 0),
+                                        ("H2", mp.hankel2, j_m, z.imag >= 0)):
+            got = bessel(kind, m, z).value
+            want = complex(ref(m, zm))
+            assert abs(got - want) <= 1e-12 * max(abs(want), scale), (kind, z)
+            if grows:
+                assert abs(got - want) <= 1e-12 * abs(want), (kind, z)
+
+
+def test_bessel_k_takes_the_far_route_only_at_positive_real_part():
+    # w = z^2/4 is a far point of u0 here, whose U_m(w) is K on the sheet
+    # of -z
+    for m, z in ((1, complex(-30.0, 2.0)), (0, complex(-25.0, -10.0))):
+        want = complex(mp.besselk(m, _mpc(z)))
+        assert abs(bessel("K", m, z).value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("kind", ["K", "H1", "H2"])
+@pytest.mark.parametrize("z", [complex(-2.0, 0.0), complex(-2.0, -0.0), -0.5, complex(-40.0, 0.0)])
+def test_bessel_cut_on_the_negative_real_axis(kind, z):
+    with pytest.raises(BranchCut):
+        bessel(kind, 1, z)
+
+
+def test_bessel_hankel_keeps_its_bits_at_positive_real_part():
+    for m, z in ((0, 1.3), (2, complex(0.9, 0.6)), (-1, complex(4.0, -7.0)), (3, 1e-3)):
+        z = complex(z)
+        w = z * z / 4.0
+        for sign, kind in ((1.0, "H1"), (-1.0, "H2")):
+            inner = log_combo(principal_log(w) - sign * 1j * math.pi, f_norm(F0(m), -w), d_eval(F0(m), -w))
+            want = inner.scaled(sign * 1j / math.pi * principal_pow(z / 2.0, m))
+            assert repr(bessel(kind, m, z)) == repr(want)
+
+
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
 def test_bessel_non_finite_order_is_a_domain_error(m):
     with pytest.raises(DomainError, match="m = "):
@@ -420,8 +519,8 @@ def test_bessel_k_at_large_argument():
 
 
 def test_bessel_k_keeps_the_log_form_bits_off_the_far_route():
-    # w = z^2/4 inside the radius or with Re w <= 0
-    for m, z in ((1, 9.0), (2, complex(3.0, 5.0)), (0, 0.6), (3, complex(-20.0, 25.0))):
+    # w = z^2/4 inside the radius or with Re w <= 0, Re z > 0
+    for m, z in ((1, 9.0), (2, complex(3.0, 5.0)), (0, 0.6), (3, complex(20.0, -25.0))):
         w = complex(z) ** 2 / 4.0
         want = log_solution(F0(m), w).scaled((-1.0) ** (m + 1) / 2.0 * principal_pow(z / 2.0, m))
         assert repr(bessel("K", m, z)) == repr(want)
