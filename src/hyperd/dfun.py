@@ -121,7 +121,10 @@ def _tail(upper, mm):
     """Generator of the complex d_0, d_1, ... at order mm, upper as in _principal.
 
     Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
-    coefficient costs O(1) after the k = 0 seeds.
+    coefficient costs O(1) after the k = 0 seeds.  One generator per arity,
+    unlike the F step (ffun._terms), since verify builds a D at every
+    sweep point: a generic loop took 1.6-3.1x as long per 40-coefficient
+    tail, and cost 7-26% of verify_all points_per_s (2-vCPU Xeon VM).
     """
     if not upper:
 

@@ -134,14 +134,11 @@ def _sample_f1_generic(rng):
 
 def _sample_f2_generic(rng):
     while True:
-        al = rng.uniform(0.1, 0.9)
-        be = rng.uniform(0.05, 0.6)
-        mu = rng.uniform(-0.45, 0.45)
-        a = 0.5 * (1.0 + al + be - mu)
-        ca = 0.5 * (1.0 + al - be + mu)
-        if abs(a - round(a)) < 1e-3 or abs(ca - round(ca)) < 1e-3:
-            continue
-        return {"alpha": al, "beta": be, "mu": mu}
+        d = {"alpha": rng.uniform(0.1, 0.9), "beta": rng.uniform(0.05, 0.6),
+             "mu": rng.uniform(-0.45, 0.45)}
+        # a and c - a at least 1e-3 from the integers
+        if all(abs(x - round(x)) >= 1e-3 for x in (_half(d, 1, 1, -1), _half(d, 1, -1, 1))):
+            return d
 
 
 # the companion samplers draw m in [m_lo, 3]
@@ -152,24 +149,18 @@ def _sample_d0(rng, m_lo):
 
 def _sample_d1(rng, m_lo):
     while True:
-        m = rng.randint(m_lo, 3)
-        theta = rng.uniform(0.1, 1.9)
-        a = 0.5 * (1.0 + m + theta)
-        if abs(a - round(a)) < 1e-3:
-            continue
-        return {"m": m, "theta": theta}
+        d = {"m": rng.randint(m_lo, 3), "theta": rng.uniform(0.1, 1.9)}
+        if abs(_f1_a(d) - round(_f1_a(d))) >= 1e-3:
+            return d
 
 
 def _sample_d2(rng, m_lo):
     while True:
-        m = rng.randint(m_lo, 3)
-        be = rng.uniform(0.05, 0.6)
-        mu = rng.uniform(-0.45, 0.45)
-        a = 0.5 * (1.0 + m + be - mu)
-        b = 0.5 * (1.0 + m + be + mu)
-        if abs(a - round(a)) < 1e-3 or abs(b - round(b)) < 1e-3:
-            continue
-        return {"m": m, "beta": be, "mu": mu}
+        d = {"m": rng.randint(m_lo, 3), "beta": rng.uniform(0.05, 0.6),
+             "mu": rng.uniform(-0.45, 0.45)}
+        # a and b at least 1e-3 from the integers
+        if all(abs(x - round(x)) >= 1e-3 for x in (_half(d, 1, 1, -1), _half(d, 1, 1, 1))):
+            return d
 
 
 def _z_confluent(rng):
@@ -203,14 +194,10 @@ def _f1_ab(d):
     return 0.5 * (1.0 + _al(d) - d["theta"])
 
 
-def _f2_A(d):
-    # b = (1 + alpha + beta + mu)/2
-    return 0.5 * (1.0 + _al(d) + d["beta"] + d["mu"])
-
-
-def _f2_B(d):
-    # a = (1 + alpha + beta - mu)/2
-    return 0.5 * (1.0 + _al(d) + d["beta"] - d["mu"])
+def _half(d, s0, sb, su):
+    """(s0 + alpha + sb beta + su mu)/2, alpha read as _al(d) (m for a D):
+    the 2F1 coefficients, b at (1, 1, 1) and a at (1, 1, -1)."""
+    return 0.5 * (s0 + _al(d) + sb * d["beta"] + su * d["mu"])
 
 
 # Each row: (name, shift tuple, c1(d,z), c0(d,z), coeff(d)).
@@ -250,54 +237,54 @@ _ROWS_1F1 = (
 
 _ROWS_2F1 = (
     ("pp0", (1, 1, 0),
-     lambda d, z: 1.0, lambda d, z: 0.0, _f2_A,
+     lambda d, z: 1.0, lambda d, z: 0.0, lambda d: _half(d, 1, 1, 1),
      "d FI = ((1+a+b+u)/2) FI_{a+1,b+1,u}"),
     ("mm0", (-1, -1, 0),
      lambda d, z: z * (1.0 - z),
      lambda d, z: _al(d) * (1.0 - z) - d["beta"] * z,
-     lambda d: _f2_B(d) - 1.0,
+     lambda d: _half(d, 1, 1, -1) - 1.0,
      "(z(1-z) d + a(1-z) - b z) FI = ((-1+a+b-u)/2) FI_{a-1,b-1,u}"),
     ("pm0", (1, -1, 0),
      lambda d, z: 1.0 - z, lambda d, z: -d["beta"],
-     lambda d: 0.5 * (1.0 + _al(d) - d["beta"] - d["mu"]),
+     lambda d: _half(d, 1, -1, -1),
      "((1-z) d - b) FI = ((1+a-b-u)/2) FI_{a+1,b-1,u}"),
     ("mp0", (-1, 1, 0),
      lambda d, z: z, lambda d, z: _al(d),
-     lambda d: 0.5 * (-1.0 + _al(d) - d["beta"] + d["mu"]),
+     lambda d: _half(d, -1, -1, 1),
      "(z d + a) FI = ((-1+a-b+u)/2) FI_{a-1,b+1,u}"),
     ("0pp", (0, 1, 1),
-     lambda d, z: z, lambda d, z: _f2_A(d), _f2_A,
+     lambda d, z: z, lambda d, z: _half(d, 1, 1, 1), lambda d: _half(d, 1, 1, 1),
      "(z d + (1+a+b+u)/2) FI = ((1+a+b+u)/2) FI_{a,b+1,u+1}"),
     ("0pm", (0, 1, -1),
-     lambda d, z: z, lambda d, z: _f2_B(d),
-     lambda d: 0.5 * (-1.0 + _al(d) - d["beta"] + d["mu"]),
+     lambda d, z: z, lambda d, z: _half(d, 1, 1, -1),
+     lambda d: _half(d, -1, -1, 1),
      "(z d + (1+a+b-u)/2) FI = ((-1+a-b+u)/2) FI_{a,b+1,u-1}"),
     ("0mp", (0, -1, 1),
      lambda d, z: z * (1.0 - z),
-     lambda d, z: -d["beta"] + _f2_A(d) * (1.0 - z),
-     lambda d: _f2_B(d) - 1.0,
+     lambda d, z: -d["beta"] + _half(d, 1, 1, 1) * (1.0 - z),
+     lambda d: _half(d, 1, 1, -1) - 1.0,
      "(z(1-z) d - b + (1+a+b+u)/2 (1-z)) FI = ((-1+a+b-u)/2) FI_{a,b-1,u+1}"),
     ("0mm", (0, -1, -1),
      lambda d, z: z * (1.0 - z),
-     lambda d, z: -d["beta"] + _f2_B(d) * (1.0 - z),
-     lambda d: 0.5 * (1.0 + _al(d) - d["beta"] - d["mu"]),
+     lambda d, z: -d["beta"] + _half(d, 1, 1, -1) * (1.0 - z),
+     lambda d: _half(d, 1, -1, -1),
      "(z(1-z) d - b + (1+a+b-u)/2 (1-z)) FI = ((1+a-b-u)/2) FI_{a,b-1,u-1}"),
     ("p0p", (1, 0, 1),
-     lambda d, z: z - 1.0, lambda d, z: _f2_A(d), _f2_A,
+     lambda d, z: z - 1.0, lambda d, z: _half(d, 1, 1, 1), lambda d: _half(d, 1, 1, 1),
      "((z-1) d + (1+a+b+u)/2) FI = ((1+a+b+u)/2) FI_{a+1,b,u+1}"),
     ("p0m", (1, 0, -1),
-     lambda d, z: z - 1.0, lambda d, z: _f2_B(d),
-     lambda d: 0.5 * (1.0 + _al(d) - d["beta"] - d["mu"]),
+     lambda d, z: z - 1.0, lambda d, z: _half(d, 1, 1, -1),
+     lambda d: _half(d, 1, -1, -1),
      "((z-1) d + (1+a+b-u)/2) FI = ((1+a-b-u)/2) FI_{a+1,b,u-1}"),
     ("m0p", (-1, 0, 1),
      lambda d, z: z * (1.0 - z),
-     lambda d, z: _al(d) - _f2_A(d) * z,
-     lambda d: _f2_B(d) - 1.0,
+     lambda d, z: _al(d) - _half(d, 1, 1, 1) * z,
+     lambda d: _half(d, 1, 1, -1) - 1.0,
      "(z(1-z) d + a - (1+a+b+u)/2 z) FI = ((-1+a+b-u)/2) FI_{a-1,b,u+1}"),
     ("m0m", (-1, 0, -1),
      lambda d, z: z * (1.0 - z),
-     lambda d, z: _al(d) - _f2_B(d) * z,
-     lambda d: 0.5 * (-1.0 + _al(d) - d["beta"] + d["mu"]),
+     lambda d, z: _al(d) - _half(d, 1, 1, -1) * z,
+     lambda d: _half(d, -1, -1, 1),
      "(z(1-z) d + a - (1+a+b-u)/2 z) FI = ((-1+a-b+u)/2) FI_{a-1,b,u-1}"),
 )
 
@@ -417,11 +404,6 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
 
 # ---------------------------------------------------------------------------
 # contiguity records
-
-def _half(d, s0, sb, su):
-    """(s0 + m + sb beta + su mu)/2, the coefficients of the 2F1 rows."""
-    return 0.5 * (s0 + d["m"] + sb * d["beta"] + su * d["mu"])
-
 
 # Each row: (id, kind, statement, lmul(d,z), (c_plus(d,z), shift_plus),
 # (c_minus(d,z), shift_minus), sampler, m_lo), encoding

@@ -44,7 +44,7 @@ import sys
 from dataclasses import replace
 from enum import Enum
 
-from .dfun import d_eval, log_solution, prepare_log_solution
+from .dfun import d_eval, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
@@ -104,35 +104,25 @@ def _as_route(route):
     return URoute(route)
 
 
-def _int_distance(alpha):
-    return abs(alpha - round(alpha.real))
-
-
-def _pick_route(alpha):
-    """Canonical route for the given alpha: LogPlusD at integers,
-    Connection away from them, nothing in the ambiguous band between."""
-    if near_int(alpha, DEGENERACY_TOL) is not None:
-        return URoute.LOG_PLUS_D
-    if _int_distance(alpha) > CONNECTION_INT_BAND:
-        return URoute.CONNECTION
-    raise RouteInapplicable(
-        f"alpha = {alpha} sits between the integer band ({DEGENERACY_TOL}) "
-        f"and the connection band ({CONNECTION_INT_BAND}); no route applies"
-    )
-
-
-def _require_int(alpha):
-    m = near_int(alpha, DEGENERACY_TOL)
-    if m is None:
+def _build_route(p, route):
+    """The callable of route at p, or without a route of the one alpha
+    picks: LogPlusD at integers, Connection away from them, none in the
+    band between.  A given LogPlusD needs an integer alpha, a given
+    Connection one outside the band."""
+    alpha = p.alpha
+    integer = near_int(alpha, DEGENERACY_TOL) is not None
+    generic = abs(alpha - round(alpha.real)) > CONNECTION_INT_BAND
+    if route is None and (integer or generic):
+        route = URoute.LOG_PLUS_D if integer else URoute.CONNECTION
+    if route is None:
+        raise RouteInapplicable(f"alpha = {alpha} sits between the integer band ({DEGENERACY_TOL}) "
+                                f"and the connection band ({CONNECTION_INT_BAND}); no route applies")
+    if route is URoute.LOG_PLUS_D and not integer:
         raise RouteInapplicable(f"LogPlusD requires integer alpha, got {alpha}")
-    return m
-
-
-def _require_generic(alpha):
-    if _int_distance(alpha) <= CONNECTION_INT_BAND:
-        raise RouteInapplicable(
-            f"Connection requires alpha further than {CONNECTION_INT_BAND} from integers, got {alpha}"
-        )
+    if route is URoute.CONNECTION and not generic:
+        raise RouteInapplicable(f"Connection requires alpha further than {CONNECTION_INT_BAND} "
+                                f"from integers, got {alpha}")
+    return _ROUTES[route](p)
 
 
 def _product_err(pw, w, err):
@@ -163,9 +153,9 @@ def _connection(p):
     and their absolute errors per kind.  Each kind keeps the term order
     and sign of its own formula, which fix the rounding and the sign of
     zero imaginary parts on the axis.  The Gamma weights are taken at the
-    first point whose series succeed, and kept."""
+    first point whose series succeed, and kept.  alpha is outside the
+    band (_build_route)."""
     alpha = p.alpha
-    _require_generic(alpha)
     f_n, f_r = prepare_f_norm(p), prepare_f_norm(_reflected(p))
     weights = []
     if p.kind == "0f1":
@@ -207,8 +197,8 @@ def _log_form(p):
     """The LogPlusD route: z -> prefactor * log_solution(p, z) at m = alpha,
     and at m < 0 the U at -m times z^-m (1F1) or (-z)^-m (2F1).  The
     prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept."""
-    m = _require_int(p.alpha)
+    solution succeeds, and kept.  alpha is an integer (_build_route)."""
+    m = p.m
     if m < 0 and p.kind != "0f1":
         inner = _log_form(replace(p, alpha=-m))
         if p.kind == "1f1":
@@ -328,9 +318,9 @@ def prepare_u(p, route=None):
     route = _as_route(route)
     if p.kind != "2f1":
         if route is not None:
-            return _ROUTES[route](p)
+            return _build_route(p, route)
         return _far_first(_asymptotic(p), U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS,
-                          lambda: _ROUTES[_pick_route(p.alpha)](p))
+                          lambda: _build_route(p, None))
     chosen, outer = [], []  # the given or alpha-picked route; the 1/z series
 
     def u_at(z):
@@ -344,7 +334,7 @@ def prepare_u(p, route=None):
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
             return _kept(outer, _asymptotic, p)(z)
-        return _kept(chosen, lambda: _ROUTES[route or _pick_route(p.alpha)](p))(z)
+        return _kept(chosen, _build_route, p, route)(z)
 
     return u_at
 
@@ -386,12 +376,14 @@ def bessel(kind, m, z):
         H2_m(z) = -(i/pi) (z/2)^m ((log w + i pi) F_m(-w) + D_m(-w))
 
     log w is taken on the sheet of z, as 2 log(z/2), cut where z is on
-    (-inf, 0]; where Re z > 0 it is the principal log w, which is the
-    same there.  K takes the second form where Re z > 0 and w is a far
-    point of u0 whose Asymptotic2F0 value u0 would keep; the log form
-    cancels there, as for U.  The Hankel pair carries the rotated
-    argument e^(∓ i pi) w as the exact phase -w together with the
-    explicit ∓ i pi in the logarithm, so that H1 + H2 = 2 J identically.
+    (-inf, 0].  Where Re z > 0 and |w| is at least the smallest normal
+    double the principal log w is the same, and is taken; below that w
+    has lost its low bits or underflowed to 0.  K takes the second form
+    where the principal log w is taken and w is a far point of u0 whose
+    Asymptotic2F0 value u0 would keep; the log form cancels there, as for
+    U.  The Hankel pair carries the rotated argument e^(∓ i pi) w as the
+    exact phase -w together with the explicit ∓ i pi in the logarithm,
+    so that H1 + H2 = 2 J identically.
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
@@ -402,23 +394,21 @@ def bessel(kind, m, z):
     w = z * z / 4.0
     half_pow = principal_pow(z / 2.0, m)
     p = F0(m)
-
     if kind == "I":
         return f_norm(p, w).scaled(half_pow)
     if kind == "J":
         return f_norm(p, -w).scaled(half_pow)
+    if kind not in ("K", "H1", "H2"):
+        raise ValueError(f"unknown Bessel kind {kind!r}")
+    if z.real <= 0.0 or abs(w) < sys.float_info.min:
+        ell = 2.0 * principal_log(z / 2.0)
+    else:
+        ell = principal_log(w)
+        far = _far_value(_asymptotic(p), U0_FAR_RADIUS, w) if kind == "K" else None
+        if far is not None:
+            return far.scaled(_SQRT_PI / 2.0 * half_pow)
     if kind == "K":
-        if z.real > 0.0:
-            far = _far_value(_asymptotic(p), U0_FAR_RADIUS, w)
-            if far is not None:
-                return far.scaled(_SQRT_PI / 2.0 * half_pow)
-            inner = log_solution(p, w)
-        else:
-            inner = log_combo(2.0 * principal_log(z / 2.0), f_norm(p, w), d_eval(p, w))
-        return inner.scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
-    if kind in ("H1", "H2"):
-        sign = 1.0 if kind == "H1" else -1.0
-        ell = (principal_log(w) if z.real > 0.0 else 2.0 * principal_log(z / 2.0)) - sign * 1j * math.pi
-        inner = log_combo(ell, f_norm(p, -w), d_eval(p, -w))
-        return inner.scaled(sign * 1j / math.pi * half_pow)
-    raise ValueError(f"unknown Bessel kind {kind!r}")
+        return log_combo(ell, f_norm(p, w), d_eval(p, w)).scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
+    sign = 1.0 if kind == "H1" else -1.0
+    inner = log_combo(ell - sign * 1j * math.pi, f_norm(p, -w), d_eval(p, -w))
+    return inner.scaled(sign * 1j / math.pi * half_pow)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from hyperd import cli, ffun, series
+from hyperd import cli, ffun, relations, series
 from hyperd.series import EvalResult, MAX_TERMS, REL_TOL
 
 
@@ -399,6 +399,15 @@ def test_verify_kind_suite_partition(capsys):
         assert doc["failures"] == []
         seen.extend(r["id"] for r in doc["records"])
     assert len(seen) == len(set(seen)) == 52
+
+
+def test_verify_kummer_suite(capsys):
+    doc = run_json(["verify", "--suite", "kummer", "--points", "3"], capsys)
+    kummer = sorted(k for k, r in relations.build_catalog().items()
+                    if r.family == "Kummer")
+    assert kummer
+    assert [r["id"] for r in doc["records"]] == kummer
+    assert doc["failures"] == []
 
 
 def test_verify_bessel_suite(capsys):

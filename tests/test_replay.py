@@ -136,7 +136,7 @@ def _fail_streams(monkeypatch, persistent):
                 yield c
         return patched
 
-    monkeypatch.setattr(ffun, "_TERMS", tuple(map(failing, ffun._TERMS)))
+    monkeypatch.setattr(ffun, "_terms", failing(ffun._terms))
     monkeypatch.setattr(dfun, "_tail", failing(dfun._tail))
 
 

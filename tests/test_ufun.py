@@ -203,6 +203,27 @@ def test_route_picking_and_bands():
     assert CONNECTION_INT_BAND == 1e-6
 
 
+# one parameter set per kind at alpha, and a point off each cut
+_KINDS = [(lambda a: F0(a), 0.9), (lambda a: F1(0.7, a), 0.9),
+          (lambda a: F2(a, 0.3, 0.2), complex(-0.5, 0.1))]
+
+
+@pytest.mark.parametrize("make,z", _KINDS)
+@pytest.mark.parametrize("alpha,route,message", [
+    (2.0 + 1e-8, None, "sits between the integer band"),
+    (complex(-1.0, 3e-7), None, "sits between the integer band"),
+    (0.5, URoute.LOG_PLUS_D, "LogPlusD requires integer alpha"),
+    (2.0 + 1e-8, URoute.LOG_PLUS_D, "LogPlusD requires integer alpha"),
+    (2.0, URoute.CONNECTION, "Connection requires alpha further than"),
+    (2.0 + 5e-7, URoute.CONNECTION, "Connection requires alpha further than"),
+])
+def test_route_rule_messages(make, z, alpha, route, message):
+    # the band, a forced LogPlusD off the integers and a forced Connection
+    # near one, on every kind
+    with pytest.raises(RouteInapplicable, match=message):
+        prepare_u(make(alpha), route)(z)
+
+
 # the far route: Asymptotic2F0 first at Re z > 0 beyond the radius
 
 _SQRT_EPS = math.sqrt(sys.float_info.epsilon)
@@ -524,6 +545,39 @@ def test_bessel_k_keeps_the_log_form_bits_off_the_far_route():
         w = complex(z) ** 2 / 4.0
         want = log_solution(F0(m), w).scaled((-1.0) ** (m + 1) / 2.0 * principal_pow(z / 2.0, m))
         assert repr(bessel("K", m, z)) == repr(want)
+
+
+TINY_ZS = [1e-150, 1e-160, 1e-170, 1e-300, complex(1e-160, 1e-161), complex(1e-158, 3e-158)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("z", TINY_ZS)
+def test_bessel_k_and_hankel_at_tiny_argument(m, z):
+    # below the smallest normal double w = z^2/4 has lost its low bits or
+    # is 0, and its principal log put K_0(1e-160) 1.5e-8 off and raised
+    # BranchCut at 1e-170; m >= 1 may raise for the pole of D
+    for kind, ref in (("K", mp.besselk), ("H1", mp.hankel1), ("H2", mp.hankel2)):
+        try:
+            got = bessel(kind, m, z).value
+        except HyperdError:
+            assert m > 0, (kind, z)
+            continue
+        want = complex(ref(m, _mpc(z)))
+        assert abs(got - want) <= 1e-15 * abs(want), (kind, z)
+
+
+@pytest.mark.parametrize("z", [complex(3e-154), complex(3.013250903475968e-154, 4.021843225742383e-155)])
+def test_bessel_keeps_the_principal_log_bits_down_to_the_smallest_normal_w(z):
+    # |w| just above sys.float_info.min; at the second z the principal
+    # log w and 2 log(z/2) differ in the last bit
+    w = z * z / 4.0
+    assert sys.float_info.min <= abs(w) < 1.04 * sys.float_info.min
+    p, half_pow = F0(0), principal_pow(z / 2.0, 0)
+    want = log_solution(p, w).scaled(-1.0 / 2.0 * half_pow)
+    assert repr(bessel("K", 0, z)) == repr(want)
+    for sign, kind in ((1.0, "H1"), (-1.0, "H2")):
+        inner = log_combo(principal_log(w) - sign * 1j * math.pi, f_norm(p, -w), d_eval(p, -w))
+        assert repr(bessel(kind, 0, z)) == repr(inner.scaled(sign * 1j / math.pi * half_pow))
 
 
 def test_bessel_bad_inputs():
