@@ -41,7 +41,6 @@ that made it.
 import cmath
 import itertools
 import math
-from dataclasses import replace
 
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
 from .ffun import (
@@ -97,8 +96,8 @@ def _d_params(p):
         if near_int(a, DEGENERACY_TOL) is not None or near_int(b, DEGENERACY_TOL) is not None:
             raise ParameterSingular(f"integer classical parameter (a, b) = ({a}, {b}); D undefined")
     # a non-finite real part has raised in near_int above
-    _check_finite(vars(p))
-    return p if type(p.alpha) is int else replace(p, alpha=m)
+    _check_finite(p)
+    return p if type(p.alpha) is int else p._replace(alpha=m)
 
 
 def _principal(upper, mm):

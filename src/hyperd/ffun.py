@@ -50,7 +50,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DivergedImmediately, DomainError, NoConvergence, ParameterSingular,
                      PoleError)
@@ -84,7 +84,15 @@ _EPS = sys.float_info.epsilon
 
 
 class EquationParams:
-    """Base for the three tagged parameter variants."""
+    """Base for the three tagged parameter variants.
+
+    Each variant is a NamedTuple of its fields subclassed with this base:
+    immutable, it unpacks and indexes, compares and hashes as the tuple
+    of its fields (so F1(0.7, 2) == F1(0.7, 2.0) == (0.7, 2)), and
+    p._replace(alpha=k) is p with alpha set to k.  No dataclass: a
+    NamedTuple class is built several times faster at import, and the
+    dataclasses module is not loaded.
+    """
 
     __slots__ = ()
 
@@ -105,11 +113,10 @@ class EquationParams:
         return self._classical(self.alpha)
 
 
-@dataclass(frozen=True)
-class F0(EquationParams):
+class F0(NamedTuple("F0", [("alpha", complex)]), EquationParams):
     """0F1 parameters; classical c = alpha + 1."""
 
-    alpha: complex
+    __slots__ = ()
 
     kind = "0f1"
 
@@ -121,12 +128,10 @@ class F0(EquationParams):
         return cls(alpha=c - 1)
 
 
-@dataclass(frozen=True)
-class F1(EquationParams):
+class F1(NamedTuple("F1", [("theta", complex), ("alpha", complex)]), EquationParams):
     """1F1 parameters; classical a = (1+alpha+theta)/2, c = 1 + alpha."""
 
-    theta: complex
-    alpha: complex
+    __slots__ = ()
 
     kind = "1f1"
 
@@ -138,13 +143,11 @@ class F1(EquationParams):
         return cls(theta=2 * a - c, alpha=c - 1)
 
 
-@dataclass(frozen=True)
-class F2(EquationParams):
+class F2(NamedTuple("F2", [("alpha", complex), ("beta", complex), ("mu", complex)]),
+         EquationParams):
     """2F1 parameters; classical a, b = (1+alpha+beta∓mu)/2, c = 1+alpha."""
 
-    alpha: complex
-    beta: complex
-    mu: complex
+    __slots__ = ()
 
     kind = "2f1"
 
@@ -198,7 +201,7 @@ def _seed(p, image=None):
     n0 = max(0, -m), and c = 1 + m stays an int so that every step divides
     by an exact integer.  The numerator (a)_n0 (b)_n0 is 1 unless m < 0.
     """
-    _check_finite(vars(p))
+    _check_finite(p)
     m = near_int(p.alpha, DEGENERACY_TOL)
     if m is not None:
         _check_order(m)
@@ -379,7 +382,7 @@ def _reflected(p):
 def _snap_alpha(p):
     """Snap a near-integer alpha to the exact integer, keeping other fields."""
     m = near_int(p.alpha, DEGENERACY_TOL)
-    return p if m is None else type(p)(**{**vars(p), "alpha": m})
+    return p if m is None else p._replace(alpha=m)
 
 
 def prepare_f_second(p):
@@ -430,6 +433,7 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
     b = complex(b)
     z = complex(z)
     t = complex(1.0)
+    mag = 1.0  # |t|, each term's magnitude taken once
     total = t
     abs_sum = 1.0
     n = 0
@@ -437,18 +441,19 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
         t_next = t * (a + n) * (b + n) * z / (n + 1)
         if t_next == 0:
             return EvalResult(total, 0.0, n + 1)
-        if abs(t_next) >= abs(t):
+        mag_next = abs(t_next)
+        if mag_next >= mag:
             if n == 0 and abs(z) >= 1.0:
                 raise DivergedImmediately(
                     f"first term of 2F0 already smallest at |z| = {abs(z):.6g}"
                 )
-            err = max(abs(t), (n + 1) * _EPS * abs_sum)
+            err = max(mag, (n + 1) * _EPS * abs_sum)
             return EvalResult(total, err, n + 1)
         total += t_next
-        abs_sum += abs(t_next)
-        t = t_next
+        abs_sum += mag_next
+        t, mag = t_next, mag_next
         n += 1
-    return EvalResult(total, abs(t), max_terms, frozenset({"TruncationMaxed"}))
+    return EvalResult(total, mag, max_terms, frozenset({"TruncationMaxed"}))
 
 
 def _f2_I_prefactor(p):

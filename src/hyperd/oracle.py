@@ -10,7 +10,7 @@ derivative of the normalized 0F1 solution.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
                      PoleAtOrigin, RoutesDisagree)
@@ -45,19 +45,21 @@ _ROUTES_TOL = 1e-6
 _FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Outcome of a residual check.
 
     method is one of SeriesDeriv (derivatives came from term-by-term
     differentiated series), FiniteDiff (5-point stencils, step recorded),
-    Richardson (extrapolation metadata in detail).
+    Richardson (extrapolation metadata in detail).  detail maps names to
+    the values behind the residual; every report of this module passes
+    its own dict, and the default is None, not a dict every report would
+    share.
     """
 
     residual: float
     method: str
     step: float | None = None
-    detail: dict = field(default_factory=dict)
+    detail: dict | None = None
 
 
 def _operator(p, z, f0, f1, f2):
@@ -160,7 +162,7 @@ def limit_alpha(p, z):
     hs = _LADDER
     rows = []
     for h in hs:
-        v = prepare_u(replace(p, alpha=m + h), URoute.CONNECTION)(z).value
+        v = prepare_u(p._replace(alpha=m + h), URoute.CONNECTION)(z).value
         rows.append([v])
     # Neville tableau evaluated at h = 0
     for j in range(1, len(hs)):

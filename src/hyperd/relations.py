@@ -37,8 +37,8 @@ Key namespace (public, consumed by the CLI):
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
@@ -70,8 +70,7 @@ _GRID_VERSION = "grid-v1"
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class RelationRecord:
+class RelationRecord(NamedTuple):
     """One identity, evaluatable as residual |LHS - constant*RHS|.
 
     constant is the scalar prefactor of the right side kept as explicit
@@ -96,8 +95,7 @@ class RelationRecord:
     shifted: object = None
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     params: dict
     z: complex
     residual: float

@@ -32,7 +32,9 @@ which their own tests drive.
 
 Every sum and every point builds an EvalResult, several for a point of
 log z F + D or of U, so it is a NamedTuple: immutable, and built in
-under half the time of a frozen dataclass.
+under half the time of a frozen dataclass.  LaurentExpansion, the
+parameter sets and the records of the package are NamedTuples too, and
+no module of the package loads dataclasses.
 """
 
 import cmath
@@ -40,7 +42,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BranchCut, DomainError, NoConvergence
@@ -156,8 +157,7 @@ def _linear(parts):
                       frozenset().union(*[r.flags for _, r in parts]))
 
 
-@dataclass(frozen=True)
-class LaurentExpansion:
+class LaurentExpansion(NamedTuple):
     """Coefficients of sum_{k=1}^{m} d_{-k} z^{-k} + sum_{n>=0} d_n z^n.
 
     principal holds (d_{-1}, ..., d_{-m}); tail_coeff is a zero-argument
@@ -187,12 +187,12 @@ def _check_point(z):
         raise DomainError(f"z must be finite, got z = {z}")
 
 
-def _check_finite(params):
-    """DomainError naming the first entry of the mapping params, name to
-    value, that is not finite."""
-    if all(map(cmath.isfinite, params.values())):
+def _check_finite(p):
+    """DomainError naming the first field of the parameter set p, a
+    NamedTuple, that is not finite."""
+    if all(map(cmath.isfinite, p)):
         return
-    for name, v in params.items():
+    for name, v in zip(p._fields, p):
         if not cmath.isfinite(v):
             raise DomainError(f"{name} must be finite, got {name} = {v}")
 

@@ -41,15 +41,15 @@ callable belongs to the thread that made it.
 import cmath
 import math
 import sys
-from dataclasses import replace
 from enum import Enum
 
-from .dfun import d_eval, prepare_log_solution
+from .dfun import d_eval, d_expand, prepare_log_solution
 from .errors import (
     BranchCut,
     DomainError,
     HyperdError,
     ParameterSingular,
+    PoleAtOrigin,
     RouteInapplicable,
 )
 from .ffun import (
@@ -74,6 +74,7 @@ from .series import (
     log_negated,
     principal_log,
     principal_pow,
+    sum_power_series,
 )
 
 _EPS = sys.float_info.epsilon
@@ -152,9 +153,10 @@ def _connection(p):
     its reflection, with the constant c, the two weighted terms t1 and t2
     and their absolute errors per kind.  Each kind keeps the term order
     and sign of its own formula, which fix the rounding and the sign of
-    zero imaginary parts on the axis.  The Gamma weights are taken at the
-    first point whose series succeed, and kept.  alpha is outside the
-    band (_build_route)."""
+    zero imaginary parts on the axis.  sin(pi alpha) is taken here, and
+    DomainError raised where it overflows (|Im alpha| beyond about 226);
+    the Gamma weights are taken at the first point whose series succeed,
+    and kept.  alpha is outside the band (_build_route)."""
     alpha = p.alpha
     f_n, f_r = prepare_f_norm(p), prepare_f_norm(_reflected(p))
     weights = []
@@ -183,11 +185,17 @@ def _connection(p):
             return (-math.pi, fn.value * w1, abs(w1) * fn.err_estimate,
                     pw * fr.value * w2, _product_err(pw, w2, fr.err_estimate))
 
+    try:
+        s = sinpi(alpha)
+    except OverflowError:
+        raise DomainError(f"sin(pi alpha) of the Connection route overflows a double "
+                          f"at alpha = {alpha}") from None
+    abs_s = abs(s)
+
     def u_at(z):
         fn, fr = f_n(z), f_r(z)
         c, t1, e1, t2, e2 = terms(z, fn, fr)
-        s = sinpi(alpha)
-        err = abs(c) / abs(s) * (e1 + e2) + _EPS * abs(c) / abs(s) * (abs(t1) + abs(t2))
+        err = abs(c) / abs_s * (e1 + e2) + _EPS * abs(c) / abs_s * (abs(t1) + abs(t2))
         return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
 
     return u_at
@@ -200,7 +208,7 @@ def _log_form(p):
     solution succeeds, and kept.  alpha is an integer (_build_route)."""
     m = p.m
     if m < 0 and p.kind != "0f1":
-        inner = _log_form(replace(p, alpha=-m))
+        inner = _log_form(p._replace(alpha=-m))
         if p.kind == "1f1":
             return lambda z: inner(z).scaled(principal_pow(z, -m))
         return lambda z: inner(z).scaled(principal_pow(-z, -m))
@@ -313,8 +321,8 @@ def prepare_u(p, route=None):
     route's parameters.
     """
     _check_params(p)
-    p = type(p)(*map(complex, vars(p).values()))
-    _check_finite(vars(p))
+    p = type(p)(*map(complex, p))
+    _check_finite(p)
     route = _as_route(route)
     if p.kind != "2f1":
         if route is not None:
@@ -383,7 +391,10 @@ def bessel(kind, m, z):
     Asymptotic2F0 value u0 would keep; the log form cancels there, as for
     U.  The Hankel pair carries the rotated argument e^(∓ i pi) w as the
     exact phase -w together with the explicit ∓ i pi in the logarithm,
-    so that H1 + H2 = 2 J identically.
+    so that H1 + H2 = 2 J identically.  Where D's principal part
+    overflows a double at ±w (m >= 1 and |w| < 1, as K_1 at |z| below
+    about 1e-154) or w is 0, K and the Hankel pair fold (z/2)^m into that
+    part term by term (_folded); every other point keeps the forms above.
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
@@ -408,7 +419,45 @@ def bessel(kind, m, z):
         if far is not None:
             return far.scaled(_SQRT_PI / 2.0 * half_pow)
     if kind == "K":
-        return log_combo(ell, f_norm(p, w), d_eval(p, w)).scaled((-1.0) ** (m + 1) / 2.0 * half_pow)
-    sign = 1.0 if kind == "H1" else -1.0
-    inner = log_combo(ell - sign * 1j * math.pi, f_norm(p, -w), d_eval(p, -w))
-    return inner.scaled(sign * 1j / math.pi * half_pow)
+        scale, v, ell_v = (-1.0) ** (m + 1) / 2.0, w, ell
+    else:
+        sign = 1.0 if kind == "H1" else -1.0
+        scale, v, ell_v = sign * 1j / math.pi, -w, ell - sign * 1j * math.pi
+    f = f_norm(p, v)
+    try:
+        d = d_eval(p, v)
+    except (DomainError, PoleAtOrigin):
+        # at |w| < 1 only the principal part of D at m >= 1 overflows, or v
+        # is 0: its terms d_{-k} v^-k grow past a double before (z/2)^m
+        # brings them back into range
+        if abs(w) >= 1.0:
+            raise
+        flip = 1.0 if kind == "K" else -1.0
+        return _folded(p, z, v, flip, ell_v, f, scale, half_pow)
+    return log_combo(ell_v, f, d).scaled(scale * half_pow)
+
+
+def _folded(p, z, v, flip, ell_v, f, scale, half_pow):
+    """scale (z/2)^m (ell_v F + D) at v = flip z^2/4, flip = +-1, for
+    p = F0(m), m >= 1, where the principal part of D overflows at v: F
+    and the tail T of D are summed at v and scaled as bessel scales them,
+    and (z/2)^m is folded into the principal part term by term,
+    (z/2)^m d_{-k} v^-k = d_{-k} flip^k (z/2)^(m-2k), which stays in range
+    where v^-k does not.  The principal part adds eps times the sum of
+    its terms' magnitudes to the error.  DomainError where a term or the
+    value overflows a double."""
+    m = p.alpha
+    h = z / 2.0
+    exp = d_expand(p)
+    r = log_combo(ell_v, f, sum_power_series(exp.tail_coeff(), v)).scaled(scale * half_pow)
+    overflow = DomainError(f"bessel of order m = {m} overflows a double at z = {z}")
+    try:
+        terms = [c * flip ** k * principal_pow(h, m - 2 * k) for k, c in enumerate(exp.principal, 1)]
+    except DomainError:
+        raise overflow from None
+    head = scale * sum(terms)
+    value = r.value + head
+    if not cmath.isfinite(value):
+        raise overflow
+    err = r.err_estimate + _EPS * (abs(scale) * sum(map(abs, terms)) + abs(r.value) + abs(head))
+    return EvalResult(value, err, r.terms_used, r.flags)

@@ -7,7 +7,6 @@ loosened to make a build pass.
 """
 
 import argparse
-import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -438,8 +437,7 @@ def test_criterion_8_cli_contract_and_mutation(capsys):
     flagged = 0
     for key in sorted(build_catalog()):
         cat = build_catalog()
-        cat[key] = dataclasses.replace(cat[key],
-                                       constant=cat[key].constant * 1.01)
+        cat[key] = cat[key]._replace(constant=cat[key].constant * 1.01)
         code = cli.cmd_verify(_verify_args(id=key), io.StringIO(),
                               catalog=cat)
         assert code == 1, "mutation of %s went undetected" % (key,)
@@ -448,7 +446,7 @@ def test_criterion_8_cli_contract_and_mutation(capsys):
 
     # and the aggregate suite reports it too, not just the targeted check
     cat = build_catalog()
-    cat["q.sasa"] = dataclasses.replace(cat["q.sasa"], constant=1.01)
+    cat["q.sasa"] = cat["q.sasa"]._replace(constant=1.01)
     code = cli.cmd_verify(_verify_args(suite="all"), io.StringIO(),
                           catalog=cat)
     assert code == 1

@@ -6,7 +6,6 @@ generators inside the package.
 """
 
 import cmath
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -177,7 +176,7 @@ def test_dspec_validation():
 def test_with_m():
     # the D of another order: the same parameters with alpha moved
     s = F2(1, 0.3, 0.2)
-    t = dataclasses.replace(s, alpha=3)
+    t = s._replace(alpha=3)
     assert t.m == 3 and t.beta == s.beta and t.mu == s.mu and t.kind == s.kind
     assert d_expand(t).pole_order == 3
 

@@ -6,6 +6,7 @@ with no shared code.
 """
 
 import math
+import pickle
 
 import mpmath as mp
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hyperd.errors import DivergedImmediately, DomainError, ParameterSingular
 from hyperd.ffun import (
     DEGENERACY_TOL,
+    EquationParams,
     F0,
     F1,
     F2,
@@ -38,6 +40,40 @@ def _rel(a, b):
 
 def _mpc(z):
     return mp.mpc(z.real, z.imag) if isinstance(z, complex) else mp.mpf(z)
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (F0, (0.5,), "F0(alpha=0.5)"),
+    (F1, (0.7, 2), "F1(theta=0.7, alpha=2)"),
+    (F2, (1, 0.3, 0.2j), "F2(alpha=1, beta=0.3, mu=0.2j)"),
+])
+def test_params_contract(cls, args, text):
+    # a NamedTuple of the fields with the repr, == and hash of the
+    # dataclass it replaces; it also unpacks and equals a plain tuple
+    p = cls(*args)
+    assert repr(p) == text
+    fields = dict(zip(cls._fields, args))
+    assert cls(**fields) == p and isinstance(p, EquationParams)
+    assert cls.__match_args__ == cls._fields == tuple(fields)
+    # F1(0.7, 2) and F1(0.7, 2.0) are one parameter set
+    same = cls(*map(complex, args))
+    assert same == p and hash(same) == hash(p)
+    assert p == args and tuple(p) == args
+    for name in cls._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 3)
+    moved = p._replace(alpha=3)
+    assert type(moved) is cls and moved.alpha == 3 and moved.m == 3
+    assert moved._asdict() == {**fields, "alpha": 3}
+    assert p._asdict() == fields
+    back = pickle.loads(pickle.dumps(p))
+    assert type(back) is cls and back == p and repr(back) == text
+    with pytest.raises(TypeError):
+        cls(*args, gamma=1.0)
+    # dataclasses.replace raised TypeError here
+    with pytest.raises(ValueError):
+        p._replace(gamma=1.0)
+    assert type(cls.from_classical(*p.to_classical())) is cls
 
 
 _ZS = [0.4, complex(0.3, 0.5), complex(-0.6, 0.2), complex(-0.25, -0.45)]

@@ -7,6 +7,7 @@ constituents (the guards must fire rather than average the damage away).
 """
 
 import math
+import pickle
 
 import pytest
 
@@ -19,6 +20,33 @@ from hyperd.ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f_norm,
 from hyperd.gammakit import EULER_GAMMA, recip_gamma
 from hyperd.series import principal_log
 from hyperd.ufun import URoute, u0, u1, u2
+
+
+def test_residual_report_contract():
+    r = oracle.ResidualReport(residual=1e-15, method="FiniteDiff", step=1e-4,
+                              detail={"value": 1j})
+    assert repr(r) == ("ResidualReport(residual=1e-15, method='FiniteDiff', "
+                       "step=0.0001, detail={'value': 1j})")
+    assert r == oracle.ResidualReport(1e-15, "FiniteDiff", 1e-4, {"value": 1j})
+    assert r == (1e-15, "FiniteDiff", 1e-4, {"value": 1j})
+    # no detail dict shared between reports: the default is None
+    bare = oracle.ResidualReport(0.0, "SeriesDeriv")
+    assert bare.step is None and bare.detail is None
+    assert repr(bare) == "ResidualReport(residual=0.0, method='SeriesDeriv', step=None, detail=None)"
+    assert oracle.ResidualReport.__match_args__ == ("residual", "method", "step", "detail")
+    for name in ("residual", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0.0)
+    assert r._replace(step=None).step is None and r.step == 1e-4
+    assert r._asdict() == {"residual": 1e-15, "method": "FiniteDiff", "step": 1e-4,
+                           "detail": {"value": 1j}}
+    assert pickle.loads(pickle.dumps(r)) == r
+    with pytest.raises(TypeError):
+        oracle.ResidualReport(0.0, "SeriesDeriv", weight=1.0)
+    # both reports of the module carry a dict of their own
+    f = prepare_f_norm(F0(0.5))
+    a, b = oracle.ode_residual(f, F0(0.5), 0.3), oracle.inhom_residual(F0(1), 0.3)
+    assert set(a.detail) == {"value"} and set(b.detail) == {"lhs", "rhs"}
 
 
 _GRIDS = {

@@ -1,5 +1,7 @@
 """The relation catalog: structure, spot checks, sweeps and ladders."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from hyperd.gammakit import pochhammer
 from hyperd.relations import (
     SWEEP_POINTS,
     TOL_SWEEP,
+    RelationRecord,
+    SweepPoint,
     apply_ladder,
     build_catalog,
     check_relation,
@@ -25,6 +29,48 @@ def catalog():
 
 
 _CAT = build_catalog()
+
+
+def test_relation_record_contract(catalog):
+    rec = RelationRecord("x.id", "0f1", "Fam", "alpha", "s", 1.0, abs, abs, abs, callable)
+    assert repr(rec) == (
+        "RelationRecord(id='x.id', kind='0f1', family='Fam', signature='alpha', "
+        "statement='s', constant=1.0, lhs=<built-in function abs>, "
+        "rhs=<built-in function abs>, sample=<built-in function abs>, "
+        "applicable=<built-in function callable>, ladder=None, shifted=None)")
+    fields = dict(id="x.id", kind="0f1", family="Fam", signature="alpha", statement="s",
+                  constant=1.0, lhs=abs, rhs=abs, sample=abs, applicable=callable)
+    same = RelationRecord(**fields)
+    assert same == rec and hash(same) == hash(rec)
+    assert rec == tuple(fields.values()) + (None, None)
+    assert RelationRecord.__match_args__ == RelationRecord._fields
+    for name in ("constant", "other"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 2.0)
+    assert rec._replace(constant=2.0).constant == 2.0 and rec.constant == 1.0
+    assert rec._asdict() == {**fields, "ladder": None, "shifted": None}
+    assert pickle.loads(pickle.dumps(rec)) == rec
+    with pytest.raises(TypeError):
+        RelationRecord(**fields, weight=1.0)
+    # a catalog record with its constant moved is the same record otherwise
+    q = catalog["q.sasa"]._replace(constant=1.01)
+    assert q.constant == 1.01 and q._replace(constant=1.0) == catalog["q.sasa"]
+
+
+def test_sweep_point_contract():
+    pt = SweepPoint(params={"m": 1}, z=0.3j, residual=1e-16, scale=2.0)
+    assert repr(pt) == "SweepPoint(params={'m': 1}, z=0.3j, residual=1e-16, scale=2.0)"
+    assert pt == SweepPoint({"m": 1}, 0.3j, 1e-16, 2.0) == ({"m": 1}, 0.3j, 1e-16, 2.0)
+    assert pt.scaled == 5e-17
+    assert SweepPoint.__match_args__ == ("params", "z", "residual", "scale")
+    for name in ("residual", "other"):
+        with pytest.raises(AttributeError):
+            setattr(pt, name, 0.0)
+    assert pt._replace(scale=1.0).scaled == 1e-16
+    assert pt._asdict() == {"params": {"m": 1}, "z": 0.3j, "residual": 1e-16, "scale": 2.0}
+    assert pickle.loads(pickle.dumps(pt)) == pt
+    with pytest.raises(TypeError):
+        SweepPoint(params={}, z=0j, residual=0.0, scale=1.0, weight=1.0)
 
 
 def test_catalog_size_and_families(catalog):

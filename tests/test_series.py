@@ -4,6 +4,7 @@ import cmath
 import inspect
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,26 @@ def test_laurent_expansion_shape():
     assert exp.tail_list(2) == [3.0, 4.0]
     empty = LaurentExpansion(principal=(), tail_coeff=lambda: iter([]))
     assert empty.pole_order == 0
+
+
+def test_laurent_expansion_contract():
+    exp = LaurentExpansion(principal=(1.0, 2.0), tail_coeff=itertools.count)
+    assert repr(exp) == ("LaurentExpansion(principal=(1.0, 2.0), "
+                         "tail_coeff=<class 'itertools.count'>)")
+    assert LaurentExpansion((1.0, 2.0), itertools.count) == exp == ((1.0, 2.0), itertools.count)
+    assert hash(LaurentExpansion((1.0, 2.0), itertools.count)) == hash(exp)
+    assert LaurentExpansion.__match_args__ == ("principal", "tail_coeff")
+    for name in ("principal", "tail_coeff", "other"):
+        with pytest.raises(AttributeError):
+            setattr(exp, name, ())
+    principal, tail = exp
+    assert principal == (1.0, 2.0) and tail is itertools.count
+    assert exp._replace(principal=()).pole_order == 0
+    assert exp._asdict() == {"principal": (1.0, 2.0), "tail_coeff": itertools.count}
+    back = pickle.loads(pickle.dumps(exp))
+    assert back == exp and back.tail_list(3) == [0, 1, 2]
+    with pytest.raises(TypeError):
+        LaurentExpansion(principal=(), tail_coeff=iter, order=0)
 
 
 def test_eval_result_immutable():

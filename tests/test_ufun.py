@@ -555,7 +555,7 @@ TINY_ZS = [1e-150, 1e-160, 1e-170, 1e-300, complex(1e-160, 1e-161), complex(1e-1
 def test_bessel_k_and_hankel_at_tiny_argument(m, z):
     # below the smallest normal double w = z^2/4 has lost its low bits or
     # is 0, and its principal log put K_0(1e-160) 1.5e-8 off and raised
-    # BranchCut at 1e-170; m >= 1 may raise for the pole of D
+    # BranchCut at 1e-170; m >= 1 raises where the value overflows a double
     for kind, ref in (("K", mp.besselk), ("H1", mp.hankel1), ("H2", mp.hankel2)):
         try:
             got = bessel(kind, m, z).value
@@ -564,6 +564,27 @@ def test_bessel_k_and_hankel_at_tiny_argument(m, z):
             continue
         want = complex(ref(m, _mpc(z)))
         assert abs(got - want) <= 1e-15 * abs(want), (kind, z)
+
+
+@pytest.mark.parametrize("kind, m, z", [("K", 1, 1e-160), ("K", 2, 1e-150),
+                                        ("H1", 1, complex(1e-160, 1e-160)),
+                                        ("H2", 2, complex(-1e-150, 1e-151)), ("K", 1, 1e-170)])
+def test_bessel_folds_the_principal_part_where_it_overflows(kind, m, z):
+    # D's principal part 1/w^m overflowed a double here, and these raised
+    # DomainError for finite values (at 1e-170 w is 0: PoleAtOrigin)
+    ref = {"K": mp.besselk, "H1": mp.hankel1, "H2": mp.hankel2}[kind]
+    with mp.workdps(40):
+        want = complex(ref(m, _mpc(z)))
+    r = bessel(kind, m, z)
+    assert abs(r.value - want) <= 1e-13 * abs(want)
+    assert abs(r.value - want) <= r.err_estimate < 1e-15 * abs(want)
+
+
+def test_bessel_fold_raises_where_the_value_overflows():
+    # K_2(1e-160) = 2e320 and H1_3(1e-103) are past a double
+    for kind, m, z in (("K", 2, 1e-160), ("H1", 3, 1e-103), ("K", 2, complex(-1e-160, 1e-160))):
+        with pytest.raises(DomainError, match=f"bessel of order m = {m} overflows a double at z = "):
+            bessel(kind, m, z)
 
 
 @pytest.mark.parametrize("z", [complex(3e-154), complex(3.013250903475968e-154, 4.021843225742383e-155)])
