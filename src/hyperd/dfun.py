@@ -39,6 +39,7 @@ that made it.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -116,28 +117,62 @@ def _principal(upper, mm):
     return tuple(out)
 
 
+# rows of an order kept by _first_rows, and orders kept
+_ROW_CAP = 128
+_ORDERS_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_ORDERS_KEPT)
+def _first_rows(mm):
+    """The rows (k, p1, p2, d), k = 0 .. _ROW_CAP - 1, of the tails at
+    order mm: p1 = psi(1+k) and p2 = psi(1+mm+k), seeded by psi(1) =
+    -gamma and psi(1+mm) = -gamma + H_mm and advanced by psi(w+1) =
+    psi(w) + 1/w, and the divisor d = (k+1)(mm+k+1).  They depend on the
+    order alone; a tuple of tuples, shared by every thread."""
+    p1 = -EULER_GAMMA
+    p2 = -EULER_GAMMA + harmonic(mm).real
+    rows = []
+    for k in range(_ROW_CAP):
+        rows.append((k, p1, p2, (k + 1) * (mm + k + 1)))
+        p1 += 1.0 / (k + 1)
+        p2 += 1.0 / (mm + k + 1)
+    return tuple(rows)
+
+
 def _tail(upper, mm):
     """Generator of the complex d_0, d_1, ... at order mm, upper as in _principal.
 
     Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
-    coefficient costs O(1) after the k = 0 seeds.  One generator per arity,
-    unlike the F step (ffun._terms), since verify builds a D at every
-    sweep point: a generic loop took 1.6-3.1x as long per 40-coefficient
-    tail, and cost 7-26% of verify_all points_per_s (2-vCPU Xeon VM).
+    coefficient costs O(1) after the k = 0 seeds.  What depends on the
+    order alone, psi(1+k), psi(1+mm+k) and the divisor (k+1)(mm+k+1), is
+    read from rows shared per order (_first_rows): the first
+    _ROW_CAP = 128 rows of each of the last _ORDERS_KEPT = 32 orders are
+    kept, and the loop past them advances from the last row by the same
+    operations, so every coefficient keeps its bits.  No tail of
+    verify --suite all reaches past the kept rows (the longest has 99
+    coefficients), which builds about 1,900 tails a request.  Reading
+    the rows took a 40-coefficient tail from 14 to 8 us (0F1), 25 to
+    18 us (1F1) and 38 to 28 us (2F1), best of 45 timings on a 2-vCPU
+    Xeon VM.  One generator per arity, unlike the F step (ffun._terms),
+    since verify builds a D at every sweep point: a generic loop took
+    1.6-3.1x as long per 40-coefficient tail, and cost 7-26% of
+    verify_all points_per_s.
     """
+    rows = _first_rows(mm)
     if not upper:
 
         def gen():
             inv = 1.0 / math.factorial(mm)
-            p1 = -EULER_GAMMA
-            p2 = -EULER_GAMMA + harmonic(mm).real
-            k = 0
-            while True:
+            for _, p1, p2, d in rows:
                 yield complex(-(p1 + p2) * inv)
-                inv /= (k + 1) * (mm + k + 1)
+                inv /= d
+            k, p1, p2, _ = rows[-1]
+            while True:
                 p1 += 1.0 / (k + 1)
                 p2 += 1.0 / (mm + k + 1)
                 k += 1
+                yield complex(-(p1 + p2) * inv)
+                inv /= (k + 1) * (mm + k + 1)
 
         return gen()
 
@@ -149,16 +184,19 @@ def _tail(upper, mm):
             # and underflow separately long before the product does
             amp = complex(1.0 / math.factorial(mm))
             pa = digamma(a)
-            p1 = -EULER_GAMMA
-            p2 = -EULER_GAMMA + harmonic(mm).real
-            k = 0
-            while True:
+            for k, p1, p2, d in rows:
                 yield amp * (pa - p1 - p2)
-                amp *= (a + k) / ((k + 1) * (mm + k + 1))
-                pa += 1.0 / (a + k)
+                ak = a + k
+                amp *= ak / d
+                pa += 1.0 / ak
+            while True:
                 p1 += 1.0 / (k + 1)
                 p2 += 1.0 / (mm + k + 1)
                 k += 1
+                yield amp * (pa - p1 - p2)
+                ak = a + k
+                amp *= ak / ((k + 1) * (mm + k + 1))
+                pa += 1.0 / ak
 
         return gen()
 
@@ -168,17 +206,21 @@ def _tail(upper, mm):
         amp = complex(1.0 / math.factorial(mm))
         pa = digamma(a)
         pb = digamma(1 - b)  # psi(1-b-k) seed
-        p1 = -EULER_GAMMA
-        p2 = -EULER_GAMMA + harmonic(mm).real
-        k = 0
-        while True:
+        for k, p1, p2, d in rows:
             yield amp * (pa + pb - p1 - p2)
-            amp *= (a + k) * (b + k) / ((k + 1) * (mm + k + 1))
-            pa += 1.0 / (a + k)
-            pb += 1.0 / (b + k)  # psi(w-1) = psi(w) - 1/(w-1), w = 1-b-k
+            ak, bk = a + k, b + k
+            amp *= ak * bk / d
+            pa += 1.0 / ak
+            pb += 1.0 / bk  # psi(w-1) = psi(w) - 1/(w-1), w = 1-b-k
+        while True:
             p1 += 1.0 / (k + 1)
             p2 += 1.0 / (mm + k + 1)
             k += 1
+            yield amp * (pa + pb - p1 - p2)
+            ak, bk = a + k, b + k
+            amp *= ak * bk / ((k + 1) * (mm + k + 1))
+            pa += 1.0 / ak
+            pb += 1.0 / bk
 
     return gen()
 

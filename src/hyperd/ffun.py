@@ -425,13 +425,18 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
     Terms are added while they strictly decrease in magnitude; the sum is
     cut at the smallest term, whose magnitude is the error estimate (with
     a rounding floor so the estimate stays meaningful once the terms drop
-    below double precision).
+    below double precision).  DomainError naming a, b or z where it is
+    not finite.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     a = complex(a)
     b = complex(b)
     z = complex(z)
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(z)):
+        for name, v in (("a", a), ("b", b), ("z", z)):
+            if not cmath.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {name} = {v}")
     t = complex(1.0)
     mag = 1.0  # |t|, each term's magnitude taken once
     total = t

@@ -35,6 +35,9 @@ _LANCZOS_C = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+# (k, c_k) for k >= 1, the terms c_k / (z - 1 + k) of the Lanczos sum
+_LANCZOS_KC = tuple(enumerate(_LANCZOS_C))[1:]
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # B_{2n}/(2n) for the digamma asymptotic series, n = 1..7
 _PSI_ASYMP = (
@@ -53,13 +56,15 @@ def near_int(z, tol=POLE_TOL):
 
     Tolerance is measured in the complex plane, so a point with a large
     imaginary part is never near an integer.  DomainError where z is not
-    finite.
+    finite, TypeError where it is not a number.
     """
     try:
-        n = round(z.real) if isinstance(z, complex) else round(z)
+        n = round(z.real)
     except (ValueError, OverflowError):
         raise DomainError(f"argument {z} is not finite") from None
-    if abs(complex(z) - n) <= tol:
+    except AttributeError:
+        raise TypeError(f"argument {z!r} is not a number") from None
+    if abs(z - n) <= tol:
         return int(n)
     return None
 
@@ -92,15 +97,15 @@ def _lanczos_sum(z):
     # (zz, t, acc) with Gamma(z) = sqrt(2 pi) t^(zz + 1/2) e^(-t) acc
     zz = z - 1.0
     acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (zz + k)
+    for k, c in _LANCZOS_KC:
+        acc += c / (zz + k)
     return zz, zz + _LANCZOS_G + 0.5, acc
 
 
 def _log_gamma(z):
     # log Gamma(z) up to a multiple of 2 pi i, for Re z >= 0.5
     zz, t, acc = _lanczos_sum(z)
-    return (zz + 0.5) * cmath.log(t) - t + cmath.log(math.sqrt(2.0 * math.pi) * acc)
+    return (zz + 0.5) * cmath.log(t) - t + cmath.log(_SQRT_2PI * acc)
 
 
 def _exp_power(lg, power, z):
@@ -131,7 +136,7 @@ def _lanczos(z, power=1):
     Raises DomainError where the result overflows a double.
     """
     zz, t, acc = _lanczos_sum(z)
-    s = math.sqrt(2.0 * math.pi)
+    s = _SQRT_2PI
     try:
         g = s * t ** (zz + 0.5) * cmath.exp(-t) * acc
     except OverflowError:
@@ -261,21 +266,26 @@ def pochhammer(z, k):
 
     (z)_0 = 1; for k > 0 the rising product z(z+1)...(z+k-1); for k < 0
     the reciprocal product 1/((z+k)(z+k+1)...(z-1)), which is the unique
-    continuation satisfying (z)_{j+1} = (z+j)(z)_j.
+    continuation satisfying (z)_{j+1} = (z+j)(z)_j.  DomainError naming
+    z and k where the result is not finite: the product overflows a
+    double, or z is not finite.  A reciprocal product that overflows
+    gives 0, (z)_k having underflowed.
     """
     if k != int(k):
         raise ValueError(f"pochhammer index must be an integer, got {k}")
     k = int(k)
     z = complex(z)
+    acc = complex(1.0)
     if k >= 0:
-        acc = complex(1.0)
         for j in range(k):
             acc *= z + j
-        return acc
-    acc = complex(1.0)
-    for j in range(1, -k + 1):
-        d = z - j
-        if abs(d) <= POLE_TOL:
-            raise PoleError(f"pochhammer denominator pole at z - {j} = {d}")
-        acc *= d
-    return 1.0 / acc
+    else:
+        for j in range(1, -k + 1):
+            d = z - j
+            if abs(d) <= POLE_TOL:
+                raise PoleError(f"pochhammer denominator pole at z - {j} = {d}")
+            acc *= d
+        acc = 1.0 / acc
+    if not cmath.isfinite(acc):
+        raise DomainError(f"pochhammer (z)_k with z = {z}, k = {k} is not finite")
+    return acc

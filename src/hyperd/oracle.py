@@ -153,33 +153,42 @@ def limit_alpha(p, z):
     diagonal increments must contract by at least 2x per level (up to a
     rounding floor); anything slower means a wrong constituent and is
     reported as ExtrapolationUnstable rather than averaged away.
+    _prepare_limit_alpha(p)(z).
     """
+    return _prepare_limit_alpha(p)(z)
+
+
+def _prepare_limit_alpha(p):
+    """The callable z -> limit_alpha(p, z), with the Connection route at
+    each alpha = m + h of the ladder prepared once."""
     _check_params(p)
     m = near_int(p.alpha, DEGENERACY_TOL)
     if m is None:
         raise DomainError(f"limit_alpha needs integer m, got alpha={p.alpha!r}")
-    z = complex(z)
     hs = _LADDER
-    rows = []
-    for h in hs:
-        v = prepare_u(p._replace(alpha=m + h), URoute.CONNECTION)(z).value
-        rows.append([v])
-    # Neville tableau evaluated at h = 0
-    for j in range(1, len(hs)):
-        for i in range(len(hs) - 1, j - 1, -1):
-            num = hs[i] * rows[i - 1][j - 1] - hs[i - j] * rows[i][j - 1]
-            rows[i].append(num / (hs[i] - hs[i - j]))
-    diag = [rows[i][i] for i in range(len(hs))]
-    value = diag[-1]
-    floor = _EXTRAP_FLOOR * max(1.0, abs(value))
-    incs = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
-    for a, b in zip(incs, incs[1:]):
-        if b > floor and b > 0.5 * a:
-            raise ExtrapolationUnstable(
-                "limit_alpha increments fail 2x contraction: %r" % (incs,))
-    err = max(incs[-1], floor)
-    return EvalResult(value=value, err_estimate=err,
-                      terms_used=len(hs), flags=frozenset())
+    us = [prepare_u(p._replace(alpha=m + h), URoute.CONNECTION) for h in hs]
+
+    def at(z):
+        z = complex(z)
+        rows = [[u(z).value] for u in us]
+        # Neville tableau evaluated at h = 0
+        for j in range(1, len(hs)):
+            for i in range(len(hs) - 1, j - 1, -1):
+                num = hs[i] * rows[i - 1][j - 1] - hs[i - j] * rows[i][j - 1]
+                rows[i].append(num / (hs[i] - hs[i - j]))
+        diag = [rows[i][i] for i in range(len(hs))]
+        value = diag[-1]
+        floor = _EXTRAP_FLOOR * max(1.0, abs(value))
+        incs = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
+        for a, b in zip(incs, incs[1:]):
+            if b > floor and b > 0.5 * a:
+                raise ExtrapolationUnstable(
+                    "limit_alpha increments fail 2x contraction: %r" % (incs,))
+        err = max(incs[-1], floor)
+        return EvalResult(value=value, err_estimate=err,
+                          terms_used=len(hs), flags=frozenset())
+
+    return at
 
 
 def _alpha_deriv_coeff(alpha, j):

@@ -306,8 +306,8 @@ def _f_params(kind, d, shift=None):
     """kind's parameter set at d, alpha read as _al(d) (m for a D), plus
     shift, which lists one offset per field in field order."""
     cls = PARAMS_BY_KIND[kind]
-    return cls(**{k: (_al(d) if k == "alpha" else d[k]) + (shift[i] if shift else 0)
-                  for i, k in enumerate(cls.__match_args__)})
+    return cls(*[(_al(d) if k == "alpha" else d[k]) + (shift[i] if shift else 0)
+                 for i, k in enumerate(cls._fields)])
 
 
 def _f_value(kind, d, z, shift=None):

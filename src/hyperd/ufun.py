@@ -48,6 +48,7 @@ from .errors import (
     BranchCut,
     DomainError,
     HyperdError,
+    NoConvergence,
     ParameterSingular,
     PoleAtOrigin,
     RouteInapplicable,
@@ -395,13 +396,35 @@ def bessel(kind, m, z):
     overflows a double at ±w (m >= 1 and |w| < 1, as K_1 at |z| below
     about 1e-154) or w is 0, K and the Hankel pair fold (z/2)^m into that
     part term by term (_folded); every other point keeps the forms above.
+    An error raised at w, -w or z/2 names z (_at_z).
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
     if m != int(m):
         raise ValueError(f"bessel order must be an integer, got {m}")
-    m = int(m)
     z = complex(z)
+    _check_point(z)
+    try:
+        return _bessel(kind, int(m), z)
+    except HyperdError as exc:
+        raise _at_z(exc, z) from None
+
+
+def _at_z(exc, z):
+    """exc, raised by a step of bessel at w = z^2/4, -w or z/2, as raised
+    at z: its message names z, as ffun._named does for the maps; its
+    type, and the partial sum and error of a NoConvergence, are kept."""
+    w = z * z / 4.0
+    msg = str(exc)
+    for x in (w, -w, z / 2.0):
+        msg = msg.replace(f"z = {x}", f"z = {z}")
+    if isinstance(exc, NoConvergence):
+        return NoConvergence(msg, partial=exc.partial, err=exc.err)
+    return type(exc)(msg)
+
+
+def _bessel(kind, m, z):
+    # bessel at an integer m and a finite complex z
     w = z * z / 4.0
     half_pow = principal_pow(z / 2.0, m)
     p = F0(m)

@@ -3,16 +3,19 @@ taken once.
 
 _reference below is that loop verbatim: it takes abs(t_next), abs(t)
 and abs(t_next) again at every term.  Both must return the same repr,
-or raise the same exception with the same message, on every input: the
-zero-term, DivergedImmediately and TruncationMaxed exits included.
+or raise the same exception with the same message, on every finite
+input: the zero-term, DivergedImmediately and TruncationMaxed exits
+included.  A nan or infinite a, b or z, on which the loop ran out its
+budget, raises DomainError naming it.
 """
 
+import cmath
 import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperd.errors import DivergedImmediately
+from hyperd.errors import DivergedImmediately, DomainError
 from hyperd.ffun import f2f0_asymptotic
 from hyperd.series import MAX_TERMS, EvalResult
 
@@ -51,7 +54,7 @@ def _reference(a, b, z, max_terms=MAX_TERMS):
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
-    except (DivergedImmediately, ValueError) as exc:
+    except (DivergedImmediately, DomainError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -77,4 +80,8 @@ _BUDGETS = st.one_of(st.integers(-1, 12), st.just(MAX_TERMS))
 @example(0.5, 0.5, -1e-4, 0)           # max_terms < 1
 @example(1e-300, 1e-300, 1e-300, MAX_TERMS)  # terms far below the rounding floor
 def test_f2f0_matches_the_three_abs_loop(a, b, x, max_terms):
-    assert _outcome(f2f0_asymptotic, a, b, x, max_terms) == _outcome(_reference, a, b, x, max_terms)
+    got = _outcome(f2f0_asymptotic, a, b, x, max_terms)
+    if max_terms >= 1 and not all(map(cmath.isfinite, (a, b, x))):
+        assert got[0] == "DomainError"
+        return
+    assert got == _outcome(_reference, a, b, x, max_terms)

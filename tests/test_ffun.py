@@ -240,6 +240,14 @@ def test_f2f0_diverged_immediately():
         f2f0_asymptotic(1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("args, name", [((math.nan, 1, 0.1), "a"), ((0.5, math.inf, 0.01), "b"),
+                                        ((0.5, 1, math.inf), "z")])
+def test_f2f0_non_finite_argument_is_a_domain_error(args, name):
+    # each ran its 10,000 terms and returned nan+nanj, flagged TruncationMaxed
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {name} = "):
+        f2f0_asymptotic(*args)
+
+
 def test_f2_norm_I_prefactor():
     p = F2(alpha=0.4, beta=0.3, mu=0.2)
     z = 0.3

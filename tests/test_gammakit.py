@@ -159,6 +159,20 @@ def test_pochhammer_both_signs():
         pochhammer(2.0, -3)
 
 
+@pytest.mark.parametrize("z, k", [(0.5, 400), (1e300, 2), (math.inf, -1), (math.nan, 3),
+                                  (complex(1e200, 1e200), -3), (complex(1e154, 1e154), 2)])
+def test_pochhammer_not_finite_is_a_domain_error(z, k):
+    # (0.5)_400 returned nan+nanj, (1e300)_2 inf+0j and (1e154+1e154j)_2 infj
+    with pytest.raises(DomainError, match=re.escape(f"(z)_k with z = {complex(z)}, k = {k} is not finite")):
+        pochhammer(z, k)
+
+
+def test_pochhammer_reciprocal_past_a_double_is_zero():
+    # (1e300)_{-2} = 1/((1e300-2)(1e300-1)) underflows; (z)_0 = 1 at any z
+    assert pochhammer(1e300, -2) == 0j
+    assert pochhammer(math.nan, 0) == 1
+
+
 # functional identities connecting psi, H and the Pochhammer symbol
 
 

@@ -8,6 +8,7 @@ Tricomi's function, the Bessel wrappers are the standard I, J, K, H.
 import cmath
 import math
 import random
+import re
 import sys
 
 import mpmath as mp
@@ -511,6 +512,20 @@ def test_bessel_hankel_keeps_its_bits_at_positive_real_part():
             inner = log_combo(principal_log(w) - sign * 1j * math.pi, f_norm(F0(m), -w), d_eval(F0(m), -w))
             want = inner.scaled(sign * 1j / math.pi * principal_pow(z / 2.0, m))
             assert repr(bessel(kind, m, z)) == repr(want)
+
+
+@pytest.mark.parametrize("kind, z, exc, msg", [
+    # this named w = -z^2/4: "series sum is not finite at z = (-122500-0j)"
+    ("J", 700, DomainError, "series sum is not finite at z = (700+0j)"),
+    ("I", 700, DomainError, "series sum is not finite at z = (700+0j)"),
+    ("H1", 700j, DomainError, "series sum is not finite at z = 700j"),
+    # the log of z/2 is cut
+    ("K", -2, BranchCut, "cut at z = (-2+0j)"),
+    ("J", math.inf, DomainError, "z must be finite, got z = (inf+0j)"),
+])
+def test_bessel_errors_name_the_callers_z(kind, z, exc, msg):
+    with pytest.raises(exc, match=re.escape(msg)):
+        bessel(kind, 3, z)
 
 
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
