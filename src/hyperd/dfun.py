@@ -46,9 +46,9 @@ import math
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
 from .ffun import (
     DEGENERACY_TOL,
-    F2_SERIES_RADIUS,
     F1,
     F2,
+    _check_disc,
     _check_order,
     _check_params,
     _f2_I_prefactor,
@@ -274,10 +274,8 @@ def _d_jet(p):
         _check_point(z)
         if principal and z == 0:
             raise PoleAtOrigin(f"D with m = {p.alpha} has a pole at z = 0")
-        if disc and abs(z) > F2_SERIES_RADIUS:
-            raise DomainError(
-                f"2F1 D series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-            )
+        if disc:
+            _check_disc(z, "D")
         heads = (0j, 0j, 0j)
         if principal:
             w = 1.0 / z

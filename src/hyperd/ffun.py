@@ -23,7 +23,8 @@ F_{theta,alpha}(z) = e^z F_{-theta,alpha}(-z) (DLMF 13.2.39), whose
 terms at -z do not cancel, and Pfaff's for 2F1 where |z/(z-1)| < |z|,
 F_{alpha,beta,mu}(z) = (1-z)^(-a) F_{alpha,-mu,-beta}(z/(z-1)),
 a = (1+alpha+beta-mu)/2 (DLMF 15.8.1).  0F1 and every other point sum
-the series above (see prepare_f_norm).
+the series above.  The map of each kind, its point rule, parameter
+image and weights, is one row of _MAPS, which prepare_f_norm reads once.
 
 Every point function f(p, z) is prepare_f(p)(z): the prepare step does
 the work that depends on the parameters alone and returns a callable of
@@ -218,17 +219,6 @@ def _seed(p, image=None):
     return n0, _replay(_terms(c0, n0, c, *upper))
 
 
-def _kummer(a, c):
-    # 1F1(a; c; z) = e^z 1F1(c-a; c; -z): F_{theta,alpha} -> F_{-theta,alpha}
-    return c - a, c
-
-
-def _pfaff(a, b, c):
-    # 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)):
-    # F_{alpha,beta,mu} -> F_{alpha,-mu,-beta}
-    return a, c - b, c
-
-
 @functools.cache
 def _kummer_rows(order):
     # complex, so that a combination multiplies complex by complex (see the
@@ -268,21 +258,50 @@ def _pfaff_weights(p):
     return weights
 
 
-def _mapped_seed(p, image, weights):
-    """_seed(p, image) and weights(p): the stream of the image and its
-    weights at a point, taken once the parameters have passed the checks
-    of the seed."""
-    return (*_seed(p, image), weights(p))
+def _named(exc, z, xs, scale=None):
+    """exc, raised by a step at one of the image points xs of z, as raised
+    at z: its message names z and its type is kept.  A NoConvergence
+    keeps its partial sum and error, or carries them times scale where
+    one is given; without one they are not multiplied, since
+    1.0 * complex(inf, 0.0) is inf+nanj and 1.0 * complex(1.0, -0.0)
+    drops the sign of the zero."""
+    msg = str(exc)
+    for x in xs:
+        msg = msg.replace(f"z = {x}", f"z = {z}")
+    if not isinstance(exc, NoConvergence):
+        return type(exc)(msg)
+    if scale is None:
+        return NoConvergence(msg, partial=exc.partial, err=exc.err)
+    return NoConvergence(msg, partial=scale * exc.partial, err=abs(scale) * exc.err)
 
 
-def _named(exc, x, z, scale):
-    """exc, raised by a sum at the image x of z, as raised at z: its
-    message names z, and a NoConvergence carries the partial sum and
-    error times scale."""
-    msg = str(exc).replace(f"z = {x}", f"z = {z}")
-    if isinstance(exc, NoConvergence):
-        return NoConvergence(msg, partial=scale * exc.partial, err=abs(scale) * exc.err)
-    return DomainError(msg)
+def _check_disc(z, series):
+    """DomainError unless |z| <= F2_SERIES_RADIUS, where the 2F1 series
+    named by series ("direct" for F, "D" for D) is summed."""
+    if abs(z) > F2_SERIES_RADIUS:
+        raise DomainError(
+            f"2F1 {series} series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+        )
+
+
+def _pfaff_point(z):
+    # inside the disc, z/(z-1) where |z/(z-1)| < |z|, tested as |z-1| > 1
+    _check_disc(z, "direct")
+    return z / (z - 1) if abs(z - 1) > 1 else None
+
+
+# equation kind -> (point rule, image, weights) of F: the point rule gives
+# the image point x of z, or None where F sums the series of p; image
+# maps the classical parameters (a, ..., c) to those of the series G
+# summed at x, and weights(p) gives the scale and jet weights of
+# F = scale G(x).  Both maps keep c, and with it m.
+_MAPS = {
+    "0f1": (lambda z: None, None, None),
+    # Kummer: 1F1(a; c; z) = e^z 1F1(c-a; c; -z) at Re z < 0
+    "1f1": (lambda z: -z if z.real < 0 else None, lambda a, c: (c - a, c), _kummer_weights),
+    # Pfaff: 2F1(a, b; c; z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1))
+    "2f1": (_pfaff_point, lambda a, b, c: (a, c - b, c), _pfaff_weights),
+}
 
 
 def _check_params(p):
@@ -293,54 +312,38 @@ def _check_params(p):
 def prepare_f_norm(p):
     """The callable z -> f_norm(p, z), with its .jet(z, order).
 
-    After the point check and the 2F1 disc check, two kinds of point sum
-    the series of a map that keeps alpha, and with it m, fixed, because
-    that series is shorter there:
-
-    - 1F1 at Re z < 0, by Kummer's map (DLMF 13.2.39):
-      F_{theta,alpha}(z) = e^z G(-z), G = F_{-theta,alpha}, whose terms
-      at -z do not alternate and cancel;
-    - 2F1 where |z/(z-1)| < |z|, by Pfaff's map (DLMF 15.8.1):
-      F_{alpha,beta,mu}(z) = (1-z)^(-a) G(z/(z-1)), G = F_{alpha,-mu,-beta},
-      a = (1+alpha+beta-mu)/2.
-
-    Every other point, and every 0F1 point, sums the series of p.  The
-    jet is (F, F', ..., F^(order)).  Where no map is taken, F^(k) sums
-    the series of p differentiated k times term by term, one more sum
-    over the same stream.  At a mapped point the jet of G at x is summed
-    so, from G's stream alone, and F^(k) is the scale times the sum over
-    i <= k of w(k, i) G^(i)(x) (series._combined_jet), the w from
-    Leibniz's rule and the chain rule: (-1)^i C(k, i) for x = -z, and
-    (-1)^i C(k, i) (a+i)_(k-i) u^(k+i) for x = z/(z-1), u = 1/(1-z)
-    (_pfaff_weights).  A sum of G that raises names z.
+    The row of p's kind in _MAPS is read here.  At each point, after the
+    point check, its point rule gives the image point x: -z for 1F1 at
+    Re z < 0 (Kummer's map, G = F_{-theta,alpha}, whose terms at -z do
+    not alternate and cancel), z/(z-1) for 2F1 where |z/(z-1)| < |z|
+    (Pfaff's map, G = F_{alpha,-mu,-beta}, after the disc check), and
+    none at every other point and every 0F1 point, which sum the series
+    of p.  The jet is (F, F', ..., F^(order)).  Where no map is taken,
+    F^(k) sums the series of p differentiated k times term by term, one
+    more sum over the same stream.  At a mapped point the jet of G at x
+    is summed so, from G's stream alone, and F^(k) is the scale times
+    the sum over i <= k of w(k, i) G^(i)(x) (series._combined_jet), the
+    w from Leibniz's rule and the chain rule: (-1)^i C(k, i) for x = -z,
+    and (-1)^i C(k, i) (a+i)_(k-i) u^(k+i) for x = z/(z-1), u = 1/(1-z)
+    (_pfaff_weights).  A sum of G that raises names z (_named).
     """
     _check_params(p)
-    disc = isinstance(p, F2)
-    kummer = isinstance(p, F1)
-    # the map of the kind (a 0F1 takes none)
-    image, weights = (_pfaff, _pfaff_weights) if disc else (_kummer, _kummer_weights)
-    # the kept streams of p and of its image, each built at the first
-    # point that sums it
-    direct, mapped = [], []
+    point, image, weights = _MAPS[p.kind]
+    # the kept streams of p and of its image, and the weights of the map,
+    # each built at the first point that needs it
+    direct, mapped, kept_weights = [], [], []
 
     def jet(z, order):
         z = complex(z)
         _check_point(z)
-        if disc:
-            if abs(z) > F2_SERIES_RADIUS:
-                raise DomainError(
-                    f"2F1 direct series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
-                )
-            # |z/(z-1)| < |z|
-            x = z / (z - 1) if abs(z - 1) > 1 else None
-        else:
-            x = -z if kummer and z.real < 0 else None
+        x = point(z)
         if x is None:
             box, x = direct, z
             start, gen = _kept(direct, _seed, p)
         else:
             box = mapped
-            start, gen, at = _kept(mapped, _mapped_seed, p, image, weights)
+            start, gen = _kept(mapped, _seed, p, image)
+            at = _kept(kept_weights, weights, p)
         try:
             out = (sum_power_series(gen(), x, start=start),)
             if order:
@@ -352,7 +355,7 @@ def prepare_f_norm(p):
             box.clear()
             if box is direct or not isinstance(exc, (DomainError, NoConvergence)):
                 raise
-            raise _named(exc, x, z, at(z, 0)[0]) from None
+            raise _named(exc, z, (x,), at(z, 0)[0]) from None
         if box is direct:
             return out
         scale, rows = at(z, order)

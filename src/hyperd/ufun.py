@@ -31,9 +31,10 @@ given at every z.
 As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
 its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
 u1 and u2 likewise.  prepare_u sets up the route, the series of its F
-and D and its Gamma weights once per parameter set.  Weights that a lone
-call takes only after its series are taken at the first point that gets
-that far, and the 2F1 U builds each route at the first point that takes
+and D and its Gamma weights once per parameter set, and holds the point
+rule of all three kinds in one closure.  Weights that a lone call takes
+only after its series are taken at the first point that gets that far,
+and a route the point rule picks is built at the first point that takes
 it.  Public functions may be called from any thread; a prepared
 callable belongs to the thread that made it.
 """
@@ -48,7 +49,6 @@ from .errors import (
     BranchCut,
     DomainError,
     HyperdError,
-    NoConvergence,
     ParameterSingular,
     PoleAtOrigin,
     RouteInapplicable,
@@ -60,6 +60,7 @@ from .ffun import (
     F1,
     F2,
     _check_params,
+    _named,
     _reflected,
     f2f0_asymptotic,
     f_norm,
@@ -98,12 +99,6 @@ class URoute(Enum):
     CONNECTION = "Connection"
     LOG_PLUS_D = "LogPlusD"
     ASYMPTOTIC_2F0 = "Asymptotic2F0"
-
-
-def _as_route(route):
-    if route is None or isinstance(route, URoute):
-        return route
-    return URoute(route)
 
 
 def _build_route(p, route):
@@ -290,59 +285,53 @@ def _far_value(far, radius, z):
     return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
 
 
-def _far_first(far, radius, near):
-    """The automatic route: z -> the far value where _far_value gives one,
-    else near()(z).  The near route is built at the first point that
-    needs it, so its faults (an alpha in the gap band, a vanishing
-    prefactor) are raised there and not by far points."""
-    built = []
-
-    def u_at(z):
-        r = _far_value(far, radius, complex(z))
-        return r if r is not None else _kept(built, near)(z)
-
-    return u_at
-
-
 def prepare_u(p, route=None):
     """The callable z -> U at the parameter set p (F0, F1 or F2) and z.
 
-    A given route is taken at every z; the 0F1 and 1F1 kinds build it
-    here.  Without one, a far 0F1 or 1F1 point (Re z > 0, |z| >=
-    U0_FAR_RADIUS = 20.30 or U1_FAR_RADIUS = 18.02) takes Asymptotic2F0
-    when its error estimate is within sqrt(eps) of the value; every other
-    point, and a far point whose expansion raises or falls short, takes
-    the route alpha picks, built at the first point that needs it.
+    route is a URoute or its value.  A given route is taken at every z;
+    the 0F1 and 1F1 kinds build it here.  Without one, the point rule of
+    the kind picks the route at each z:
 
-    The 2F1 U is cut on [0, inf).  Without a route each of its points
-    takes the route of its |z|: the one alpha picks for |z| <=
-    F2_SERIES_RADIUS, the 1/z series for |1/z| <= F2_SERIES_RADIUS.  A
-    route is built at the first point that passes the cut check and takes
-    it, so a point on the cut raises BranchCut before any fault of the
-    route's parameters.
+    - 0F1 and 1F1: a far point (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30
+      or U1_FAR_RADIUS = 18.02) takes Asymptotic2F0 when its error
+      estimate is within sqrt(eps) of the value; every other point, and
+      a far point whose expansion raises or falls short, takes the route
+      alpha picks.
+    - 2F1, whose U is cut on [0, inf): the route alpha picks for |z| <=
+      F2_SERIES_RADIUS, the 1/z series for |1/z| <= F2_SERIES_RADIUS, and
+      DomainError between.  A given route is taken at every point off
+      the cut.
+
+    A route is built at the first point that takes it, after the checks
+    of that point: a far point does not raise the faults of the route
+    alpha picks (an alpha in the gap band, a vanishing prefactor), nor a
+    2F1 point on the cut, which raises BranchCut.
     """
     _check_params(p)
     p = type(p)(*map(complex, p))
     _check_finite(p)
-    route = _as_route(route)
-    if p.kind != "2f1":
-        if route is not None:
-            return _build_route(p, route)
-        return _far_first(_asymptotic(p), U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS,
-                          lambda: _build_route(p, None))
+    route = None if route is None else URoute(route)
+    two = p.kind == "2f1"
+    if route is not None and not two:
+        return _build_route(p, route)
+    far = None if two else _asymptotic(p)
+    radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
     chosen, outer = [], []  # the given or alpha-picked route; the 1/z series
 
     def u_at(z):
         z = complex(z)
-        _check_point(z)
-        if z.imag == 0.0 and z.real >= 0.0:
-            raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
-        if route is None and abs(z) > F2_SERIES_RADIUS:
-            if abs(z) < 1.0 / F2_SERIES_RADIUS:
-                raise DomainError(
-                    f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
-                )
-            return _kept(outer, _asymptotic, p)(z)
+        if two:
+            _check_point(z)
+            if z.imag == 0.0 and z.real >= 0.0:
+                raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
+            if route is None and abs(z) > F2_SERIES_RADIUS:
+                if abs(z) < 1.0 / F2_SERIES_RADIUS:
+                    raise DomainError(
+                        f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
+                    )
+                return _kept(outer, _asymptotic, p)(z)
+        elif (r := _far_value(far, radius, z)) is not None:
+            return r
         return _kept(chosen, _build_route, p, route)(z)
 
     return u_at
@@ -396,7 +385,7 @@ def bessel(kind, m, z):
     overflows a double at ±w (m >= 1 and |w| < 1, as K_1 at |z| below
     about 1e-154) or w is 0, K and the Hankel pair fold (z/2)^m into that
     part term by term (_folded); every other point keeps the forms above.
-    An error raised at w, -w or z/2 names z (_at_z).
+    An error raised at w, -w or z/2 names z (ffun._named).
     """
     if not cmath.isfinite(m):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
@@ -407,20 +396,8 @@ def bessel(kind, m, z):
     try:
         return _bessel(kind, int(m), z)
     except HyperdError as exc:
-        raise _at_z(exc, z) from None
-
-
-def _at_z(exc, z):
-    """exc, raised by a step of bessel at w = z^2/4, -w or z/2, as raised
-    at z: its message names z, as ffun._named does for the maps; its
-    type, and the partial sum and error of a NoConvergence, are kept."""
-    w = z * z / 4.0
-    msg = str(exc)
-    for x in (w, -w, z / 2.0):
-        msg = msg.replace(f"z = {x}", f"z = {z}")
-    if isinstance(exc, NoConvergence):
-        return NoConvergence(msg, partial=exc.partial, err=exc.err)
-    return type(exc)(msg)
+        w = z * z / 4.0
+        raise _named(exc, z, (w, -w, z / 2.0)) from None
 
 
 def _bessel(kind, m, z):

@@ -63,14 +63,16 @@ F2_FIELDS = [(0.3, 0.2), (-0.0, 0.0), (complex(0.1, 0.4), -0.25), (2.0, -3.0),
 
 
 def _cases():
+    # the parameter images of Kummer's and Pfaff's maps
+    kummer, pfaff = ffun._MAPS["1f1"][1], ffun._MAPS["2f1"][1]
     for alpha in ALPHAS:
         yield F0(alpha), None
         for theta in THETAS:
             yield F1(theta, alpha), None
-            yield F1(theta, alpha), ffun._kummer
+            yield F1(theta, alpha), kummer
         for beta, mu in F2_FIELDS:
             yield F2(alpha, beta, mu), None
-            yield F2(alpha, beta, mu), ffun._pfaff
+            yield F2(alpha, beta, mu), pfaff
 
 
 def _stream(p, image):
