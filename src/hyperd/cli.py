@@ -14,7 +14,7 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr).  Every series stops by the fixed tolerance REL_TOL within the
+stderr), a flag the request does not use among them.  Every series stops by the fixed tolerance REL_TOL within the
 fixed budget MAX_TERMS; no subcommand takes an option for either, and the
 eval/table header echoes both.
 
@@ -180,7 +180,10 @@ def _flags(names):
 def _resolve_params(args):
     """Returns (lie params dict, classical echo dict).
 
-    Exactly one convention may be given; the other is derived once.
+    Exactly one convention may be given; the other is derived once.  A
+    flag the request does not use is a DomainError naming it: --m
+    together with --alpha, a parameter the kind lacks, and --route for a
+    --func other than U.
     """
     lie_given = [k for k in ("alpha", "m", "theta", "beta", "mu")
                  if getattr(args, k) is not None]
@@ -189,18 +192,24 @@ def _resolve_params(args):
         raise DomainError("give either Lie-algebraic (--m/--alpha/--theta/"
                           "--beta/--mu) or classical (--a/--b/--c) "
                           "parameters, not both")
+    if args.m is not None and args.alpha is not None:
+        raise DomainError("give --m or --alpha, not both")
     eq = args.eq
     cls = PARAMS_BY_KIND[eq]
     names = _CLASSICAL[eq]
     extra = [k for k in cls.__match_args__ if k != "alpha"]
+    unused = [k for k in lie_given + cls_given if k not in ("m", "alpha", *extra, *names)]
+    if args.route is not None and args.func != "U":
+        unused.append("route")
+    if unused:
+        raise DomainError("--eq %s --func %s does not use %s" % (eq, args.func, _flags(unused)))
     if cls_given:
         values = [getattr(args, k) for k in names]
         if None in values:
             raise DomainError("%s classical form needs %s" % (eq, _flags(names)))
         p = cls.from_classical(*values)
     else:
-        alpha = args.alpha if args.alpha is not None else \
-            (float(args.m) if args.m is not None else None)
+        alpha = args.alpha if args.m is None else float(args.m)
         if alpha is None:
             raise DomainError("missing --m or --alpha")
         values = {k: getattr(args, k) for k in extra}

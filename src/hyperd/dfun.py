@@ -102,7 +102,11 @@ def _d_params(p):
 
 
 def _principal(upper, mm):
-    """(d_{-1}, ..., d_{-mm}) at order mm for upper parameters (), (a,) or (a, b)."""
+    """(d_{-1}, ..., d_{-mm}) at order mm for upper parameters (), (a,) or (a, b):
+    d_{-k} = (-1)^(k-1) (k-1)!/(mm-k)! times (u)_{-k} for each u.  Where a
+    Pochhammer leaves a double (|u| in the hundreds at a high order) the
+    coefficient is formed factor by factor from (-1)^(k-1)/(mm-k)!: each
+    j = 1, ..., k multiplies by j - 1 (j > 1) and divides by u - j."""
     out = []
     sign = 1.0
     fact = 1.0  # (k-1)!
@@ -111,8 +115,16 @@ def _principal(upper, mm):
             fact *= k - 1
             sign = -sign
         c = sign * fact / math.factorial(mm - k)
-        for u in upper:
-            c = c * pochhammer(u, -k)
+        try:
+            for u in upper:
+                c = c * pochhammer(u, -k)
+        except DomainError:
+            c = sign / math.factorial(mm - k)
+            for j in range(1, k + 1):
+                if j > 1:
+                    c *= j - 1
+                for u in upper:
+                    c = c / (u - j)
         out.append(complex(c))
     return tuple(out)
 

@@ -278,6 +278,41 @@ def test_fi_requires_2f1(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "table"])
+@pytest.mark.parametrize("argv, message", [
+    # each of these flags was dropped and the request answered
+    (["--eq", "1f1", "--func", "F", "--m", "2", "--theta", "0.7", "--route", "Connection"],
+     "--eq 1f1 --func F does not use --route"),
+    (["--eq", "2f1", "--func", "D", "--m", "1", "--beta", "0.3", "--mu", "0.2", "--route", "LogPlusD"],
+     "--eq 2f1 --func D does not use --route"),
+    (["--eq", "0f1", "--func", "U", "--m", "2", "--alpha", "0.37"], "give --m or --alpha, not both"),
+    (["--eq", "0f1", "--m", "2", "--theta", "0.7", "--beta", "0.3", "--mu", "0.2"],
+     "--eq 0f1 --func F does not use --theta, --beta, --mu"),
+    (["--eq", "1f1", "--m", "2", "--theta", "0.7", "--beta", "0.3"], "--eq 1f1 --func F does not use --beta"),
+    (["--eq", "1f1", "--m", "2", "--theta", "0.7", "--mu", "0.2"], "--eq 1f1 --func F does not use --mu"),
+    (["--eq", "2f1", "--m", "2", "--theta", "0.7", "--beta", "0.3", "--mu", "0.2"],
+     "--eq 2f1 --func F does not use --theta"),
+    (["--eq", "1f1", "--a", "1", "--b", "2", "--c", "3"], "--eq 1f1 --func F does not use --b"),
+    (["--eq", "0f1", "--a", "1", "--b", "2", "--c", "3"], "--eq 0f1 --func F does not use --a, --b"),
+    (["--eq", "0f1", "--func", "U", "--b", "2", "--c", "3", "--route", "LogPlusD"],
+     "--eq 0f1 --func U does not use --b"),
+])
+def test_an_unused_flag_is_an_error(command, argv, message, capsys):
+    code, out, err = run([command] + argv + ["--grid=0.2:0.6:2,0:0:1"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
+
+
+def test_every_flag_of_a_request_is_used(capsys):
+    # one flag of each kind that a request uses, and --route for U
+    for argv in (["--eq", "0f1", "--func", "U", "--alpha", "0.37", "--route", "Connection"],
+                 ["--eq", "1f1", "--c", "2", "--a", "0.5"],
+                 ["--eq", "2f1", "--func", "U", "--m", "1", "--beta", "0.3", "--mu", "0.2",
+                  "--route", "LogPlusD"]):
+        code, _, err = run(["eval"] + argv + ["--z=-0.4+0.1i"], capsys)
+        assert code == 0, err
+
+
 def test_bad_complex_literal(capsys):
     code, _, err = run(["eval", "--eq", "0f1", "--alpha", "0.5",
                         "--z", "nope"], capsys)

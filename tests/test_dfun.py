@@ -333,6 +333,66 @@ def test_jet_at_large_m_where_the_coefficient_products_overflow():
     assert small.jet(0.4 + 0.2j, 1) == small.jet(0.4 + 0.2j, 2)[:2]
 
 
+def _principal_mp(p):
+    """The principal coefficients d_{-k} of D at 50 digits, with
+    (u)_{-k} = 1/((u-1) ... (u-k)), and the classical upper parameters."""
+    m = p.m
+    *upper, _ = [mp.mpmathify(complex(u)) for u in p._classical(m)]
+    return [(-1) ** (k - 1) * mp.factorial(k - 1) / mp.factorial(m - k)
+            / mp.fprod(u - j for u in upper for j in range(1, k + 1))
+            for k in range(1, m + 1)], upper
+
+
+@pytest.mark.parametrize("p", [F1(1e3 + 1e3j, 170), F1(-700.3, 170)])
+def test_d_where_a_pochhammer_of_the_principal_part_leaves_a_double(p):
+    # (a)_{-k} overflows a double from k = 108 (a = 585.5+500j) and
+    # k = 124 (a = -264.65) on, though every coefficient fits; these
+    # raised DomainError from pochhammer.  The reference sums D's
+    # defining series (module docstring of dfun) at 50 digits.
+    with mp.workdps(50):
+        d, (a,) = _principal_mp(p)
+        m, z = p.m, mp.mpf(0.5)
+        tail = sum(mp.rf(a, k) / (mp.factorial(k) * mp.factorial(m + k))
+                   * (mp.digamma(a + k) - mp.digamma(k + 1) - mp.digamma(k + m + 1)) * z ** k
+                   for k in range(60))
+        want = complex(sum(c * z ** -k for k, c in enumerate(d, 1)) + tail)
+    got = d_eval(p, 0.5)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+def test_d_principal_coefficients_where_a_pochhammer_leaves_a_double():
+    # (a)_{-k} overflows from k = 125 at a = 85.35+300j, and raised
+    # DomainError; the coefficients, all below 2.5e-310, are within two
+    # subnormal steps of the 50-digit ones, and D has a value
+    p = F2(170, 600j, 0.3)
+    with mp.workdps(50):
+        want = [complex(c) for c in _principal_mp(p)[0]]
+    got = d_expand(p).principal
+    assert len(got) == 170
+    assert all(abs(g - w) <= 1e-323 for g, w in zip(got, want))
+    assert cmath.isfinite(d_eval(p, 0.5).value)
+
+
+def test_principal_coefficients_that_fit_keep_their_bits():
+    # the coefficients of the Pochhammer form, in its order of operations,
+    # wherever each Pochhammer stays in a double
+    for p in (F0(9), F1(0.7, 5), F1(3 + 40j, 60), F1(-700.3, 120), F2(12, 0.3, 0.2),
+              F2(170, 0.3 + 2j, 0.1)):
+        mm = abs(p.m)
+        *upper, _ = p._classical(mm)
+        want = []
+        sign, fact = 1.0, 1.0
+        for k in range(1, mm + 1):
+            if k > 1:
+                fact *= k - 1
+                sign = -sign
+            c = sign * fact / math.factorial(mm - k)
+            for u in upper:
+                c = c * pochhammer(u, -k)
+            want.append(repr(complex(c)))
+        assert [repr(c) for c in d_expand(p).principal] == want
+
+
 def test_jet_goes_to_order_two():
     at = prepare_d_eval(F0(2))
     with pytest.raises(ValueError, match="order 2"):
