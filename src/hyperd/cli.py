@@ -14,9 +14,10 @@ identical numeric fields.  The one exception is a non-finite float,
 which JSON has no literal for: JSON output writes it as null, CSV as
 inf, -inf or nan.  Exit codes: 0 success, 1 verification
 failure, 2 domain/parameter errors (a structured error record goes to
-stderr), a flag the request does not use among them.  Every series stops by the fixed tolerance REL_TOL within the
-fixed budget MAX_TERMS; no subcommand takes an option for either, and the
-eval/table header echoes both.
+stderr), a flag the request does not use among them.  Every series
+stops by the fixed tolerance REL_TOL within the fixed budget MAX_TERMS;
+no subcommand takes an option for either, and the eval/table header
+echoes both.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written

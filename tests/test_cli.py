@@ -303,16 +303,6 @@ def test_an_unused_flag_is_an_error(command, argv, message, capsys):
     assert json.loads(err)["error"] == {"type": "DomainError", "message": message}
 
 
-def test_every_flag_of_a_request_is_used(capsys):
-    # one flag of each kind that a request uses, and --route for U
-    for argv in (["--eq", "0f1", "--func", "U", "--alpha", "0.37", "--route", "Connection"],
-                 ["--eq", "1f1", "--c", "2", "--a", "0.5"],
-                 ["--eq", "2f1", "--func", "U", "--m", "1", "--beta", "0.3", "--mu", "0.2",
-                  "--route", "LogPlusD"]):
-        code, _, err = run(["eval"] + argv + ["--z=-0.4+0.1i"], capsys)
-        assert code == 0, err
-
-
 def test_bad_complex_literal(capsys):
     code, _, err = run(["eval", "--eq", "0f1", "--alpha", "0.5",
                         "--z", "nope"], capsys)

@@ -19,16 +19,12 @@ import math
 
 import pytest
 
-from hyperd import ffun
+from hyperd import ffun, ufun
 from hyperd.dfun import prepare_d_eval
 from hyperd.errors import BranchCut, DomainError, HyperdError, NoConvergence
 from hyperd.ffun import F0, F1, F2, _named, _seed, prepare_f_norm
 from hyperd.series import sum_power_series
 from hyperd.ufun import U0_FAR_RADIUS, U1_FAR_RADIUS, URoute, prepare_u, u0, u1, u2
-
-ULP_DOWN = -math.inf
-ULP_UP = math.inf
-
 
 def _outcome(call):
     try:
@@ -41,8 +37,9 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _ulp(x, way):
-    return math.nextafter(x, way)
+def _around(x):
+    """x - 1 ulp, x and x + 1 ulp."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +73,12 @@ PFAFF = [
 # 2F1 points at |z| = 0.95 - 1 ulp, 0.95 and 0.95 + 1 ulp, in the right
 # half-plane (the series of p) and in the left (Pfaff's map)
 DISC = [
-    (complex(0.9013878188659972, 0.3), _ulp(0.95, ULP_DOWN), "direct"),
-    (complex(0.9013878188659973, 0.3), 0.95, "direct"),
-    (complex(0.9013878188659974, 0.3), _ulp(0.95, ULP_UP), "raises"),
-    (complex(-0.9013878188659972, 0.3), _ulp(0.95, ULP_DOWN), "map"),
-    (complex(-0.9013878188659973, 0.3), 0.95, "map"),
-    (complex(-0.9013878188659974, 0.3), _ulp(0.95, ULP_UP), "raises"),
+    (complex(0.9013878188659972, 0.3), "direct"),
+    (complex(0.9013878188659973, 0.3), "direct"),
+    (complex(0.9013878188659974, 0.3), "raises"),
+    (complex(-0.9013878188659972, 0.3), "map"),
+    (complex(-0.9013878188659973, 0.3), "map"),
+    (complex(-0.9013878188659974, 0.3), "raises"),
 ]
 DISC_F = {
     F2(0.3, 0.2, 0.1): ["1e2f01829c735f2c", "ae053e63d174ed02", "d5865d5d9d62920c",
@@ -122,8 +119,8 @@ def test_pfaff_edge(p, z, dist, side, pin):
 
 @pytest.mark.parametrize("p", list(DISC_F))
 def test_disc_edge_of_f(p):
-    for (z, r, side), pin in zip(DISC, DISC_F[p]):
-        assert abs(z) == r
+    assert [abs(z) for z, _ in DISC] == _around(0.95) * 2
+    for (z, side), pin in zip(DISC, DISC_F[p]):
         got = _outcome(lambda: prepare_f_norm(p).jet(z, 2))
         if side == "raises":
             assert got.startswith("DomainError: 2F1 direct series restricted to |z| <= 0.95"), z
@@ -134,7 +131,7 @@ def test_disc_edge_of_f(p):
 
 @pytest.mark.parametrize("p", list(DISC_D))
 def test_disc_edge_of_d(p):
-    for (z, r, side), pin in zip(DISC, DISC_D[p]):
+    for (z, side), pin in zip(DISC, DISC_D[p]):
         got = _outcome(lambda: prepare_d_eval(p).jet(z, 2))
         assert got.startswith("DomainError: 2F1 D series restricted to |z| <= 0.95") == (side == "raises"), z
         assert _digest(got) == pin, z
@@ -146,7 +143,7 @@ def test_disc_edge_of_d(p):
 def _u_edges(radius, y):
     """Points at |z| = radius - 1 ulp, radius and radius + 1 ulp: on the
     positive real axis and at Im z = y."""
-    pts = [_ulp(radius, ULP_DOWN), radius, _ulp(radius, ULP_UP)]
+    pts = _around(radius)
     out = [complex(r, 0.0) for r in pts]
     for r in pts:
         x = math.sqrt(radius * radius - y * y)
@@ -187,13 +184,12 @@ def _u_side(fn, args, z):
 @pytest.mark.parametrize("fn, args, zs, sides, pin", U_EDGES)
 def test_far_radius_edge(fn, args, zs, sides, pin):
     radius = U0_FAR_RADIUS if fn is u0 else U1_FAR_RADIUS
-    assert [abs(z) for z in zs[:6]] == [_ulp(radius, ULP_DOWN), radius, _ulp(radius, ULP_UP)] * 2
+    assert [abs(z) for z in zs[:6]] == _around(radius) * 2
     for z, side in zip(zs, sides):
         assert _u_side(fn, args, z) == side, z
     assert _digest("\n".join(_outcome(lambda: fn(*args, z)) for z in zs)) == pin
 
 
-LADDER = 1.0 / 0.95
 U2_EDGES = [complex(1.0225131984464697, 0.25), complex(1.02251319844647, 0.25),
             complex(1.0225131984464702, 0.25), complex(-1.0225131984464697, 0.25),
             complex(-1.02251319844647, -0.25), complex(-1.0225131984464702, 0.25),
@@ -205,8 +201,7 @@ U2_PINS = {(2, 0.3, 0.2): "b72340316ef37dc5", (0.37, 0.3, 0.2): "456cc54e31da8b5
 
 @pytest.mark.parametrize("args", list(U2_PINS))
 def test_ladder_edge_of_u2(args):
-    assert [abs(z) for z in U2_EDGES] == [_ulp(LADDER, ULP_DOWN), LADDER, _ulp(LADDER, ULP_UP)] * 2 + [
-        _ulp(0.95, ULP_DOWN), 0.95, _ulp(0.95, ULP_UP)]
+    assert [abs(z) for z in U2_EDGES] == _around(1.0 / 0.95) * 2 + _around(0.95)
     outs = []
     for z, side in zip(U2_EDGES, U2_SIDES):
         got = _outcome(lambda: u2(*args, z))
@@ -311,8 +306,7 @@ def test_the_maps_and_bessel_rename_through_named(monkeypatch):
         return real(exc, z, xs, scale)
 
     monkeypatch.setattr(ffun, "_named", spy)
-    from hyperd import ufun
-    monkeypatch.setattr(ufun, "_named", spy, raising=False)
+    monkeypatch.setattr(ufun, "_named", spy)
     with pytest.raises(DomainError, match=r"at z = \(-800\+0j\)"):
         ffun.f_norm(F1(0.7, 2), -800)
     with pytest.raises(DomainError, match=r"at z = \(700\+0j\)"):
