@@ -42,6 +42,7 @@ import cmath
 import functools
 import itertools
 import math
+import sys
 
 from .errors import DomainError, ParameterSingular, PoleAtOrigin
 from .ffun import (
@@ -106,7 +107,9 @@ def _principal(upper, mm):
     d_{-k} = (-1)^(k-1) (k-1)!/(mm-k)! times (u)_{-k} for each u.  Where a
     Pochhammer leaves a double (|u| in the hundreds at a high order) the
     coefficient is formed factor by factor from (-1)^(k-1)/(mm-k)!: each
-    j = 1, ..., k multiplies by j - 1 (j > 1) and divides by u - j."""
+    j = 1, ..., k multiplies by j - 1 (j > 1) and divides by u - j.  That
+    product is kept only while it stays a normal double, where each step
+    rounds within eps; below that the Pochhammer's DomainError stands."""
     out = []
     sign = 1.0
     fact = 1.0  # (k-1)!
@@ -125,6 +128,8 @@ def _principal(upper, mm):
                     c *= j - 1
                 for u in upper:
                     c = c / (u - j)
+                if not abs(c) >= sys.float_info.min:
+                    raise
         out.append(complex(c))
     return tuple(out)
 

@@ -32,10 +32,10 @@ As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
 its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
 u1 and u2 likewise.  prepare_u sets up the route, the series of its F
 and D and its Gamma weights once per parameter set, and holds the point
-rule of all three kinds in one closure.  Weights that a lone call takes
-only after its series are taken at the first point that gets that far,
-and a route the point rule picks is built at the first point that takes
-it.  Public functions may be called from any thread; a prepared
+rule of all three kinds: it returns the closure of p's kind, so no kind
+is tested at a point.  Weights that a lone call takes only after its
+series are taken at the first point that gets that far, and a route the
+point rule picks is built at the first point that takes it.  Public functions may be called from any thread; a prepared
 callable belongs to the thread that made it.
 """
 
@@ -290,7 +290,7 @@ def prepare_u(p, route=None):
 
     route is a URoute or its value.  A given route is taken at every z;
     the 0F1 and 1F1 kinds build it here.  Without one, the point rule of
-    the kind picks the route at each z:
+    p's kind, one closure each, picks the route at each z:
 
     - 0F1 and 1F1: a far point (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30
       or U1_FAR_RADIUS = 18.02) takes Asymptotic2F0 when its error
@@ -311,30 +311,35 @@ def prepare_u(p, route=None):
     p = type(p)(*map(complex, p))
     _check_finite(p)
     route = None if route is None else URoute(route)
-    two = p.kind == "2f1"
-    if route is not None and not two:
-        return _build_route(p, route)
-    far = None if two else _asymptotic(p)
-    radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
-    chosen, outer = [], []  # the given or alpha-picked route; the 1/z series
+    chosen = []  # the given or alpha-picked route
+    if p.kind != "2f1":
+        if route is not None:
+            return _build_route(p, route)
+        far = _asymptotic(p)
+        radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
 
-    def u_at(z):
+        def u_at(z):
+            z = complex(z)
+            r = _far_value(far, radius, z)
+            return r if r is not None else _kept(chosen, _build_route, p, None)(z)
+
+        return u_at
+    outer = []  # the 1/z series
+
+    def u2_at(z):
         z = complex(z)
-        if two:
-            _check_point(z)
-            if z.imag == 0.0 and z.real >= 0.0:
-                raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
-            if route is None and abs(z) > F2_SERIES_RADIUS:
-                if abs(z) < 1.0 / F2_SERIES_RADIUS:
-                    raise DomainError(
-                        f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
-                    )
-                return _kept(outer, _asymptotic, p)(z)
-        elif (r := _far_value(far, radius, z)) is not None:
-            return r
+        _check_point(z)
+        if z.imag == 0.0 and z.real >= 0.0:
+            raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
+        if route is None and abs(z) > F2_SERIES_RADIUS:
+            if abs(z) < 1.0 / F2_SERIES_RADIUS:
+                raise DomainError(
+                    f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
+                )
+            return _kept(outer, _asymptotic, p)(z)
         return _kept(chosen, _build_route, p, route)(z)
 
-    return u_at
+    return u2_at
 
 
 def u0(alpha, z, route=None):

@@ -100,10 +100,11 @@ def _check_jet(prepare, ref, p, z, cond=1.0, scale=(0.0, 0.0, 0.0)):
 
 
 # 1F1: m in {-2, 0, 3}, a generic alpha, real and complex theta, Re z < 0
-# out to |z| = 60
 F1_PARAMS = [F1(0.7, -2), F1(complex(0.4, 1.3), 0), F1(-1.3, 3),
              F1(complex(0.7, -0.6), 0.37)]
-F1_ZS = [-0.45 + 0.1j, -8 - 3j, -25 + 20j, -40 + 2j, -59.5 + 8j]
+# out to |z| = 60, and at the negative subnormal Re z = -5e-324, the
+# edge of the map
+F1_ZS = [-0.45 + 0.1j, -8 - 3j, -25 + 20j, -40 + 2j, -59.5 + 8j, complex(-5e-324, 3.0)]
 
 
 @pytest.mark.parametrize("p", F1_PARAMS)
@@ -120,10 +121,12 @@ def test_kummer_f_and_second_match_mpmath(p, z):
 
 
 # 2F1: integer and generic alpha, alpha = -2 included, inside the 0.95
-# disc and outside the unit disc about 1
+# disc and outside the unit disc about 1, the last point one ulp outside
+# (|z - 1| = 1 + 2^-52)
 F2_PARAMS = [F2(-2, 0.3, 0.25), F2(1, 0.3, 0.2), F2(0.4, complex(0.3, 0.5), -0.7),
              F2(3, -0.45, 1.2)]
-F2_ZS = [-0.6 + 0.6j, -0.9 + 0.1j, -0.3 - 0.2j, 0.2 + 0.9j, -0.05 + 0.01j]
+F2_ZS = [-0.6 + 0.6j, -0.9 + 0.1j, -0.3 - 0.2j, 0.2 + 0.9j, -0.05 + 0.01j,
+         complex(0.3999999999999996, 0.8)]
 
 
 @pytest.mark.parametrize("p", F2_PARAMS)
@@ -159,9 +162,15 @@ def test_a_mapped_point_sums_fewer_terms(p, z, direct, mapped):
     assert f_norm(p, z).terms_used == mapped
 
 
+# the edges of the maps are here too: Re z = +-0.0 for Kummer's, and
+# |z - 1| = 1 - 2^-53 and 1 for Pfaff's
 @pytest.mark.parametrize("p,zs", [
-    (F1(0.7, 2), [0.0, 3 + 4j, complex(-0.0, 2.0), 40 - 1j]),
-    (F2(0.3, 0.2, 0.1), [0.0, 0.6 + 0.6j, 0.5, 0.3 + 0.7j, complex(0.6, -0.0)]),
+    (F1(0.7, 2), [0.0, 3 + 4j, complex(-0.0, 2.0), 40 - 1j, complex(0.0, 3.0),
+                  complex(-0.0, 3.0)]),
+    (F1(complex(0.3, -1.1), -2), [complex(0.0, 0.5), complex(-0.0, 0.5)]),
+    (F2(0.3, 0.2, 0.1), [0.0, 0.6 + 0.6j, 0.5, 0.3 + 0.7j, complex(0.6, -0.0),
+                         complex(0.40000000000000024, 0.8), complex(0.39999999999999986, 0.8)]),
+    (F2(-2, 0.3, 0.25), [complex(0.0460607985830544, -0.3), complex(0.04606079858305418, -0.3)]),
 ])
 def test_every_other_point_sums_the_series_of_p(p, zs):
     for z in zs:

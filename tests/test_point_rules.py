@@ -1,13 +1,13 @@
 """The point rules of F, D and U at the doubles where they switch.
 
-Each rule compares z with a bound: Kummer's map takes a 1F1 point at
-Re z < 0, Pfaff's map a 2F1 point at |z - 1| > 1, the 2F1 series stop at
+Each rule compares z with a bound: the 2F1 series of F and D stop at
 |z| > 0.95, u0 and u1 try their far value at Re z > 0 and |z| >=
 U0_FAR_RADIUS or U1_FAR_RADIUS, and u2 takes its 1/z series at
 |z| >= 1/0.95.  Every point below sits on such a bound or one ulp to
-either side of it.  Its pin is a digest of what a lone call returns or
-raises (the jet to order 2 for F and D), and its side names the rule it
-takes there, checked against that rule's own evaluation.  A prepared u0
+either side of it (the edges of Kummer's and Pfaff's maps are inputs of
+test_maps).  Its pin is a digest of what a lone call returns or raises
+(the jet to order 2 for F and D), and its side names the rule it takes
+there, checked against that rule's own evaluation.  A prepared u0
 or u1 serves near, far and fall-back points in either order with the
 bits of a lone call.  ffun._named renames an error raised at an image
 point, with and without a scale.
@@ -19,12 +19,12 @@ import math
 
 import pytest
 
-from hyperd import ffun, ufun
 from hyperd.dfun import prepare_d_eval
 from hyperd.errors import BranchCut, DomainError, HyperdError, NoConvergence
 from hyperd.ffun import F0, F1, F2, _named, _seed, prepare_f_norm
 from hyperd.series import sum_power_series
 from hyperd.ufun import U0_FAR_RADIUS, U1_FAR_RADIUS, URoute, prepare_u, u0, u1, u2
+
 
 def _outcome(call):
     try:
@@ -43,32 +43,7 @@ def _around(x):
 
 
 # ---------------------------------------------------------------------------
-# F: Kummer's map, Pfaff's map and the 2F1 disc
-
-# 1F1 points at Re z = +0.0 and -0.0 (the series of p) and at the
-# negative subnormal -5e-324 (Kummer's map)
-KUMMER = [
-    (F1(0.7, 2), complex(0.0, 3.0), "direct", "4b8d4cd3da1cad5d"),
-    (F1(0.7, 2), complex(-0.0, 3.0), "direct", "4b8d4cd3da1cad5d"),
-    (F1(0.7, 2), complex(-5e-324, 3.0), "map", "6582320d48d74c77"),
-    (F1(0.7, 0.37), complex(0.0, -2.5), "direct", "f85742358effea4b"),
-    (F1(0.7, 0.37), complex(-0.0, -2.5), "direct", "f85742358effea4b"),
-    (F1(0.7, 0.37), complex(-5e-324, -2.5), "map", "2c78273799ace180"),
-    (F1(complex(0.3, -1.1), -2), complex(0.0, 0.5), "direct", "aa55cdf280784e6c"),
-    (F1(complex(0.3, -1.1), -2), complex(-0.0, 0.5), "direct", "aa55cdf280784e6c"),
-    (F1(complex(0.3, -1.1), -2), complex(-5e-324, 0.5), "map", "b74442b27e01b565"),
-]
-
-# 2F1 points at |z - 1| = 1 - 1 ulp, 1 and 1 + 1 ulp: Pfaff's map only
-# past 1
-PFAFF = [
-    (F2(0.3, 0.2, 0.1), complex(0.40000000000000024, 0.8), 1.0 - 2.0 ** -53, "direct", "f532744bd015360a"),
-    (F2(0.3, 0.2, 0.1), complex(0.39999999999999986, 0.8), 1.0, "direct", "9d644e0bc1e687ca"),
-    (F2(0.3, 0.2, 0.1), complex(0.3999999999999996, 0.8), 1.0 + 2.0 ** -52, "map", "201d7dce143d32c9"),
-    (F2(-2, 0.3, 0.25), complex(0.0460607985830544, -0.3), 1.0 - 2.0 ** -53, "direct", "6cf08c251d1e79a7"),
-    (F2(-2, 0.3, 0.25), complex(0.04606079858305418, -0.3), 1.0, "direct", "700884e51733a3f0"),
-    (F2(-2, 0.3, 0.25), complex(0.04606079858305396, -0.3), 1.0 + 2.0 ** -52, "map", "3793cd929e64a894"),
-]
+# F and D: the 2F1 disc
 
 # 2F1 points at |z| = 0.95 - 1 ulp, 0.95 and 0.95 + 1 ulp, in the right
 # half-plane (the series of p) and in the left (Pfaff's map)
@@ -102,19 +77,6 @@ def _direct(p, z):
 def _f_side(p, z):
     got = prepare_f_norm(p)(z)
     return "direct" if repr(got) == _direct(p, z) else "map"
-
-
-@pytest.mark.parametrize("p, z, side, pin", KUMMER)
-def test_kummer_edge(p, z, side, pin):
-    assert _f_side(p, z) == side
-    assert _digest(_outcome(lambda: prepare_f_norm(p).jet(z, 2))) == pin
-
-
-@pytest.mark.parametrize("p, z, dist, side, pin", PFAFF)
-def test_pfaff_edge(p, z, dist, side, pin):
-    assert abs(z - 1) == dist
-    assert _f_side(p, z) == side
-    assert _digest(_outcome(lambda: prepare_f_norm(p).jet(z, 2))) == pin
 
 
 @pytest.mark.parametrize("p", list(DISC_F))
@@ -293,23 +255,3 @@ def test_named_with_a_scale_scales_partial_and_error():
         assert str(got) == "no convergence in 5 terms at z = (-0.5+0.25j)"
         assert repr(got.partial) == repr(scale * partial)
         assert got.err == abs(scale) * 0.125
-
-
-def test_the_maps_and_bessel_rename_through_named(monkeypatch):
-    # every renamed error of F's maps and of bessel passes through
-    # ffun._named
-    seen = []
-    real = ffun._named
-
-    def spy(exc, z, xs, scale=None):
-        seen.append((type(exc).__name__, z, len(xs), scale is None))
-        return real(exc, z, xs, scale)
-
-    monkeypatch.setattr(ffun, "_named", spy)
-    monkeypatch.setattr(ufun, "_named", spy)
-    with pytest.raises(DomainError, match=r"at z = \(-800\+0j\)"):
-        ffun.f_norm(F1(0.7, 2), -800)
-    with pytest.raises(DomainError, match=r"at z = \(700\+0j\)"):
-        ufun.bessel("J", 3, 700)
-    assert seen == [("DomainError", complex(-800, 0), 1, False),
-                    ("DomainError", complex(700, 0), 3, True)]
