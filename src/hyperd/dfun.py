@@ -105,11 +105,11 @@ def _d_params(p):
 def _principal(upper, mm):
     """(d_{-1}, ..., d_{-mm}) at order mm for upper parameters (), (a,) or (a, b):
     d_{-k} = (-1)^(k-1) (k-1)!/(mm-k)! times (u)_{-k} for each u.  Where a
-    Pochhammer leaves a double (|u| in the hundreds at a high order) the
-    coefficient is formed factor by factor from (-1)^(k-1)/(mm-k)!: each
-    j = 1, ..., k multiplies by j - 1 (j > 1) and divides by u - j.  That
-    product is kept only while it stays a normal double, where each step
-    rounds within eps; below that the Pochhammer's DomainError stands."""
+    Pochhammer leaves a double (|u| in the hundreds at a high order) or the
+    product falls below the normal doubles (a reciprocal Pochhammer that
+    underflows gives 0) the coefficient is formed factor by factor
+    (_by_factor).  Where that fails too, the Pochhammer's DomainError
+    stands, and a product that underflowed is kept."""
     out = []
     sign = 1.0
     fact = 1.0  # (k-1)!
@@ -122,16 +122,29 @@ def _principal(upper, mm):
             for u in upper:
                 c = c * pochhammer(u, -k)
         except DomainError:
-            c = sign / math.factorial(mm - k)
-            for j in range(1, k + 1):
-                if j > 1:
-                    c *= j - 1
-                for u in upper:
-                    c = c / (u - j)
-                if not abs(c) >= sys.float_info.min:
-                    raise
+            c = _by_factor(upper, mm, k, sign)
+            if c is None:
+                raise
+        if not abs(c) >= sys.float_info.min:
+            c = _by_factor(upper, mm, k, sign) or c
         out.append(complex(c))
     return tuple(out)
+
+
+def _by_factor(upper, mm, k, sign):
+    """d_{-k} of _principal from (-1)^(k-1)/(mm-k)!: each j = 1, ..., k
+    multiplies by j - 1 (j > 1) and divides by u - j for each u.  None
+    once the product leaves the normal doubles; while it stays one each
+    step rounds within eps."""
+    c = sign / math.factorial(mm - k)
+    for j in range(1, k + 1):
+        if j > 1:
+            c *= j - 1
+        for u in upper:
+            c = c / (u - j)
+        if not abs(c) >= sys.float_info.min:
+            return None
+    return c
 
 
 # rows of an order kept by _first_rows, and orders kept

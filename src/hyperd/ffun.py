@@ -251,7 +251,12 @@ def _pfaff_weights(p):
     def weights(z, order):
         # Re(1 - z) > 0 inside the disc: the principal power, no cut
         u = 1 / (1 - z)
-        return (1 - z) ** -a, [
+        try:
+            scale = (1 - z) ** -a
+        except OverflowError:
+            raise DomainError(f"Pfaff's weight (1-z)**(-a) overflows a double "
+                              f"at z = {z}, a = {a}") from None
+        return scale, [
             [(-1) ** i * math.comb(k, i) * math.prod([a + j for j in range(i, k)]) * u ** (k + i)
              for i in range(k + 1)] for k in range(1, order + 1)]
 

@@ -790,6 +790,12 @@ def sweep_record(rec, n=SWEEP_POINTS, catalog=None):
     The grid is deterministic: each record gets its own generator seeded
     from the grid version and the record id, and rejected draws (domain
     or branch-cut misses) consume the stream in a reproducible way.
+
+    A record's sampler must draw applicable points: the sweep evaluates
+    each draw without calling rec.applicable (a test holds every catalog
+    sampler to this).  A draw that breaks the contract is evaluated
+    anyway; an error of _SKIPPABLE (a singular D raises
+    ParameterSingular) skips it, and any other error is raised.
     """
     _check_points(n)
     rec = _resolve(rec, catalog)
@@ -802,8 +808,6 @@ def sweep_record(rec, n=SWEEP_POINTS, catalog=None):
             raise Inapplicable("cannot draw %d applicable points for %s"
                                % (n, rec.id))
         params, z = rec.sample(rng)
-        if not rec.applicable(params):
-            continue
         try:
             lhs, rhs = _sides(rec, params, z)
         except _SKIPPABLE:

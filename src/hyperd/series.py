@@ -209,8 +209,9 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     z when the partial sum is not finite: where the summation ends, or
     at the end of the first group whose partial sum is inf or nan (the
     stop test reads such a group as small, and the branch that handles a
-    small group checks the sum first).  No coefficient past the first
-    omitted one (or past c_{start+max_terms-1}) is read.
+    small group checks the sum first), or where the first power z**start
+    overflows.  No coefficient past the first omitted one (or past
+    c_{start+max_terms-1}) is read.
 
     The terms are summed in groups of _RUN = 3 and only the last term of
     a group is tested, which stops at exactly the term where a test of
@@ -231,7 +232,12 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     z = complex(z)
     it = iter(coeff)
     total = 0j
-    power = z**start if start else complex(1.0)
+    power = complex(1.0)
+    if start:
+        try:
+            power = z**start
+        except OverflowError:
+            raise DomainError(f"z**{start} overflows a double at z = {z}") from None
     used = 0
     tol = REL_TOL
     # islice checks its count before it pulls, so no coefficient past

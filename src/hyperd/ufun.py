@@ -201,13 +201,15 @@ def _log_form(p):
     """The LogPlusD route: z -> prefactor * log_solution(p, z) at m = alpha,
     and at m < 0 the U at -m times z^-m (1F1) or (-z)^-m (2F1).  The
     prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.  alpha is an integer (_build_route)."""
+    solution succeeds, and kept.  alpha is an integer (_build_route).
+    DomainError naming z where the rescaled value is not finite (a large
+    solution times a large prefactor or power)."""
     m = p.m
     if m < 0 and p.kind != "0f1":
         inner = _log_form(p._replace(alpha=-m))
         if p.kind == "1f1":
-            return lambda z: inner(z).scaled(principal_pow(z, -m))
-        return lambda z: inner(z).scaled(principal_pow(-z, -m))
+            return lambda z: _finite(inner(z).scaled(principal_pow(z, -m)), z)
+        return lambda z: _finite(inner(z).scaled(principal_pow(-z, -m)), z)
     sign = (-1.0) ** (m + 1)
     if p.kind == "0f1":
         prefactor = lambda: sign / _SQRT_PI
@@ -228,7 +230,14 @@ def _log_form(p):
         prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
     w = prepare_log_solution(p)
     pref = []
-    return lambda z: w(z).scaled(_kept(pref, prefactor))
+    return lambda z: _finite(w(z).scaled(_kept(pref, prefactor)), z)
+
+
+def _finite(r, z):
+    """r, a rescaled result of _log_form at z, where its value is finite."""
+    if not cmath.isfinite(r.value):
+        raise DomainError(f"U on the LogPlusD route overflows a double at z = {z}: {r.value}")
+    return r
 
 
 def _asymptotic(p):

@@ -6,6 +6,7 @@ generators inside the package.
 """
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -369,6 +370,23 @@ def test_d_principal_part_past_the_normal_doubles_still_raises():
     for call in (lambda: d_expand(p), lambda: d_eval(p, 0.5)):
         with pytest.raises(DomainError, match=r"pochhammer \(z\)_k with z = \(85.35\+300j\), k = -125"):
             call()
+
+
+def test_principal_coefficient_whose_pochhammer_underflows():
+    # (a)_{-123} at a = -264.65 underflows to 0, though d_{-123} is about
+    # -4.66e-166: it is formed factor by factor.  The other 169
+    # coefficients keep their bits (a digest taken before the change).
+    p = F1(-700.3, 170)
+    got = d_expand(p).principal
+    with mp.workdps(50):
+        want = [complex(c) for c in _principal_mp(p)[0]]
+    assert len(got) == 170
+    for k, (g, w) in enumerate(zip(got, want), 1):
+        assert abs(g - w) <= 1e-13 * abs(w), k
+    assert abs(got[122] - -4.66322287715617e-166) <= 1e-13 * 4.66e-166
+    kept = " ".join(repr(c) for k, c in enumerate(got) if k != 122)
+    assert hashlib.sha256(kept.encode()).hexdigest() == (
+        "708279c6140f06dc146c9dc42eb653c7ebb288ce205e1e7ceb99f052a2a45244")
 
 
 def test_principal_coefficients_that_fit_keep_their_bits():

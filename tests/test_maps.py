@@ -179,6 +179,14 @@ def test_every_other_point_sums_the_series_of_p(p, zs):
         assert repr(f_norm(p, z)) == repr(direct), z
 
 
+def test_a_pfaff_weight_that_overflows_names_the_callers_point():
+    # (1-z)^(-a) with |a| about 5e7 overflows: a raw OverflowError came
+    # from the scale taken for the error of the image's sum
+    msg = r"Pfaff's weight \(1-z\)\*\*\(-a\) overflows a double at z = \(-0.11\+0.12j\)"
+    with pytest.raises(DomainError, match=msg):
+        f_norm(F2(0.3 + 1j, 14.8, 1e8), -0.11 + 0.12j)
+
+
 def test_a_mapped_sum_that_raises_names_the_callers_point(monkeypatch):
     # G = F_{-theta,alpha} overflows at -z = 800: the error names z
     with pytest.raises(DomainError, match=r"at z = \(-800\+0j\)"):

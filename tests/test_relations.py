@@ -1,13 +1,16 @@
 """The relation catalog: structure, spot checks, sweeps and ladders."""
 
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperd import relations
 from hyperd.dfun import d_eval, log_solution, prepare_log_solution
-from hyperd.errors import DomainError, Inapplicable, UnknownRelation
+from hyperd.errors import (DomainError, Inapplicable, ParameterSingular,
+                           UnknownRelation)
 from hyperd.ffun import F0, f_norm
 from hyperd.gammakit import pochhammer
 from hyperd.relations import (
@@ -330,3 +333,45 @@ def test_recurrence_records_sum_only_the_one_jet(catalog, monkeypatch):
         del calls[:]
         rec.ladder(d, z)
         assert len(calls) == (3 if "recurD" in key else 2), key
+
+
+@pytest.mark.parametrize("prefix", [relations._GRID_VERSION, "sampler-contract"])
+def test_samplers_draw_applicable_points(prefix, catalog):
+    # sweep_record evaluates each draw without calling rec.applicable, so
+    # every sampler draws only applicable points: the first 300 draws of
+    # the sweep's own stream, and 300 of a second one
+    assert len(catalog) == 61
+    for key, rec in catalog.items():
+        rng = random.Random("%s/%s" % (prefix, key))
+        for i in range(300):
+            params, _ = rec.sample(rng)
+            assert rec.applicable(params), (key, i, params)
+
+
+def test_sweep_evaluates_a_draw_that_breaks_the_sampler_contract(catalog):
+    # a record whose sampler draws an inapplicable point has that draw
+    # evaluated: a skippable error skips it, any other error is raised
+    base = catalog["f0.recurF.raise"]
+    seen = []
+
+    def lhs(params, z):
+        seen.append(params["alpha"])
+        if params["alpha"] < 0:
+            raise ParameterSingular("alpha < 0")
+        return base.lhs(params, z)
+
+    def sample(rng):
+        params, z = base.sample(rng)
+        return {"alpha": -1.0 if len(seen) % 2 else params["alpha"]}, z
+
+    rec = base._replace(id="x.contract", lhs=lhs, sample=sample,
+                        applicable=lambda params: params["alpha"] >= 0)
+    pts = sweep_record(rec, n=3)
+    assert len(seen) == 5 and seen[1] == seen[3] == -1.0
+    assert [p.params["alpha"] for p in pts] == [seen[0], seen[2], seen[4]]
+
+    def broken(params, z):
+        raise ZeroDivisionError("broken side")
+
+    with pytest.raises(ZeroDivisionError, match="broken side"):
+        sweep_record(rec._replace(rhs=broken), n=1)

@@ -5,6 +5,7 @@ import inspect
 import itertools
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,22 @@ def test_a_sum_that_is_not_finite_raises_domain_error():
     for coeffs, z in cases:
         with pytest.raises(DomainError, match="not finite at z = "):
             sum_power_series(coeffs(), z)
+
+
+def test_a_first_power_that_overflows_raises_domain_error():
+    # at m < 0 the sum starts at n = -m, and z**start overflowed with a raw
+    # OverflowError; the error names the caller's z, through Kummer's map too
+    from hyperd.ffun import F0, F1, f_norm
+
+    for p, z, msg in ((F0(-170), 100, "z**170 overflows a double at z = (100+0j)"),
+                      (F0(-150), 200 + 1j, "z**150 overflows a double at z = (200+1j)"),
+                      (F1(0.3, -170), -100, "z**170 overflows a double at z = (-100+0j)")):
+        with pytest.raises(DomainError, match=re.escape(msg)):
+            f_norm(p, z)
+    with pytest.raises(DomainError, match=re.escape("z**3 overflows a double at z = (1e+200+0j)")):
+        sum_power_series(iter([1.0]), 1e200, start=3)
+    # a first power that fits keeps the sum as it was
+    assert sum_power_series(iter([2.0 + 0j]), 1e100, start=3).value == 2.0 * (1e100 + 0j) ** 3
 
 
 def test_a_sum_stops_once_it_is_not_finite(monkeypatch):

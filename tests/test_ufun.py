@@ -528,6 +528,25 @@ def test_bessel_errors_name_the_callers_z(kind, z, exc, msg):
         bessel(kind, 3, z)
 
 
+@pytest.mark.parametrize("call, msg", [
+    # Pfaff's weight of F in the log solution overflowed with a raw
+    # OverflowError
+    (lambda: u2(17.6, 633 + 393j, 1e8, -5e-4 + 1.75e-3j),
+     "Pfaff's weight (1-z)**(-a) overflows a double at z = (-0.0005+0.00175j)"),
+    # the log solution (about 1.2e257) times the prefactor 1/Gamma((1-170+theta)/2)
+    # (about 1e127) gave -inf+inf*i with err_estimate inf and no flag
+    (lambda: u1(1e-300, 170, -0.017 - 0.0575j),
+     "U on the LogPlusD route overflows a double at z = (-0.017-0.0575j)"),
+    # at m < 0 the U at -m (about 7.2e138) times z^170 (1e170) gave inf
+    # with a finite err_estimate; the true value is about 7.2e308
+    (lambda: u1(-169.63, -170, 10),
+     "U on the LogPlusD route overflows a double at z = (10+0j): (inf+0j)"),
+])
+def test_u_that_overflows_is_a_domain_error_naming_z(call, msg):
+    with pytest.raises(DomainError, match=re.escape(msg)):
+        call()
+
+
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
 def test_bessel_non_finite_order_is_a_domain_error(m):
     with pytest.raises(DomainError, match="m = "):
