@@ -147,7 +147,7 @@ def _by_factor(upper, mm, k, sign):
     return c
 
 
-# rows of an order kept by _first_rows, and orders kept
+# rows (and 0F1 coefficients) of an order kept, and orders kept
 _ROW_CAP = 128
 _ORDERS_KEPT = 32
 
@@ -169,43 +169,65 @@ def _first_rows(mm):
     return tuple(rows)
 
 
+def _rows_past(mm, last):
+    """The rows of _first_rows(mm) past its final row last, without end,
+    advanced by the operations of _first_rows."""
+    k, p1, p2, _ = last
+    while True:
+        p1 += 1.0 / (k + 1)
+        p2 += 1.0 / (mm + k + 1)
+        k += 1
+        yield k, p1, p2, (k + 1) * (mm + k + 1)
+
+
+@functools.lru_cache(maxsize=_ORDERS_KEPT)
+def _first_coeffs0(mm):
+    """d_0 .. d_{_ROW_CAP - 1} of the 0F1 tail at order mm,
+    -(psi(1+k) + psi(1+mm+k)) / (k! (mm+k)!): the coefficients of the
+    K_mm series, which depend on the order alone; a tuple shared by every
+    thread."""
+    inv = 1.0 / math.factorial(mm)
+    out = []
+    for _, p1, p2, d in _first_rows(mm):
+        out.append(complex(-(p1 + p2) * inv))
+        inv /= d
+    return tuple(out)
+
+
 def _tail(upper, mm):
-    """Generator of the complex d_0, d_1, ... at order mm, upper as in _principal.
+    """Iterator of the complex d_0, d_1, ... at order mm, upper as in _principal.
 
-    Digamma weights are advanced by psi(z+1) = psi(z) + 1/z, so each
-    coefficient costs O(1) after the k = 0 seeds.  What depends on the
-    order alone, psi(1+k), psi(1+mm+k) and the divisor (k+1)(mm+k+1), is
-    read from rows shared per order (_first_rows): the first
-    _ROW_CAP = 128 rows of each of the last _ORDERS_KEPT = 32 orders are
-    kept, and the loop past them advances from the last row by the same
-    operations, so every coefficient keeps its bits.  No tail of
-    verify --suite all reaches past the kept rows (the longest has 99
-    coefficients), which builds about 1,900 tails a request.  Reading
-    the rows took a 40-coefficient tail from 14 to 8 us (0F1), 25 to
-    18 us (1F1) and 38 to 28 us (2F1), best of 45 timings on a 2-vCPU
-    Xeon VM.  One generator per arity, unlike the F step (ffun._terms),
-    since verify builds a D at every sweep point: a generic loop took
-    1.6-3.1x as long per 40-coefficient tail, and cost 7-26% of
-    verify_all points_per_s.
+    What depends on the order alone, psi(1+k), psi(1+mm+k) and the
+    divisor (k+1)(mm+k+1), is read from rows shared per order
+    (_first_rows: the first _ROW_CAP = 128 rows of each of the last
+    _ORDERS_KEPT = 32 orders).  Digamma weights are advanced by
+    psi(z+1) = psi(z) + 1/z, so each coefficient costs O(1) after the
+    k = 0 seeds.
+
+    - 0F1: the tail, -(psi(1+k) + psi(1+mm+k)) / (k! (mm+k)!), the
+      coefficients of the K_mm series, depends on the order alone and is
+      data.  Its first 128 coefficients are kept per order
+      (_first_coeffs0), and -0+0j follows for ever.  That continuation
+      is exact: 1/(k! (mm+k)!) underflows to 0.0 by k = 102 at order 0,
+      and earlier at higher orders (k = 7 at 170), while psi(1+k) +
+      psi(1+mm+k) > 0 from k = 1 on, so each coefficient from k = 128
+      on is complex(-(p1 + p2) * 0.0) = complex(-0.0) at every order up
+      to MAX_ORDER.
+    - 1F1 and 2F1: one loop per arity over the kept rows chained with
+      _rows_past, which advances from the last kept row by the
+      operations of _first_rows, so every coefficient keeps its bits.
+
+    No tail of verify --suite all reaches past the kept rows (the
+    longest has 99 coefficients); a request builds about 1,900 tails.
+    One loop per arity, unlike the F step (ffun._terms), since verify
+    builds a D at every sweep point: a generic loop took 1.6-3.1x as
+    long per 40-coefficient tail, and cost 7-26% of verify_all
+    points_per_s.
     """
-    rows = _first_rows(mm)
     if not upper:
-
-        def gen():
-            inv = 1.0 / math.factorial(mm)
-            for _, p1, p2, d in rows:
-                yield complex(-(p1 + p2) * inv)
-                inv /= d
-            k, p1, p2, _ = rows[-1]
-            while True:
-                p1 += 1.0 / (k + 1)
-                p2 += 1.0 / (mm + k + 1)
-                k += 1
-                yield complex(-(p1 + p2) * inv)
-                inv /= (k + 1) * (mm + k + 1)
-
-        return gen()
-
+        return itertools.chain(_first_coeffs0(mm), itertools.repeat(complex(-0.0)))
+    first = _first_rows(mm)
+    rows = itertools.chain(first, _rows_past(mm, first[-1]))
     if len(upper) == 1:
         (a,) = upper
 
@@ -218,14 +240,6 @@ def _tail(upper, mm):
                 yield amp * (pa - p1 - p2)
                 ak = a + k
                 amp *= ak / d
-                pa += 1.0 / ak
-            while True:
-                p1 += 1.0 / (k + 1)
-                p2 += 1.0 / (mm + k + 1)
-                k += 1
-                yield amp * (pa - p1 - p2)
-                ak = a + k
-                amp *= ak / ((k + 1) * (mm + k + 1))
                 pa += 1.0 / ak
 
         return gen()
@@ -242,15 +256,6 @@ def _tail(upper, mm):
             amp *= ak * bk / d
             pa += 1.0 / ak
             pb += 1.0 / bk  # psi(w-1) = psi(w) - 1/(w-1), w = 1-b-k
-        while True:
-            p1 += 1.0 / (k + 1)
-            p2 += 1.0 / (mm + k + 1)
-            k += 1
-            yield amp * (pa + pb - p1 - p2)
-            ak, bk = a + k, b + k
-            amp *= ak * bk / ((k + 1) * (mm + k + 1))
-            pa += 1.0 / ak
-            pb += 1.0 / bk
 
     return gen()
 

@@ -434,7 +434,7 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
     cut at the smallest term, whose magnitude is the error estimate (with
     a rounding floor so the estimate stays meaningful once the terms drop
     below double precision).  DomainError naming a, b or z where it is
-    not finite.
+    not finite, and naming all three where a term's magnitude is nan.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -455,7 +455,11 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
         if t_next == 0:
             return EvalResult(total, 0.0, n + 1)
         mag_next = abs(t_next)
-        if mag_next >= mag:
+        # a nan magnitude is not smaller either, and has no place in the
+        # order; an infinite one is the largest, and stops the sum as before
+        if not mag_next < mag:
+            if math.isnan(mag_next):
+                raise DomainError(f"2F0 term is not finite at a = {a}, b = {b}, z = {z}: {t_next}")
             if n == 0 and abs(z) >= 1.0:
                 raise DivergedImmediately(
                     f"first term of 2F0 already smallest at |z| = {abs(z):.6g}"

@@ -209,8 +209,10 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     z when the partial sum is not finite: where the summation ends, or
     at the end of the first group whose partial sum is inf or nan (the
     stop test reads such a group as small, and the branch that handles a
-    small group checks the sum first), or where the first power z**start
-    overflows.  No coefficient past the first omitted one (or past
+    small group checks the sum first), where the first power z**start
+    overflows, or where the error estimate is not finite (z**n has
+    overflowed by the stop, or the first omitted coefficient is nan).
+    No coefficient past the first omitted one (or past
     c_{start+max_terms-1}) is read.
 
     The terms are summed in groups of _RUN = 3 and only the last term of
@@ -289,7 +291,12 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
                 c = next(it, None)
                 if not cmath.isfinite(total):
                     break
-                return EvalResult(total, 0.0 if c is None else abs(c * power), used)
+                err = 0.0 if c is None else abs(c * power)
+                # inf or nan where z**n overflowed by the stop, even
+                # against a zero c, or where c is nan
+                if not err < math.inf:
+                    raise DomainError(f"series error estimate is not finite at z = {z}: {err}")
+                return EvalResult(total, err, used)
     # an overflow (z**n first, at large |z|) or a nan leaves no value
     if not cmath.isfinite(total):
         raise DomainError(f"series sum is not finite at z = {z}: {total}")

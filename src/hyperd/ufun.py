@@ -297,8 +297,9 @@ def _far_value(far, radius, z):
 def prepare_u(p, route=None):
     """The callable z -> U at the parameter set p (F0, F1 or F2) and z.
 
-    route is a URoute or its value.  A given route is taken at every z;
-    the 0F1 and 1F1 kinds build it here.  Without one, the point rule of
+    route is a URoute or its value.  A given route is taken at every z,
+    as complex(z) so that its errors name z as the point rules' do; the
+    0F1 and 1F1 kinds build it here.  Without one, the point rule of
     p's kind, one closure each, picks the route at each z:
 
     - 0F1 and 1F1: a far point (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30
@@ -323,7 +324,8 @@ def prepare_u(p, route=None):
     chosen = []  # the given or alpha-picked route
     if p.kind != "2f1":
         if route is not None:
-            return _build_route(p, route)
+            given = _build_route(p, route)
+            return lambda z: given(complex(z))
         far = _asymptotic(p)
         radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
 

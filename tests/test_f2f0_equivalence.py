@@ -6,11 +6,19 @@ and abs(t_next) again at every term.  Both must return the same repr,
 or raise the same exception with the same message, on every finite
 input: the zero-term, DivergedImmediately and TruncationMaxed exits
 included.  A nan or infinite a, b or z, on which the loop ran out its
-budget, raises DomainError naming it.
+budget, raises DomainError naming it.  So does a term whose magnitude
+is nan: the loop, whose stop test is false for it, added it and ran out
+its budget to a nan flagged only TruncationMaxed; the function raises
+DomainError instead, naming a, b and z, wherever the loop's terms go
+nan.  An infinite term stops both, with the same result.
 """
 
 import cmath
+import math
+import re
 import sys
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,6 +59,20 @@ def _reference(a, b, z, max_terms=MAX_TERMS):
     return EvalResult(total, abs(t), max_terms, frozenset({"TruncationMaxed"}))
 
 
+def _a_term_is_nan(a, b, z, max_terms):
+    # whether _reference computes a term of nan magnitude before it stops
+    a, b, z = complex(a), complex(b), complex(z)
+    t = complex(1.0)
+    for n in range(max_terms):
+        t_next = t * (a + n) * (b + n) * z / (n + 1)
+        if math.isnan(abs(t_next)):
+            return True
+        if t_next == 0 or abs(t_next) >= abs(t):
+            return False
+        t = t_next
+    return False
+
+
 def _outcome(fn, *args):
     try:
         return repr(fn(*args))
@@ -59,7 +81,8 @@ def _outcome(fn, *args):
 
 
 _PARAMS = st.one_of(
-    st.sampled_from([0.5, 1.2, -3.0, 0j, complex(0.85, 0.3), 1e-300, complex("nan")]),
+    st.sampled_from([0.5, 1.2, -3.0, 0j, complex(0.85, 0.3), 1e-300, complex("nan"),
+                     1e300, -1e300, complex(0.0, 1e160)]),
     st.complex_numbers(max_magnitude=40.0, allow_nan=False, allow_infinity=False),
 )
 # 1F1 and 0F1 expansion variables (-1/z, -1/(4 sqrt z)) near and far,
@@ -79,9 +102,31 @@ _BUDGETS = st.one_of(st.integers(-1, 12), st.just(MAX_TERMS))
 @example(0.5, 0.5, -1e-4, 3)           # TruncationMaxed
 @example(0.5, 0.5, -1e-4, 0)           # max_terms < 1
 @example(1e-300, 1e-300, 1e-300, MAX_TERMS)  # terms far below the rounding floor
+@example(-1e300, 1e300, complex(-0.0069, 0.0089), MAX_TERMS)  # a nan first term
+@example(1e300, 1e300, -0.5, MAX_TERMS)  # an overflow that turns nan
+@example(-1e-320, 1e308, 1e9, MAX_TERMS)  # an infinite second term
 def test_f2f0_matches_the_three_abs_loop(a, b, x, max_terms):
     got = _outcome(f2f0_asymptotic, a, b, x, max_terms)
     if max_terms >= 1 and not all(map(cmath.isfinite, (a, b, x))):
         assert got[0] == "DomainError"
         return
+    if max_terms >= 1 and _a_term_is_nan(a, b, x, max_terms):
+        assert got[0] == "DomainError" and "term is not finite" in got[1]
+        return
     assert got == _outcome(_reference, a, b, x, max_terms)
+
+
+def test_a_term_that_is_not_finite_raises_domain_error():
+    # the finite arguments give a nan first term: the loop added it and ran
+    # to max_terms, returning nan+nan*i flagged only TruncationMaxed
+    with pytest.raises(DomainError, match=re.escape(
+            "2F0 term is not finite at a = (-1e+300+0j), b = (1e+300+0j), "
+            "z = (-0.0069+0.0089j): (nan+nanj)")):
+        f2f0_asymptotic(-1e300, 1e300, -0.0069 + 0.0089j)
+    r = _reference(-1e300, 1e300, -0.0069 + 0.0089j)
+    assert r.flags == {"TruncationMaxed"} and not cmath.isfinite(r.value)
+    # a second term of -inf+nan*i has magnitude inf: it is the largest, and
+    # the sum before it stands, bit for bit
+    r = f2f0_asymptotic(-1e-320, 1e308, 1e9)
+    assert repr(r) == repr(_reference(-1e-320, 1e308, 1e9))
+    assert r.value == 0.9990000111328173 and r.terms_used == 2

@@ -6,11 +6,15 @@ same result or exception and pull the same number of coefficients.  The
 intended differences: a partial sum that is not finite raises
 DomainError instead of being returned or raised with NoConvergence, and
 the kernel raises it as soon as it sees the sum is not finite, so it may
-pull fewer coefficients than the reference, which reads on.
+pull fewer coefficients than the reference, which reads on; and an error
+estimate that is not finite (the first omitted coefficient is nan, or
+z**n has overflowed by the stop) raises DomainError where the reference
+returns it.
 """
 
 import cmath
 import itertools
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,7 +73,7 @@ class _Counted:
 
 def _outcome(fn, coeffs, z, max_terms, start):
     """(repr of the result or exception, coefficients pulled); a sum
-    that is not finite maps to DomainError."""
+    or an error estimate that is not finite maps to DomainError."""
     src = _Counted(coeffs)
     try:
         r = fn(src, z, max_terms, start)
@@ -81,7 +85,8 @@ def _outcome(fn, coeffs, z, max_terms, start):
         assert f"at z = {complex(z)}" in str(exc)
         out = "DomainError"
     else:
-        out = repr(r) if cmath.isfinite(r.value) else "DomainError"
+        finite = cmath.isfinite(r.value) and math.isfinite(r.err_estimate)
+        out = repr(r) if finite else "DomainError"
     return out, src.pulled
 
 

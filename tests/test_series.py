@@ -364,6 +364,27 @@ def test_a_first_power_that_overflows_raises_domain_error():
     assert sum_power_series(iter([2.0 + 0j]), 1e100, start=3).value == 2.0 * (1e100 + 0j) ** 3
 
 
+def test_an_error_estimate_that_is_not_finite_raises_domain_error():
+    # the estimate is the first omitted term c z^n; where z^n has overflowed
+    # by the stop it is inf, or nan against a zero coefficient, while the
+    # sum is finite
+    from hyperd.dfun import d_eval
+    from hyperd.ffun import F0
+
+    with pytest.raises(DomainError, match=re.escape(
+            "series error estimate is not finite at z = (1e+100+0j): inf")):
+        sum_power_series(iter([1, 0j, 0j, 0j, 1]), 1e100)
+    # the 0F1 tail is -0+0j from k = 128 on: the value was right to 1.6e-16
+    # and its err_estimate nan
+    with pytest.raises(DomainError, match=re.escape(
+            "series error estimate is not finite at z = (2633-534j): nan")):
+        d_eval(F0(20), 2633 - 534j)
+    # a finite estimate keeps its bits
+    assert repr(sum_power_series(iter([1, 0j, 0j, 0j, 1]), 1e50)) == (
+        "EvalResult(value=(1+0j), err_estimate=1.0000000000000005e+200, terms_used=4, "
+        "flags=frozenset())")
+
+
 def test_a_sum_stops_once_it_is_not_finite(monkeypatch):
     # a nan term is never small; the sum raises at the group where it
     # turned non-finite instead of reading on to max_terms

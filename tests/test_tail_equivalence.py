@@ -2,11 +2,15 @@
 
 dfun._tail reads what depends on the order alone, psi(1+k),
 psi(1+m+k) and the divisor (k+1)(m+k+1), from rows kept per order
-(dfun._first_rows), and continues past them by the old loop.
-_REFERENCE_TAILS below keeps the three per-arity generators that
-computed everything per tail, verbatim.  Every tail must be the same
-repr for repr over 300 coefficients, past the kept rows, at orders 0 to
-25 with real, complex and signed-zero upper parameters.  The same holds
+(dfun._first_rows), and continues past them by one shared row stream
+(dfun._rows_past); the 0F1 tail is kept per order as data
+(dfun._first_coeffs0) and continued by -0+0j.  _REFERENCE_TAILS below
+keeps the three per-arity generators that computed everything per tail,
+verbatim.  Every tail must be the same repr for repr over 300
+coefficients, past the kept rows: at orders 0 to 25 with real, complex
+and signed-zero upper parameters, at every 0F1 order 0 to 170, and at
+orders 33 and 170 with upper parameters large enough that the
+coefficients past the kept rows are normal doubles.  The same holds
 for gammakit._lanczos_sum (which loops over precomputed (k, c) pairs),
 near_int (which no longer copies z to a complex) and pochhammer (which
 raises DomainError where its result is not finite, and keeps the bits
@@ -16,6 +20,7 @@ of every finite one): each old version is kept verbatim below.
 import cmath
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +28,7 @@ from hypothesis import strategies as st
 
 from hyperd import dfun, gammakit
 from hyperd.errors import DomainError, PoleError
+from hyperd.ffun import MAX_ORDER
 from hyperd.gammakit import EULER_GAMMA, POLE_TOL, _LANCZOS_C, _LANCZOS_G, digamma, harmonic
 
 
@@ -145,6 +151,35 @@ def test_the_shared_rows_give_the_tails_of_the_per_tail_loops():
     assert any(isinstance(t, list) and t[-1] in ("0j", "(-0-0j)", "(0-0j)", "-0j") for t in tails)
 
 
+# upper parameters whose coefficients past the kept rows are normal
+# doubles, so that the row stream past them carries bits; at order 170 a
+# 1F1 tail needs |a| in the tens of thousands for that
+HIGH_ORDER_UPPERS = {
+    33: [(complex(900.5, 120.0),), (-650.25,), (complex(6e4, 1e3),),
+         (complex(450.5, 300.0), -380.25), (-520.75, complex(610.5, -90.0))],
+    170: [(complex(6e4, 1e3),), (complex(-4.5e4, 0.5),),
+          (complex(450.5, 300.0), -380.25), (-520.75, complex(610.5, -90.0))],
+}
+
+
+def test_every_0f1_order_is_the_per_tail_loop():
+    for mm in range(MAX_ORDER + 1):
+        got = _coefficients(dfun._tail((), mm))
+        assert got == _coefficients(_tail0(mm)), mm
+        # past the kept coefficients 1/(k! (mm+k)!) has underflowed to 0.0
+        assert set(got[dfun._ROW_CAP:]) == {"(-0+0j)"}, mm
+
+
+def test_the_row_stream_past_the_kept_rows_at_high_orders():
+    for mm, uppers in HIGH_ORDER_UPPERS.items():
+        for upper in uppers:
+            got = list(itertools.islice(dfun._tail(upper, mm), N))
+            want = list(itertools.islice(_REFERENCE_TAILS[len(upper)](mm, *upper), N))
+            assert list(map(repr, got)) == list(map(repr, want)), (upper, mm)
+            past = got[dfun._ROW_CAP:]
+            assert sum(abs(c) >= sys.float_info.min for c in past) >= 60, (upper, mm)
+
+
 def test_the_row_cache_stays_bounded():
     dfun._first_rows.cache_clear()
     for mm in range(171):
@@ -156,6 +191,19 @@ def test_the_row_cache_stays_bounded():
     assert info.currsize == dfun._ORDERS_KEPT
     # a tail at an order dropped from the cache is built again, bit for bit
     assert _coefficients(dfun._tail((0.3, 0.7), 3)) == _coefficients(_tail2(3, 0.3, 0.7))
+
+
+def test_the_0f1_coefficient_cache_stays_bounded():
+    dfun._first_coeffs0.cache_clear()
+    for mm in range(171):
+        coeffs = dfun._first_coeffs0(mm)
+        assert type(coeffs) is tuple and len(coeffs) == dfun._ROW_CAP
+        assert dfun._first_coeffs0.cache_info().currsize <= dfun._ORDERS_KEPT
+    info = dfun._first_coeffs0.cache_info()
+    assert info.maxsize == dfun._ORDERS_KEPT
+    assert info.currsize == dfun._ORDERS_KEPT
+    # a tail at an order dropped from the cache is built again, bit for bit
+    assert _coefficients(dfun._tail((), 3)) == _coefficients(_tail0(3))
 
 
 def _outcome(fn, *args):

@@ -541,6 +541,12 @@ def test_bessel_errors_name_the_callers_z(kind, z, exc, msg):
     # with a finite err_estimate; the true value is about 7.2e308
     (lambda: u1(-169.63, -170, 10),
      "U on the LogPlusD route overflows a double at z = (10+0j): (inf+0j)"),
+    # a given route named z as the caller passed it ("at z = 20"), the
+    # automatic route complex(z)
+    (lambda: u1(-172.63, -170, 20, URoute.LOG_PLUS_D),
+     "U on the LogPlusD route overflows a double at z = (20+0j): (-inf+0j)"),
+    (lambda: u1(-172.63, -170, 20),
+     "U on the LogPlusD route overflows a double at z = (20+0j): (-inf+0j)"),
 ])
 def test_u_that_overflows_is_a_domain_error_naming_z(call, msg):
     with pytest.raises(DomainError, match=re.escape(msg)):
