@@ -30,6 +30,16 @@ evaluator sums within the one budget MAX_TERMS; only the two kernels,
 sum_power_series and ffun.f2f0_asymptotic, take a max_terms argument,
 which their own tests drive.
 
+sum_power_series pulls each group of _RUN coefficients straight from
+the stream, with no wrapper per coefficient: a tee of a replayed stream
+may be that stream itself, and zip bounds the pull by a range of the
+term counts the budget allows.  A second tee copy, back, waits at the
+first coefficient; only the cold end reads it, to add the one or two
+coefficients zip dropped where the stream ended inside a group, or the
+last one or two terms of a budget that is not a multiple of _RUN.  The
+error estimate |c| |z|^n of a sum whose z**n has overflowed by the stop
+is taken in log space.
+
 Every sum and every point builds an EvalResult, several for a point of
 log z F + D or of U, so it is a NamedTuple: immutable, and built in
 under half the time of a frozen dataclass.  LaurentExpansion, the
@@ -53,10 +63,6 @@ MAX_TERMS = 10000
 # a single test misfires when a coefficient happens to vanish.
 # sum_power_series sums in groups of this many terms.
 _RUN = 3
-
-# the _RUN - 1 marks that complete the last group of sum_power_series
-_END = object()
-_ENDS = (_END,) * (_RUN - 1)
 
 _EPS = sys.float_info.epsilon
 
@@ -203,16 +209,18 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     coeff yields c_start, c_start+1, ... in order, complex numbers in
     every stream of the package (see the module docstring).  Stops once _RUN
     consecutive terms each have magnitude <= REL_TOL * |partial sum|;
-    err_estimate is the magnitude of the first omitted term (0 when the
-    generator is exhausted).  Raises NoConvergence with the running
+    err_estimate is the magnitude of the first omitted term c z^n (0 when
+    the generator is exhausted), taken in log space, as
+    exp(log|c| + n log|z|), where z**n has overflowed by the stop and c
+    is finite and not zero.  Raises NoConvergence with the running
     partial attached when max_terms is hit first, and DomainError naming
     z when the partial sum is not finite: where the summation ends, or
     at the end of the first group whose partial sum is inf or nan (the
     stop test reads such a group as small, and the branch that handles a
     small group checks the sum first), where the first power z**start
-    overflows, or where the error estimate is not finite (z**n has
-    overflowed by the stop, or the first omitted coefficient is nan).
-    No coefficient past the first omitted one (or past
+    overflows, or where the error estimate is not finite (it overflows a
+    double even in log space, or the first omitted coefficient is not
+    finite).  No coefficient past the first omitted one (or past
     c_{start+max_terms-1}) is read.
 
     The terms are summed in groups of _RUN = 3 and only the last term of
@@ -223,16 +231,28 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
     term by term.  When the last term is small, the two before it are
     tested from their kept terms and partial sums: if both are small the
     sum stops there; otherwise the loop tests term by term until a term
-    is not small, then returns to groups.  A group cut short by the end
-    of the stream or of max_terms holds fewer than _RUN terms and cannot
-    stop either.  The result, the error estimate, the exceptions and the
-    coefficients read are those of the term-by-term loop, except that a
-    sum that is not finite raises without reading on.
+    is not small, then starts a new round of groups on the budget left.
+    The result, the error estimate, the exceptions and the coefficients
+    read are those of the term-by-term loop, except that a sum that is
+    not finite raises without reading on.
+
+    The groups are pulled straight from the stream: itertools.tee splits
+    coeff into src, which the loop reads, and back, which stays at the
+    first coefficient.  A tee of a replayed stream (see _replay) may be
+    that stream itself, so the loop reads it with no wrapper.  Each round
+    zips src with the range of term counts at the end of each whole group
+    the budget leaves, and zip pulls the range first, so nothing past
+    max_terms is read and the count comes with the group.  Where the
+    stream ends inside a group, zip drops the one or two coefficients it
+    pulled: the cold end reads them again from back, past the used
+    coefficients, as it reads the last one or two terms of a budget that
+    is not a multiple of _RUN, and adds them without the stop test, since
+    a group cut short cannot stop.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     z = complex(z)
-    it = iter(coeff)
+    src, back = itertools.tee(coeff, 2)
     total = 0j
     power = complex(1.0)
     if start:
@@ -242,61 +262,66 @@ def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):
             raise DomainError(f"z**{start} overflows a double at z = {z}") from None
     used = 0
     tol = REL_TOL
-    # islice checks its count before it pulls, so no coefficient past
-    # max_terms is read; the _END marks complete a cut-short group
-    src = itertools.chain(itertools.islice(it, max_terms), _ENDS)
-    for a, b, c in zip(src, src, src):
-        if c is _END:
-            term = a * power
-            total += term
-            used += 1
-            if b is not _END:
-                power *= z
-                term = b * power
-                total += term
-                used += 1
-            break
-        term_a = a * power
-        power *= z
-        total_a = total + term_a
-        term_b = b * power
-        power *= z
-        total_b = total_a + term_b
-        term = c * power
-        power *= z
-        total = total_b + term
-        used += 3
-        # false for a nan term or an inf sum: a sum that is no longer
-        # finite comes here and raises
-        if not abs(term) > tol * abs(total):
-            if not cmath.isfinite(total):
+    while True:
+        # used is the count at the end of each group
+        for used, a, b, c in zip(range(used + _RUN, max_terms + 1, _RUN), src, src, src):
+            term_a = a * power
+            power *= z
+            total_a = total + term_a
+            term_b = b * power
+            power *= z
+            total_b = total_a + term_b
+            term = c * power
+            power *= z
+            total = total_b + term
+            # false for a nan term or an inf sum: a sum that is no longer
+            # finite comes here and raises
+            if not abs(term) > tol * abs(total):
                 break
-            run = 1
-            if abs(term_b) <= tol * abs(total_b):
-                run = 2 if abs(term_a) > tol * abs(total_a) else _RUN
-            # term by term until the run ends (a nan term is not small);
-            # a mark ends the stream
-            while run < _RUN:
-                c = next(src)
-                if c is _END:
-                    break
+        else:
+            # the cold end: the budget or the stream ended
+            for c in itertools.islice(back, used, max_terms):
                 term = c * power
                 total += term
                 used += 1
                 power *= z
-                if not abs(term) <= tol * abs(total):
-                    break
-                run += 1
-            if run == _RUN:
-                c = next(it, None)
-                if not cmath.isfinite(total):
-                    break
-                err = 0.0 if c is None else abs(c * power)
-                # inf or nan where z**n overflowed by the stop, even
-                # against a zero c, or where c is nan
-                if not err < math.inf:
-                    raise DomainError(f"series error estimate is not finite at z = {z}: {err}")
-                return EvalResult(total, err, used)
+            break
+        if not cmath.isfinite(total):
+            break
+        run = 1
+        if abs(term_b) <= tol * abs(total_b):
+            run = 2 if abs(term_a) > tol * abs(total_a) else _RUN
+        # term by term until the run ends (a nan term is not small), or
+        # the budget or the stream does; then a new round
+        while run < _RUN and used < max_terms:
+            c = next(src, None)
+            if c is None:
+                break
+            term = c * power
+            total += term
+            used += 1
+            power *= z
+            if not abs(term) <= tol * abs(total):
+                break
+            run += 1
+        if run < _RUN:
+            continue
+        c = next(src, None)
+        if not cmath.isfinite(total):
+            break
+        err = 0.0 if c is None else abs(c * power)
+        if not err < math.inf:
+            # inf or nan where z**n overflowed by the stop, even against
+            # a zero c, or where c is not finite; a finite c that is not
+            # zero has its magnitude |c| |z|^n in log space
+            if c and cmath.isfinite(c):
+                try:
+                    err = math.exp(math.log(abs(c)) + (start + used) * math.log(abs(z)))
+                except OverflowError:
+                    pass
+            if not err < math.inf:
+                raise DomainError(f"series error estimate is not finite at z = {z}: {err}")
+        return EvalResult(total, err, used)
     # an overflow (z**n first, at large |z|) or a nan leaves no value
     if not cmath.isfinite(total):
         raise DomainError(f"series sum is not finite at z = {z}: {total}")

@@ -6,10 +6,16 @@ same result or exception and pull the same number of coefficients.  The
 intended differences: a partial sum that is not finite raises
 DomainError instead of being returned or raised with NoConvergence, and
 the kernel raises it as soon as it sees the sum is not finite, so it may
-pull fewer coefficients than the reference, which reads on; and an error
+pull fewer coefficients than the reference, which reads on; an error
 estimate that is not finite (the first omitted coefficient is nan, or
 z**n has overflowed by the stop) raises DomainError where the reference
-returns it.
+returns it; and where z**n has overflowed and that coefficient is finite
+and not zero, the estimate is |c| |z|^n taken in log space, which the
+reference maps to by _estimate.
+
+Every case runs twice: on the stream as given, and on a replayed copy
+of it (series._replay), which the kernel may read with no wrapper; the
+coefficients are counted underneath either way.
 """
 
 import cmath
@@ -21,11 +27,24 @@ from hypothesis import strategies as st
 
 from hyperd import dfun, ffun
 from hyperd.errors import DomainError, NoConvergence
-from hyperd.series import _RUN, REL_TOL, EvalResult, deriv_coeffs, sum_power_series
+from hyperd.series import _RUN, REL_TOL, EvalResult, _replay, deriv_coeffs, sum_power_series
+
+
+def _estimate(c, power, z, n):
+    """|c z^n| for the reference, with the kernel's log-space magnitude
+    where z^n = power has overflowed and c is finite and not zero."""
+    err = abs(c * power)
+    if not err < math.inf and c and cmath.isfinite(c):
+        try:
+            err = math.exp(math.log(abs(c)) + n * math.log(abs(z)))
+        except OverflowError:
+            pass
+    return err
 
 
 def _reference(coeff, z, max_terms, start=0):
-    # the loop of sum_power_series before grouping, verbatim
+    # the loop of sum_power_series before grouping, verbatim but for
+    # _estimate
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     z = complex(z)
@@ -43,7 +62,8 @@ def _reference(coeff, z, max_terms, start=0):
             small_run += 1
             if small_run >= _RUN:
                 c = next(it, None)
-                return EvalResult(total, 0.0 if c is None else abs(c * power), used)
+                err = 0.0 if c is None else _estimate(c, power, z, start + used)
+                return EvalResult(total, err, used)
         else:
             small_run = 0
     if used < max_terms:
@@ -71,12 +91,13 @@ class _Counted:
         return c
 
 
-def _outcome(fn, coeffs, z, max_terms, start):
+def _outcome(fn, coeffs, z, max_terms, start, replayed):
     """(repr of the result or exception, coefficients pulled); a sum
-    or an error estimate that is not finite maps to DomainError."""
+    or an error estimate that is not finite maps to DomainError.  With
+    replayed, fn reads a _replay copy over the counted stream."""
     src = _Counted(coeffs)
     try:
-        r = fn(src, z, max_terms, start)
+        r = fn(_replay(src)() if replayed else src, z, max_terms, start)
     except NoConvergence as exc:
         out = ("NoConvergence", str(exc), repr(exc.partial), repr(exc.err))
         if not cmath.isfinite(exc.partial):
@@ -91,14 +112,15 @@ def _outcome(fn, coeffs, z, max_terms, start):
 
 
 def _assert_same(coeffs, z, max_terms, start):
-    got, got_pulled = _outcome(sum_power_series, coeffs(), z, max_terms, start)
-    want, want_pulled = _outcome(_reference, coeffs(), z, max_terms, start)
-    assert got == want
-    if got == "DomainError":
-        # the kernel stops at the group where the sum turned non-finite
-        assert got_pulled <= want_pulled
-    else:
-        assert got_pulled == want_pulled
+    want, want_pulled = _outcome(_reference, coeffs(), z, max_terms, start, False)
+    for replayed in (False, True):
+        got, got_pulled = _outcome(sum_power_series, coeffs(), z, max_terms, start, replayed)
+        assert got == want
+        if got == "DomainError":
+            # the kernel stops at the group where the sum turned non-finite
+            assert got_pulled <= want_pulled
+        else:
+            assert got_pulled == want_pulled
 
 
 _NAN = complex("nan")
@@ -109,12 +131,12 @@ _PALETTE = (0j, 1 + 0j, -1 + 0j, 2.5 - 1j, 1e-20 + 0j, -1e-20j,
             3e-21 + 1e-21j, 1e-15 + 0j, _NAN, _INF, complex(0, -float("inf")))
 _ZS = (0j, 1e-3 + 0j, 1 + 0j, 40 + 0j, 1e4 + 0j, 0.3 - 0.4j, -0.9 + 0.2j, 1j,
        25 + 17j)
-_BUDGETS = st.one_of(st.integers(1, 14), st.just(10000))
+_BUDGETS = st.one_of(st.integers(1, 30), st.just(10000))
 _STARTS = st.integers(0, 3)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(_PALETTE), max_size=14),
+@given(st.lists(st.sampled_from(_PALETTE), max_size=30),
        st.sampled_from(_ZS), _BUDGETS, _STARTS)
 @example([1, 1e-20, 1e-20, 1e-20, 5], 1 + 0j, 10000, 0)
 @example([1, 2, 1e-20, 1e-20, 1e-20, 5], 1 + 0j, 10000, 0)
@@ -125,6 +147,18 @@ _STARTS = st.integers(0, 3)
 @example([1, 1e-20, 1e-20], 1 + 0j, 10000, 0)
 @example([3, 1e-20, 1e-20, 1e-20, 4], 1 + 0j, 10000, 2)
 @example([1, 0j, 0j, 0j, 0j], 0j, 10000, 1)
+# after a term-by-term excursion (1e-20 small, 7 not) a new round of
+# groups starts at term 4 with a budget left of 4 and of 5, 1 and 2 mod 3
+@example([1, 1e-20, 1e-20, 7, 2, 3, 4, 5, 6, 8], 1 + 0j, 8, 0)
+@example([1, 1e-20, 1e-20, 7, 2, 3, 4, 5, 6, 8], 1 + 0j, 9, 0)
+# the stream ends at offset 1 and 2 of a group after such an excursion
+@example([1, 1e-20, 1e-20, 7, 2, 3, 4, 5], 1 + 0j, 10000, 0)
+@example([1, 1e-20, 1e-20, 7, 2, 3, 4, 5, 6], 1 + 0j, 10000, 0)
+# the budget and the stream end inside an excursion
+@example([1, 2, 1e-20, 1e-20, 7], 1 + 0j, 4, 0)
+@example([1, 2, 1e-20, 1e-20], 1 + 0j, 10000, 0)
+# z^n overflows by the stop against a finite coefficient
+@example([1, 0j, 0j, 0j, 1e-300], 1e100 + 0j, 10000, 0)
 def test_finite_streams(values, z, max_terms, start):
     _assert_same(lambda: iter(values), z, max_terms, start)
 

@@ -367,22 +367,49 @@ def test_a_first_power_that_overflows_raises_domain_error():
 def test_an_error_estimate_that_is_not_finite_raises_domain_error():
     # the estimate is the first omitted term c z^n; where z^n has overflowed
     # by the stop it is inf, or nan against a zero coefficient, while the
-    # sum is finite
-    from hyperd.dfun import d_eval
-    from hyperd.ffun import F0
-
+    # sum is finite; |c| |z|^n taken in log space is 1e400 here
     with pytest.raises(DomainError, match=re.escape(
             "series error estimate is not finite at z = (1e+100+0j): inf")):
         sum_power_series(iter([1, 0j, 0j, 0j, 1]), 1e100)
-    # the 0F1 tail is -0+0j from k = 128 on: the value was right to 1.6e-16
-    # and its err_estimate nan
+    # a nan coefficient has no magnitude in log space either
     with pytest.raises(DomainError, match=re.escape(
-            "series error estimate is not finite at z = (2633-534j): nan")):
-        d_eval(F0(20), 2633 - 534j)
+            "series error estimate is not finite at z = (1e+100+0j): nan")):
+        sum_power_series(iter([1, 0j, 0j, 0j, complex("nan")]), 1e100)
     # a finite estimate keeps its bits
     assert repr(sum_power_series(iter([1, 0j, 0j, 0j, 1]), 1e50)) == (
         "EvalResult(value=(1+0j), err_estimate=1.0000000000000005e+200, terms_used=4, "
         "flags=frozenset())")
+
+
+def test_an_estimate_whose_power_overflowed_is_taken_in_log_space():
+    # the 0F1 tail of D at order 20 stops after 90 terms at 2633-534j, where
+    # z^90 has overflowed to inf+inf*i: c_90 (subnormal, about -3.9e-316)
+    # times it was nan.  The estimate is exp(log|c_90| + 90 log|z|)
+    import mpmath as mp
+
+    from hyperd.dfun import d_eval, d_expand
+    from hyperd.ffun import F0
+
+    m, z = 20, 2633 - 534j
+    r = d_eval(F0(m), z)
+    c90 = d_expand(F0(m)).tail_list(91)[90]
+    assert c90 != 0 and abs(c90) < 1e-315
+    with mp.workdps(60):
+        w = mp.mpc(z)
+        principal = sum((-1) ** (k - 1) * mp.factorial(k - 1) / mp.factorial(m - k) * w ** -k
+                        for k in range(1, m + 1))
+        tail = sum(-(mp.digamma(1 + k) + mp.digamma(1 + m + k))
+                   / (mp.factorial(k) * mp.factorial(m + k)) * w ** k for k in range(200))
+        want = complex(principal + tail)
+        est = float(abs(mp.mpmathify(c90)) * abs(w) ** 90)
+    assert r.terms_used == 90 and r.flags == frozenset()
+    assert abs(r.value - want) <= 1e-15 * abs(want)
+    assert abs(r.err_estimate - est) <= 1e-12 * est
+    assert 1.6e-7 < r.err_estimate < 1.7e-7
+    # a stream of small terms against the same overflowed power
+    r = sum_power_series(iter([1, 0j, 0j, 0j, 1e-300]), 1e100)
+    assert r.value == 1 and r.terms_used == 4
+    assert abs(r.err_estimate - 1e100) <= 1e-12 * 1e100
 
 
 def test_a_sum_stops_once_it_is_not_finite(monkeypatch):
