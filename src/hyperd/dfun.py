@@ -57,7 +57,6 @@ from .ffun import (
 )
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
-    EvalResult,
     LaurentExpansion,
     _check_finite,
     _check_point,
@@ -65,6 +64,7 @@ from .series import (
     _prepared,
     _product_jet,
     _replay,
+    _result,
     deriv_coeffs,
     log_negated,
     principal_log,
@@ -320,17 +320,20 @@ def _d_jet(p):
                 h0 += c * pw
                 pw *= w
             heads = (h0, *_principal_derivs(principal, w, order)) if order else (h0, 0j, 0j)
-            # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel to nan
-            if not all(map(cmath.isfinite, heads)):
+            # the terms (k-1)!/(m-k)! z^-k can overflow a double and cancel
+            # to nan; at order 0 the derivative heads are the constant 0j
+            if not cmath.isfinite(h0) or (order and not all(map(cmath.isfinite, heads))):
                 raise DomainError(f"principal part of D with m = {p.alpha} overflows a double at z = {z}")
         try:
-            t = sum_power_series(tail_coeff(), z)
-            out = (EvalResult(heads[0] + t.value, t.err_estimate, t.terms_used, t.flags),)
+            # heads[0] + value even where there is no principal part: 0j +
+            # turns a -0.0 part of the tail's value into +0.0
+            value, err, terms, flags = sum_power_series(tail_coeff(), z)
+            out = (_result((heads[0] + value, err, terms, flags)),)
             if order:
                 for k in range(1, order + 1):
                     s, g = deriv_coeffs(tail_coeff, 0, k)
-                    t = sum_power_series(g(), z, start=s)
-                    out += (EvalResult(heads[k] + t.value, t.err_estimate, t.terms_used, t.flags),)
+                    value, err, terms, flags = sum_power_series(g(), z, start=s)
+                    out += (_result((heads[k] + value, err, terms, flags)),)
         except BaseException:
             # a stream that raised is built anew at the next point
             expansion.clear()

@@ -58,7 +58,7 @@ from .errors import (DivergedImmediately, DomainError, NoConvergence, ParameterS
 from .gammakit import gamma, near_int, pochhammer, recip_gamma
 from .series import (
     MAX_TERMS,
-    EvalResult,
+    _NO_FLAGS,
     _check_finite,
     _check_point,
     _combined_jet,
@@ -66,6 +66,7 @@ from .series import (
     _prepared,
     _product_jet,
     _replay,
+    _result,
     deriv_coeffs,
     principal_pow,
     sum_power_series,
@@ -451,9 +452,10 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
     abs_sum = 1.0
     n = 0
     while n < max_terms:
-        t_next = t * (a + n) * (b + n) * z / (n + 1)
-        if t_next == 0:
-            return EvalResult(total, 0.0, n + 1)
+        n1 = n + 1
+        t_next = t * (a + n) * (b + n) * z / n1
+        if not t_next:
+            return _result((total, 0.0, n1, _NO_FLAGS))
         mag_next = abs(t_next)
         # a nan magnitude is not smaller either, and has no place in the
         # order; an infinite one is the largest, and stops the sum as before
@@ -464,13 +466,13 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
                 raise DivergedImmediately(
                     f"first term of 2F0 already smallest at |z| = {abs(z):.6g}"
                 )
-            err = max(mag, (n + 1) * _EPS * abs_sum)
-            return EvalResult(total, err, n + 1)
+            err = max(mag, n1 * _EPS * abs_sum)
+            return _result((total, err, n1, _NO_FLAGS))
         total += t_next
         abs_sum += mag_next
         t, mag = t_next, mag_next
-        n += 1
-    return EvalResult(total, mag, max_terms, frozenset({"TruncationMaxed"}))
+        n = n1
+    return _result((total, mag, max_terms, frozenset({"TruncationMaxed"})))
 
 
 def _f2_I_prefactor(p):

@@ -72,6 +72,7 @@ from .series import (
     _check_finite,
     _check_point,
     _kept,
+    _result,
     log_combo,
     log_negated,
     principal_log,
@@ -192,7 +193,7 @@ def _connection(p):
         fn, fr = f_n(z), f_r(z)
         c, t1, e1, t2, e2 = terms(z, fn, fr)
         err = abs(c) / abs_s * (e1 + e2) + _EPS * abs(c) / abs_s * (abs(t1) + abs(t2))
-        return EvalResult(c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags)
+        return _result((c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags))
 
     return u_at
 

@@ -278,6 +278,21 @@ def test_fi_requires_2f1(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("func, grid, message", [
+    # a fault of the request comes first, then one of the point list, then
+    # one of the parameter set, which is prepared at the first point
+    ("FI", "bad", "--func FI is defined for --eq 2f1 only"),
+    ("D", "bad", "bad grid spec 'bad'"),
+    ("D", "0:1:2,0:0:1", "this function needs integer m, got alpha=0.5"),
+])
+def test_fault_order_request_then_points_then_parameters(func, grid, message, capsys):
+    code, out, err = run(["table", "--eq", "0f1", "--func", func, "--alpha", "0.5",
+                          f"--grid={grid}"], capsys)
+    assert (code, out) == (2, "")
+    rec = json.loads(err)["error"]
+    assert rec["type"] == "DomainError" and rec["message"].startswith(message)
+
+
 @pytest.mark.parametrize("command", ["eval", "table"])
 @pytest.mark.parametrize("argv, message", [
     # each of these flags was dropped and the request answered

@@ -11,6 +11,7 @@ import cmath
 import functools
 import math
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -213,6 +214,17 @@ def test_a_mapped_sum_that_raises_names_the_callers_point(monkeypatch):
         assert got.value.err == pytest.approx(abs(scale) * inner.value.err, rel=1e-14)
         # a point after the raise is summed in full
         assert at(z) == f_norm(p, z)
+
+
+def test_a_mapped_term_whose_modulus_overflows_names_the_callers_point(monkeypatch):
+    # G's stream at Kummer's image -z = 1 has a finite term past a double in
+    # modulus: the kernel's DomainError names z, not -z
+    huge = 1.5e308 + 1.5e308j
+    monkeypatch.setattr(ffun, "_seed", lambda p, image=None: (
+        0, lambda: iter([huge] * 5 + [0j] * 10)))
+    with pytest.raises(DomainError, match=re.escape(
+            "series term or sum has a modulus past a double at z = (-1+0j)")):
+        prepare_f_norm(F1(0.7, 2))(-1)
 
 
 def test_the_disc_check_comes_before_the_map():

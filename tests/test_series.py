@@ -308,6 +308,42 @@ def test_eval_result_scaled():
     assert s.flags == frozenset({"NearPole"})
 
 
+def _fast_path_results():
+    # (id, thunk) for every site that builds its result in one C call
+    from hyperd.dfun import prepare_d_eval
+    from hyperd.ffun import F0, f2f0_asymptotic
+    from hyperd.series import log_combo
+    from hyperd.ufun import URoute, prepare_u
+
+    f = EvalResult(0.5 - 1j, 1e-16, 7)
+    d = EvalResult(-2 + 0.25j, 3e-16, 9, frozenset({"TruncationMaxed"}))
+    return [
+        ("kernel-stop", lambda: sum_power_series(iter([1.0 + 0j] + [0j] * 5), 0.5)),
+        ("kernel-end", lambda: sum_power_series(iter([1.0 + 0j, 2j]), 0.5)),
+        ("scaled", lambda: d.scaled(2 - 1j)),
+        ("log_combo", lambda: log_combo(0.5 + 1j, f, d)),
+        ("d-head", lambda: prepare_d_eval(F0(2))(0.5 + 0.1j)),
+        ("d-head-jet", lambda: prepare_d_eval(F0(2)).jet(0.5 + 0.1j, 2)[2]),
+        ("d-no-principal", lambda: prepare_d_eval(F0(-1))(0.5 - 0.1j)),
+        ("2f0-zero-term", lambda: f2f0_asymptotic(-2, 1, 0.1)),
+        ("2f0-smallest-term", lambda: f2f0_asymptotic(0.5, 0.7, 0.05)),
+        ("2f0-budget", lambda: f2f0_asymptotic(0.5, 0.7, 1e-3, 3)),
+        ("connection", lambda: prepare_u(F0(0.37), URoute.CONNECTION)(1.5 + 0.5j)),
+    ]
+
+
+@pytest.mark.parametrize("site", [s for _, s in _fast_path_results()],
+                         ids=[i for i, _ in _fast_path_results()])
+def test_a_fast_path_result_is_an_eval_result(site):
+    # built by tuple.__new__ with no NamedTuple __new__, the result is the
+    # one EvalResult(...) builds from the same fields
+    r = site()
+    same = EvalResult(*r)
+    assert type(r) is EvalResult
+    assert r == same and hash(r) == hash(same) and repr(r) == repr(same)
+    assert type(r.flags) is frozenset
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                           allow_infinity=False))
@@ -379,6 +415,20 @@ def test_an_error_estimate_that_is_not_finite_raises_domain_error():
     assert repr(sum_power_series(iter([1, 0j, 0j, 0j, 1]), 1e50)) == (
         "EvalResult(value=(1+0j), err_estimate=1.0000000000000005e+200, terms_used=4, "
         "flags=frozenset())")
+
+
+def test_a_finite_term_whose_modulus_overflows_raises_domain_error():
+    # |1.5e308 + 1.5e308j| is past a double while both parts are finite;
+    # abs() raised a raw OverflowError in the stop test of a group, in the
+    # error estimate of the first omitted term and in the error that
+    # NoConvergence carries
+    huge = 1.5e308 + 1.5e308j
+    msg = re.escape("series term or sum has a modulus past a double at z = (1+0j)")
+    for coeffs, max_terms in (([huge] * 5 + [0j] * 10, 10000),
+                              ([1, 0j, 0j, 0j, huge], 10000),
+                              ([1, 1, 1, huge], 4)):
+        with pytest.raises(DomainError, match=msg):
+            sum_power_series(iter(coeffs), 1, max_terms)
 
 
 def test_an_estimate_whose_power_overflowed_is_taken_in_log_space():
