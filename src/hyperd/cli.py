@@ -10,14 +10,14 @@ Subcommands:
 Numbers are serialized with 17 significant digits so output round-trips
 doubles exactly and is bit-stable across runs: identical requests give
 byte-identical output, and the CSV and JSON encodings of one run carry
-identical numeric fields.  The one exception is a non-finite float,
-which JSON has no literal for: JSON output writes it as null, CSV as
-inf, -inf or nan.  Exit codes: 0 success, 1 verification
-failure, 2 domain/parameter errors (a structured error record goes to
-stderr), a flag the request does not use among them.  Every series
-stops by the fixed tolerance REL_TOL within the fixed budget MAX_TERMS;
-no subcommand takes an option for either, and the eval/table header
-echoes both.
+identical numeric fields.  The one exception is a non-finite float, which
+JSON has no literal for: JSON writes it as null, CSV as inf, -inf or nan.
+Only a verify residual can be one; an evaluator raises DomainError instead.
+Exit codes: 0 success, 1 verification failure, 2 domain/parameter errors
+(a structured error record goes to stderr), a flag the request does not
+use among them.  Every series stops by the fixed tolerance REL_TOL within
+the fixed budget MAX_TERMS; no subcommand takes an option for either, and
+the eval/table header echoes both.
 
 The argument parser is built once per process, on the first main()
 call, and reused by every later call; each eval/table record is written

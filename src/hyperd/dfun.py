@@ -391,7 +391,9 @@ def prepare_log_solution(p):
         ell = log(z)
         fs = f(z, order)
         ds = d(z, order)
-        return _product_jet((ell, 1 / z, -1 / (z * z)) if order else (ell,), fs, ds)
+        # -inf where z * z underflows to 0 (1/z^2 is past a double); _prepared's gate raises
+        s = (ell, 1 / z, -1 / (z * z) if z * z else -math.inf) if order else (ell,)
+        return _product_jet(s, fs, ds)
 
     return _prepared(jet)
 

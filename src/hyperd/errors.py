@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every numerical routine raises one of these instead of returning NaN,
-so callers can distinguish "the input is outside the domain" from
-"the algorithm failed to converge".
+Every public evaluator raises one of these instead of returning a value or
+estimate that is not finite (series._checked), so callers can tell "the
+input is outside the domain" from "the algorithm failed to converge".
 """
 
 

@@ -17,7 +17,7 @@ from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
 from .ffun import DEGENERACY_TOL, F0, _check_params, f_norm, prepare_f_norm
 from .gammakit import digamma, near_int, near_nonpositive_int, recip_gamma
 from .series import EvalResult, principal_pow, sum_power_series
-from .dfun import _d_jet, _d_params
+from .dfun import _d_params, prepare_d_eval
 from .ufun import URoute, prepare_u
 
 __all__ = [
@@ -135,7 +135,7 @@ def inhom_residual(p, z):
         raise Inapplicable(
             f"the {p.kind} inhomogeneous equation holds for m >= 0, got m = {p.alpha}")
     z = complex(z)
-    d0, d1, d2 = (r.value for r in _d_jet(p)(z, 2))
+    d0, d1, d2 = (r.value for r in prepare_d_eval(p).jet(z, 2))
     g0, g1 = (r.value for r in prepare_f_norm(p).jet(z, 1))
     lhs = _operator(p, z, d0, d1, d2)
     rhs = _inhom_rhs(p, z, g0, g1)

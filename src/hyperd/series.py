@@ -1,5 +1,10 @@
 """Series summation core and principal-branch elementary functions.
 
+The result contract: a public evaluator returns a finite value with a
+finite err_estimate, or raises a HyperdError.  _checked tests it where a
+result is handed back: by a prepared F, D or log solution and its .jet
+(_prepared), by the closures of ufun.prepare_u, and by ufun.bessel.
+
 The summation engine is generic: it consumes a coefficient generator and
 returns the partial sum together with an honest truncation-error estimate.
 All branch handling in the package funnels through principal_log,
@@ -92,15 +97,26 @@ def _kept(box, build, *args):
     return box[0]
 
 
+def _checked(r, z):
+    """r where r.value is finite and r.err_estimate < inf (not nan); else DomainError at z."""
+    if cmath.isfinite(r.value) and r.err_estimate < _INF:
+        return r
+    raise DomainError(f"result is not finite at z = {complex(z)}: {r.value}, "
+                      f"err_estimate {r.err_estimate}")
+
+
 def _prepared(jet):
-    """The point callable z -> jet(z, 0)[0] of a prepared evaluator, with
-    jet as its .jet: jet(z, order) is the value at z and its first order
-    derivatives, order + 1 EvalResults."""
+    """z -> jet(z, 0)[0], a prepared evaluator's point callable; .jet is jet
+    too, its results passing _checked in a loop (half a comprehension's cost)."""
 
-    def at(z):
-        return jet(z, 0)[0]
+    def checked_jet(z, order):
+        out = jet(z, order)
+        for r in out:
+            _checked(r, z)
+        return out
 
-    at.jet = jet
+    at = lambda z: _checked(jet(z, 0)[0], z)
+    at.jet = checked_jet
     return at
 
 

@@ -70,6 +70,7 @@ from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
 from .series import (
     EvalResult,
     _check_finite,
+    _checked,
     _check_point,
     _kept,
     _result,
@@ -200,17 +201,15 @@ def _connection(p):
 
 def _log_form(p):
     """The LogPlusD route: z -> prefactor * log_solution(p, z) at m = alpha,
-    and at m < 0 the U at -m times z^-m (1F1) or (-z)^-m (2F1).  The
-    prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.  alpha is an integer (_build_route).
-    DomainError naming z where the rescaled value is not finite (a large
-    solution times a large prefactor or power)."""
+    and at m < 0 the U at |m| times h^|m|, h = z (1F1) or -z (2F1), with
+    h^|m| folded into D's principal part (_folded) where that raises
+    DomainError; the error stands where the folded value overflows too.
+    The prefactor is taken after the solution, at the first point whose
+    solution succeeds, and kept.  alpha is an integer."""
     m = p.m
-    if m < 0 and p.kind != "0f1":
-        inner = _log_form(p._replace(alpha=-m))
-        if p.kind == "1f1":
-            return lambda z: _finite(inner(z).scaled(principal_pow(z, -m)), z)
-        return lambda z: _finite(inner(z).scaled(principal_pow(-z, -m)), z)
+    shift = m < 0 and p.kind != "0f1"
+    if shift:
+        m, p = -m, p._replace(alpha=-m)
     sign = (-1.0) ** (m + 1)
     if p.kind == "0f1":
         prefactor = lambda: sign / _SQRT_PI
@@ -231,14 +230,19 @@ def _log_form(p):
         prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
     w = prepare_log_solution(p)
     pref = []
-    return lambda z: _finite(w(z).scaled(_kept(pref, prefactor)), z)
+    if not shift:
+        return lambda z: w(z).scaled(_kept(pref, prefactor))
+    flip = -1.0 if p.kind == "2f1" else 1.0
 
+    def u_at(z):
+        h = -z if flip < 0 else z
+        try:
+            return _checked(w(z).scaled(_kept(pref, prefactor)).scaled(principal_pow(h, m)), z)
+        except DomainError as exc:
+            ell = log_negated(z) if flip < 0 else principal_log(z)
+            return _folded(p, z, ell, f_norm(p, z), _kept(pref, prefactor), h, 1, flip, exc)
 
-def _finite(r, z):
-    """r, a rescaled result of _log_form at z, where its value is finite."""
-    if not cmath.isfinite(r.value):
-        raise DomainError(f"U on the LogPlusD route overflows a double at z = {z}: {r.value}")
-    return r
+    return u_at
 
 
 def _asymptotic(p):
@@ -268,6 +272,8 @@ def _asymptotic(p):
     def u_at(z):
         z = complex(z)
         _check_point(z)
+        if not z:
+            raise BranchCut(f"the expansion about infinity has no value at z = {z}")
         if is_0f1:
             sq = principal_pow(z, 0.5)
             pref, x = cmath.exp(-2.0 * sq) * principal_pow(z, e), -1.0 / (4.0 * sq)
@@ -326,14 +332,14 @@ def prepare_u(p, route=None):
     if p.kind != "2f1":
         if route is not None:
             given = _build_route(p, route)
-            return lambda z: given(complex(z))
+            return lambda z: _checked(given(complex(z)), z)
         far = _asymptotic(p)
         radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
 
         def u_at(z):
             z = complex(z)
             r = _far_value(far, radius, z)
-            return r if r is not None else _kept(chosen, _build_route, p, None)(z)
+            return _checked(r if r is not None else _kept(chosen, _build_route, p, None)(z), z)
 
         return u_at
     outer = []  # the 1/z series
@@ -348,8 +354,8 @@ def prepare_u(p, route=None):
                 raise DomainError(
                     f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
                 )
-            return _kept(outer, _asymptotic, p)(z)
-        return _kept(chosen, _build_route, p, route)(z)
+            return _checked(_kept(outer, _asymptotic, p)(z), z)
+        return _checked(_kept(chosen, _build_route, p, route)(z), z)
 
     return u2_at
 
@@ -411,7 +417,7 @@ def bessel(kind, m, z):
     z = complex(z)
     _check_point(z)
     try:
-        return _bessel(kind, int(m), z)
+        return _checked(_bessel(kind, int(m), z), z)
     except HyperdError as exc:
         w = z * z / 4.0
         raise _named(exc, z, (w, -w, z / 2.0)) from None
@@ -449,27 +455,24 @@ def _bessel(kind, m, z):
         # brings them back into range
         if abs(w) >= 1.0:
             raise
-        flip = 1.0 if kind == "K" else -1.0
-        return _folded(p, z, v, flip, ell_v, f, scale, half_pow)
+        return _folded(p, v, ell_v, f, scale, z / 2.0, 2, 1.0 if kind == "K" else -1.0,
+                       DomainError(f"bessel of order m = {m} overflows a double at z = {z}"))
     return log_combo(ell_v, f, d).scaled(scale * half_pow)
 
 
-def _folded(p, z, v, flip, ell_v, f, scale, half_pow):
-    """scale (z/2)^m (ell_v F + D) at v = flip z^2/4, flip = +-1, for
-    p = F0(m), m >= 1, where the principal part of D overflows at v: F
-    and the tail T of D are summed at v and scaled as bessel scales them,
-    and (z/2)^m is folded into the principal part term by term,
-    (z/2)^m d_{-k} v^-k = d_{-k} flip^k (z/2)^(m-2k), which stays in range
-    where v^-k does not.  The principal part adds eps times the sum of
-    its terms' magnitudes to the error.  DomainError where a term or the
-    value overflows a double."""
+def _folded(p, v, ell, f, scale, h, step, flip, overflow):
+    """scale h^m (ell F + D) at v = flip h^step, flip = +-1, p at an order
+    m >= 1, F the result f: D's tail is summed at v and h^m folded into its
+    principal part term by term, h^m d_{-k} v^-k = d_{-k} flip^k h^(m-step k),
+    which stays in range where v^-k does not; eps times the sum of those
+    terms' magnitudes joins the error.  overflow is raised where a term or
+    the value overflows a double."""
     m = p.alpha
-    h = z / 2.0
     exp = d_expand(p)
-    r = log_combo(ell_v, f, sum_power_series(exp.tail_coeff(), v)).scaled(scale * half_pow)
-    overflow = DomainError(f"bessel of order m = {m} overflows a double at z = {z}")
+    r = log_combo(ell, f, sum_power_series(exp.tail_coeff(), v)).scaled(scale * principal_pow(h, m))
     try:
-        terms = [c * flip ** k * principal_pow(h, m - 2 * k) for k, c in enumerate(exp.principal, 1)]
+        terms = [c * flip ** k * principal_pow(h, m - step * k)
+                 for k, c in enumerate(exp.principal, 1)]
     except DomainError:
         raise overflow from None
     head = scale * sum(terms)

@@ -349,6 +349,17 @@ def test_large_alpha_underflows_instead_of_overflow_error(capsys):
     assert rec["value_re"] == 0.0 and rec["value_im"] == 0.0
 
 
+def test_a_value_past_a_double_exits_2_with_a_domain_error(capsys):
+    # z^-150.3 times F at the reflected order overflows; this exited 0
+    # and wrote "value_re":null
+    code, out, err = run(["eval", "--eq", "0f1", "--func", "second", "--alpha", "150.3",
+                          "--z", "0.01"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "DomainError",
+        "message": "result is not finite at z = (0.01+0j): (inf+0j), err_estimate inf"}
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["--eq", "0f1", "--alpha", "nan", "--z", "0.5"], "alpha must be finite"),
     (["--eq", "0f1", "--func", "D", "--alpha", "nan", "--z", "0.5"],

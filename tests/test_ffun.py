@@ -7,6 +7,7 @@ with no shared code.
 
 import math
 import pickle
+import re
 
 import mpmath as mp
 import pytest
@@ -211,6 +212,14 @@ def test_f_second_integer_alpha_is_proportional_to_f_norm():
         f = f_norm(F1(theta=theta, alpha=m), z).value
         cm = complex(pochhammer((theta - m + 1) / 2, m))
         assert _rel(s, cm * f) < 1e-13
+
+
+@pytest.mark.parametrize("p", [F0(150.3), F1(0.7, 150.3), F2(150.3, 0.3, 0.2)])
+def test_f_second_past_a_double_is_a_domain_error_naming_z(p):
+    # z^-150.3 times F at the reflected order returned inf with an
+    # err_estimate of inf and no flag
+    with pytest.raises(DomainError, match=re.escape("result is not finite at z = (0.01+0j): (inf+0j)")):
+        f_second(p, 0.01)
 
 
 def test_f_second_jet_product_rule():

@@ -536,21 +536,42 @@ def test_bessel_errors_name_the_callers_z(kind, z, exc, msg):
     # the log solution (about 1.2e257) times the prefactor 1/Gamma((1-170+theta)/2)
     # (about 1e127) gave -inf+inf*i with err_estimate inf and no flag
     (lambda: u1(1e-300, 170, -0.017 - 0.0575j),
-     "U on the LogPlusD route overflows a double at z = (-0.017-0.0575j)"),
+     "result is not finite at z = (-0.017-0.0575j)"),
     # at m < 0 the U at -m (about 7.2e138) times z^170 (1e170) gave inf
     # with a finite err_estimate; the true value is about 7.2e308
     (lambda: u1(-169.63, -170, 10),
-     "U on the LogPlusD route overflows a double at z = (10+0j): (inf+0j)"),
+     "result is not finite at z = (10+0j): (inf+0j)"),
     # a given route named z as the caller passed it ("at z = 20"), the
     # automatic route complex(z)
     (lambda: u1(-172.63, -170, 20, URoute.LOG_PLUS_D),
-     "U on the LogPlusD route overflows a double at z = (20+0j): (-inf+0j)"),
+     "result is not finite at z = (20+0j): (-inf+0j)"),
     (lambda: u1(-172.63, -170, 20),
-     "U on the LogPlusD route overflows a double at z = (20+0j): (-inf+0j)"),
+     "result is not finite at z = (20+0j): (-inf+0j)"),
+    # these returned nan+nan*i with err_estimate nan and no flag; mpmath
+    # puts the first at about -7.78e273+6.09e273i, the third at
+    # 2.82e263-8.77e262i
+    (lambda: u1(48.90585505674359, 32.30558002883016, -9.584309545943686e-10 + 7.908336494787592e-10j),
+     "result is not finite at z = (-9.584309545943686e-10+7.908336494787592e-10j): (nan+nanj)"),
+    (lambda: u1(1e8, 30.868458108400773, 1e-9), "result is not finite at z = (1e-09+0j): (nan+nanj)"),
+    (lambda: u2(48.42756891142909, -34.297148222321674, -0.0, -2.603876011600534e-06 - 4.478709690252065e-06j),
+     "result is not finite at z = (-2.603876011600534e-06-4.478709690252065e-06j): (nan+nanj)"),
 ])
 def test_u_that_overflows_is_a_domain_error_naming_z(call, msg):
     with pytest.raises(DomainError, match=re.escape(msg)):
         call()
+
+
+@pytest.mark.parametrize("u, ref, args", [
+    (u1, _u1_ref, (0.3, -170, -0.017 - 0.0575j)),
+    (u2, _u2_ref, (-170, 0.3, 0.2, -0.01 + 0.02j)),
+    (u2, _u2_ref, (-120, 5.3, 0.2, -0.003 + 0.001j)),
+])
+def test_u_at_a_negative_order_folds_the_power_into_the_principal_part(u, ref, args):
+    # the U at |m| overflows a double (about 1e386 for the u1) and z^|m|
+    # or (-z)^|m| brings it back; these raised DomainError for the finite
+    # values 7.12e176, 1.7e50 and 1.06e35
+    want = ref(*args)
+    assert abs(u(*args).value - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("m", [float("nan"), float("inf"), -float("inf")])
