@@ -32,7 +32,9 @@ As in ffun, every point function is its prepare function called at z:
 prepare_d_eval(p)(z) and so on, with the expansion built, the
 I-form prefactor computed and the F of log_solution prepared once.  A
 prepared callable at carries at.jet(z, order) for order up to 2, as in
-ffun: at(z) is at.jet(z, 0)[0].
+ffun: at(z) is at.jet(z, 0)[0], the door of a raw jet.  The raw jets
+compose: the log solution's (_log_jet) reads those of F (ffun._f_jet)
+and D (_d_jet), and U's LogPlusD route reads the log solution's.
 Public functions may be called from any thread; a prepared callable or
 a LaurentExpansion replays its own stream and belongs to the thread
 that made it.
@@ -49,17 +51,16 @@ from .ffun import (
     DEGENERACY_TOL,
     F1,
     F2,
+    EquationParams,
     _check_disc,
     _check_order,
-    _check_params,
     _f2_I_prefactor,
-    prepare_f_norm,
+    _f_jet,
+    _params,
 )
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
 from .series import (
     LaurentExpansion,
-    _check_finite,
-    _check_point,
     _kept,
     _prepared,
     _product_jet,
@@ -71,34 +72,31 @@ from .series import (
     sum_power_series,
 )
 
-def _d_params(p):
+def _d_params(p, cls=EquationParams):
     """p with alpha set to its integer m, once p is checked to select a D.
 
-    TypeError for an argument that is not a parameter set, DomainError for
-    a parameter that is not finite or an alpha farther than
-    DEGENERACY_TOL from every integer m, and ParameterSingular where a
-    digamma weight or a principal-part Pochhammer of D_|m| sits at a pole:
-    an integer (1+|m|+theta)/2 <= |m| for 1F1, an integer
-    a, b = (1+|m|+beta∓mu)/2 for 2F1.  An order beyond ffun.MAX_ORDER
-    raises DomainError when the expansion is built.
+    TypeError for an argument that is not a cls (ffun._params),
+    DomainError for a parameter that is not finite or an alpha farther
+    than DEGENERACY_TOL from every integer m, and ParameterSingular where
+    a digamma weight or a principal-part Pochhammer of D_|m| sits at a
+    pole: an integer a = (1+|m|+theta)/2 <= |m| for 1F1, an integer
+    a or b = (1+|m|+beta∓mu)/2 for 2F1, read from the classical
+    parameters at |m|.  An order beyond ffun.MAX_ORDER raises DomainError
+    when the expansion is built.
     """
-    _check_params(p)
-    m = near_int(p.alpha, DEGENERACY_TOL)
+    m = near_int(_params(p, cls).alpha, DEGENERACY_TOL)
     if m is None:
         raise DomainError(f"this function needs integer m, got alpha={p.alpha!r}")
     mm = abs(m)
     if isinstance(p, F1):
-        a = (1 + mm + p.theta) / 2
+        a, _ = p._classical(mm)
         n = near_int(a, DEGENERACY_TOL)
         if n is not None and n <= mm:
             raise ParameterSingular(f"(1+m+theta)/2 = {a} is an integer <= m; D undefined")
     elif isinstance(p, F2):
-        a = (1 + mm + p.beta - p.mu) / 2
-        b = (1 + mm + p.beta + p.mu) / 2
+        a, b, _ = p._classical(mm)
         if near_int(a, DEGENERACY_TOL) is not None or near_int(b, DEGENERACY_TOL) is not None:
             raise ParameterSingular(f"integer classical parameter (a, b) = ({a}, {b}); D undefined")
-    # a non-finite real part has raised in near_int above
-    _check_finite(p)
     return p if type(p.alpha) is int else p._replace(alpha=m)
 
 
@@ -296,7 +294,7 @@ def prepare_d_eval(p):
 
 
 def _d_jet(p):
-    # the jet of prepare_d_eval for a p that passed _d_params
+    # the raw jet of prepare_d_eval for a p that passed _d_params
     expansion = []
     _kept(expansion, _expand, p)
     disc = isinstance(p, F2)
@@ -304,9 +302,7 @@ def _d_jet(p):
     def jet(z, order):
         if order > 2:
             raise ValueError(f"D jets go to order 2, got order {order}")
-        z = complex(z)
         principal, tail_coeff = _kept(expansion, _expand, p)
-        _check_point(z)
         if principal and z == 0:
             raise PoleAtOrigin(f"D with m = {p.alpha} has a pole at z = 0")
         if disc:
@@ -381,10 +377,14 @@ def prepare_log_solution(p):
     .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
     where (log z)' = 1/z on either cut.  Entry 0 is
     series.log_combo(ell, F, D)."""
-    p = _d_params(p)
+    return _prepared(_log_jet(_d_params(p)))
+
+
+def _log_jet(p):
+    # the raw jet of prepare_log_solution for a p that passed _d_params
     # 0F1/1F1 carry log z, 2F1 carries log(-z)
     log = log_negated if isinstance(p, F2) else principal_log
-    f = prepare_f_norm(p).jet
+    f = _f_jet(p)
     d = _d_jet(p)
 
     def jet(z, order):
@@ -395,7 +395,7 @@ def prepare_log_solution(p):
         s = (ell, 1 / z, -1 / (z * z) if z * z else -math.inf) if order else (ell,)
         return _product_jet(s, fs, ds)
 
-    return _prepared(jet)
+    return jet
 
 
 def log_solution(p, z):
@@ -409,9 +409,7 @@ def log_solution(p, z):
 def prepare_d_eval_I(p):
     """The callable z -> d_eval_I(p, z), with its
     .jet(z, order): the jet of D, each entry scaled by the prefactor."""
-    p = _d_params(p)
-    if not isinstance(p, F2):
-        raise ValueError("d_eval_I is defined for the 2f1 kind only")
+    p = _d_params(p, F2)
     pref = _f2_I_prefactor(p)
     d = _d_jet(p)
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in d(z, order)]))

@@ -28,14 +28,16 @@ image and weights, is one row of _MAPS, which prepare_f_norm reads once.
 
 Every point function f(p, z) is prepare_f(p)(z): the prepare step does
 the work that depends on the parameters alone and returns a callable of
-z, so a grid at fixed parameters does that work once.  A
-part of the set-up that a lone call does only after a check of z (the
-coefficient stream of f_norm comes after the 2F1 disc check) is done at
-the first point that passes its checks and kept after that; until it
-succeeds it is redone, and fails, at every point, so each point raises
-what a lone call at that point raises.  A public function may be called
-from any thread; a prepared callable keeps its coefficient stream
-(series._replay) and belongs to the thread that made it.
+z, so a grid at fixed parameters does that work once.  The parameter
+set is checked there, once (_params): a fault in it is raised before
+any fault of z.  The coefficient streams are still built lazily: a
+stream that a lone call builds only after a check of z (the stream of
+f_norm comes after the 2F1 disc check) is built at the first point that
+passes its checks and kept after that; until it succeeds it is redone,
+and fails, at every point, so each point raises what a lone call at
+that point raises.  A public function may be called from any thread; a
+prepared callable keeps its coefficient stream (series._replay) and
+belongs to the thread that made it.
 
 A prepared callable at carries its derivatives: at.jet(z, order) is
 (at, at', ..., at^(order)) at z as order + 1 EvalResults, and at(z) is
@@ -59,8 +61,6 @@ from .gammakit import gamma, near_int, pochhammer, recip_gamma
 from .series import (
     MAX_TERMS,
     _NO_FLAGS,
-    _check_finite,
-    _check_point,
     _combined_jet,
     _kept,
     _prepared,
@@ -203,7 +203,6 @@ def _seed(p, image=None):
     n0 = max(0, -m), and c = 1 + m stays an int so that every step divides
     by an exact integer.  The numerator (a)_n0 (b)_n0 is 1 unless m < 0.
     """
-    _check_finite(p)
     m = near_int(p.alpha, DEGENERACY_TOL)
     if m is not None:
         _check_order(m)
@@ -310,18 +309,30 @@ _MAPS = {
 }
 
 
-def _check_params(p):
-    if not isinstance(p, EquationParams):
+def _params(p, cls=EquationParams):
+    """p, checked once by the prepare step that takes it: TypeError unless
+    it is a cls, DomainError naming its first field that is not finite."""
+    if not isinstance(p, cls):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
+    for name, v in zip(p._fields, p):
+        if not cmath.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {name} = {v}")
+    return p
 
 
 def prepare_f_norm(p):
-    """The callable z -> f_norm(p, z), with its .jet(z, order).
+    """The callable z -> f_norm(p, z), with its .jet(z, order): the door
+    of _f_jet(p)."""
+    return _prepared(_f_jet(_params(p)))
 
-    The row of p's kind in _MAPS is read here.  At each point, after the
-    point check, its point rule gives the image point x: -z for 1F1 at
-    Re z < 0 (Kummer's map, G = F_{-theta,alpha}, whose terms at -z do
-    not alternate and cancel), z/(z-1) for 2F1 where |z/(z-1)| < |z|
+
+def _f_jet(p):
+    """The raw jet of F at a checked parameter set p, at a finite complex z.
+
+    The row of p's kind in _MAPS is read here.  At each point its point
+    rule gives the image point x: -z for 1F1 at Re z < 0 (Kummer's map,
+    G = F_{-theta,alpha}, whose terms at -z do not alternate and
+    cancel), z/(z-1) for 2F1 where |z/(z-1)| < |z|
     (Pfaff's map, G = F_{alpha,-mu,-beta}, after the disc check), and
     none at every other point and every 0F1 point, which sum the series
     of p.  The jet is (F, F', ..., F^(order)).  Where no map is taken,
@@ -333,15 +344,12 @@ def prepare_f_norm(p):
     and (-1)^i C(k, i) (a+i)_(k-i) u^(k+i) for x = z/(z-1), u = 1/(1-z)
     (_pfaff_weights).  A sum of G that raises names z (_named).
     """
-    _check_params(p)
     point, image, weights = _MAPS[p.kind]
     # the kept streams of p and of its image, and the weights of the map,
     # each built at the first point that needs it
     direct, mapped, kept_weights = [], [], []
 
     def jet(z, order):
-        z = complex(z)
-        _check_point(z)
         x = point(z)
         if x is None:
             box, x = direct, z
@@ -369,7 +377,7 @@ def prepare_f_norm(p):
             return (out[0].scaled(scale),)
         return tuple([r.scaled(scale) for r in _combined_jet(rows, out)])
 
-    return _prepared(jet)
+    return jet
 
 
 def f_norm(p, z):
@@ -399,9 +407,8 @@ def prepare_f_second(p):
     by the product rule over z^a F_reflected, a = -alpha.  The j-th
     derivative of z^a is a (a-1) ... (a-j+1) z^(a-j), and 0 where that
     product vanishes, so that an integer a >= 0 has a jet at z = 0."""
-    _check_params(p)
-    p = _snap_alpha(p)
-    f = prepare_f_norm(_reflected(p)).jet
+    p = _snap_alpha(_params(p))
+    f = _f_jet(_reflected(p))
     a = -p.alpha
 
     def jet(z, order):
@@ -487,10 +494,8 @@ def _f2_I_prefactor(p):
 def prepare_f2_norm_I(p):
     """The callable z -> f2_norm_I(p, z), with its .jet(z, order):
     the jet of F, each entry scaled by the prefactor."""
-    if not isinstance(p, F2):
-        raise TypeError("f2_norm_I takes F2 parameters")
-    pref = _f2_I_prefactor(p)
-    f = prepare_f_norm(p).jet
+    pref = _f2_I_prefactor(_params(p, F2))
+    f = _f_jet(p)
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in f(z, order)]))
 
 

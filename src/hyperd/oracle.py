@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
                      PoleAtOrigin, RoutesDisagree)
-from .ffun import DEGENERACY_TOL, F0, _check_params, f_norm, prepare_f_norm
+from .ffun import DEGENERACY_TOL, F0, _params, f_norm, prepare_f_norm
 from .gammakit import digamma, near_int, near_nonpositive_int, recip_gamma
 from .series import EvalResult, principal_pow, sum_power_series
 from .dfun import _d_params, prepare_d_eval
@@ -161,8 +161,7 @@ def limit_alpha(p, z):
 def _prepare_limit_alpha(p):
     """The callable z -> limit_alpha(p, z), with the Connection route at
     each alpha = m + h of the ladder prepared once."""
-    _check_params(p)
-    m = near_int(p.alpha, DEGENERACY_TOL)
+    m = near_int(_params(p).alpha, DEGENERACY_TOL)
     if m is None:
         raise DomainError(f"limit_alpha needs integer m, got alpha={p.alpha!r}")
     hs = _LADDER

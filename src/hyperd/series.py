@@ -1,9 +1,14 @@
 """Series summation core and principal-branch elementary functions.
 
-The result contract: a public evaluator returns a finite value with a
-finite err_estimate, or raises a HyperdError.  _checked tests it where a
-result is handed back: by a prepared F, D or log solution and its .jet
-(_prepared), by the closures of ufun.prepare_u, and by ufun.bessel.
+Every public evaluator has one door, where it receives z and hands back
+its result: the point callable and .jet that _prepared builds (F, the
+second solution, F^I, D, D^I, the log solution), the closures of
+ufun.prepare_u, and ufun.bessel.  Arguments are checked on the way in:
+the parameter set once, when the evaluator is prepared (ffun._params),
+and z at the door (_point).  Results are checked on the way out: a
+finite value with a finite err_estimate, or a HyperdError (_checked).
+The raw jets behind the doors trust both, and an evaluator that needs
+another one composes its raw jet, not its door.
 
 The summation engine is generic: it consumes a coefficient generator and
 returns the partial sum together with an honest truncation-error estimate.
@@ -105,17 +110,28 @@ def _checked(r, z):
                       f"err_estimate {r.err_estimate}")
 
 
+def _point(z):
+    """complex(z), the point a door receives; DomainError unless it is
+    finite, so that no series is summed at a nan or infinite point."""
+    z = complex(z)
+    if cmath.isfinite(z):
+        return z
+    raise DomainError(f"z must be finite, got z = {z}")
+
+
 def _prepared(jet):
-    """z -> jet(z, 0)[0], a prepared evaluator's point callable; .jet is jet
-    too, its results passing _checked in a loop (half a comprehension's cost)."""
+    """z -> jet(z, 0)[0] and its .jet, the doors of the raw jet: z through
+    _point on the way in, each result through _checked on the way out
+    (.jet in a loop, half a comprehension's cost)."""
 
     def checked_jet(z, order):
+        z = _point(z)
         out = jet(z, order)
         for r in out:
             _checked(r, z)
         return out
 
-    at = lambda z: _checked(jet(z, 0)[0], z)
+    at = lambda z: _checked(jet(_point(z), 0)[0], z)
     at.jet = checked_jet
     return at
 
@@ -217,23 +233,6 @@ class LaurentExpansion(NamedTuple):
         """First n analytic-part coefficients as a list."""
         gen = self.tail_coeff()
         return [next(gen) for _ in range(n)]
-
-
-def _check_point(z):
-    """DomainError unless the complex z is finite, so that no series is
-    summed at a nan or infinite point."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"z must be finite, got z = {z}")
-
-
-def _check_finite(p):
-    """DomainError naming the first field of the parameter set p, a
-    NamedTuple, that is not finite."""
-    if all(map(cmath.isfinite, p)):
-        return
-    for name, v in zip(p._fields, p):
-        if not cmath.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {name} = {v}")
 
 
 def sum_power_series(coeff, z, max_terms=MAX_TERMS, start=0):

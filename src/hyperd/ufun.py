@@ -35,8 +35,10 @@ and D and its Gamma weights once per parameter set, and holds the point
 rule of all three kinds: it returns the closure of p's kind, so no kind
 is tested at a point.  Weights that a lone call takes only after its
 series are taken at the first point that gets that far, and a route the
-point rule picks is built at the first point that takes it.  Public functions may be called from any thread; a prepared
-callable belongs to the thread that made it.
+point rule picks is built at the first point that takes it.  The routes
+compose raw jets (ffun._f_jet, dfun._log_jet), so z and the result are
+checked once, by the closure (series).  Public functions may be called
+from any thread; a prepared callable belongs to the thread that made it.
 """
 
 import cmath
@@ -44,7 +46,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import d_eval, d_expand, prepare_log_solution
+from .dfun import _d_params, _log_jet, d_eval, d_expand
 from .errors import (
     BranchCut,
     DomainError,
@@ -59,20 +61,19 @@ from .ffun import (
     F0,
     F1,
     F2,
-    _check_params,
+    _f_jet,
     _named,
+    _params,
     _reflected,
     f2f0_asymptotic,
     f_norm,
-    prepare_f_norm,
 )
 from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
 from .series import (
     EvalResult,
-    _check_finite,
     _checked,
-    _check_point,
     _kept,
+    _point,
     _result,
     log_combo,
     log_negated,
@@ -156,7 +157,7 @@ def _connection(p):
     the Gamma weights are taken at the first point whose series succeed,
     and kept.  alpha is outside the band (_build_route)."""
     alpha = p.alpha
-    f_n, f_r = prepare_f_norm(p), prepare_f_norm(_reflected(p))
+    f_n, f_r = _f_jet(p), _f_jet(_reflected(p))
     weights = []
     if p.kind == "0f1":
         def terms(z, fn, fr):
@@ -191,7 +192,7 @@ def _connection(p):
     abs_s = abs(s)
 
     def u_at(z):
-        fn, fr = f_n(z), f_r(z)
+        fn, fr = f_n(z, 0)[0], f_r(z, 0)[0]
         c, t1, e1, t2, e2 = terms(z, fn, fr)
         err = abs(c) / abs_s * (e1 + e2) + _EPS * abs(c) / abs_s * (abs(t1) + abs(t2))
         return _result((c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags))
@@ -228,16 +229,16 @@ def _log_form(p):
                 f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
             )
         prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
-    w = prepare_log_solution(p)
+    w = _log_jet(_d_params(p))
     pref = []
     if not shift:
-        return lambda z: w(z).scaled(_kept(pref, prefactor))
+        return lambda z: w(z, 0)[0].scaled(_kept(pref, prefactor))
     flip = -1.0 if p.kind == "2f1" else 1.0
 
     def u_at(z):
         h = -z if flip < 0 else z
         try:
-            return _checked(w(z).scaled(_kept(pref, prefactor)).scaled(principal_pow(h, m)), z)
+            return _checked(w(z, 0)[0].scaled(_kept(pref, prefactor)).scaled(principal_pow(h, m)), z)
         except DomainError as exc:
             ell = log_negated(z) if flip < 0 else principal_log(z)
             return _folded(p, z, ell, f_norm(p, z), _kept(pref, prefactor), h, 1, flip, exc)
@@ -251,7 +252,7 @@ def _asymptotic(p):
     times (-z)^e for the 2F1 kind."""
     alpha = p.alpha
     if p.kind == "2f1":
-        f = prepare_f_norm(F2(alpha=-p.mu, beta=p.beta, mu=-alpha))
+        f = _f_jet(F2(alpha=-p.mu, beta=p.beta, mu=-alpha))
         e = (-1 - alpha - p.beta + p.mu) / 2
 
         def u_at(z):
@@ -260,7 +261,7 @@ def _asymptotic(p):
                     f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
                 )
             pref = _negated_pow(z, e)
-            return f(1.0 / z).scaled(pref)
+            return f(1.0 / z, 0)[0].scaled(pref)
 
         return u_at
     is_0f1 = p.kind == "0f1"
@@ -270,8 +271,6 @@ def _asymptotic(p):
         a, b = (1 + p.theta + alpha) / 2, (1 + p.theta - alpha) / 2
 
     def u_at(z):
-        z = complex(z)
-        _check_point(z)
         if not z:
             raise BranchCut(f"the expansion about infinity has no value at z = {z}")
         if is_0f1:
@@ -305,8 +304,8 @@ def prepare_u(p, route=None):
     """The callable z -> U at the parameter set p (F0, F1 or F2) and z.
 
     route is a URoute or its value.  A given route is taken at every z,
-    as complex(z) so that its errors name z as the point rules' do; the
-    0F1 and 1F1 kinds build it here.  Without one, the point rule of
+    as series._point(z) so that its errors name z as the point rules' do;
+    the 0F1 and 1F1 kinds build it here.  Without one, the point rule of
     p's kind, one closure each, picks the route at each z:
 
     - 0F1 and 1F1: a far point (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30
@@ -324,20 +323,18 @@ def prepare_u(p, route=None):
     alpha picks (an alpha in the gap band, a vanishing prefactor), nor a
     2F1 point on the cut, which raises BranchCut.
     """
-    _check_params(p)
-    p = type(p)(*map(complex, p))
-    _check_finite(p)
+    p = type(p)(*map(complex, _params(p)))
     route = None if route is None else URoute(route)
     chosen = []  # the given or alpha-picked route
     if p.kind != "2f1":
         if route is not None:
             given = _build_route(p, route)
-            return lambda z: _checked(given(complex(z)), z)
+            return lambda z: _checked(given(_point(z)), z)
         far = _asymptotic(p)
         radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
 
         def u_at(z):
-            z = complex(z)
+            z = _point(z)
             r = _far_value(far, radius, z)
             return _checked(r if r is not None else _kept(chosen, _build_route, p, None)(z), z)
 
@@ -345,8 +342,7 @@ def prepare_u(p, route=None):
     outer = []  # the 1/z series
 
     def u2_at(z):
-        z = complex(z)
-        _check_point(z)
+        z = _point(z)
         if z.imag == 0.0 and z.real >= 0.0:
             raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
         if route is None and abs(z) > F2_SERIES_RADIUS:
@@ -414,8 +410,7 @@ def bessel(kind, m, z):
         raise DomainError(f"bessel order m must be finite, got m = {m}")
     if m != int(m):
         raise ValueError(f"bessel order must be an integer, got {m}")
-    z = complex(z)
-    _check_point(z)
+    z = _point(z)
     try:
         return _checked(_bessel(kind, int(m), z), z)
     except HyperdError as exc:

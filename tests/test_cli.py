@@ -363,7 +363,7 @@ def test_a_value_past_a_double_exits_2_with_a_domain_error(capsys):
 @pytest.mark.parametrize("argv,needle", [
     (["--eq", "0f1", "--alpha", "nan", "--z", "0.5"], "alpha must be finite"),
     (["--eq", "0f1", "--func", "D", "--alpha", "nan", "--z", "0.5"],
-     "not finite"),
+     "alpha must be finite"),
     (["--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "nan",
       "--z", "0.5"], "alpha must be finite"),
     (["--eq", "1f1", "--m", "1", "--theta", "0.7", "--z", "nan"],
@@ -373,6 +373,8 @@ def test_a_value_past_a_double_exits_2_with_a_domain_error(capsys):
     (["--eq", "0f1", "--m", "200", "--z", "0.5"], "m = 200"),
     (["--eq", "0f1", "--func", "U", "--m", "-171", "--z", "0.5"],
      "m = -171"),
+    (["--eq", "2f1", "--func", "DI", "--m", "1", "--beta", "nan", "--mu", "0.2",
+      "--z", "0.5"], "beta must be finite"),
 ])
 def test_non_finite_and_out_of_range_input_is_a_domain_error(argv, needle,
                                                             capsys):

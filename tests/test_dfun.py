@@ -253,8 +253,11 @@ def test_d_eval_I_prefactor_and_kind_guard():
     base = _values(prepare_d_eval(spec).jet(z, 2))
     for u, v in zip(jet, base):
         assert _rel(u, pref * v) < 1e-14
-    with pytest.raises(ValueError):
+    # the wrong kind is a TypeError, as for f2_norm_I
+    with pytest.raises(TypeError, match="unsupported parameter type F0"):
         d_eval_I(F0(1), z)
+    with pytest.raises(TypeError, match="unsupported parameter type F1"):
+        d_eval_I(F1(0.3, 1), z)
 
 
 def test_deep_argument_does_not_overflow():

@@ -264,6 +264,9 @@ def test_f2_norm_I_prefactor():
     ca = (1 + 0.4 - 0.3 + 0.2) / 2
     want = gamma(a) * gamma(ca) * f_norm(p, z).value
     assert _rel(f2_norm_I(p, z).value, want) < 1e-14
+    # the wrong kind is a TypeError, as for d_eval_I
+    with pytest.raises(TypeError, match="unsupported parameter type F1"):
+        f2_norm_I(F1(0.3, 1), z)
 
 
 def test_f2_norm_I_singular_prefactor():

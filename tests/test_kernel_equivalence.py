@@ -92,10 +92,13 @@ class _Counted:
 
 
 def _outcome(fn, coeffs, z, max_terms, start, replayed):
-    """(repr of the result or exception, coefficients pulled); a sum
-    or an error estimate that is not finite maps to DomainError.  With
-    replayed, fn reads a _replay copy over the counted stream."""
+    """(the result or exception, its error estimate, coefficients pulled):
+    a result as (repr(value), terms_used, flags) and repr(err_estimate),
+    an exception with None for the estimate; a sum or an error estimate
+    that is not finite maps to DomainError.  With replayed, fn reads a
+    _replay copy over the counted stream."""
     src = _Counted(coeffs)
+    est = None
     try:
         r = fn(_replay(src)() if replayed else src, z, max_terms, start)
     except NoConvergence as exc:
@@ -106,16 +109,19 @@ def _outcome(fn, coeffs, z, max_terms, start, replayed):
         assert f"at z = {complex(z)}" in str(exc)
         out = "DomainError"
     else:
-        finite = cmath.isfinite(r.value) and math.isfinite(r.err_estimate)
-        out = repr(r) if finite else "DomainError"
-    return out, src.pulled
+        if cmath.isfinite(r.value) and math.isfinite(r.err_estimate):
+            out, est = (repr(r.value), r.terms_used, r.flags), repr(r.err_estimate)
+        else:
+            out = "DomainError"
+    return out, est, src.pulled
 
 
 def _assert_same(coeffs, z, max_terms, start):
-    want, want_pulled = _outcome(_reference, coeffs(), z, max_terms, start, False)
+    want, want_est, want_pulled = _outcome(_reference, coeffs(), z, max_terms, start, False)
     for replayed in (False, True):
-        got, got_pulled = _outcome(sum_power_series, coeffs(), z, max_terms, start, replayed)
+        got, got_est, got_pulled = _outcome(sum_power_series, coeffs(), z, max_terms, start, replayed)
         assert got == want
+        assert got_est == want_est
         if got == "DomainError":
             # the kernel stops at the group where the sum turned non-finite
             assert got_pulled <= want_pulled

@@ -5,9 +5,11 @@ Each rule compares z with a bound: the 2F1 series of F and D stop at
 U0_FAR_RADIUS or U1_FAR_RADIUS, and u2 takes its 1/z series at
 |z| >= 1/0.95.  Every point below sits on such a bound or one ulp to
 either side of it (the edges of Kummer's and Pfaff's maps are inputs of
-test_maps).  Its pin is a digest of what a lone call returns or raises
-(the jet to order 2 for F and D), and its side names the rule it takes
-there, checked against that rule's own evaluation.  A prepared u0
+test_maps).  Its pins are two digests of what a lone call returns or
+raises (the jet to order 2 for F and D): one of the values, terms and
+flags, or of the error, and one of the error estimates, so that a change
+to the estimates alone fails only the second.  Its side names the rule
+it takes there, checked against that rule's own evaluation.  A prepared u0
 or u1 serves near, far and fall-back points in either order with the
 bits of a lone call.  ffun._named renames an error raised at an image
 point, with and without a scale.
@@ -22,19 +24,37 @@ import pytest
 from hyperd.dfun import prepare_d_eval
 from hyperd.errors import BranchCut, DomainError, HyperdError, NoConvergence
 from hyperd.ffun import F0, F1, F2, _named, _seed, prepare_f_norm
-from hyperd.series import sum_power_series
+from hyperd.series import EvalResult, sum_power_series
 from hyperd.ufun import U0_FAR_RADIUS, U1_FAR_RADIUS, URoute, prepare_u, u0, u1, u2
 
 
 def _outcome(call):
+    """What call returns, a result or a jet, as two strings: the value,
+    terms and flags of each result, and the error estimate of each; or
+    the error it raises, and an empty string."""
     try:
-        return repr(call())
+        out = call()
     except HyperdError as exc:
-        return "%s: %s" % (type(exc).__name__, exc)
+        return "%s: %s" % (type(exc).__name__, exc), ""
+    rs = (out,) if isinstance(out, EvalResult) else out
+    return (repr([(r.value, r.terms_used, sorted(r.flags)) for r in rs]),
+            repr([r.err_estimate for r in rs]))
+
+
+def _same(got, want, z):
+    assert got[0] == want[0], z  # values, terms and flags, or the error
+    assert got[1] == want[1], z  # error estimates
 
 
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pinned(outs, pin, z=None):
+    """The outcomes outs, joined, against pin: a value digest and an
+    estimate digest, each in its own assertion."""
+    assert _digest("\n".join(o[0] for o in outs)) == pin[0], z
+    assert _digest("\n".join(o[1] for o in outs)) == pin[1], z
 
 
 def _around(x):
@@ -55,28 +75,34 @@ DISC = [
     (complex(-0.9013878188659973, 0.3), "map"),
     (complex(-0.9013878188659974, 0.3), "raises"),
 ]
+# (value digest, estimate digest) per point of DISC; a point that raises
+# has the digest of "" for its estimates
 DISC_F = {
-    F2(0.3, 0.2, 0.1): ["1e2f01829c735f2c", "ae053e63d174ed02", "d5865d5d9d62920c",
-                        "232d515c2e767a56", "e63a2fb2b629dac6", "d5865d5d9d62920c"],
-    F2(1, 0.3, 0.2): ["661435b34464ce95", "63c14501b0f79386", "d5865d5d9d62920c",
-                      "3789d476b173fb41", "0c5b79f053600324", "d5865d5d9d62920c"],
+    F2(0.3, 0.2, 0.1): [("06532d5c84cf6127", "a5ae52d352c366bc"), ("a844da87ce592dac", "b629311c34cc328d"),
+                        ("d5865d5d9d62920c", "e3b0c44298fc1c14"), ("024c92d9bccadd54", "f4b985e15b6583f3"),
+                        ("ec25a0dcc75bf585", "403e1ca7f3e60495"), ("d5865d5d9d62920c", "e3b0c44298fc1c14")],
+    F2(1, 0.3, 0.2): [("4cb985ae6148caa4", "d445f2ea883f9a3d"), ("e009a2bb59c65d63", "1e8959557a34fe26"),
+                      ("d5865d5d9d62920c", "e3b0c44298fc1c14"), ("a7c1d655333d7081", "9024f61a387021a1"),
+                      ("d8a42fae9deea672", "fd5e79dab97f8468"), ("d5865d5d9d62920c", "e3b0c44298fc1c14")],
 }
 DISC_D = {
-    F2(1, 0.3, 0.2): ["a15ba6a59202df52", "779e044fd4bf3fa1", "f591fd12eba560c3",
-                      "2031e9e938dd9a97", "155757a9fd2085a7", "f591fd12eba560c3"],
-    F2(-2, 0.3, 0.25): ["724f4313c988cf2e", "d37f72e594b43519", "f591fd12eba560c3",
-                        "98cfd4073b81f367", "c45f18884f28c627", "f591fd12eba560c3"],
+    F2(1, 0.3, 0.2): [("3c76041f2730ca1b", "47cb30279b808f4c"), ("eb5050e45099bbb5", "ef64f8afcc5f5341"),
+                      ("f591fd12eba560c3", "e3b0c44298fc1c14"), ("27380e147028bf04", "ad03ff1b3313126e"),
+                      ("807b870f2981c02a", "a1de1eba1c02a69a"), ("f591fd12eba560c3", "e3b0c44298fc1c14")],
+    F2(-2, 0.3, 0.25): [("5f8d181f823b2153", "bb2ae77716b82418"), ("730589959831089e", "ff8fbe278928dff2"),
+                        ("f591fd12eba560c3", "e3b0c44298fc1c14"), ("27a165d067371a5c", "995fc4a548958977"),
+                        ("a81e1ebc39418fc2", "10dde53afef94126"), ("f591fd12eba560c3", "e3b0c44298fc1c14")],
 }
 
 
 def _direct(p, z):
     start, gen = _seed(p)
-    return repr(sum_power_series(gen(), z, start=start))
+    return _outcome(lambda: sum_power_series(gen(), z, start=start))
 
 
 def _f_side(p, z):
-    got = prepare_f_norm(p)(z)
-    return "direct" if repr(got) == _direct(p, z) else "map"
+    got = _outcome(lambda: prepare_f_norm(p)(z))
+    return "direct" if got == _direct(p, z) else "map"
 
 
 @pytest.mark.parametrize("p", list(DISC_F))
@@ -85,18 +111,18 @@ def test_disc_edge_of_f(p):
     for (z, side), pin in zip(DISC, DISC_F[p]):
         got = _outcome(lambda: prepare_f_norm(p).jet(z, 2))
         if side == "raises":
-            assert got.startswith("DomainError: 2F1 direct series restricted to |z| <= 0.95"), z
+            assert got[0].startswith("DomainError: 2F1 direct series restricted to |z| <= 0.95"), z
         else:
             assert _f_side(p, z) == side, z
-        assert _digest(got) == pin, z
+        _pinned([got], pin, z)
 
 
 @pytest.mark.parametrize("p", list(DISC_D))
 def test_disc_edge_of_d(p):
     for (z, side), pin in zip(DISC, DISC_D[p]):
         got = _outcome(lambda: prepare_d_eval(p).jet(z, 2))
-        assert got.startswith("DomainError: 2F1 D series restricted to |z| <= 0.95") == (side == "raises"), z
-        assert _digest(got) == pin, z
+        assert got[0].startswith("DomainError: 2F1 D series restricted to |z| <= 0.95") == (side == "raises"), z
+        _pinned([got], pin, z)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +152,10 @@ PAST = [complex(0.0, 30.0), complex(-0.0, 30.0), complex(5e-324, 30.0)]
 # alpha = 0.37, whose expansion falls short there
 KEPT = ["near", "far", "far"] * 2 + ["near", "near", "far"]
 U_EDGES = [
-    (u0, (2,), U0_EDGES + PAST, KEPT, "0939b758d38059b1"),
-    (u0, (0.37,), U0_EDGES + PAST, KEPT, "2813f635ce484692"),
-    (u1, (0.7, 2), U1_EDGES + PAST, KEPT, "31b6c8a6ab6bd42a"),
-    (u1, (0.7, 0.37), U1_EDGES + PAST, ["near"] * 8 + ["far"], "c064c7064c43c7dc"),
+    (u0, (2,), U0_EDGES + PAST, KEPT, ("ca31a7c7ddb2a7a5", "913203561f14b712")),
+    (u0, (0.37,), U0_EDGES + PAST, KEPT, ("c9973775ed25a96c", "b69a353bc7ec5275")),
+    (u1, (0.7, 2), U1_EDGES + PAST, KEPT, ("b285f3f722c14ef8", "0c0f7c63d67b9321")),
+    (u1, (0.7, 0.37), U1_EDGES + PAST, ["near"] * 8 + ["far"], ("43e9eccb6dc3b825", "07a2e1a57ce37251")),
 ]
 
 
@@ -139,7 +165,7 @@ def _u_side(fn, args, z):
         return "far"
     alpha = args[-1]
     near = URoute.LOG_PLUS_D if alpha == round(alpha) else URoute.CONNECTION
-    assert got == _outcome(lambda: fn(*args, z, near)), z
+    _same(got, _outcome(lambda: fn(*args, z, near)), z)
     return "near"
 
 
@@ -149,7 +175,7 @@ def test_far_radius_edge(fn, args, zs, sides, pin):
     assert [abs(z) for z in zs[:6]] == _around(radius) * 2
     for z, side in zip(zs, sides):
         assert _u_side(fn, args, z) == side, z
-    assert _digest("\n".join(_outcome(lambda: fn(*args, z)) for z in zs)) == pin
+    _pinned([_outcome(lambda: fn(*args, z)) for z in zs], pin)
 
 
 U2_EDGES = [complex(1.0225131984464697, 0.25), complex(1.02251319844647, 0.25),
@@ -158,7 +184,8 @@ U2_EDGES = [complex(1.0225131984464697, 0.25), complex(1.02251319844647, 0.25),
             complex(0.9013878188659972, 0.3), complex(0.9013878188659973, 0.3),
             complex(0.9013878188659974, 0.3)]
 U2_SIDES = ["raises", "outer", "outer"] * 2 + ["series", "series", "raises"]
-U2_PINS = {(2, 0.3, 0.2): "b72340316ef37dc5", (0.37, 0.3, 0.2): "456cc54e31da8b5c"}
+U2_PINS = {(2, 0.3, 0.2): ("39e71704249ebcec", "f8849ffaebe66b32"),
+           (0.37, 0.3, 0.2): ("aaaca7364ac72930", "b33145736b145432")}
 
 
 @pytest.mark.parametrize("args", list(U2_PINS))
@@ -168,14 +195,14 @@ def test_ladder_edge_of_u2(args):
     for z, side in zip(U2_EDGES, U2_SIDES):
         got = _outcome(lambda: u2(*args, z))
         if side == "raises":
-            assert got.startswith("DomainError: neither |z| <= 0.95 nor |1/z| <= 0.95"), z
+            assert got[0].startswith("DomainError: neither |z| <= 0.95 nor |1/z| <= 0.95"), z
         elif side == "outer":
-            assert got == _outcome(lambda: u2(*args, z, URoute.ASYMPTOTIC_2F0)), z
+            _same(got, _outcome(lambda: u2(*args, z, URoute.ASYMPTOTIC_2F0)), z)
         else:
             near = URoute.LOG_PLUS_D if args[0] == 2 else URoute.CONNECTION
-            assert got == _outcome(lambda: u2(*args, z, near)), z
+            _same(got, _outcome(lambda: u2(*args, z, near)), z)
         outs.append(got)
-    assert _digest("\n".join(outs)) == U2_PINS[args]
+    _pinned(outs, U2_PINS[args])
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +225,18 @@ def test_a_prepared_u_serves_each_point_as_a_lone_call(p, fn, args, zs):
     for order in (zs, zs[::-1]):
         at = prepare_u(p)
         for z in order:
-            assert _outcome(lambda: at(z)) == want[z], z
+            _same(_outcome(lambda: at(z)), want[z], z)
 
 
 def test_served_points_take_both_rules():
     # each case of SERVED has a near point and a far point, and the
     # fall-back cases a far point that takes the near route
     for fn, args, z in ((u0, (5,), 21.0), (u1, (0.7, 12), 20.0)):
-        assert repr(fn(*args, z)) == repr(fn(*args, z, URoute.LOG_PLUS_D))
-        assert repr(fn(*args, z)) != repr(fn(*args, z, URoute.ASYMPTOTIC_2F0))
+        got = _outcome(lambda: fn(*args, z))
+        _same(got, _outcome(lambda: fn(*args, z, URoute.LOG_PLUS_D)), z)
+        assert got[0] != _outcome(lambda: fn(*args, z, URoute.ASYMPTOTIC_2F0))[0], z
     for fn, args, z in ((u0, (5,), 60.0), (u1, (0.7, 12), 60.0), (u0, (2,), 30.0)):
-        assert repr(fn(*args, z)) == repr(fn(*args, z, URoute.ASYMPTOTIC_2F0))
+        _same(_outcome(lambda: fn(*args, z)), _outcome(lambda: fn(*args, z, URoute.ASYMPTOTIC_2F0)), z)
 
 
 # ---------------------------------------------------------------------------

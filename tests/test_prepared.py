@@ -31,6 +31,7 @@ from hyperd import (
 )
 from hyperd import cli
 from hyperd.errors import HyperdError
+from hyperd.oracle import limit_alpha
 from hyperd.ufun import URoute
 
 PARAMS = {"0f1": F0, "1f1": F1, "2f1": F2}
@@ -291,36 +292,44 @@ def test_prepared_routes_stay_per_point():
 
 # ---------------------------------------------------------------------------
 # non-finite input: parameters are checked when a parameter set is
-# prepared, z at each point, and neither reaches a summation loop
+# prepared, z at each point, and neither reaches a summation loop.  Each
+# case names the argument it reports: a parameter by its field, and a
+# parameter before z where both are not finite
 
 NAN = float("nan")
 INF = float("inf")
 
 NON_FINITE = [
-    ("f_norm alpha", lambda: f_norm(F0(NAN), 0.5)),
-    ("f_norm theta", lambda: f_norm(F1(NAN, 0.5), 0.5)),
-    ("f_norm mu", lambda: f_norm(F2(0.5, 0.3, INF), 0.5)),
-    ("f_norm z", lambda: f_norm(F0(0.5), NAN)),
-    ("f_norm inf z", lambda: f_norm(F1(0.7, 2), complex(INF, 1.0))),
-    ("f_second alpha", lambda: f_second(F0(NAN), 0.5)),
-    ("f2_norm_I beta", lambda: f2_norm_I(F2(0.5, NAN, 0.2), 0.5)),
-    ("d_eval theta", lambda: d_eval(F1(NAN, 1), 0.5)),
-    ("d_eval alpha", lambda: d_eval(F0(NAN), 0.5)),
-    ("d_eval z", lambda: d_eval(F0(1), NAN)),
-    ("log_solution z", lambda: log_solution(F1(0.7, 1), complex(1.0, INF))),
-    ("u0 alpha", lambda: u0(NAN, 0.5)),
-    ("u0 alpha asymptotic", lambda: u0(NAN, 0.5, URoute.ASYMPTOTIC_2F0)),
-    ("u0 z asymptotic", lambda: u0(0.5, INF, URoute.ASYMPTOTIC_2F0)),
-    ("u1 alpha", lambda: u1(0.7, NAN, 2)),
-    ("u1 theta asymptotic", lambda: u1(NAN, 1, 2, URoute.ASYMPTOTIC_2F0)),
-    ("u1 z", lambda: u1(0.7, 1, NAN)),
-    ("u2 mu", lambda: u2(0.5, 0.3, NAN, -0.4)),
-    ("u2 z", lambda: u2(1, 0.3, 0.2, complex(-INF, 1.0))),
+    ("f_norm alpha", lambda: f_norm(F0(NAN), 0.5), "alpha"),
+    ("f_norm theta", lambda: f_norm(F1(NAN, 0.5), 0.5), "theta"),
+    ("f_norm mu", lambda: f_norm(F2(0.5, 0.3, INF), 0.5), "mu"),
+    ("f_norm z", lambda: f_norm(F0(0.5), NAN), "z"),
+    ("f_norm inf z", lambda: f_norm(F1(0.7, 2), complex(INF, 1.0)), "z"),
+    ("f_norm alpha and z", lambda: f_norm(F0(NAN), NAN), "alpha"),
+    ("f_second alpha", lambda: f_second(F0(NAN), 0.5), "alpha"),
+    ("f_second alpha and z", lambda: f_second(F0(NAN), NAN), "alpha"),
+    ("f2_norm_I beta", lambda: f2_norm_I(F2(0.5, NAN, 0.2), 0.5), "beta"),
+    ("f2_norm_I inf beta", lambda: f2_norm_I(F2(0.5, INF, 0.2), 0.5), "beta"),
+    ("d_eval theta", lambda: d_eval(F1(NAN, 1), 0.5), "theta"),
+    ("d_eval alpha", lambda: d_eval(F0(NAN), 0.5), "alpha"),
+    ("d_eval z", lambda: d_eval(F0(1), NAN), "z"),
+    ("d_eval_I beta", lambda: d_eval_I(F2(1, NAN, 0.2), 0.5), "beta"),
+    ("log_solution theta", lambda: log_solution(F1(NAN, 1), 0.5), "theta"),
+    ("log_solution z", lambda: log_solution(F1(0.7, 1), complex(1.0, INF)), "z"),
+    ("limit_alpha alpha", lambda: limit_alpha(F0(NAN), 0.5), "alpha"),
+    ("u0 alpha", lambda: u0(NAN, 0.5), "alpha"),
+    ("u0 alpha asymptotic", lambda: u0(NAN, 0.5, URoute.ASYMPTOTIC_2F0), "alpha"),
+    ("u0 z asymptotic", lambda: u0(0.5, INF, URoute.ASYMPTOTIC_2F0), "z"),
+    ("u1 alpha", lambda: u1(0.7, NAN, 2), "alpha"),
+    ("u1 theta asymptotic", lambda: u1(NAN, 1, 2, URoute.ASYMPTOTIC_2F0), "theta"),
+    ("u1 z", lambda: u1(0.7, 1, NAN), "z"),
+    ("u2 mu", lambda: u2(0.5, 0.3, NAN, -0.4), "mu"),
+    ("u2 z", lambda: u2(1, 0.3, 0.2, complex(-INF, 1.0)), "z"),
 ]
 
 
-@pytest.mark.parametrize("name,call", NON_FINITE, ids=[n for n, _ in NON_FINITE])
-def test_non_finite_input_is_a_domain_error(name, call, monkeypatch):
+@pytest.mark.parametrize("name,call,field", NON_FINITE, ids=[n for n, _, _ in NON_FINITE])
+def test_non_finite_input_is_a_domain_error(name, call, field, monkeypatch):
     from hyperd import dfun, ffun, ufun
     from hyperd.errors import DomainError
 
@@ -330,7 +339,7 @@ def test_non_finite_input_is_a_domain_error(name, call, monkeypatch):
     for mod, fn in ((ffun, "sum_power_series"), (dfun, "sum_power_series"),
                     (ufun, "f2f0_asymptotic")):
         monkeypatch.setattr(mod, fn, no_sum)
-    with pytest.raises(DomainError, match="finite"):
+    with pytest.raises(DomainError, match=f"^{field} must be finite, got {field} = "):
         call()
 
 

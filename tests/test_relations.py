@@ -1,5 +1,6 @@
 """The relation catalog: structure, spot checks, sweeps and ladders."""
 
+import math
 import pickle
 import random
 
@@ -132,6 +133,17 @@ def test_unknown_and_inapplicable(catalog):
                        {"m": 1.5, "beta": 0.3, "mu": 0.2}, 0.4, catalog)
     with pytest.raises(Inapplicable):
         check_relation("q.sasa3", {"m": 0.5, "beta": 0.3}, 0.4, catalog)
+    # a D at the parameters or at a shift is singular: a = (1+m+theta)/2 = 0
+    # at m = 1, theta = -2, and b = (1+m+beta+mu)/2 = 1 for the 2F1 row
+    with pytest.raises(Inapplicable):
+        check_relation("f1.recurD.raise-up", {"m": 1, "theta": -2.0}, 0.3, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("f2.contigDI.c3", {"m": 1, "beta": 0.5, "mu": -0.5}, 0.3, catalog)
+    # an m that int() refuses is not an integer
+    with pytest.raises(Inapplicable):
+        check_relation("f0.contiguity", {"m": math.inf}, 0.3, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("f0.contiguity", {"m": "x"}, 0.3, catalog)
     with pytest.raises(UnknownRelation):
         sweep_catalog(catalog, n=1, ids=["no.such"])
 

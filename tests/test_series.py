@@ -122,8 +122,9 @@ def test_no_public_function_takes_a_tolerance():
     fns += [getattr(mod, name) for mod in (ffun, dfun, ufun)
             for name in dir(mod) if name.startswith("prepare_")]
     fns += [getattr(oracle, name) for name in oracle.__all__]
-    fns = [f for f in fns if inspect.isfunction(f)]
-    assert len(fns) > 40
+    # each function once, however many modules bind it
+    fns = list(dict.fromkeys(f for f in fns if inspect.isfunction(f)))
+    assert len(fns) >= 35
     kernels = (sum_power_series, ffun.f2f0_asymptotic)
     for f in kernels:
         assert "max_terms" in inspect.signature(f).parameters

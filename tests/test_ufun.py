@@ -561,6 +561,18 @@ def test_u_that_overflows_is_a_domain_error_naming_z(call, msg):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: u0(0.3 + 300j, 1.0),
+    lambda: u1(0.5, 0.3 + 300j, 1.0),
+    lambda: u2(0.3 + 300j, 0.3, 0.2, -0.5),
+], ids=["u0", "u1", "u2"])
+def test_connection_sin_overflow_is_a_domain_error(call):
+    # sin(pi alpha) at |Im alpha| = 300 is past a double, for every kind
+    with pytest.raises(DomainError, match=re.escape(
+            "sin(pi alpha) of the Connection route overflows a double at alpha = (0.3+300j)")):
+        call()
+
+
 @pytest.mark.parametrize("u, ref, args", [
     (u1, _u1_ref, (0.3, -170, -0.017 - 0.0575j)),
     (u2, _u2_ref, (-170, 0.3, 0.2, -0.01 + 0.02j)),
