@@ -40,7 +40,7 @@ from .errors import DomainError, HyperdError
 from .ffun import (F0, F1, F2, PARAMS_BY_KIND, prepare_f2_norm_I,
                    prepare_f_norm, prepare_f_second)
 from .dfun import prepare_d_eval, prepare_d_eval_I, prepare_log_solution
-from .series import MAX_TERMS, REL_TOL, _kept
+from .series import MAX_TERMS, REL_TOL
 from .ufun import URoute, bessel, prepare_u, u0
 from . import oracle, relations
 
@@ -184,7 +184,7 @@ def _resolve_params(args):
     Exactly one convention may be given; the other is derived once.  A
     flag the request does not use is a DomainError naming it: --m
     together with --alpha, a parameter the kind lacks, and --route for a
-    --func other than U.
+    --func other than U.  So is a --func that the --eq does not take.
     """
     lie_given = [k for k in ("alpha", "m", "theta", "beta", "mu")
                  if getattr(args, k) is not None]
@@ -217,6 +217,8 @@ def _resolve_params(args):
         if None in values.values():
             raise DomainError("%s needs %s" % (eq, _flags(extra)))
         p = cls(alpha=alpha, **values)
+    if args.func in ("FI", "DI") and eq != "2f1":
+        raise DomainError("--func %s is defined for --eq 2f1 only" % (args.func,))
     lie = {"alpha": p.alpha, **{k: getattr(p, k) for k in extra}}
     return lie, dict(zip(names, p.to_classical()))
 
@@ -230,26 +232,12 @@ _PREPARE = {"F": prepare_f_norm, "second": prepare_f_second,
 
 
 def _evaluator(args, lie):
-    """The request's callable of one point.
-
-    A fault of the request itself (an --eq that --func does not take) is
-    raised here.  The parameter set is prepared once, at the first point:
-    its faults (a D order that is not an integer, a singular D) come
-    after those of the point list, as when each point is evaluated
-    alone.
-    """
-    eq = args.eq
-    func = args.func
-
-    if func in ("FI", "DI") and eq != "2f1":
-        raise DomainError("--func %s is defined for --eq 2f1 only" % (func,))
-    if func not in _PREPARE:
-        raise DomainError("unknown function %r" % (func,))
-    prepare = functools.partial(_PREPARE[func], PARAMS_BY_KIND[eq](**lie))
-    if func == "U":
-        prepare = functools.partial(prepare, args.route)
-    at = []
-    return lambda z: _kept(at, prepare)(z)
+    """The request's callable of one point, prepared here: the parameter
+    set's faults (a D order that is not an integer, a singular D) come
+    after those of the request and of its point list, as when each point
+    is evaluated alone."""
+    prepare, p = _PREPARE[args.func], PARAMS_BY_KIND[args.eq](**lie)
+    return prepare(p, args.route) if args.func == "U" else prepare(p)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +266,7 @@ _JSON_ROW = ('{"z_re":%s,"z_im":%s,"value_re":%s,"value_im":%s,'
 
 def cmd_eval(args, stream):
     lie, classical = _resolve_params(args)
+    points = _points(args)
     evaluate = _evaluator(args, lie)
     as_json = args.format == "json"
     label = _json_float if as_json else "%.17g".__mod__
@@ -285,7 +274,7 @@ def cmd_eval(args, stream):
     # a nan key matches no other key.
     labels = {}
     rows = []
-    for z in _points(args):
+    for z in points:
         res = evaluate(z)
         v = res.value
         x, y = z.real, z.imag

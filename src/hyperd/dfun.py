@@ -26,7 +26,7 @@ Every function here takes the F0, F1 or F2 that F takes, at an alpha
 within DEGENERACY_TOL of the integer m: D_m is selected by F0(m),
 D_{theta,m} by F1(theta, m) and D_{m,beta,mu} by F2(m, beta, mu).  The
 parameters are checked once, when the expansion is built or an
-evaluator prepared (_d_params).
+evaluator prepared: ffun._params, then _d_params.
 
 As in ffun, every point function is its prepare function called at z:
 prepare_d_eval(p)(z) and so on, with the expansion built, the
@@ -51,7 +51,6 @@ from .ffun import (
     DEGENERACY_TOL,
     F1,
     F2,
-    EquationParams,
     _check_disc,
     _check_order,
     _f2_I_prefactor,
@@ -72,19 +71,20 @@ from .series import (
     sum_power_series,
 )
 
-def _d_params(p, cls=EquationParams):
-    """p with alpha set to its integer m, once p is checked to select a D.
+def _d_params(p):
+    """p, a parameter set that passed ffun._params, with alpha set to its
+    integer m once p is checked to select a D.
 
-    TypeError for an argument that is not a cls (ffun._params),
-    DomainError for a parameter that is not finite or an alpha farther
-    than DEGENERACY_TOL from every integer m, and ParameterSingular where
-    a digamma weight or a principal-part Pochhammer of D_|m| sits at a
-    pole: an integer a = (1+|m|+theta)/2 <= |m| for 1F1, an integer
-    a or b = (1+|m|+beta∓mu)/2 for 2F1, read from the classical
-    parameters at |m|.  An order beyond ffun.MAX_ORDER raises DomainError
-    when the expansion is built.
+    DomainError for an alpha farther than DEGENERACY_TOL from every
+    integer m, and ParameterSingular where a digamma weight or a
+    principal-part Pochhammer of D_|m| sits at a pole: an integer
+    a = (1+|m|+theta)/2 <= |m| for 1F1, an integer a or b =
+    (1+|m|+beta∓mu)/2 for 2F1, read from the classical parameters at |m|.
+    That set holds every pole of U's LogPlusD prefactor, 1/Gamma(a - |m|)
+    (1F1) and 1/(Gamma(1 - b) Gamma(a - |m|)) (2F1).  An order beyond
+    ffun.MAX_ORDER raises DomainError when the expansion is built.
     """
-    m = near_int(_params(p, cls).alpha, DEGENERACY_TOL)
+    m = near_int(p.alpha, DEGENERACY_TOL)
     if m is None:
         raise DomainError(f"this function needs integer m, got alpha={p.alpha!r}")
     mm = abs(m)
@@ -267,7 +267,7 @@ def d_expand(p):
     and no pole remains.  The iterators of tail_coeff replay one stream
     (series._replay): the expansion belongs to the thread that made it.
     """
-    principal, tail = _expand(_d_params(p))
+    principal, tail = _expand(_d_params(_params(p)))
     return LaurentExpansion(principal=principal, tail_coeff=tail)
 
 
@@ -290,7 +290,7 @@ def prepare_d_eval(p):
     for order 0, 1 or 2: the principal part differentiated exactly, the
     tail term by term over the same stream.  p is checked (_d_params) and
     the expansion built here."""
-    return _prepared(_d_jet(_d_params(p)))
+    return _prepared(_d_jet(_d_params(_params(p))))
 
 
 def _d_jet(p):
@@ -377,7 +377,7 @@ def prepare_log_solution(p):
     .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
     where (log z)' = 1/z on either cut.  Entry 0 is
     series.log_combo(ell, F, D)."""
-    return _prepared(_log_jet(_d_params(p)))
+    return _prepared(_log_jet(_d_params(_params(p))))
 
 
 def _log_jet(p):
@@ -409,7 +409,7 @@ def log_solution(p, z):
 def prepare_d_eval_I(p):
     """The callable z -> d_eval_I(p, z), with its
     .jet(z, order): the jet of D, each entry scaled by the prefactor."""
-    p = _d_params(p, F2)
+    p = _d_params(_params(p, F2))
     pref = _f2_I_prefactor(p)
     d = _d_jet(p)
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in d(z, order)]))

@@ -471,7 +471,7 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
                 raise DomainError(f"2F0 term is not finite at a = {a}, b = {b}, z = {z}: {t_next}")
             if n == 0 and abs(z) >= 1.0:
                 raise DivergedImmediately(
-                    f"first term of 2F0 already smallest at |z| = {abs(z):.6g}"
+                    f"first term of 2F0 already smallest at z = {z}"
                 )
             err = max(mag, n1 * _EPS * abs_sum)
             return _result((total, err, n1, _NO_FLAGS))

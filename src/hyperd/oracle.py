@@ -130,7 +130,7 @@ def inhom_residual(p, z):
     """|F(D) - RHS| at z for the D of p, at alpha = m, both sides via
     series derivatives; Inapplicable for m < 0 in the 1f1 and 2f1 kinds,
     where the forcing does not hold."""
-    p = _d_params(p)
+    p = _d_params(_params(p))
     if p.alpha < 0 and p.kind != "0f1":
         raise Inapplicable(
             f"the {p.kind} inhomogeneous equation holds for m >= 0, got m = {p.alpha}")

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
-from .ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f2_norm_I,
+from .ffun import (F0, F1, F2, PARAMS_BY_KIND, _params, f_norm, prepare_f2_norm_I,
                    prepare_f_norm)
 from .dfun import _d_params, d_eval, prepare_d_eval, prepare_d_eval_I
 from .gammakit import gamma
@@ -333,7 +333,7 @@ def _applicable(signature, kind=None, shifts=(), m_lo=None):
         if kind is not None:
             try:
                 for s in (None,) + shifts:
-                    _d_params(_f_params(kind, d, s))
+                    _d_params(_params(_f_params(kind, d, s)))
             except ParameterSingular:
                 return False
         return m_lo is None or d["m"] >= m_lo

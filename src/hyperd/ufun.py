@@ -8,6 +8,8 @@ Three evaluation routes are offered for each U:
   LogPlusD      integer alpha = m: prefactor * dfun.log_solution, that is
                 prefactor * (log z * F_m + D_m) (log(-z) for 2F1), the
                 closed degenerate form; the canonical route at integers.
+                The prefactor, 1/Gamma(a - c + 1) (DLMF 13.2.9), vanishes
+                only where D is undefined: the singular set is D's.
   Asymptotic2F0 the expansion about infinity (optimally truncated 2F0
                 for 0F1/1F1, the defining 1/z series for 2F1).
 
@@ -51,7 +53,6 @@ from .errors import (
     BranchCut,
     DomainError,
     HyperdError,
-    ParameterSingular,
     PoleAtOrigin,
     RouteInapplicable,
 )
@@ -68,7 +69,7 @@ from .ffun import (
     f2f0_asymptotic,
     f_norm,
 )
-from .gammakit import near_int, near_nonpositive_int, recip_gamma, sinpi
+from .gammakit import near_int, recip_gamma, sinpi
 from .series import (
     EvalResult,
     _checked,
@@ -206,30 +207,20 @@ def _log_form(p):
     h^|m| folded into D's principal part (_folded) where that raises
     DomainError; the error stands where the folded value overflows too.
     The prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.  alpha is an integer."""
+    solution succeeds, and kept.  alpha is an integer; _d_params rules on p."""
     m = p.m
     shift = m < 0 and p.kind != "0f1"
     if shift:
         m, p = -m, p._replace(alpha=-m)
+    w = _log_jet(_d_params(p))
     sign = (-1.0) ** (m + 1)
     if p.kind == "0f1":
         prefactor = lambda: sign / _SQRT_PI
     elif p.kind == "1f1":
-        q = (1 - m + p.theta) / 2
-        if near_nonpositive_int(q) is not None:
-            raise ParameterSingular(
-                f"LogPlusD prefactor 1/Gamma({q}) vanishes; degenerate-confluent case"
-            )
-        prefactor = lambda: sign * recip_gamma(q)
+        prefactor = lambda: sign * recip_gamma((1 - m + p.theta) / 2)
     else:
-        q1 = (1 - m - p.beta - p.mu) / 2
-        q2 = (1 - m + p.beta - p.mu) / 2
-        if near_nonpositive_int(q1) is not None or near_nonpositive_int(q2) is not None:
-            raise ParameterSingular(
-                f"LogPlusD prefactor 1/(Gamma({q1}) Gamma({q2})) vanishes"
-            )
+        q1, q2 = (1 - m - p.beta - p.mu) / 2, (1 - m + p.beta - p.mu) / 2
         prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
-    w = _log_jet(_d_params(p))
     pref = []
     if not shift:
         return lambda z: w(z, 0)[0].scaled(_kept(pref, prefactor))
@@ -249,7 +240,8 @@ def _log_form(p):
 def _asymptotic(p):
     """The Asymptotic2F0 route: the 2F0 expansion in x = -1/(4 sqrt z)
     (0F1) or x = -1/z (1F1) times its prefactor, the 2F1 series in 1/z
-    times (-z)^e for the 2F1 kind."""
+    times (-z)^e for the 2F1 kind.  An error raised at the expansion
+    variable names z (ffun._named)."""
     alpha = p.alpha
     if p.kind == "2f1":
         f = _f_jet(F2(alpha=-p.mu, beta=p.beta, mu=-alpha))
@@ -260,8 +252,11 @@ def _asymptotic(p):
                 raise DomainError(
                     f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
                 )
-            pref = _negated_pow(z, e)
-            return f(1.0 / z, 0)[0].scaled(pref)
+            pref, w = _negated_pow(z, e), 1.0 / z
+            try:
+                return f(w, 0)[0].scaled(pref)
+            except HyperdError as exc:
+                raise _named(exc, z, (w,), pref) from None
 
         return u_at
     is_0f1 = p.kind == "0f1"
@@ -278,7 +273,10 @@ def _asymptotic(p):
             pref, x = cmath.exp(-2.0 * sq) * principal_pow(z, e), -1.0 / (4.0 * sq)
         else:
             pref, x = principal_pow(z, -a), -1.0 / z
-        return f2f0_asymptotic(a, b, x).scaled(pref)
+        try:
+            return f2f0_asymptotic(a, b, x).scaled(pref)
+        except HyperdError as exc:
+            raise _named(exc, z, (x,)) from None
 
     return u_at
 
@@ -314,13 +312,13 @@ def prepare_u(p, route=None):
       a far point whose expansion raises or falls short, takes the route
       alpha picks.
     - 2F1, whose U is cut on [0, inf): the route alpha picks for |z| <=
-      F2_SERIES_RADIUS, the 1/z series for |1/z| <= F2_SERIES_RADIUS, and
-      DomainError between.  A given route is taken at every point off
-      the cut.
+      F2_SERIES_RADIUS and the 1/z series beyond, which raises
+      DomainError unless |1/z| <= F2_SERIES_RADIUS.  A given route is
+      taken at every point off the cut.
 
     A route is built at the first point that takes it, after the checks
     of that point: a far point does not raise the faults of the route
-    alpha picks (an alpha in the gap band, a vanishing prefactor), nor a
+    alpha picks (an alpha in the gap band, a singular D), nor a
     2F1 point on the cut, which raises BranchCut.
     """
     p = type(p)(*map(complex, _params(p)))
@@ -346,10 +344,6 @@ def prepare_u(p, route=None):
         if z.imag == 0.0 and z.real >= 0.0:
             raise BranchCut(f"2f1 U is cut on [0, inf), got z = {z}")
         if route is None and abs(z) > F2_SERIES_RADIUS:
-            if abs(z) < 1.0 / F2_SERIES_RADIUS:
-                raise DomainError(
-                    f"neither |z| <= {F2_SERIES_RADIUS} nor |1/z| <= {F2_SERIES_RADIUS} at z = {z}"
-                )
             return _checked(_kept(outer, _asymptotic, p)(z), z)
         return _checked(_kept(chosen, _build_route, p, route)(z), z)
 

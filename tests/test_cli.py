@@ -311,6 +311,9 @@ def test_fault_order_request_then_points_then_parameters(func, grid, message, ca
     (["--eq", "0f1", "--a", "1", "--b", "2", "--c", "3"], "--eq 0f1 --func F does not use --a, --b"),
     (["--eq", "0f1", "--func", "U", "--b", "2", "--c", "3", "--route", "LogPlusD"],
      "--eq 0f1 --func U does not use --b"),
+    # and a parameter the request needs is named where it is missing
+    (["--eq", "1f1", "--a", "0.5"], "1f1 classical form needs --a, --c"),
+    (["--eq", "0f1"], "missing --m or --alpha"),
 ])
 def test_an_unused_flag_is_an_error(command, argv, message, capsys):
     code, out, err = run([command] + argv + ["--grid=0.2:0.6:2,0:0:1"], capsys)
@@ -370,6 +373,8 @@ def test_a_value_past_a_double_exits_2_with_a_domain_error(capsys):
      "z must be finite"),
     (["--eq", "0f1", "--func", "logsol", "--m", "1",
       "--grid", "0.5:1e309:2,0.5:0.5:1"], "z must be finite"),
+    (["--eq", "0f1", "--alpha", "0.5", "--grid=0:1:0,0:0:1"],
+     "bad grid spec '0:1:0,0:0:1' (want re0:re1:n,im0:im1:m): grid axis needs at least one point"),
     (["--eq", "0f1", "--m", "200", "--z", "0.5"], "m = 200"),
     (["--eq", "0f1", "--func", "U", "--m", "-171", "--z", "0.5"],
      "m = -171"),

@@ -1,8 +1,10 @@
 """ffun.f2f0_asymptotic against its loop before each term's magnitude was
 taken once.
 
-_reference below is that loop verbatim: it takes abs(t_next), abs(t)
-and abs(t_next) again at every term.  Both must return the same repr,
+_reference below is that loop verbatim, except that its
+DivergedImmediately message is the function's, which names z so that
+ffun._named can rename it: it takes abs(t_next), abs(t) and abs(t_next)
+again at every term.  Both must return the same repr,
 or raise the same exception with the same message, on every finite
 input: the zero-term, DivergedImmediately and TruncationMaxed exits
 included.  A nan or infinite a, b or z, on which the loop ran out its
@@ -48,7 +50,7 @@ def _reference(a, b, z, max_terms=MAX_TERMS):
         if abs(t_next) >= abs(t):
             if n == 0 and abs(z) >= 1.0:
                 raise DivergedImmediately(
-                    f"first term of 2F0 already smallest at |z| = {abs(z):.6g}"
+                    f"first term of 2F0 already smallest at z = {z}"
                 )
             err = max(abs(t), (n + 1) * _EPS * abs_sum)
             return EvalResult(total, err, n + 1)

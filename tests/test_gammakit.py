@@ -157,6 +157,8 @@ def test_pochhammer_both_signs():
             assert abs(lhs - 1.0) < 1e-13
     with pytest.raises(PoleError):
         pochhammer(2.0, -3)
+    with pytest.raises(ValueError, match="pochhammer index must be an integer, got 1.5"):
+        pochhammer(0.5, 1.5)
 
 
 @pytest.mark.parametrize("z, k", [(0.5, 400), (1e300, 2), (math.inf, -1), (math.nan, 3),

@@ -181,9 +181,10 @@ PRECEDENCE = [
      "0.2:0.6:2,0:0:1", "BranchCut", "2f1 U is cut"),
     ("U", "2f1", {"alpha": 1.0, "beta": 1.5, "mu": 0.5}, "LogPlusD",
      "0.2:0.6:2,0:0:1", "BranchCut", "2f1 U is cut"),
-    # ... and the same parameters off the cut fail on the prefactor
+    # ... and the same parameters off the cut fail in D's check, since the
+    # prefactor vanishes only where D is undefined (b = 2)
     ("U", "2f1", {"alpha": 1.0, "beta": 1.5, "mu": 0.5}, None,
-     "-0.6:-0.2:2,0.1:0.1:1", "ParameterSingular", "LogPlusD prefactor"),
+     "-0.6:-0.2:2,0.1:0.1:1", "ParameterSingular", "integer classical parameter (a, b) = "),
     # the F^I prefactor comes before the disc check of the series
     ("FI", "2f1", {"alpha": 0.5, "beta": -3.3, "mu": 0.2}, None,
      "-1.2:-0.4:2,0.1:0.1:1", "ParameterSingular", "F^I prefactor"),

@@ -387,3 +387,14 @@ def test_sweep_evaluates_a_draw_that_breaks_the_sampler_contract(catalog):
 
     with pytest.raises(ZeroDivisionError, match="broken side"):
         sweep_record(rec._replace(rhs=broken), n=1)
+
+    # a record none of whose draws is usable gives up after 80 n draws
+    draws = []
+
+    def never(params, z):
+        draws.append(z)
+        raise ParameterSingular("never usable")
+
+    with pytest.raises(Inapplicable, match="cannot draw 2 applicable points for x.contract"):
+        sweep_record(rec._replace(lhs=never), n=2)
+    assert len(draws) == 160

@@ -17,6 +17,7 @@ import pytest
 from hyperd.dfun import d_eval, log_solution
 from hyperd.errors import (
     BranchCut,
+    DivergedImmediately,
     DomainError,
     HyperdError,
     ParameterSingular,
@@ -528,37 +529,47 @@ def test_bessel_errors_name_the_callers_z(kind, z, exc, msg):
         bessel(kind, 3, z)
 
 
-@pytest.mark.parametrize("call, msg", [
+@pytest.mark.parametrize("call, exc, msg", [
     # Pfaff's weight of F in the log solution overflowed with a raw
     # OverflowError
     (lambda: u2(17.6, 633 + 393j, 1e8, -5e-4 + 1.75e-3j),
-     "Pfaff's weight (1-z)**(-a) overflows a double at z = (-0.0005+0.00175j)"),
+     DomainError, "Pfaff's weight (1-z)**(-a) overflows a double at z = (-0.0005+0.00175j)"),
     # the log solution (about 1.2e257) times the prefactor 1/Gamma((1-170+theta)/2)
     # (about 1e127) gave -inf+inf*i with err_estimate inf and no flag
     (lambda: u1(1e-300, 170, -0.017 - 0.0575j),
-     "result is not finite at z = (-0.017-0.0575j)"),
+     DomainError, "result is not finite at z = (-0.017-0.0575j)"),
     # at m < 0 the U at -m (about 7.2e138) times z^170 (1e170) gave inf
     # with a finite err_estimate; the true value is about 7.2e308
     (lambda: u1(-169.63, -170, 10),
-     "result is not finite at z = (10+0j): (inf+0j)"),
+     DomainError, "result is not finite at z = (10+0j): (inf+0j)"),
     # a given route named z as the caller passed it ("at z = 20"), the
     # automatic route complex(z)
     (lambda: u1(-172.63, -170, 20, URoute.LOG_PLUS_D),
-     "result is not finite at z = (20+0j): (-inf+0j)"),
+     DomainError, "result is not finite at z = (20+0j): (-inf+0j)"),
     (lambda: u1(-172.63, -170, 20),
-     "result is not finite at z = (20+0j): (-inf+0j)"),
+     DomainError, "result is not finite at z = (20+0j): (-inf+0j)"),
     # these returned nan+nan*i with err_estimate nan and no flag; mpmath
     # puts the first at about -7.78e273+6.09e273i, the third at
     # 2.82e263-8.77e262i
     (lambda: u1(48.90585505674359, 32.30558002883016, -9.584309545943686e-10 + 7.908336494787592e-10j),
-     "result is not finite at z = (-9.584309545943686e-10+7.908336494787592e-10j): (nan+nanj)"),
-    (lambda: u1(1e8, 30.868458108400773, 1e-9), "result is not finite at z = (1e-09+0j): (nan+nanj)"),
+     DomainError, "result is not finite at z = (-9.584309545943686e-10+7.908336494787592e-10j): (nan+nanj)"),
+    (lambda: u1(1e8, 30.868458108400773, 1e-9), DomainError, "result is not finite at z = (1e-09+0j): (nan+nanj)"),
     (lambda: u2(48.42756891142909, -34.297148222321674, -0.0, -2.603876011600534e-06 - 4.478709690252065e-06j),
-     "result is not finite at z = (-2.603876011600534e-06-4.478709690252065e-06j): (nan+nanj)"),
+     DomainError, "result is not finite at z = (-2.603876011600534e-06-4.478709690252065e-06j): (nan+nanj)"),
+    # the expansions named their own variable: x = -1/z = -10, -1/(4 sqrt z)
+    # = -25 and w = 1/z = -0.3-0.1i ("at |z| = 10", "at |z| = 25", "at z =
+    # (-0.3-0.09999999999999999j)")
+    (lambda: u1(0.7, 2, 0.1, "Asymptotic2F0"), DivergedImmediately,
+     "first term of 2F0 already smallest at z = (0.1+0j)"),
+    (lambda: u0(2.3, 1e-4, "Asymptotic2F0"), DivergedImmediately,
+     "first term of 2F0 already smallest at z = (0.0001+0j)"),
+    (lambda: u2(0.37, 900.3, 0.2, -3 + 1j), DomainError,
+     "series sum is not finite at z = (-3+1j): (nan+nanj)"),
 ])
-def test_u_that_overflows_is_a_domain_error_naming_z(call, msg):
-    with pytest.raises(DomainError, match=re.escape(msg)):
+def test_u_errors_name_the_callers_z(call, exc, msg):
+    with pytest.raises(exc, match=re.escape(msg)) as got:
         call()
+    assert type(got.value) is exc
 
 
 @pytest.mark.parametrize("call", [
