@@ -93,9 +93,12 @@ def _flat(d):
 
 
 def _csv_cell(v):
-    if isinstance(v, (list, tuple)):
-        return "|".join(str(x) for x in v)
-    return _cell(v)
+    """v as one CSV field, quoted as RFC 4180 asks where it holds a comma,
+    a quote, CR or LF, with every quote inside doubled."""
+    s = "|".join(str(x) for x in v) if isinstance(v, (list, tuple)) else _cell(v)
+    if any(c in s for c in ',"\r\n'):
+        return '"%s"' % s.replace('"', '""')
+    return s
 
 
 def _emit(doc, records, fmt, stream):

@@ -26,7 +26,8 @@ Every function here takes the F0, F1 or F2 that F takes, at an alpha
 within DEGENERACY_TOL of the integer m: D_m is selected by F0(m),
 D_{theta,m} by F1(theta, m) and D_{m,beta,mu} by F2(m, beta, mu).  The
 parameters are checked once, when the expansion is built or an
-evaluator prepared: ffun._params, then _d_params.
+evaluator prepared: ffun._params, which snaps alpha to the int m, then
+_d_params.
 
 As in ffun, every point function is its prepare function called at z:
 prepare_d_eval(p)(z) and so on, with the expansion built, the
@@ -72,21 +73,20 @@ from .series import (
 )
 
 def _d_params(p):
-    """p, a parameter set that passed ffun._params, with alpha set to its
-    integer m once p is checked to select a D.
-
-    DomainError for an alpha farther than DEGENERACY_TOL from every
-    integer m, and ParameterSingular where a digamma weight or a
-    principal-part Pochhammer of D_|m| sits at a pole: an integer
-    a = (1+|m|+theta)/2 <= |m| for 1F1, an integer a or b =
-    (1+|m|+beta∓mu)/2 for 2F1, read from the classical parameters at |m|.
-    That set holds every pole of U's LogPlusD prefactor, 1/Gamma(a - |m|)
-    (1F1) and 1/(Gamma(1 - b) Gamma(a - |m|)) (2F1).  An order beyond
-    ffun.MAX_ORDER raises DomainError when the expansion is built.
+    """p, a parameter set that passed ffun._params, checked to select a D:
+    DomainError unless _params snapped its alpha to an int m, and
+    ParameterSingular where a digamma weight or a principal-part
+    Pochhammer of D_|m| sits at a pole, read from the classical parameters
+    at |m|: an integer a = (1+|m|+theta)/2 or (1+|m|+beta-mu)/2 <= |m|
+    ((a)_{-k}, and psi(a+k) at a <= 0), and for 2F1 an integer
+    b = (1+|m|+beta+mu)/2 (psi(1-b-k)).  That set holds every pole of U's
+    LogPlusD prefactor, 1/Gamma(a - |m|) (1F1) and 1/(Gamma(1 - b)
+    Gamma(a - |m|)) (2F1).  An order beyond ffun.MAX_ORDER raises
+    DomainError when the expansion is built.
     """
-    m = near_int(p.alpha, DEGENERACY_TOL)
-    if m is None:
-        raise DomainError(f"this function needs integer m, got alpha={p.alpha!r}")
+    m = p.alpha
+    if type(m) is not int:
+        raise DomainError(f"this function needs integer m, got alpha={m!r}")
     mm = abs(m)
     if isinstance(p, F1):
         a, _ = p._classical(mm)
@@ -95,9 +95,10 @@ def _d_params(p):
             raise ParameterSingular(f"(1+m+theta)/2 = {a} is an integer <= m; D undefined")
     elif isinstance(p, F2):
         a, b, _ = p._classical(mm)
-        if near_int(a, DEGENERACY_TOL) is not None or near_int(b, DEGENERACY_TOL) is not None:
+        n = near_int(a, DEGENERACY_TOL)
+        if n is not None and n <= mm or near_int(b, DEGENERACY_TOL) is not None:
             raise ParameterSingular(f"integer classical parameter (a, b) = ({a}, {b}); D undefined")
-    return p if type(p.alpha) is int else p._replace(alpha=m)
+    return p
 
 
 def _principal(upper, mm):

@@ -29,15 +29,15 @@ image and weights, is one row of _MAPS, which prepare_f_norm reads once.
 Every point function f(p, z) is prepare_f(p)(z): the prepare step does
 the work that depends on the parameters alone and returns a callable of
 z, so a grid at fixed parameters does that work once.  The parameter
-set is checked there, once (_params): a fault in it is raised before
-any fault of z.  The coefficient streams are still built lazily: a
-stream that a lone call builds only after a check of z (the stream of
-f_norm comes after the 2F1 disc check) is built at the first point that
-passes its checks and kept after that; until it succeeds it is redone,
-and fails, at every point, so each point raises what a lone call at
-that point raises.  A public function may be called from any thread; a
-prepared callable keeps its coefficient stream (series._replay) and
-belongs to the thread that made it.
+set is checked there, once (_params), before any fault of z, and an
+alpha within DEGENERACY_TOL of an integer m is snapped to the int m for
+every reader past the door.  The coefficient streams are built lazily:
+a stream that a lone call builds only after a check of z (f_norm's comes
+after the 2F1 disc check) is built at the first point that passes its
+checks and kept; until it succeeds it is redone, and fails, at every
+point, so each point raises what a lone call there raises.  A public
+function may be called from any thread; a prepared callable keeps its
+stream (series._replay) and belongs to the thread that made it.
 
 A prepared callable at carries its derivatives: at.jet(z, order) is
 (at, at', ..., at^(order)) at z as order + 1 EvalResults, and at(z) is
@@ -75,8 +75,10 @@ from .series import (
 # direct-series validity margin for 2F1 inside the unit disc
 F2_SERIES_RADIUS = 0.95
 
-# |alpha - m| below this is treated as the degenerate integer case
+# |alpha - m| below this is treated as the degenerate integer case, and
+# _order(alpha), the int m within it or None, is the one test of that case
 DEGENERACY_TOL = 1e-9
+_order = functools.partial(near_int, tol=DEGENERACY_TOL)
 
 # largest |m| of an integer order: the series divide by |m|!, and 171!
 # overflows a double
@@ -100,12 +102,12 @@ class EquationParams:
 
     @property
     def is_degenerate(self):
-        return near_int(self.alpha, DEGENERACY_TOL) is not None
+        return _order(self.alpha) is not None
 
     @property
     def m(self):
         """The snapped integer value of alpha in the degenerate case."""
-        n = near_int(self.alpha, DEGENERACY_TOL)
+        n = _order(self.alpha)
         if n is None:
             raise ValueError(f"alpha = {self.alpha} is not within {DEGENERACY_TOL} of an integer")
         return n
@@ -196,22 +198,21 @@ def _check_order(m):
 def _seed(p, image=None):
     """(start index, iterator factory) for the series of p (series._replay),
     or for the series whose classical parameters are image(a, ..., c) of
-    those of p.
+    those of p, a set that passed _params.
 
     The seed is read off the classical parameters (a, b, ..., c).  In the
-    degenerate case alpha is snapped to m first, the sum starts at
-    n0 = max(0, -m), and c = 1 + m stays an int so that every step divides
-    by an exact integer.  The numerator (a)_n0 (b)_n0 is 1 unless m < 0.
+    degenerate case, alpha the int m, the sum starts at n0 = max(0, -m),
+    and c = 1 + m stays an int so that every step divides by an exact
+    integer.  The numerator (a)_n0 (b)_n0 is 1 unless m < 0.
     """
-    m = near_int(p.alpha, DEGENERACY_TOL)
-    if m is not None:
-        _check_order(m)
-    *upper, c = p._classical(p.alpha if m is None else m)
+    m = p.alpha
+    *upper, c = p.to_classical()
     if image is not None:
         *upper, c = image(*upper, c)
-    if m is None:
+    if type(m) is not int:
         n0, c0, c = 0, recip_gamma(c), complex(c)
     else:
+        _check_order(m)
         n0 = max(0, -m)
         num = (functools.reduce(operator.mul, [pochhammer(u, n0) for u in upper])
                if n0 and upper else 1.0)
@@ -246,7 +247,7 @@ def _pfaff_weights(p):
     unsigned Lah numbers, collapse to these factors: d/dz = u^2 d/du, and
     (u^2 d/du)^k = u^(k+1) (d/du)^k u^(k-1).
     """
-    a = complex(_snap_alpha(p).to_classical()[0])
+    a = complex(p.to_classical()[0])
 
     def weights(z, order):
         # Re(1 - z) > 0 inside the disc: the principal power, no cut
@@ -285,7 +286,8 @@ def _check_disc(z, series):
     named by series ("direct" for F, "D" for D) is summed."""
     if abs(z) > F2_SERIES_RADIUS:
         raise DomainError(
-            f"2F1 {series} series restricted to |z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+            f"2F1 {series} series restricted to |z| <= {F2_SERIES_RADIUS}, "
+            f"got |z| = {abs(z)!r} at z = {z!r}"
         )
 
 
@@ -310,14 +312,16 @@ _MAPS = {
 
 
 def _params(p, cls=EquationParams):
-    """p, checked once by the prepare step that takes it: TypeError unless
-    it is a cls, DomainError naming its first field that is not finite."""
+    """p, checked once by the prepare step that takes it, TypeError unless
+    it is a cls and DomainError naming its first field that is not finite,
+    with alpha set to the int m in the degenerate case (_order)."""
     if not isinstance(p, cls):
         raise TypeError(f"unsupported parameter type {type(p).__name__}")
     for name, v in zip(p._fields, p):
         if not cmath.isfinite(v):
             raise DomainError(f"{name} must be finite, got {name} = {v}")
-    return p
+    m = _order(p.alpha)
+    return p if m is None or type(p.alpha) is int else p._replace(alpha=m)
 
 
 def prepare_f_norm(p):
@@ -396,18 +400,12 @@ def _reflected(p):
     return F2(alpha=-p.alpha, beta=p.beta, mu=-p.mu)
 
 
-def _snap_alpha(p):
-    """Snap a near-integer alpha to the exact integer, keeping other fields."""
-    m = near_int(p.alpha, DEGENERACY_TOL)
-    return p if m is None else p._replace(alpha=m)
-
-
 def prepare_f_second(p):
     """The callable z -> f_second(p, z), with its .jet(z, order)
     by the product rule over z^a F_reflected, a = -alpha.  The j-th
     derivative of z^a is a (a-1) ... (a-j+1) z^(a-j), and 0 where that
     product vanishes, so that an integer a >= 0 has a jet at z = 0."""
-    p = _snap_alpha(_params(p))
+    p = _params(p)
     f = _f_jet(_reflected(p))
     a = -p.alpha
 
@@ -494,7 +492,8 @@ def _f2_I_prefactor(p):
 def prepare_f2_norm_I(p):
     """The callable z -> f2_norm_I(p, z), with its .jet(z, order):
     the jet of F, each entry scaled by the prefactor."""
-    pref = _f2_I_prefactor(_params(p, F2))
+    p = _params(p, F2)
+    pref = _f2_I_prefactor(p)
     f = _f_jet(p)
     return _prepared(lambda z, order: tuple([r.scaled(pref) for r in f(z, order)]))
 

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
                      PoleAtOrigin, RoutesDisagree)
-from .ffun import DEGENERACY_TOL, F0, _params, f_norm, prepare_f_norm
-from .gammakit import digamma, near_int, near_nonpositive_int, recip_gamma
+from .ffun import F0, _params, f_norm, prepare_f_norm
+from .gammakit import digamma, near_nonpositive_int, recip_gamma
 from .series import EvalResult, principal_pow, sum_power_series
 from .dfun import _d_params, prepare_d_eval
 from .ufun import URoute, prepare_u
@@ -161,11 +161,11 @@ def limit_alpha(p, z):
 def _prepare_limit_alpha(p):
     """The callable z -> limit_alpha(p, z), with the Connection route at
     each alpha = m + h of the ladder prepared once."""
-    m = near_int(_params(p).alpha, DEGENERACY_TOL)
-    if m is None:
+    p = _params(p)
+    if type(p.alpha) is not int:
         raise DomainError(f"limit_alpha needs integer m, got alpha={p.alpha!r}")
     hs = _LADDER
-    us = [prepare_u(p._replace(alpha=m + h), URoute.CONNECTION) for h in hs]
+    us = [prepare_u(p._replace(alpha=p.alpha + h), URoute.CONNECTION) for h in hs]
 
     def at(z):
         z = complex(z)

@@ -32,15 +32,17 @@ given at every z.
 
 As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
 its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
-u1 and u2 likewise.  prepare_u sets up the route, the series of its F
-and D and its Gamma weights once per parameter set, and holds the point
-rule of all three kinds: it returns the closure of p's kind, so no kind
-is tested at a point.  Weights that a lone call takes only after its
-series are taken at the first point that gets that far, and a route the
-point rule picks is built at the first point that takes it.  The routes
-compose raw jets (ffun._f_jet, dfun._log_jet), so z and the result are
-checked once, by the closure (series).  Public functions may be called
-from any thread; a prepared callable belongs to the thread that made it.
+u1 and u2 likewise.  Its door, ffun._params, snaps an alpha within
+DEGENERACY_TOL of m to m for every route.  prepare_u sets up the route,
+the series of its F and D and its Gamma weights once per parameter set,
+and holds the point rule of all three kinds: it returns the closure of
+p's kind, so no kind is tested at a point.  Weights that a lone call
+takes only after its series are taken at the first point that gets that
+far, and a route the point rule picks is built at the first point that
+takes it.  The routes compose raw jets (ffun._f_jet, dfun._log_jet), so
+z and the result are checked once, by the closure (series).  Public
+functions may be called from any thread; a prepared callable belongs to
+the thread that made it.
 """
 
 import cmath
@@ -69,7 +71,7 @@ from .ffun import (
     f2f0_asymptotic,
     f_norm,
 )
-from .gammakit import near_int, recip_gamma, sinpi
+from .gammakit import recip_gamma, sinpi
 from .series import (
     EvalResult,
     _checked,
@@ -111,7 +113,7 @@ def _build_route(p, route):
     band between.  A given LogPlusD needs an integer alpha, a given
     Connection one outside the band."""
     alpha = p.alpha
-    integer = near_int(alpha, DEGENERACY_TOL) is not None
+    integer = p.is_degenerate
     generic = abs(alpha - round(alpha.real)) > CONNECTION_INT_BAND
     if route is None and (integer or generic):
         route = URoute.LOG_PLUS_D if integer else URoute.CONNECTION
@@ -207,11 +209,11 @@ def _log_form(p):
     h^|m| folded into D's principal part (_folded) where that raises
     DomainError; the error stands where the folded value overflows too.
     The prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.  alpha is an integer; _d_params rules on p."""
+    solution succeeds, and kept.  alpha is the snapped m; _d_params rules on p."""
     m = p.m
     shift = m < 0 and p.kind != "0f1"
-    if shift:
-        m, p = -m, p._replace(alpha=-m)
+    p = p._replace(alpha=-m if shift else m)
+    m = p.alpha
     w = _log_jet(_d_params(p))
     sign = (-1.0) ** (m + 1)
     if p.kind == "0f1":
@@ -240,17 +242,18 @@ def _log_form(p):
 def _asymptotic(p):
     """The Asymptotic2F0 route: the 2F0 expansion in x = -1/(4 sqrt z)
     (0F1) or x = -1/z (1F1) times its prefactor, the 2F1 series in 1/z
-    times (-z)^e for the 2F1 kind.  An error raised at the expansion
-    variable names z (ffun._named)."""
+    times (-z)^e for the 2F1 kind, whose image set ffun._params snaps.
+    An error raised at the expansion variable names z (ffun._named)."""
     alpha = p.alpha
     if p.kind == "2f1":
-        f = _f_jet(F2(alpha=-p.mu, beta=p.beta, mu=-alpha))
+        f = _f_jet(_params(F2(alpha=-p.mu, beta=p.beta, mu=-alpha)))
         e = (-1 - alpha - p.beta + p.mu) / 2
 
         def u_at(z):
             if abs(z) < 1.0 / F2_SERIES_RADIUS:
                 raise DomainError(
-                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, got |z| = {abs(z):.6g}"
+                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, "
+                    f"got |z| = {abs(z)!r} at z = {z!r}"
                 )
             pref, w = _negated_pow(z, e), 1.0 / z
             try:

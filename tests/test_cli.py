@@ -1,5 +1,6 @@
 """Command line surface: schemas, formats, exit codes, stability."""
 
+import csv
 import functools
 import io
 import json
@@ -486,6 +487,37 @@ def test_verify_csv_format(capsys):
     data = [ln for ln in lines if ln and not ln.startswith("#")]
     assert data[0].split(",")[0] == "id"
     assert data[1].split(",")[0] == "f0.contiguity"
+
+
+def _csv_field(v):
+    """A JSON record field as the CSV writer renders it."""
+    if v is None:  # a float that is not finite, null in JSON
+        return ("nan", "inf", "-inf")
+    if isinstance(v, bool):
+        return ("true" if v else "false",)
+    if isinstance(v, float):
+        return (format(v, ".17g"),)
+    if isinstance(v, list):
+        return ("|".join(str(x) for x in v),)
+    return (str(v),)
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["verify", "--suite", "all", "--points", "7"]])
+def test_csv_reads_back_as_the_json_records(argv, capsys):
+    # every row parses to as many fields as the header has, each field the
+    # JSON record's: signatures such as "m,theta" and statements with commas
+    # are quoted
+    doc = run_json(argv, capsys)
+    code, out, err = run(argv + ["--format", "csv"], capsys)
+    assert code == 0, err
+    rows = list(csv.reader(ln for ln in out.splitlines(True) if not ln.startswith("#")))
+    keys = list(doc["records"][0])
+    assert rows[0] == keys
+    assert len(rows) == len(doc["records"]) + 1
+    for row, rec in zip(rows[1:], doc["records"]):
+        assert len(row) == len(keys), row
+        for k, cell in zip(keys, row):
+            assert cell in _csv_field(rec[k]), (rec["id"], k)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from hyperd.dfun import (
 from hyperd.errors import BranchCut, DomainError, ParameterSingular, PoleAtOrigin
 from hyperd.ffun import F0, F1, F2, f_norm
 from hyperd.gammakit import EULER_GAMMA, digamma, harmonic, pochhammer
+from hyperd.oracle import inhom_residual, limit_alpha
 from hyperd.series import log_negated, principal_log, principal_pow
-from hyperd.ufun import u0
+from hyperd.ufun import prepare_u, u0
 
 
 def _rel(a, b):
@@ -159,11 +160,11 @@ def test_dspec_validation():
     with pytest.raises(ParameterSingular, match="is an integer <= m"):
         prepare_d_eval(F1(1.0, 2))  # a = 2 = m
     prepare_d_eval(F1(3.0, 2))  # a = 3 > m is fine
-    # 2f1: integer a or b is degenerate-within-degenerate
+    # 2f1: an integer a <= m or any integer b is degenerate-within-degenerate
     with pytest.raises(ParameterSingular):
-        prepare_d_eval(F2(1, 1.0, -1.0))  # a = 2
+        prepare_d_eval(F2(1, 1.0, -1.0))  # b = 1
     with pytest.raises(ParameterSingular):
-        prepare_d_eval(F2(1, 1.0, 1.0))  # b = 2
+        prepare_d_eval(F2(1, 1.0, 1.0))  # a = 1 = m
     # every D evaluator checks, and the rule reads |m|
     for build in (d_expand, prepare_log_solution, prepare_d_eval_I):
         with pytest.raises(ParameterSingular):
@@ -172,6 +173,21 @@ def test_dspec_validation():
         prepare_d_eval(F1(1.0, -2))
     # an alpha within DEGENERACY_TOL of m is m
     assert d_eval(F2(1 + 1e-11, 0.3, 0.2), 0.3) == d_eval(F2(1, 0.3, 0.2), 0.3)
+
+
+def test_2f1_d_at_an_integer_a_beyond_m():
+    # a = 2 > m = 1 and b = 2.2: no (a)_{-k}, psi(a+k) or psi(1-b-k) meets a
+    # pole, so D is defined and solves its inhomogeneous equation
+    p = F2(1, 2.2, 0.2)
+    assert p.to_classical() == (2.0, 2.2, 2)
+    for z in (0.3 + 0.2j, -0.5 + 0.1j, 0.7j):
+        assert inhom_residual(p, z).residual < 1e-12 * abs(d_eval(p, z).value), z
+    # and U on LogPlusD, whose prefactor 1/(Gamma(1-b) Gamma(a-m)) is not 0
+    # there, agrees with the limit of the Connection route
+    u = prepare_u(p, "LogPlusD")
+    for z in (-0.4 + 0.3j, -0.3, -0.7 - 0.2j):
+        got, ref = u(z), limit_alpha(p, z)
+        assert abs(got.value - ref.value) <= ref.err_estimate, z
 
 
 def test_with_m():

@@ -76,8 +76,9 @@ def _cases():
 
 
 def _stream(p, image):
+    # _seed takes a set that passed the door, which snaps alpha to m
     try:
-        n0, gen = ffun._seed(p, image)
+        n0, gen = ffun._seed(ffun._params(p), image)
     except Exception as exc:
         return repr(exc)
     return n0, [repr(c) for c in itertools.islice(gen(), N)]
