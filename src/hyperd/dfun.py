@@ -30,12 +30,21 @@ evaluator prepared: ffun._params, which snaps alpha to the int m, then
 _d_params.
 
 As in ffun, every point function is its prepare function called at z:
-prepare_d_eval(p)(z) and so on, with the expansion built, the
-I-form prefactor computed and the F of log_solution prepared once.  A
-prepared callable at carries at.jet(z, order) for order up to 2, as in
-ffun: at(z) is at.jet(z, 0)[0], the door of a raw jet.  The raw jets
-compose: the log solution's (_log_jet) reads those of F (ffun._f_jet)
-and D (_d_jet), and U's LogPlusD route reads the log solution's.
+prepare_d_eval(p)(z) and so on, with the expansion built and the I-form
+prefactor computed once, and the F and D of log_solution built at the
+first point that needs them.  A prepared callable at carries
+at.jet(z, order) for order up to 2, as in ffun: at(z) is
+at.jet(z, 0)[0], the door of a raw jet.  The raw jets compose: the log
+solution's series (_log_jet) reads those of F (ffun._f_jet) and D
+(_d_jet), and U's LogPlusD route reads that series.
+
+The prepared log solution of 0F1, and of 1F1 at m >= 0, also reads the
+far rule of U, which ffun keeps beside f2f0_asymptotic and ufun's point
+rule reads too: where it takes U at a far point, log z F + D is U over
+U's LogPlusD prefactor (_log_prefactor), and its jet U at shifted
+parameters (_far_log_jet), in place of two series that cancel.  Every
+other point, and _log_jet itself, sums log z F + D.
+
 Public functions may be called from any thread; a prepared callable or
 a LaurentExpansion replays its own stream and belongs to the thread
 that made it.
@@ -47,18 +56,23 @@ import itertools
 import math
 import sys
 
-from .errors import DomainError, ParameterSingular, PoleAtOrigin
+from .errors import DomainError, HyperdError, ParameterSingular, PoleAtOrigin
 from .ffun import (
     DEGENERACY_TOL,
+    U0_FAR_RADIUS,
+    U1_FAR_RADIUS,
+    F0,
     F1,
     F2,
+    _asymptotic_2f0,
     _check_disc,
     _check_order,
     _f2_I_prefactor,
     _f_jet,
+    _far_value,
     _params,
 )
-from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer
+from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer, recip_gamma
 from .series import (
     LaurentExpansion,
     _kept,
@@ -71,6 +85,9 @@ from .series import (
     principal_log,
     sum_power_series,
 )
+
+_SQRT_PI = math.sqrt(math.pi)
+
 
 def _d_params(p):
     """p, a parameter set that passed ffun._params, checked to select a D:
@@ -374,15 +391,109 @@ def _principal_derivs(principal, w, order):
 
 
 def prepare_log_solution(p):
-    """The callable z -> log_solution(p, z), with its
-    .jet(z, order) for order 0, 1 or 2 by the product rule over ell F + D,
-    where (log z)' = 1/z on either cut.  Entry 0 is
-    series.log_combo(ell, F, D)."""
-    return _prepared(_log_jet(_d_params(_params(p))))
+    """The callable z -> log_solution(p, z), with its .jet(z, order) for
+    order 0, 1 or 2.
+
+    A point of a 0F1 set, or of a 1F1 set at m >= 0, where the far rule of
+    ffun takes U, the rule u0 and u1 read, takes U's far value over the
+    LogPlusD prefactor (_far_log_jet): there log z F + D cancels more than
+    the expansion misses.  Each later entry of its jet is U at shifted
+    parameters where the rule takes that, and the series entry where it
+    does not, so at(z) is at.jet(z, k)[0] and at.jet(z, 1) is
+    at.jet(z, 2)[:2].  Every other point, and every point of a 2F1 set or
+    of a 1F1 set at m < 0, where log z F + D does not cancel, takes the
+    series jet (_log_jet): by the product rule over ell F + D, where
+    (log z)' = 1/z on either cut, and entry 0 series.log_combo(ell, F, D).
+    p and its order are checked here; F's stream and D's expansion are
+    built at the first point that needs the series.
+    """
+    p = _d_params(_params(p))
+    if isinstance(p, F2) or isinstance(p, F1) and p.alpha < 0:
+        return _prepared(_log_jet(p))
+    _check_order(p.alpha)
+    far = _far_log_jet(p)
+    series = []  # _log_jet(p)
+
+    def jet(z, order):
+        out = far(z, order) if order <= 2 else None
+        if out is None:
+            return _kept(series, _log_jet, p)(z, order)
+        if None in out:
+            s = _kept(series, _log_jet, p)(z, order)
+            out = [t if r is None else r for r, t in zip(out, s)]
+        return tuple(out)
+
+    return _prepared(jet)
+
+
+def _log_prefactor(p):
+    """The thunk of U's LogPlusD prefactor at p, alpha the int m (m >= 0
+    but for 0F1): U = prefactor (log z F + D) (log(-z) for 2F1) with
+    prefactor (-1)^(m+1) times 1/sqrt(pi) (0F1), 1/Gamma((1-m+theta)/2)
+    (1F1, DLMF 13.2.9) or 1/(Gamma((1-m-beta-mu)/2) Gamma((1-m+beta-mu)/2))
+    (2F1).  It vanishes only where _d_params refuses p."""
+    m = p.alpha
+    sign = (-1.0) ** (m + 1)
+    if p.kind == "0f1":
+        return lambda: sign / _SQRT_PI
+    if p.kind == "1f1":
+        return lambda: sign * recip_gamma((1 - m + p.theta) / 2)
+    q1, q2 = (1 - m - p.beta - p.mu) / 2, (1 - m + p.beta - p.mu) / 2
+    return lambda: sign * recip_gamma(q1) * recip_gamma(q2)
+
+
+def _far_log_jet(p):
+    """jet(z, order) of the far rule's entries of the log solution at p, a
+    0F1 set or a 1F1 set at m >= 0 that passed _d_params: None where the
+    far rule (ffun) refuses U at z or the prefactor raises, and otherwise
+    for k <= order the k-th derivative of U / prefactor, None for an
+    entry whose U^(k) the rule refuses.  U is taken at the complex
+    parameter set of ufun.prepare_u, so entry 0 is u0's or u1's far value
+    over the prefactor, and U^(k) is U at shifted parameters:
+    U0_alpha^(k) = (-1)^k U0_{alpha+k}, and U_{theta,m}^(k) =
+    (-1)^k (a)_k U_{theta+k,m+k}, a = (1+m+theta)/2 (DLMF 13.3.22).  The
+    prefactor is taken at the first point the rule takes, and kept."""
+    m = p.alpha
+    u = type(p)(*map(complex, p))
+    prefactor = _log_prefactor(u._replace(alpha=m))
+    if isinstance(u, F1):
+        radius = U1_FAR_RADIUS
+        a = (1 + m + u.theta) / 2
+        shifted = [u] + [F1(u.theta + k, u.alpha + k) for k in (1, 2)]
+        weights = (1.0, -a, a * (a + 1))
+    else:
+        radius = U0_FAR_RADIUS
+        shifted = [u] + [F0(u.alpha + k) for k in (1, 2)]
+        weights = (1.0, -1.0, 1.0)
+    fars = [_asymptotic_2f0(s) for s in shifted]
+    scales = []
+
+    def entry_scales():
+        # weight / prefactor of each entry
+        pref = prefactor()
+        return [w / pref for w in weights]
+
+    def jet(z, order):
+        r = _far_value(fars[0], radius, z)
+        if r is None:
+            return None
+        try:
+            c = _kept(scales, entry_scales)
+        except HyperdError:
+            # 1/Gamma overflows far off the real axis (theta = 0.7+910j)
+            return None
+        out = [r.scaled(c[0])]
+        for k in range(1, order + 1):
+            r = _far_value(fars[k], radius, z)
+            out.append(None if r is None else r.scaled(c[k]))
+        return out
+
+    return jet
 
 
 def _log_jet(p):
-    # the raw jet of prepare_log_solution for a p that passed _d_params
+    # the series jet log z F + D of prepare_log_solution, and the raw jet of
+    # U's LogPlusD route, for a p that passed _d_params
     # 0F1/1F1 carry log z, 2F1 carries log(-z)
     log = log_negated if isinstance(p, F2) else principal_log
     f = _f_jet(p)

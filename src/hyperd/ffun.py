@@ -46,6 +46,21 @@ and sum the same kept stream.  At a point that takes a map the jet
 sums the map's stream alone, and the chain rule and Leibniz's rule
 carry its derivatives to F's.  oracle.ode_residual reads the values of
 at.jet(z, 2), the relation records those of at.jet(z, 1).
+
+The far rule of U lives here too, beside f2f0_asymptotic, which it
+wraps, so that its two readers take one rule without an import cycle:
+U's point rule and bessel's K in ufun, and the prepared log solution in
+dfun, which divides U's far value by the LogPlusD prefactor.  A point is
+far when Re z > 0 and the expansion variable x (-1/z for 1F1,
+-1/(4 sqrt z) for 0F1) has |x| <= 2/ln(1/eps), eps the double epsilon:
+|z| >= U1_FAR_RADIUS = 18.02 for 1F1 and |z| >= U0_FAR_RADIUS = 20.30
+for 0F1.  There the expansion's smallest term, about e^(-1/|x|), is
+below sqrt(eps), and F, which grows like e^z or e^(2 sqrt z) while U
+decays, makes log z F + D cancel more than that.  The far value
+(_asymptotic_2f0) is kept when its err_estimate <= sqrt(eps) |value|
+(_far_value; DLMF 13.7(ii) bounds the remainder by the first omitted
+term for |ph z| <= pi/2).  Everywhere else, and where the expansion
+raises a HyperdError, the reader takes its series route.
 """
 
 import cmath
@@ -55,8 +70,8 @@ import operator
 import sys
 from typing import NamedTuple
 
-from .errors import (DivergedImmediately, DomainError, NoConvergence, ParameterSingular,
-                     PoleError)
+from .errors import (BranchCut, DivergedImmediately, DomainError, HyperdError, NoConvergence,
+                     ParameterSingular, PoleError)
 from .gammakit import gamma, near_int, pochhammer, recip_gamma
 from .series import (
     MAX_TERMS,
@@ -85,6 +100,13 @@ _order = functools.partial(near_int, tol=DEGENERACY_TOL)
 MAX_ORDER = 170
 
 _EPS = sys.float_info.epsilon
+
+# the far rule of the module docstring: |x| <= 2/ln(1/eps) as a radius in
+# |z| (18.02 for 1F1, 20.30 for 0F1), and the far value's error bound
+_LN_INV_EPS = math.log(1.0 / _EPS)
+U1_FAR_RADIUS = _LN_INV_EPS / 2.0
+U0_FAR_RADIUS = (_LN_INV_EPS / 8.0) ** 2
+_SQRT_EPS = math.sqrt(_EPS)
 
 
 class EquationParams:
@@ -478,6 +500,48 @@ def f2f0_asymptotic(a, b, z, max_terms=MAX_TERMS):
         t, mag = t_next, mag_next
         n = n1
     return _result((total, mag, max_terms, frozenset({"TruncationMaxed"})))
+
+
+def _asymptotic_2f0(p):
+    """U's expansion about infinity at a 0F1 or 1F1 parameter set p: the
+    2F0 expansion in x = -1/(4 sqrt z) (0F1) or x = -1/z (1F1) times its
+    prefactor, e^(-2 sqrt z) z^(-alpha/2 - 1/4) or z^(-a).  An error
+    raised at x names z (_named)."""
+    alpha = p.alpha
+    is_0f1 = p.kind == "0f1"
+    if is_0f1:
+        a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
+    else:
+        a, b = (1 + p.theta + alpha) / 2, (1 + p.theta - alpha) / 2
+
+    def u_at(z):
+        if not z:
+            raise BranchCut(f"the expansion about infinity has no value at z = {z}")
+        if is_0f1:
+            sq = principal_pow(z, 0.5)
+            pref, x = cmath.exp(-2.0 * sq) * principal_pow(z, e), -1.0 / (4.0 * sq)
+        else:
+            pref, x = principal_pow(z, -a), -1.0 / z
+        try:
+            return f2f0_asymptotic(a, b, x).scaled(pref)
+        except HyperdError as exc:
+            raise _named(exc, z, (x,)) from None
+
+    return u_at
+
+
+def _far_value(far, radius, z):
+    """far(z), the value of an _asymptotic_2f0 callable at z, where the far
+    rule (module docstring) takes it: Re z > 0, |z| >= radius, no
+    HyperdError and err_estimate <= sqrt(eps) |value|.  None everywhere
+    else."""
+    if z.real <= 0.0 or abs(z) < radius:
+        return None
+    try:
+        r = far(z)
+    except HyperdError:
+        return None
+    return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
 
 
 def _f2_I_prefactor(p):

@@ -5,9 +5,10 @@ Three evaluation routes are offered for each U:
   Connection    generic alpha: the two power-behaved solutions combined
                 with reciprocal sine and Gamma weights; unusable near
                 integer alpha where sin(pi alpha) cancellation explodes.
-  LogPlusD      integer alpha = m: prefactor * dfun.log_solution, that is
-                prefactor * (log z * F_m + D_m) (log(-z) for 2F1), the
-                closed degenerate form; the canonical route at integers.
+  LogPlusD      integer alpha = m: prefactor * (log z * F_m + D_m)
+                (log(-z) for 2F1), the series of dfun.log_solution at
+                every z, the closed degenerate form; the canonical route
+                at integers.
                 The prefactor, 1/Gamma(a - c + 1) (DLMF 13.2.9), vanishes
                 only where D is undefined: the singular set is D's.
   Asymptotic2F0 the expansion about infinity (optimally truncated 2F0
@@ -17,18 +18,15 @@ Routes agree within combined error estimates wherever they overlap;
 the error estimates include an explicit cancellation floor because all
 of these formulas subtract large intermediates.
 
-Without a route, u0 and u1 answer far points from Asymptotic2F0 first.
-A point is far when Re z > 0 and the expansion variable x (-1/z for
-1F1, -1/(4 sqrt z) for 0F1) has |x| <= 2/ln(1/eps), eps the double
-epsilon: |z| >= U1_FAR_RADIUS = 18.02 for u1 and |z| >= U0_FAR_RADIUS =
-20.30 for u0.  There the expansion's smallest term, about e^(-1/|x|), is
-below sqrt(eps), and F, which grows like e^z or e^(2 sqrt z) while U
-decays, makes the series routes cancel more than that.  The far value
-is kept when its err_estimate <= sqrt(eps) |value| (DLMF 13.7(ii) bounds
-the remainder by the first omitted term for |ph z| <= pi/2).  Otherwise,
-or where the expansion raises a HyperdError, the point takes the route
-alpha picks, as every near point does.  Forced routes are taken as
-given at every z.
+Without a route, u0 and u1 answer far points from Asymptotic2F0 first,
+by the far rule that ffun keeps beside f2f0_asymptotic (U0_FAR_RADIUS,
+U1_FAR_RADIUS, _far_value), the one rule the prepared log solution of
+dfun reads too.  A point is far when Re z > 0 and |z| >= U1_FAR_RADIUS
+= 18.02 for u1 or |z| >= U0_FAR_RADIUS = 20.30 for u0, and its far value
+is kept when its err_estimate <= sqrt(eps) |value|.  Otherwise, or where
+the expansion raises a HyperdError, the point takes the route alpha
+picks, as every near point does.  Forced routes are taken as given at
+every z.
 
 As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
 its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
@@ -50,7 +48,7 @@ import math
 import sys
 from enum import Enum
 
-from .dfun import _d_params, _log_jet, d_eval, d_expand
+from .dfun import _d_params, _log_jet, _log_prefactor, d_eval, d_expand
 from .errors import (
     BranchCut,
     DomainError,
@@ -61,14 +59,17 @@ from .errors import (
 from .ffun import (
     DEGENERACY_TOL,
     F2_SERIES_RADIUS,
+    U0_FAR_RADIUS,
+    U1_FAR_RADIUS,
     F0,
     F1,
     F2,
+    _asymptotic_2f0,
     _f_jet,
+    _far_value,
     _named,
     _params,
     _reflected,
-    f2f0_asymptotic,
     f_norm,
 )
 from .gammakit import recip_gamma, sinpi
@@ -92,13 +93,6 @@ _EPS = sys.float_info.epsilon
 CONNECTION_INT_BAND = 1e-6
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# the far rule of the module docstring: |x| <= 2/ln(1/eps) as a radius in
-# |z| (18.02 for u1, 20.30 for u0), and the far value's error bound
-_LN_INV_EPS = math.log(1.0 / _EPS)
-U1_FAR_RADIUS = _LN_INV_EPS / 2.0
-U0_FAR_RADIUS = (_LN_INV_EPS / 8.0) ** 2
-_SQRT_EPS = math.sqrt(_EPS)
 
 
 class URoute(Enum):
@@ -204,25 +198,19 @@ def _connection(p):
 
 
 def _log_form(p):
-    """The LogPlusD route: z -> prefactor * log_solution(p, z) at m = alpha,
-    and at m < 0 the U at |m| times h^|m|, h = z (1F1) or -z (2F1), with
-    h^|m| folded into D's principal part (_folded) where that raises
-    DomainError; the error stands where the folded value overflows too.
-    The prefactor is taken after the solution, at the first point whose
-    solution succeeds, and kept.  alpha is the snapped m; _d_params rules on p."""
+    """The LogPlusD route: z -> prefactor * (log z F + D) at m = alpha, the
+    series of dfun._log_jet at every z, and at m < 0 the U at |m| times
+    h^|m|, h = z (1F1) or -z (2F1), with h^|m| folded into D's principal
+    part (_folded) where that raises DomainError; the error stands where
+    the folded value overflows too.  The prefactor (dfun._log_prefactor)
+    is taken after the solution, at the first point whose solution
+    succeeds, and kept.  alpha is the snapped m; _d_params rules on p."""
     m = p.m
     shift = m < 0 and p.kind != "0f1"
     p = p._replace(alpha=-m if shift else m)
     m = p.alpha
     w = _log_jet(_d_params(p))
-    sign = (-1.0) ** (m + 1)
-    if p.kind == "0f1":
-        prefactor = lambda: sign / _SQRT_PI
-    elif p.kind == "1f1":
-        prefactor = lambda: sign * recip_gamma((1 - m + p.theta) / 2)
-    else:
-        q1, q2 = (1 - m - p.beta - p.mu) / 2, (1 - m + p.beta - p.mu) / 2
-        prefactor = lambda: sign * recip_gamma(q1) * recip_gamma(q2)
+    prefactor = _log_prefactor(p)
     pref = []
     if not shift:
         return lambda z: w(z, 0)[0].scaled(_kept(pref, prefactor))
@@ -240,65 +228,33 @@ def _log_form(p):
 
 
 def _asymptotic(p):
-    """The Asymptotic2F0 route: the 2F0 expansion in x = -1/(4 sqrt z)
-    (0F1) or x = -1/z (1F1) times its prefactor, the 2F1 series in 1/z
-    times (-z)^e for the 2F1 kind, whose image set ffun._params snaps.
-    An error raised at the expansion variable names z (ffun._named)."""
+    """The Asymptotic2F0 route: the 2F0 expansion of ffun._asymptotic_2f0
+    for 0F1 and 1F1, and for the 2F1 kind the 2F1 series in 1/z times
+    (-z)^e, whose image set ffun._params snaps.  An error raised at the
+    expansion variable names z (ffun._named)."""
+    if p.kind != "2f1":
+        return _asymptotic_2f0(p)
     alpha = p.alpha
-    if p.kind == "2f1":
-        f = _f_jet(_params(F2(alpha=-p.mu, beta=p.beta, mu=-alpha)))
-        e = (-1 - alpha - p.beta + p.mu) / 2
-
-        def u_at(z):
-            if abs(z) < 1.0 / F2_SERIES_RADIUS:
-                raise DomainError(
-                    f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, "
-                    f"got |z| = {abs(z)!r} at z = {z!r}"
-                )
-            pref, w = _negated_pow(z, e), 1.0 / z
-            try:
-                return f(w, 0)[0].scaled(pref)
-            except HyperdError as exc:
-                raise _named(exc, z, (w,), pref) from None
-
-        return u_at
-    is_0f1 = p.kind == "0f1"
-    if is_0f1:
-        a, b, e = 0.5 + alpha, 0.5 - alpha, -alpha / 2 - 0.25
-    else:
-        a, b = (1 + p.theta + alpha) / 2, (1 + p.theta - alpha) / 2
+    f = _f_jet(_params(F2(alpha=-p.mu, beta=p.beta, mu=-alpha)))
+    e = (-1 - alpha - p.beta + p.mu) / 2
 
     def u_at(z):
-        if not z:
-            raise BranchCut(f"the expansion about infinity has no value at z = {z}")
-        if is_0f1:
-            sq = principal_pow(z, 0.5)
-            pref, x = cmath.exp(-2.0 * sq) * principal_pow(z, e), -1.0 / (4.0 * sq)
-        else:
-            pref, x = principal_pow(z, -a), -1.0 / z
+        if abs(z) < 1.0 / F2_SERIES_RADIUS:
+            raise DomainError(
+                f"1/z series requires |1/z| <= {F2_SERIES_RADIUS}, "
+                f"got |z| = {abs(z)!r} at z = {z!r}"
+            )
+        pref, w = _negated_pow(z, e), 1.0 / z
         try:
-            return f2f0_asymptotic(a, b, x).scaled(pref)
+            return f(w, 0)[0].scaled(pref)
         except HyperdError as exc:
-            raise _named(exc, z, (x,)) from None
+            raise _named(exc, z, (w,), pref) from None
 
     return u_at
 
 
 _ROUTES = {URoute.CONNECTION: _connection, URoute.LOG_PLUS_D: _log_form,
            URoute.ASYMPTOTIC_2F0: _asymptotic}
-
-
-def _far_value(far, radius, z):
-    """far(z), the Asymptotic2F0 value at z, where the far rule of the
-    module docstring takes it: Re z > 0, |z| >= radius, no HyperdError
-    and err_estimate <= sqrt(eps) |value|.  None everywhere else."""
-    if z.real <= 0.0 or abs(z) < radius:
-        return None
-    try:
-        r = far(z)
-    except HyperdError:
-        return None
-    return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
 
 
 def prepare_u(p, route=None):

@@ -229,20 +229,78 @@ def test_log_solution_composition_and_cuts():
         log_solution(spec2, 0.5)
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def _log_solution_ref(p, z, k=0):
+    """The k-th derivative of the log solution at p and z as U / prefactor,
+    at 20 digits (mpmath.diff for k >= 1): U_m(z) = (2/sqrt(pi)) z^(-m/2)
+    K_m(2 sqrt z) over (-1)^(m+1)/sqrt(pi) for F0(m), and Tricomi's
+    U(a, 1+m, z), a = (1+m+theta)/2, over (-1)^(m+1)/Gamma((1-m+theta)/2)
+    for F1(theta, m)."""
+    m = p.alpha
+    with mp.workdps(20):
+        if isinstance(p, F0):
+            def f(w):
+                return (-1) ** (m + 1) * 2 * w ** (-mp.mpf(m) / 2) * mp.besselk(m, 2 * mp.sqrt(w))
+        else:
+            theta = mp.mpf(p.theta)
+
+            def f(w):
+                return (-1) ** (m + 1) * mp.hyperu((1 + m + theta) / 2, 1 + m, w) \
+                    / mp.rgamma((1 - m + theta) / 2)
+        zm = mp.mpc(z.real, z.imag)
+        return complex(f(zm) if k == 0 else mp.diff(f, zm, k))
+
+
+# far points of the log solution, past both radii, and one where the far
+# rule takes every entry of the 2-jet (at 30 the U0 expansion at alpha + 2
+# falls short for m = 3)
+LOG_FAR_ZS = (complex(30.0), complex(35.0, 5.0), complex(60.0, -20.0))
+LOG_FAR_JET_Z = complex(45.0)
+
+
+def _far_log_solution_holds(p, z, order):
+    """The 2-jet of the prepared log solution at a far point z: entry 0 is
+    at(z), bit for bit, and each entry up to order is within its estimate
+    and within 1e-8 relative of U / prefactor."""
+    at = prepare_log_solution(p)
+    jet = at.jet(z, 2)
+    assert repr(at(z)) == repr(jet[0])
+    for k, r in enumerate(jet[:order + 1]):
+        want = _log_solution_ref(p, z, k)
+        assert abs(r.value - want) <= r.err_estimate, (p, z, k)
+        assert abs(r.value - want) <= 1e-8 * abs(want), (p, z, k)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, -2])
 def test_log_solution_error_bound_0f1(m):
     # D_m = U_m / prefactor - log z F_m, so the log solution log z F_m + D_m
-    # is U_m / prefactor, with U_m(z) = (2/sqrt(pi)) z^(-m/2) K_m(2 sqrt z)
-    # and prefactor (-1)^(m+1)/sqrt(pi).  At |z| = 20 the two terms cancel
-    # to ~1e-5 of their size, so the bound needs the rounding floor.
+    # is U_m / prefactor.  At |z| = 20 the two terms cancel to ~1e-5 of
+    # their size, so the bound needs the rounding floor; past the radius
+    # (20.30) the log solution is U's far value over the prefactor
     z = complex(20.0, 0.3)
-    with mp.workdps(30):
-        zm = mp.mpc(z.real, z.imag)
-        u = 2 / mp.sqrt(mp.pi) * zm ** (-mp.mpf(m) / 2) \
-            * mp.besselk(m, 2 * mp.sqrt(zm))
-        want = complex(u * (-1) ** (m + 1) * mp.sqrt(mp.pi))
     got = log_solution(F0(m), z)
-    assert abs(got.value - want) <= got.err_estimate
+    assert abs(got.value - _log_solution_ref(F0(m), z)) <= got.err_estimate
+    if m in (-2, 0, 3):
+        for z in LOG_FAR_ZS:
+            _far_log_solution_holds(F0(m), z, 0)
+        _far_log_solution_holds(F0(m), LOG_FAR_JET_Z, 2)
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_log_solution_error_bound_1f1(m):
+    # the 1F1 twin: past the radius (18.02) log z F + D cancels like e^z
+    # against U, and the log solution is U's far value over the prefactor
+    for z in LOG_FAR_ZS:
+        _far_log_solution_holds(F1(0.7, m), z, 0)
+    _far_log_solution_holds(F1(0.7, m), LOG_FAR_JET_Z, 2)
+
+
+def test_log_solution_far_reproducers():
+    # table points where log z F + D summed 148 and 50 terms and missed by
+    # 3.0e-2 and 2.9e-7; U / prefactor takes 24 and 23
+    for p, z, terms in [(F1(1.82884, 1), complex(23.892983500000003, 1.9451461538461539), 24),
+                        (F0(2), complex(27.97380325, 2.108046923076923), 23)]:
+        _far_log_solution_holds(p, z, 0)
+        assert log_solution(p, z).terms_used == terms
 
 
 def test_log_solution_jet_consistency():

@@ -1,18 +1,19 @@
 """The point rules of F, D and U at the doubles where they switch.
 
 Each rule compares z with a bound: the 2F1 series of F and D stop at
-|z| > 0.95, u0 and u1 try their far value at Re z > 0 and |z| >=
-U0_FAR_RADIUS or U1_FAR_RADIUS, and u2 takes its 1/z series at
-|z| >= 1/0.95.  Every point below sits on such a bound or one ulp to
-either side of it (the edges of Kummer's and Pfaff's maps are inputs of
-test_maps).  Its pins are two digests of what a lone call returns or
-raises (the jet to order 2 for F and D): one of the values, terms and
-flags, or of the error, and one of the error estimates, so that a change
-to the estimates alone fails only the second.  Its side names the rule
-it takes there, checked against that rule's own evaluation.  A prepared u0
-or u1 serves near, far and fall-back points in either order with the
-bits of a lone call.  ffun._named renames an error raised at an image
-point, with and without a scale.
+|z| > 0.95, u0 and u1 and the 0F1 and 1F1 log solutions try their far
+value at Re z > 0 and |z| >= U0_FAR_RADIUS or U1_FAR_RADIUS, and u2
+takes its 1/z series at |z| >= 1/0.95.  Every point below sits on such
+a bound or one ulp to either side of it (the edges of Kummer's and
+Pfaff's maps are inputs of test_maps).  Its pins are two digests of
+what a lone call returns or raises (the jet to order 2 for F and D):
+one of the values, terms and flags, or of the error, and one of the
+error estimates, so that a change to the estimates alone fails only the
+second.  Its side names the rule it takes there, checked against that
+rule's own evaluation.  A prepared u0, u1 or log solution serves near,
+far and fall-back points in either order with the bits of a lone call.
+ffun._named renames an error raised at an image point, with and
+without a scale.
 """
 
 import cmath
@@ -21,10 +22,10 @@ import math
 
 import pytest
 
-from hyperd.dfun import prepare_d_eval
+from hyperd.dfun import _log_jet, _log_prefactor, log_solution, prepare_d_eval, prepare_log_solution
 from hyperd.errors import BranchCut, DomainError, HyperdError, NoConvergence
-from hyperd.ffun import F0, F1, F2, _named, _seed, prepare_f_norm
-from hyperd.series import EvalResult, sum_power_series
+from hyperd.ffun import F0, F1, F2, _named, _params, _seed, prepare_f_norm
+from hyperd.series import EvalResult, _prepared, sum_power_series
 from hyperd.ufun import U0_FAR_RADIUS, U1_FAR_RADIUS, URoute, prepare_u, u0, u1, u2
 
 
@@ -149,18 +150,37 @@ U1_EDGES = _u_edges(U1_FAR_RADIUS, -4.0)
 PAST = [complex(0.0, 30.0), complex(-0.0, 30.0), complex(5e-324, 30.0)]
 
 # the far value is kept on the radius and past it, but for u1 at
-# alpha = 0.37, whose expansion falls short there
+# alpha = 0.37, whose expansion falls short there; the log solution keeps
+# it where U does
 KEPT = ["near", "far", "far"] * 2 + ["near", "near", "far"]
 U_EDGES = [
     (u0, (2,), U0_EDGES + PAST, KEPT, ("ca31a7c7ddb2a7a5", "913203561f14b712")),
     (u0, (0.37,), U0_EDGES + PAST, KEPT, ("c9973775ed25a96c", "b69a353bc7ec5275")),
     (u1, (0.7, 2), U1_EDGES + PAST, KEPT, ("b285f3f722c14ef8", "0c0f7c63d67b9321")),
     (u1, (0.7, 0.37), U1_EDGES + PAST, ["near"] * 8 + ["far"], ("43e9eccb6dc3b825", "07a2e1a57ce37251")),
+    (log_solution, (F0(2),), U0_EDGES + PAST, KEPT, ("4494787a24d8b05c", "d27a14be04d2f608")),
+    (log_solution, (F1(0.7, 2),), U1_EDGES + PAST, KEPT, ("88e9a0140c4fcdd7", "e38bc37a939511c6")),
 ]
+
+
+def _log_sides(p):
+    """The far and the near rule of the log solution at p: U's forced
+    Asymptotic2F0 value over the LogPlusD prefactor, and the series
+    log z F + D."""
+    q = _params(p)
+    pref = _log_prefactor(type(q)(*map(complex, q))._replace(alpha=q.alpha))()
+    far = prepare_u(p, URoute.ASYMPTOTIC_2F0)
+    return (lambda z: far(z).scaled(1.0 / pref)), _prepared(_log_jet(q))
 
 
 def _u_side(fn, args, z):
     got = _outcome(lambda: fn(*args, z))
+    if fn is log_solution:
+        far, near = _log_sides(*args)
+        if got == _outcome(lambda: far(z)):
+            return "far"
+        _same(got, _outcome(lambda: near(z)), z)
+        return "near"
     if got == _outcome(lambda: fn(*args, z, URoute.ASYMPTOTIC_2F0)):
         return "far"
     alpha = args[-1]
@@ -171,7 +191,7 @@ def _u_side(fn, args, z):
 
 @pytest.mark.parametrize("fn, args, zs, sides, pin", U_EDGES)
 def test_far_radius_edge(fn, args, zs, sides, pin):
-    radius = U0_FAR_RADIUS if fn is u0 else U1_FAR_RADIUS
+    radius = U0_FAR_RADIUS if fn is u0 or isinstance(args[0], F0) else U1_FAR_RADIUS
     assert [abs(z) for z in zs[:6]] == _around(radius) * 2
     for z, side in zip(zs, sides):
         assert _u_side(fn, args, z) == side, z
@@ -226,6 +246,18 @@ def test_a_prepared_u_serves_each_point_as_a_lone_call(p, fn, args, zs):
         at = prepare_u(p)
         for z in order:
             _same(_outcome(lambda: at(z)), want[z], z)
+
+
+@pytest.mark.parametrize("p, zs", [(p, zs) for p, _, _, zs in SERVED if p.is_degenerate])
+def test_a_prepared_log_solution_serves_each_point_as_a_lone_call(p, zs):
+    # its series is built at the first point the far rule refuses, and its
+    # far entries at the first point the rule takes
+    want = {z: _outcome(lambda: prepare_log_solution(p).jet(z, 2)) for z in zs}
+    for order in (zs, zs[::-1]):
+        at = prepare_log_solution(p)
+        for z in order:
+            _same(_outcome(lambda: at.jet(z, 2)), want[z], z)
+            _same(_outcome(lambda: at(z)), _outcome(lambda: log_solution(p, z)), z)
 
 
 def test_served_points_take_both_rules():

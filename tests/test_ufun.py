@@ -6,6 +6,7 @@ Tricomi's function, the Bessel wrappers are the standard I, J, K, H.
 """
 
 import cmath
+import hashlib
 import math
 import random
 import re
@@ -14,7 +15,7 @@ import sys
 import mpmath as mp
 import pytest
 
-from hyperd.dfun import d_eval, log_solution
+from hyperd.dfun import d_eval, log_solution, prepare_log_solution
 from hyperd.errors import (
     BranchCut,
     DivergedImmediately,
@@ -317,6 +318,47 @@ def test_points_the_far_rule_leaves_keep_their_values():
     for theta, alpha, z in [(0.7, 0.37, 18.0), (0.7 + 0.2j, 3, complex(17.9, 1.0)), (1.1, -1, complex(-25.0, 0.5))]:
         route = URoute.CONNECTION if alpha == 0.37 else URoute.LOG_PLUS_D
         assert repr(u1(theta, alpha, z)) == repr(u1(theta, alpha, z, route))
+    # the log solution takes the far rule of U, but U's LogPlusD route,
+    # given, still sums log z F + D past the radius
+    lpd = prepare_u(F1(0.7, 2), "LogPlusD")
+    far = {
+        30.0: ("EvalResult(value=(0.0019915582567996085+0j), err_estimate=0.00011293459028094068, "
+               "terms_used=166, flags=frozenset())",
+               "EvalResult(value=(0.0018671325156972298+0j), err_estimate=1.2611566348071287e-16, "
+               "terms_used=31, flags=frozenset())"),
+        complex(40, 5): ("EvalResult(value=(-0.06741671586653881-2.157334907729242j), "
+                         "err_estimate=2.2108963030358963, terms_used=201, flags=frozenset())",
+                         "EvalResult(value=(0.001049924414997068-0.00024678363076905324j), "
+                         "err_estimate=9.823338242900926e-18, terms_used=41, flags=frozenset())"),
+    }
+    for z, (given, auto) in far.items():
+        assert repr(lpd(z)) == given
+        assert repr(u1(0.7, 2, z)) == auto
+    # log solutions the far rule leaves: 1F1 at m < 0, 2F1, Re z <= 0 and
+    # just inside each radius.  The value's repr, and a digest of the
+    # 2-jet's repr
+    logs = [
+        (F1(0.7, -1), 30.0, "EvalResult(value=(-86507179996356.6+0j), err_estimate=0.07801391211140675, "
+                            "terms_used=169, flags=frozenset())", "22c0fac2d95793cc"),
+        (F2(2, 0.3, 0.2), complex(-0.5, 0.3), "EvalResult(value=(-34.560187490863115-58.48320156255389j), "
+                                              "err_estimate=1.70603673317103e-14, terms_used=93, "
+                                              "flags=frozenset())", "0dbc1d5c82d4a337"),
+        (F0(2), complex(-30, 5), "EvalResult(value=(0.006910081832362837+0.007515866034215779j), "
+                                 "err_estimate=1.7600155108551422e-17, terms_used=56, flags=frozenset())",
+         "c95084ab3deed50f"),
+        (F1(0.7, 2), complex(-25, 3), "EvalResult(value=(0.0144603101325687+0.011951856217559783j), "
+                                      "err_estimate=9.642377509944183e-18, terms_used=171, flags=frozenset())",
+         "54520e19b7a6141c"),
+        (F0(2), 30j, "EvalResult(value=(1.1356716168364756e-05-4.776077893176023e-06j), "
+                     "err_estimate=1.3718108115074711e-14, terms_used=52, flags=frozenset())", "8967f6a93755369a"),
+        (F0(2), 20.29, "EvalResult(value=(-6.131395849706678e-06+0j), err_estimate=5.747608324151069e-14, "
+                       "terms_used=46, flags=frozenset())", "096d5423c34c727a"),
+        (F1(0.7, 2), 18.0, "EvalResult(value=(0.03582598641514778+0j), err_estimate=4.365766180287397e-09, "
+                           "terms_used=124, flags=frozenset())", "d4889a7b322fa2ef"),
+    ]
+    for p, z, value, jet in logs:
+        assert repr(log_solution(p, z)) == value
+        assert hashlib.sha256(repr(prepare_log_solution(p).jet(z, 2)).encode()).hexdigest()[:16] == jet
 
 
 def test_forced_routes_ignore_the_far_rule():
