@@ -5,8 +5,9 @@ Infinity-normalized solutions and Bessel reductions
 U is the solution singled out by its behavior at infinity (the Tricomi
 function in the confluent case, DLMF 13.2.6).  Away from integer alpha
 it is a combination of the two Frobenius solutions; at integer alpha
-that combination is 0/0 and the limit produces the log + D form.  Both
-routes are implemented and must agree.
+that combination is 0/0, and de l'Hospital's rule (its alpha-derivative
+at m) produces the log + D form.  Both routes are implemented and must
+agree.
 """
 
 import math
@@ -30,12 +31,12 @@ for route in (URoute.LOG_PLUS_D, None):
     print("m = 2 route=%-10s U = %.15g" % (route, r.value.real))
 
 # %%
-# The two must be consistent: walking alpha -> m along the connection
-# route and extrapolating reproduces the log-route value.
+# The two must be consistent: the connection formula differentiated in
+# alpha at m, as the paper takes the limit, reproduces the log-route value.
 
 lim = limit_alpha(F1(theta=0.7, alpha=2), z)
 direct = u1(0.7, 2, z, URoute.LOG_PLUS_D)
-print("extrapolated:", lim.value)
+print("limit       :", lim.value)
 print("direct      :", direct.value)
 print("difference  :", abs(lim.value - direct.value))
 

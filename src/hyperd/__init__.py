@@ -16,7 +16,6 @@ from .errors import (
     BranchCut,
     DivergedImmediately,
     DomainError,
-    ExtrapolationUnstable,
     HyperdError,
     Inapplicable,
     NoConvergence,
@@ -24,7 +23,6 @@ from .errors import (
     PoleAtOrigin,
     PoleError,
     RouteInapplicable,
-    RoutesDisagree,
     UnknownRelation,
 )
 from .series import EvalResult, LaurentExpansion, MAX_TERMS, REL_TOL
@@ -74,10 +72,9 @@ from .relations import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchCut", "DivergedImmediately", "DomainError",
-    "ExtrapolationUnstable", "HyperdError", "Inapplicable", "NoConvergence",
-    "ParameterSingular", "PoleAtOrigin", "PoleError", "RouteInapplicable",
-    "RoutesDisagree", "UnknownRelation",
+    "BranchCut", "DivergedImmediately", "DomainError", "HyperdError",
+    "Inapplicable", "NoConvergence", "ParameterSingular", "PoleAtOrigin",
+    "PoleError", "RouteInapplicable", "UnknownRelation",
     "EvalResult", "LaurentExpansion", "MAX_TERMS", "REL_TOL",
     "EULER_GAMMA", "digamma", "gamma", "harmonic", "near_int", "pochhammer",
     "recip_gamma",

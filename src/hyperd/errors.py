@@ -62,12 +62,3 @@ class UnknownRelation(HyperdError):
 class Inapplicable(HyperdError):
     """Relation exists but its applicability predicate rejects the
     supplied parameters."""
-
-
-class ExtrapolationUnstable(HyperdError):
-    """Richardson increments failed to contract; the limit cannot be
-    trusted."""
-
-
-class RoutesDisagree(HyperdError):
-    """Two independent evaluation routes differ beyond tolerance."""

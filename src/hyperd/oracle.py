@@ -3,22 +3,24 @@
 Nothing in here is used by the evaluators themselves.  The point is to
 check them against constructions that share as little code as possible:
 ODE residuals (with finite differences as a fallback derivative route),
-inhomogeneous-equation residuals for the logarithmic companions,
-Richardson extrapolation of the generic-parameter connection formulas
-into the integer limit, and the psi-weighted series for the parameter
-derivative of the normalized 0F1 solution.
+inhomogeneous-equation residuals for the logarithmic companions, and the
+paper's own construction of the degenerate case, de l'Hospital's rule.
+One stream, _alpha_deriv, gives the alpha-derivative of F for every
+kind.  limit_alpha differentiates the Connection formula of U at the
+integer m with it, and d_from_alpha_derivative builds the 0F1 companion
+D from the derivatives at m and -m.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
-from .errors import (DomainError, ExtrapolationUnstable, Inapplicable,
-                     PoleAtOrigin, RoutesDisagree)
-from .ffun import F0, _params, f_norm, prepare_f_norm
+from .errors import DomainError, Inapplicable, PoleAtOrigin
+from .ffun import F0, _check_order, _params, _reflected, _seed, prepare_f_norm
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
-from .series import EvalResult, principal_pow, sum_power_series
+from .series import (_EPS, _checked, _linear, _point, log_negated, principal_log,
+                     principal_pow, sum_power_series)
 from .dfun import _d_params, prepare_d_eval
-from .ufun import URoute, prepare_u
 
 __all__ = [
     "ResidualReport",
@@ -29,31 +31,17 @@ __all__ = [
     "d_from_alpha_derivative",
 ]
 
-# Richardson ladder for limit_alpha: 4 levels, ratio 2.
-_LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-
-# Rounding floor for the contraction test: below this the increments are
-# dominated by cancellation noise, not by the h-expansion.
-_EXTRAP_FLOOR = 1e-13
-
 _FD_SCALE = 1e-4
-
-# scaled gap allowed between the two routes of alpha_derivative
-_ROUTES_TOL = 1e-6
-
-# the central-difference step in alpha of alpha_derivative
-_FD_STEP = 1e-5
 
 
 class ResidualReport(NamedTuple):
     """Outcome of a residual check.
 
-    method is one of SeriesDeriv (derivatives came from term-by-term
-    differentiated series), FiniteDiff (5-point stencils, step recorded),
-    Richardson (extrapolation metadata in detail).  detail maps names to
-    the values behind the residual; every report of this module passes
-    its own dict, and the default is None, not a dict every report would
-    share.
+    method is SeriesDeriv (derivatives came from term-by-term
+    differentiated series) or FiniteDiff (5-point stencils, step
+    recorded).  detail maps names to the values behind the residual;
+    every report of this module passes its own dict, and the default is
+    None, not a dict every report would share.
     """
 
     residual: float
@@ -143,100 +131,115 @@ def inhom_residual(p, z):
                           detail={"lhs": lhs, "rhs": rhs})
 
 
+def _d_recip_gamma(w, rg):
+    """d/dw 1/Gamma(w), rg = 1/Gamma(w): -psi(w) rg, and its limit
+    (-1)^k k! at a pole w = -k."""
+    k = near_nonpositive_int(w)
+    if k is not None:
+        return complex((-1) ** k * math.factorial(-k))
+    return -digamma(w) * rg
+
+
+def _alpha_deriv(p):
+    """The coefficients of z^n of d/dalpha of F at the checked set p, each
+    classical upper u moving by 1/2 per unit of alpha: F's coefficient is
+    P_n / Gamma(w), P_n = prod (u)_n / n!, w = alpha + 1 + n, so this is
+    P_n' / Gamma(w) + P_n (1/Gamma)'(w) (_d_recip_gamma).  P_n and P_n'
+    advance by the product rule, 1/Gamma and psi from the first w that is
+    not a pole by 1/Gamma(w+1) = 1/(w Gamma(w)), psi(w+1) = psi(w) + 1/w.
+    """
+    if type(p.alpha) is int:
+        _check_order(p.alpha)
+    *upper, _ = p.to_classical()
+    upper = [complex(u) for u in upper]
+    w, n, pn, dpn = complex(p.alpha) + 1, 0, 1 + 0j, 0j
+    rg = psi = None
+    while True:
+        if rg is not None:
+            yield (dpn - pn * psi) * rg
+            rg, psi = rg / w, psi + 1 / w
+        elif near_nonpositive_int(w) is not None:
+            yield pn * _d_recip_gamma(w, 0j)
+        else:
+            rg, psi = recip_gamma(w), digamma(w)
+            continue
+        q, dq = 1.0, 0.0
+        for u in upper:
+            q, dq = q * (u + n), dq * (u + n) + 0.5 * q
+        n, w = n + 1, w + 1
+        pn, dpn = pn * q / n, (dpn * q + pn * dq) / n
+
+
+def _summed(coeffs, z, start=0):
+    """sum_power_series(coeffs, z, start=start), its error estimate raised
+    by eps times the sum of its terms' magnitudes, the rounding of a sum
+    whose terms cancel."""
+    terms, mags = itertools.tee(coeffs)
+    r = sum_power_series(terms, z, start=start)
+    mag = sum_power_series(map(abs, mags), abs(z), start=start).value.real
+    return r._replace(err_estimate=r.err_estimate + _EPS * mag)
+
+
+def _connection_terms(p):
+    """(c, t1, t2) of ufun._connection's U = c (t1 - t2) / sin(pi alpha) at
+    p, a term (x, gammas, q, s) standing for x^(-alpha) prod 1/Gamma(g) F_q
+    over (g, dg/dalpha) in gammas, x = z (1), -z (-1) or none (0), and q = p
+    (s = 1) or its reflection, whose alpha is -alpha (s = -1)."""
+    a, r = p.alpha, _reflected(p)
+    if p.kind == "0f1":
+        return math.sqrt(math.pi), (1, (), r, -1), (0, (), p, 1)
+    if p.kind == "1f1":
+        th = p.theta
+        return math.pi, (1, [((1 + th + a) / 2, 0.5)], r, -1), (0, [((1 + th - a) / 2, -0.5)], p, 1)
+    b, mu = p.beta, p.mu
+    return (-math.pi, (0, [((1 - a - b - mu) / 2, -0.5), ((1 - a + b - mu) / 2, -0.5)], p, 1),
+            (-1, [((1 + a + b - mu) / 2, 0.5), ((1 + a - b - mu) / 2, 0.5)], r, -1))
+
+
 def limit_alpha(p, z):
-    """U at the parameters p, at alpha within DEGENERACY_TOL of an integer
-    m, via extrapolation of the generic formula.
+    """U at the parameter set p, alpha within DEGENERACY_TOL of an integer
+    m, as the alpha -> m limit of the Connection route, taken by de
+    l'Hospital's rule as the paper takes it.
 
-    Evaluates the connection route at alpha = m + h down the ladder
-    h = 1e-2, 5e-3, 2.5e-3, 1.25e-3 and Neville-extrapolates to h = 0.
-    The combination is analytic in alpha near the integer, so the
-    diagonal increments must contract by at least 2x per level (up to a
-    rounding floor); anything slower means a wrong constituent and is
-    reported as ExtrapolationUnstable rather than averaged away.
-    _prepare_limit_alpha(p)(z).
+    The route's U = c (t1 - t2) / sin(pi alpha) (_connection_terms) is
+    0/0 at m, where sin(pi alpha) has the slope pi (-1)^m, so U_m =
+    c (-1)^m / pi d/dalpha (t1 - t2).  A term x^(-alpha) G F_q has the
+    derivative x^(-alpha) ((G' - G log x) F_q + s G dF_q), with F_q and
+    dF_q the series of ffun._seed and _alpha_deriv at q (_summed), and
+    series._linear sums these, so the error estimate carries the
+    truncation and rounding of each.
     """
-    return _prepare_limit_alpha(p)(z)
-
-
-def _prepare_limit_alpha(p):
-    """The callable z -> limit_alpha(p, z), with the Connection route at
-    each alpha = m + h of the ladder prepared once."""
     p = _params(p)
-    if type(p.alpha) is not int:
-        raise DomainError(f"limit_alpha needs integer m, got alpha={p.alpha!r}")
-    hs = _LADDER
-    us = [prepare_u(p._replace(alpha=p.alpha + h), URoute.CONNECTION) for h in hs]
-
-    def at(z):
-        z = complex(z)
-        rows = [[u(z).value] for u in us]
-        # Neville tableau evaluated at h = 0
-        for j in range(1, len(hs)):
-            for i in range(len(hs) - 1, j - 1, -1):
-                num = hs[i] * rows[i - 1][j - 1] - hs[i - j] * rows[i][j - 1]
-                rows[i].append(num / (hs[i] - hs[i - j]))
-        diag = [rows[i][i] for i in range(len(hs))]
-        value = diag[-1]
-        floor = _EXTRAP_FLOOR * max(1.0, abs(value))
-        incs = [abs(diag[i + 1] - diag[i]) for i in range(len(diag) - 1)]
-        for a, b in zip(incs, incs[1:]):
-            if b > floor and b > 0.5 * a:
-                raise ExtrapolationUnstable(
-                    "limit_alpha increments fail 2x contraction: %r" % (incs,))
-        err = max(incs[-1], floor)
-        return EvalResult(value=value, err_estimate=err,
-                          terms_used=len(hs), flags=frozenset())
-
-    return at
-
-
-def _alpha_deriv_coeff(alpha, j):
-    """Coefficient of z^j in d/d(alpha) of the normalized 0F1 solution.
-
-    -psi(w)/Gamma(w) at w = alpha + j + 1, with the finite limit
-    (-1)^(n+1) n! substituted when w sits at a pole -n.
-    """
-    w = alpha + j + 1.0
-    if near_nonpositive_int(w) is not None:
-        n = -near_nonpositive_int(w)  # pole index: w = -n
-        val = (-1.0) ** (n + 1) * math.factorial(n)
-    else:
-        val = digamma(w) * recip_gamma(w)
-    return -val / math.factorial(j)
+    m = p.alpha
+    if type(m) is not int:
+        raise DomainError(f"limit_alpha needs integer m, got alpha={m!r}")
+    z = _point(z)
+    c, t1, t2 = _connection_terms(p)
+    k = c * (-1) ** m / math.pi
+    parts = []
+    for sign, (x, gammas, q, s) in ((k, t1), (-k, t2)):
+        ell, pw = 0.0, 1.0
+        if x:
+            ell = principal_log(z) if x > 0 else log_negated(z)
+            pw = principal_pow(x * z, -m)
+        g, dg = 1.0, 0.0
+        for arg, slope in gammas:
+            rg = recip_gamma(arg)
+            g, dg = g * rg, dg * rg + g * slope * _d_recip_gamma(arg, rg)
+        n0, f = _seed(q)
+        parts += [(sign * pw * (dg - g * ell), _summed(f(), z, n0)),
+                  (sign * pw * s * g, _summed(_alpha_deriv(q), z))]
+    return _checked(_linear(parts), z)
 
 
 def alpha_derivative(alpha, z):
-    """d/d(alpha) of the normalized 0F1 solution, two independent ways.
-
-    Series route: -sum_j psi(alpha+j+1) z^j / (Gamma(alpha+j+1) j!),
-    with pole terms replaced by their finite limits.  Cross-checked
-    against a central difference in alpha, step _FD_STEP, of the plain
-    evaluator; a disagreement beyond _ROUTES_TOL (scaled) raises
-    RoutesDisagree.
-    Returns the series-route value.
-    """
-    z = complex(z)
-    alpha = complex(alpha)
-
-    def gen():
-        j = 0
-        while True:
-            yield complex(_alpha_deriv_coeff(alpha, j))
-            j += 1
-
-    res = sum_power_series(gen(), z)
-    plus = f_norm(F0(alpha=alpha + _FD_STEP), z).value
-    minus = f_norm(F0(alpha=alpha - _FD_STEP), z).value
-    fd = (plus - minus) / (2.0 * _FD_STEP)
-    gap = abs(res.value - fd)
-    scale = max(1.0, abs(res.value))
-    if gap > _ROUTES_TOL * scale:
-        raise RoutesDisagree(
-            "alpha_derivative series %r vs finite difference %r" %
-            (res.value, fd))
-    return EvalResult(value=res.value,
-                      err_estimate=max(res.err_estimate, gap),
-                      terms_used=res.terms_used, flags=res.flags)
+    """d/dalpha of the normalized 0F1 solution F_alpha at z: the
+    _alpha_deriv stream of F0(alpha) summed at z, which is
+    -sum_j psi(alpha+j+1) z^j / (Gamma(alpha+j+1) j!), its pole terms at
+    their finite limits."""
+    p = _params(F0(alpha))
+    z = _point(z)
+    return _checked(_summed(_alpha_deriv(p), z), z)
 
 
 def d_from_alpha_derivative(m, z):
@@ -245,16 +248,12 @@ def d_from_alpha_derivative(m, z):
     D_m(z) = d/d(alpha) F_alpha(z) at alpha = m, plus z^(-m) times the
     same derivative at alpha = -m.  This is how the companion arises in
     the de l'Hospital limit, and it shares no code with the direct
-    expansion, so it serves as an oracle for d_eval.
+    expansion, so it serves as an oracle for d_eval.  m passes the door
+    of D (ffun._params, dfun._d_params), z that of a point.
     """
-    z = complex(z)
-    m = int(m)
-    if m > 0 and z == 0:
-        raise PoleAtOrigin(f"D with m = {m} has a pole at z = 0")
-    a = alpha_derivative(m, z)
-    b = alpha_derivative(-m, z)
-    value = a.value + principal_pow(z, -m) * b.value
-    err = a.err_estimate + abs(z) ** (-m) * b.err_estimate
-    return EvalResult(value=value, err_estimate=err,
-                      terms_used=a.terms_used + b.terms_used,
-                      flags=a.flags | b.flags)
+    p = _d_params(_params(F0(m)))
+    z = _point(z)
+    if p.alpha > 0 and z == 0:
+        raise PoleAtOrigin(f"D with m = {p.alpha} has a pole at z = 0")
+    a, b = (_summed(_alpha_deriv(q), z) for q in (p, _reflected(p)))
+    return _checked(_linear([(1.0, a), (principal_pow(z, -p.alpha), b)]), z)

@@ -73,9 +73,9 @@ def test_criterion_1_degenerate_theorem_suite():
                 worst_direct = max(worst_direct, abs(a - b))
                 worst_limit = max(worst_limit, abs(a - c))
     print("criterion 1: worst |U - logform| = %.3e (tol 1e-9), "
-          "worst |U - limit| = %.3e (tol 1e-6)" % (worst_direct, worst_limit))
+          "worst |U - limit| = %.3e (tol 1e-12)" % (worst_direct, worst_limit))
     assert worst_direct <= 1e-9
-    assert worst_limit <= 1e-6
+    assert worst_limit <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,23 @@
-"""Residual and extrapolation machinery.
+"""Residual and de l'Hospital machinery.
 
 These tests drive the verification tools themselves: the tools get
 pointed at known-good evaluators (residuals must vanish), at known-bad
-inputs (residuals must be O(1)), and at deliberately corrupted
-constituents (the guards must fire rather than average the damage away).
+inputs (residuals must be O(1)), and at a deliberately corrupted
+evaluator (the theorem checks must fail).  The alpha-derivative stream
+behind limit_alpha is checked against mpmath.diff for every kind.
 """
 
+import json
 import math
 import pickle
 
 import pytest
 
-from hyperd import oracle
+from hyperd import cli, oracle, ufun
 from hyperd.dfun import d_eval, prepare_log_solution
-from hyperd.errors import (DomainError, ExtrapolationUnstable, Inapplicable,
-                           PoleAtOrigin, RoutesDisagree)
-from hyperd.ffun import (F0, F1, F2, PARAMS_BY_KIND, f_norm, prepare_f_norm,
-                         prepare_f_second)
+from hyperd.errors import DomainError, Inapplicable, PoleAtOrigin
+from hyperd.ffun import (F0, F1, F2, PARAMS_BY_KIND, _params, _reflected, f_norm,
+                         prepare_f_norm, prepare_f_second)
 from hyperd.gammakit import EULER_GAMMA, recip_gamma
 from hyperd.series import principal_log
 from hyperd.ufun import URoute, u0, u1, u2
@@ -156,31 +157,61 @@ def test_limit_alpha_reproduces_the_degenerate_values(kind, rest, mk_u):
         lim = oracle.limit_alpha(PARAMS_BY_KIND[kind](alpha=m, **rest), z)
         direct = mk_u(m, z).value
         scale = max(1.0, abs(direct))
-        assert abs(lim.value - direct) / scale < 1e-9
-        assert lim.err_estimate < 1e-6
+        assert abs(lim.value - direct) / scale < 1e-13
+        assert lim.err_estimate < 1e-13
 
 
-def test_limit_alpha_guard_fires_on_a_corrupted_constituent(monkeypatch):
-    from hyperd.series import EvalResult
+def test_verify_theorems_catch_a_defect_of_1e_8_in_u(monkeypatch, capsys):
+    # LogPlusD U scaled by 1 + 1e-8: every theorem check must fail, where
+    # a check at 1e-6 let it pass
+    assert cli.main(["verify", "--suite", "theorems"]) == 0
+    real = ufun._log_prefactor
 
-    real = oracle.prepare_u
+    def scaled(p):
+        prefactor = real(p)
+        return lambda: prefactor() * (1.0 + 1e-8)
 
-    def spiky(p, route):
-        at = real(p, route)
+    monkeypatch.setattr(ufun, "_log_prefactor", scaled)
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "theorems"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["failures"]) == doc["relations_checked"] == 24
+    assert all(f["max_scaled_residual"] > 1e-9 for f in doc["failures"])
 
-        def u_at(z):
-            base = at(z)
-            v = base.value
-            # one wrong rung: extrapolation must refuse, not average it away
-            if abs(float(p.alpha) - 1.005) < 1e-12:
-                v = v * (1.0 + 1e-3)
-            return EvalResult(v, base.err_estimate, base.terms_used, base.flags)
 
-        return u_at
+def _mp_alpha_deriv(p, z):
+    """d/dalpha of F at p and z by mpmath.diff, F summed term by term with
+    1/Gamma, which is entire in alpha, at 30 digits."""
+    import mpmath as mp
 
-    monkeypatch.setattr(oracle, "prepare_u", spiky)
-    with pytest.raises(ExtrapolationUnstable):
-        oracle.limit_alpha(F0(1), 0.7)
+    def f(t):
+        *upper, c = p._classical(t)
+        total, w = mp.mpf(0), mp.mpc(z)
+        for n in range(300):
+            term = mp.rgamma(c + n) * w ** n / mp.factorial(n)
+            for u in upper:
+                term *= mp.rf(u, n)
+            total += term
+        return total
+
+    with mp.workdps(30):
+        return complex(mp.diff(f, mp.mpmathify(p.alpha)))
+
+
+@pytest.mark.parametrize("p", [
+    # alpha = +-m, the pole terms of -m included
+    F0(0), F0(2), F0(-2), F1(0.7, 0), F1(0.7, 2), F1(0.7, -2),
+    F2(2, 0.3, 0.2), F2(-2, 0.3, 0.2),
+    # complex alpha that is not an integer
+    F0(0.5 + 0.3j), F1(0.7, 0.5 + 0.3j), F2(-1.5 + 0.3j, 0.3, 0.2),
+    # the reflected 2F1 sets of limit_alpha's Connection terms
+    _reflected(F2(2, 0.3, 0.2)), _reflected(F2(1, 2.2, 0.2)),
+], ids=repr)
+def test_alpha_derivative_stream_against_mpmath(p):
+    for z in (0.6, -0.4 + 0.5j):
+        got = oracle._summed(oracle._alpha_deriv(_params(p)), complex(z)).value
+        want = _mp_alpha_deriv(p, z)
+        assert abs(got - want) <= 1e-14 * abs(want), (p, z)
 
 
 def test_oracles_take_the_parameters_of_f():
@@ -208,15 +239,8 @@ def test_alpha_derivative_pole_coefficients():
     # (-1)^(n+1) n! keep the series well defined
     r = oracle.alpha_derivative(-3.0, 0.5)
     assert r.err_estimate < 1e-8
-    # spot check: j = 0 coefficient at w = -2 is -((-1)^3 2!) = 2
-    assert abs(oracle._alpha_deriv_coeff(-3.0, 0) - 2.0) < 1e-15
-
-
-def test_alpha_derivative_routes_disagree_guard(monkeypatch):
-    # a step this coarse puts the central difference far off the series
-    monkeypatch.setattr(oracle, "_FD_STEP", 0.4)
-    with pytest.raises(RoutesDisagree):
-        oracle.alpha_derivative(0.3, 0.45)
+    # spot check: j = 0 coefficient at w = -2 is (1/Gamma)'(-2) = 2!
+    assert next(oracle._alpha_deriv(_params(F0(-3.0)))) == 2.0
 
 
 def test_alpha_derivative_takes_complex_alpha():
@@ -238,6 +262,21 @@ def test_d_from_alpha_derivative_pole_at_origin():
     # D_0 has no pole: its value at 0 is -2 psi(1) = 2 gamma
     assert abs(oracle.d_from_alpha_derivative(0, 0).value
                - 2 * EULER_GAMMA) < 1e-12
+
+
+def test_d_from_alpha_derivative_takes_m_through_the_door_of_d():
+    # a non-integer m was read as int(m), and a nan or infinite m raised a
+    # raw ValueError or OverflowError
+    with pytest.raises(DomainError, match="integer m, got alpha=1.5"):
+        oracle.d_from_alpha_derivative(1.5, 0.7)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            oracle.d_from_alpha_derivative(bad, 0.7)
+    with pytest.raises(DomainError, match="z must be finite"):
+        oracle.d_from_alpha_derivative(1, complex(math.nan, 0.0))
+    # an m within DEGENERACY_TOL of an integer is that integer
+    assert oracle.d_from_alpha_derivative(1 + 1e-11, 0.7) == \
+        oracle.d_from_alpha_derivative(1, 0.7)
 
 
 def test_d_from_alpha_derivative_where_z_to_the_minus_m_overflows():
@@ -263,7 +302,7 @@ def test_de_lhospital_bracket():
     close = u0(m + 1e-4, z, URoute.CONNECTION).value
     exact = u0(m, z, URoute.LOG_PLUS_D).value
     lim = oracle.limit_alpha(F0(m), z).value
-    assert abs(lim - exact) < 1e-10
+    assert abs(lim - exact) < 1e-14
     assert abs(close - exact) < 1e-3  # continuity of the family
 
 
