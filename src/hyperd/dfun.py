@@ -442,20 +442,26 @@ def _log_prefactor(p):
     return lambda: sign * recip_gamma(q1) * recip_gamma(q2)
 
 
+def _complexed(p):
+    """p with every field complex but an int alpha: U's set (ufun.prepare_u, _far_log_jet)."""
+    return type(p)(*[v if k == "alpha" and type(v) is int else complex(v)
+                     for k, v in zip(p._fields, p)])
+
+
 def _far_log_jet(p):
     """jet(z, order) of the far rule's entries of the log solution at p, a
     0F1 set or a 1F1 set at m >= 0 that passed _d_params: None where the
     far rule (ffun) refuses U at z or the prefactor raises, and otherwise
     for k <= order the k-th derivative of U / prefactor, None for an
-    entry whose U^(k) the rule refuses.  U is taken at the complex
-    parameter set of ufun.prepare_u, so entry 0 is u0's or u1's far value
+    entry whose U^(k) the rule refuses.  U is taken at the parameter set
+    of ufun.prepare_u (_complexed), so entry 0 is u0's or u1's far value
     over the prefactor, and U^(k) is U at shifted parameters:
     U0_alpha^(k) = (-1)^k U0_{alpha+k}, and U_{theta,m}^(k) =
     (-1)^k (a)_k U_{theta+k,m+k}, a = (1+m+theta)/2 (DLMF 13.3.22).  The
     prefactor is taken at the first point the rule takes, and kept."""
     m = p.alpha
-    u = type(p)(*map(complex, p))
-    prefactor = _log_prefactor(u._replace(alpha=m))
+    u = _complexed(p)
+    prefactor = _log_prefactor(u)
     if isinstance(u, F1):
         radius = U1_FAR_RADIUS
         a = (1 + m + u.theta) / 2

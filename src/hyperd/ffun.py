@@ -124,11 +124,12 @@ class EquationParams:
 
     @property
     def is_degenerate(self):
+        """Whether alpha is within DEGENERACY_TOL of an integer (_order)."""
         return _order(self.alpha) is not None
 
     @property
     def m(self):
-        """The snapped integer value of alpha in the degenerate case."""
+        """That integer, or ValueError; for callers, as the door (_params) snaps alpha."""
         n = _order(self.alpha)
         if n is None:
             raise ValueError(f"alpha = {self.alpha} is not within {DEGENERACY_TOL} of an integer")

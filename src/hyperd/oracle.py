@@ -8,7 +8,10 @@ paper's own construction of the degenerate case, de l'Hospital's rule.
 One stream, _alpha_deriv, gives the alpha-derivative of F for every
 kind.  limit_alpha differentiates the Connection formula of U at the
 integer m with it, and d_from_alpha_derivative builds the 0F1 companion
-D from the derivatives at m and -m.
+D from the derivatives at m and -m.  limit_alpha shares one piece on
+purpose, the route's term table (ufun._connection_terms): the theorem
+is about the formula the route evaluates, and a copy would be checked
+in its place.
 """
 
 import itertools
@@ -21,6 +24,7 @@ from .gammakit import digamma, near_nonpositive_int, recip_gamma
 from .series import (_EPS, _checked, _linear, _point, log_negated, principal_log,
                      principal_pow, sum_power_series)
 from .dfun import _d_params, prepare_d_eval
+from . import ufun
 
 __all__ = [
     "ResidualReport",
@@ -180,41 +184,25 @@ def _summed(coeffs, z, start=0):
     return r._replace(err_estimate=r.err_estimate + _EPS * mag)
 
 
-def _connection_terms(p):
-    """(c, t1, t2) of ufun._connection's U = c (t1 - t2) / sin(pi alpha) at
-    p, a term (x, gammas, q, s) standing for x^(-alpha) prod 1/Gamma(g) F_q
-    over (g, dg/dalpha) in gammas, x = z (1), -z (-1) or none (0), and q = p
-    (s = 1) or its reflection, whose alpha is -alpha (s = -1)."""
-    a, r = p.alpha, _reflected(p)
-    if p.kind == "0f1":
-        return math.sqrt(math.pi), (1, (), r, -1), (0, (), p, 1)
-    if p.kind == "1f1":
-        th = p.theta
-        return math.pi, (1, [((1 + th + a) / 2, 0.5)], r, -1), (0, [((1 + th - a) / 2, -0.5)], p, 1)
-    b, mu = p.beta, p.mu
-    return (-math.pi, (0, [((1 - a - b - mu) / 2, -0.5), ((1 - a + b - mu) / 2, -0.5)], p, 1),
-            (-1, [((1 + a + b - mu) / 2, 0.5), ((1 + a - b - mu) / 2, 0.5)], r, -1))
-
-
 def limit_alpha(p, z):
     """U at the parameter set p, alpha within DEGENERACY_TOL of an integer
     m, as the alpha -> m limit of the Connection route, taken by de
     l'Hospital's rule as the paper takes it.
 
-    The route's U = c (t1 - t2) / sin(pi alpha) (_connection_terms) is
-    0/0 at m, where sin(pi alpha) has the slope pi (-1)^m, so U_m =
-    c (-1)^m / pi d/dalpha (t1 - t2).  A term x^(-alpha) G F_q has the
-    derivative x^(-alpha) ((G' - G log x) F_q + s G dF_q), with F_q and
-    dF_q the series of ffun._seed and _alpha_deriv at q (_summed), and
-    series._linear sums these, so the error estimate carries the
-    truncation and rounding of each.
+    The route's U = c (t1 - t2) / sin(pi alpha), over the table it reads
+    (ufun._connection_terms), is 0/0 at m, where sin(pi alpha) has the
+    slope pi (-1)^m, so U_m = c (-1)^m / pi d/dalpha (t1 - t2).  A term
+    x^(-alpha) G F_q has the derivative x^(-alpha) ((G' - G log x) F_q +
+    s G dF_q), with F_q and dF_q the series of ffun._seed and _alpha_deriv
+    at q (_summed), and series._linear sums these, so the error estimate
+    carries the truncation and rounding of each.
     """
     p = _params(p)
     m = p.alpha
     if type(m) is not int:
         raise DomainError(f"limit_alpha needs integer m, got alpha={m!r}")
     z = _point(z)
-    c, t1, t2 = _connection_terms(p)
+    c, t1, t2 = ufun._connection_terms(p)
     k = c * (-1) ** m / math.pi
     parts = []
     for sign, (x, gammas, q, s) in ((k, t1), (-k, t2)):

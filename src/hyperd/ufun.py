@@ -44,11 +44,13 @@ the thread that made it.
 """
 
 import cmath
+import functools
 import math
+import operator
 import sys
 from enum import Enum
 
-from .dfun import _d_params, _log_jet, _log_prefactor, d_eval, d_expand
+from .dfun import _complexed, _d_params, _log_jet, _log_prefactor, d_eval, d_expand
 from .errors import (
     BranchCut,
     DomainError,
@@ -107,7 +109,7 @@ def _build_route(p, route):
     band between.  A given LogPlusD needs an integer alpha, a given
     Connection one outside the band."""
     alpha = p.alpha
-    integer = p.is_degenerate
+    integer = type(alpha) is int
     generic = abs(alpha - round(alpha.real)) > CONNECTION_INT_BAND
     if route is None and (integer or generic):
         route = URoute.LOG_PLUS_D if integer else URoute.CONNECTION
@@ -122,16 +124,6 @@ def _build_route(p, route):
     return _ROUTES[route](p)
 
 
-def _product_err(pw, w, err):
-    """|pw w| err, the error of a weighted term pw w F with |F| off by err.
-    Where pw w overflows it is formed as |pw| (|w| err), which stays
-    finite (inf * 0 is nan)."""
-    pww = pw * w
-    if cmath.isfinite(pww):
-        return abs(pww) * err
-    return abs(pw) * (abs(w) * err)
-
-
 def _negated_pow(z, a):
     """(-z)**a as exp(a log(-z)), cut on [0, inf); DomainError naming z and
     a where it is not finite, as series.principal_pow."""
@@ -144,43 +136,37 @@ def _negated_pow(z, a):
     raise DomainError(f"(-z)**a is not finite at z = {z}, a = {a}")
 
 
-def _connection(p):
-    """The Connection route: c (t1 - t2) / sin(pi alpha) from F at p and at
-    its reflection, with the constant c, the two weighted terms t1 and t2
-    and their absolute errors per kind.  Each kind keeps the term order
-    and sign of its own formula, which fix the rounding and the sign of
-    zero imaginary parts on the axis.  sin(pi alpha) is taken here, and
-    DomainError raised where it overflows (|Im alpha| beyond about 226);
-    the Gamma weights are taken at the first point whose series succeed,
-    and kept.  alpha is outside the band (_build_route)."""
-    alpha = p.alpha
-    f_n, f_r = _f_jet(p), _f_jet(_reflected(p))
-    weights = []
+def _connection_terms(p):
+    """(c, t1, t2) of the Connection formula U = c (t1 - t2) / sin(pi alpha)
+    at p, a term (x, gammas, q, s) standing for x^(-alpha) prod 1/Gamma(g)
+    F_q over (g, dg/dalpha) in gammas, x = z (1), -z (-1) or none (0), and
+    q = p (s = 1) or its reflection (s = -1).  The route evaluates it
+    (_connection), and oracle.limit_alpha differentiates it in alpha."""
+    a, r = p.alpha, _reflected(p)
     if p.kind == "0f1":
-        def terms(z, fn, fr):
-            pw = principal_pow(z, -alpha)
-            return _SQRT_PI, pw * fr.value, abs(pw) * fr.err_estimate, fn.value, fn.err_estimate
-    elif p.kind == "1f1":
-        theta = p.theta
+        return _SQRT_PI, (1, (), r, -1), (0, (), p, 1)
+    if p.kind == "1f1":
+        th = p.theta
+        return math.pi, (1, [((1 + th + a) / 2, 0.5)], r, -1), (0, [((1 + th - a) / 2, -0.5)], p, 1)
+    b, mu = p.beta, p.mu
+    return (-math.pi, (0, [((1 - a - b - mu) / 2, -0.5), ((1 - a + b - mu) / 2, -0.5)], p, 1),
+            (-1, [((1 + a + b - mu) / 2, 0.5), ((1 + a - b - mu) / 2, 0.5)], r, -1))
 
-        def terms(z, fn, fr):
-            pw = principal_pow(z, -alpha)
-            g1, g2 = _kept(weights, lambda: (recip_gamma((1 + theta + alpha) / 2),
-                                             recip_gamma((1 + theta - alpha) / 2)))
-            return (math.pi, pw * fr.value * g1, _product_err(pw, g1, fr.err_estimate),
-                    fn.value * g2, abs(g2) * fn.err_estimate)
-    else:
-        beta, mu = p.beta, p.mu
 
-        def terms(z, fn, fr):
-            w1, w2 = _kept(weights, lambda: (
-                recip_gamma((1 - alpha - beta - mu) / 2) * recip_gamma((1 - alpha + beta - mu) / 2),
-                recip_gamma((1 + alpha + beta - mu) / 2) * recip_gamma((1 + alpha - beta - mu) / 2),
-            ))
-            pw = _negated_pow(z, -alpha)
-            return (-math.pi, fn.value * w1, abs(w1) * fn.err_estimate,
-                    pw * fr.value * w2, _product_err(pw, w2, fr.err_estimate))
-
+def _connection(p):
+    """The Connection route: c (t1 - t2) / sin(pi alpha) of the term table
+    (_connection_terms), read once here.  At each point F is summed at p,
+    then at its reflection, then x^(-alpha) is taken, then the Gamma
+    weights, kept from the first point that gets that far.  A term takes
+    only the factors it has, in the table's order, which fixes the rounding
+    and the signs of zero; its error |x^(-alpha) w| err is |x^(-alpha)|
+    (|w| err) where x^(-alpha) w overflows.  DomainError where sin(pi alpha)
+    overflows (|Im alpha| > ~226).  alpha is outside the band (_build_route)."""
+    alpha = p.alpha
+    c, *table = _connection_terms(p)
+    jets = {sign: _f_jet(q) for _, _, q, sign in table}
+    power = principal_pow if max(x for x, *_ in table) > 0 else _negated_pow
+    weights = []
     try:
         s = sinpi(alpha)
     except OverflowError:
@@ -189,8 +175,23 @@ def _connection(p):
     abs_s = abs(s)
 
     def u_at(z):
-        fn, fr = f_n(z, 0)[0], f_r(z, 0)[0]
-        c, t1, e1, t2, e2 = terms(z, fn, fr)
+        fn, fr = jets[1](z, 0)[0], jets[-1](z, 0)[0]
+        pw = power(z, -alpha)
+        # the product of each term's 1/Gamma, None for a term without one
+        ws = _kept(weights, lambda: [functools.reduce(operator.mul, [recip_gamma(g) for g, _ in gs])
+                                     if gs else None for _, gs, _, _ in table])
+        terms = []
+        for (x, _, _, sign), w in zip(table, ws):
+            t, e = (fn if sign > 0 else fr)[:2]  # value, err_estimate
+            if x and w is not None:
+                pww = pw * w
+                t, e = pw * t * w, abs(pww) * e if cmath.isfinite(pww) else abs(pw) * (abs(w) * e)
+            elif x:
+                t, e = pw * t, abs(pw) * e
+            elif w is not None:
+                t, e = t * w, abs(w) * e
+            terms.append((t, e))
+        (t1, e1), (t2, e2) = terms
         err = abs(c) / abs_s * (e1 + e2) + _EPS * abs(c) / abs_s * (abs(t1) + abs(t2))
         return _result((c * (t1 - t2) / s, err, fn.terms_used + fr.terms_used, fn.flags | fr.flags))
 
@@ -205,9 +206,8 @@ def _log_form(p):
     the folded value overflows too.  The prefactor (dfun._log_prefactor)
     is taken after the solution, at the first point whose solution
     succeeds, and kept.  alpha is the snapped m; _d_params rules on p."""
-    m = p.m
-    shift = m < 0 and p.kind != "0f1"
-    p = p._replace(alpha=-m if shift else m)
+    shift = p.alpha < 0 and p.kind != "0f1"
+    p = p._replace(alpha=-p.alpha) if shift else p
     m = p.alpha
     w = _log_jet(_d_params(p))
     prefactor = _log_prefactor(p)
@@ -280,7 +280,7 @@ def prepare_u(p, route=None):
     alpha picks (an alpha in the gap band, a singular D), nor a
     2F1 point on the cut, which raises BranchCut.
     """
-    p = type(p)(*map(complex, _params(p)))
+    p = _complexed(_params(p))
     route = None if route is None else URoute(route)
     chosen = []  # the given or alpha-picked route
     if p.kind != "2f1":

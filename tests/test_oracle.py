@@ -179,6 +179,28 @@ def test_verify_theorems_catch_a_defect_of_1e_8_in_u(monkeypatch, capsys):
     assert all(f["max_scaled_residual"] > 1e-9 for f in doc["failures"])
 
 
+def test_verify_theorems_see_the_connection_formula_of_the_route(monkeypatch, capsys):
+    # c of the route's term table scaled by 1 + 1e-8 moves the route, and
+    # the limit with it, away from LogPlusD: every theorem check fails.
+    # With a copy of the table in the oracle the same fault in the route
+    # left every check passing.
+    before = u1(0.7, 0.37, 1.5, "Connection").value
+    real = ufun._connection_terms
+
+    def scaled(p):
+        c, t1, t2 = real(p)
+        return c * (1.0 + 1e-8), t1, t2
+
+    monkeypatch.setattr(ufun, "_connection_terms", scaled)
+    after = u1(0.7, 0.37, 1.5, "Connection").value
+    assert abs(after / before - 1.0) > 9e-9
+    capsys.readouterr()
+    assert cli.main(["verify", "--suite", "theorems"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["failures"]) == doc["relations_checked"] == 24
+    assert all(f["max_scaled_residual"] > 1e-9 for f in doc["failures"])
+
+
 def _mp_alpha_deriv(p, z):
     """d/dalpha of F at p and z by mpmath.diff, F summed term by term with
     1/Gamma, which is entire in alpha, at 30 digits."""
