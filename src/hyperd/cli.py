@@ -142,7 +142,8 @@ def _error(exc):
 # request parsing
 
 def _parse_complex(text):
-    t = text.strip().replace("i", "j").replace("I", "j")
+    t = text.strip()
+    t = t[:-1] + "j" if t[-1:] in ("i", "I") else t  # only the imaginary unit: inf, nan stay
     try:
         return complex(t)
     except ValueError:
@@ -379,6 +380,8 @@ def _suite_ids(suite, catalog):
 def cmd_verify(args, stream, catalog=None):
     if args.points < 1:
         raise DomainError("--points must be at least 1, got %d" % args.points)
+    if not 0.0 <= args.tol < math.inf:
+        raise DomainError("--tol must be finite and at least 0, got %s" % args.tol)
     catalog = catalog if catalog is not None else relations.build_catalog()
     records = []
     failures = []

@@ -365,26 +365,41 @@ def test_a_value_past_a_double_exits_2_with_a_domain_error(capsys):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["--eq", "0f1", "--alpha", "nan", "--z", "0.5"], "alpha must be finite"),
-    (["--eq", "0f1", "--func", "D", "--alpha", "nan", "--z", "0.5"],
+    (["eval", "--eq", "0f1", "--alpha", "nan", "--z", "0.5"], "alpha must be finite"),
+    (["eval", "--eq", "0f1", "--func", "D", "--alpha", "nan", "--z", "0.5"],
      "alpha must be finite"),
-    (["--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "nan",
+    (["eval", "--eq", "1f1", "--func", "U", "--theta", "0.7", "--alpha", "nan",
       "--z", "0.5"], "alpha must be finite"),
-    (["--eq", "1f1", "--m", "1", "--theta", "0.7", "--z", "nan"],
+    (["eval", "--eq", "1f1", "--m", "1", "--theta", "0.7", "--z", "nan"],
      "z must be finite"),
-    (["--eq", "0f1", "--func", "logsol", "--m", "1",
+    (["eval", "--eq", "0f1", "--func", "logsol", "--m", "1",
       "--grid", "0.5:1e309:2,0.5:0.5:1"], "z must be finite"),
-    (["--eq", "0f1", "--alpha", "0.5", "--grid=0:1:0,0:0:1"],
+    (["eval", "--eq", "0f1", "--alpha", "0.5", "--grid=0:1:0,0:0:1"],
      "bad grid spec '0:1:0,0:0:1' (want re0:re1:n,im0:im1:m): grid axis needs at least one point"),
-    (["--eq", "0f1", "--m", "200", "--z", "0.5"], "m = 200"),
-    (["--eq", "0f1", "--func", "U", "--m", "-171", "--z", "0.5"],
+    (["eval", "--eq", "0f1", "--m", "200", "--z", "0.5"], "m = 200"),
+    (["eval", "--eq", "0f1", "--func", "U", "--m", "-171", "--z", "0.5"],
      "m = -171"),
-    (["--eq", "2f1", "--func", "DI", "--m", "1", "--beta", "nan", "--mu", "0.2",
+    (["eval", "--eq", "2f1", "--func", "DI", "--m", "1", "--beta", "nan", "--mu", "0.2",
       "--z", "0.5"], "beta must be finite"),
+    # an i inside a word is not the imaginary unit: inf is a point, refused
+    # as every non-finite one is (it was "cannot parse complex literal")
+    (["eval", "--eq", "0f1", "--alpha", "0.5", "--z", "inf"], "z must be finite, got z = (inf+0j)"),
+    (["eval", "--eq", "0f1", "--alpha", "0.5", "--z=-Infinity"],
+     "z must be finite, got z = (-inf+0j)"),
+    (["eval", "--eq", "0f1", "--alpha", "0.5", "--z", "1+infi"], "z must be finite, got z = (1+infj)"),
+    (["eval", "--eq", "0f1", "--alpha", "0.5", "--z", "1e400"], "z must be finite, got z = (inf+0j)"),
+    # a tolerance that is not finite or is negative decides no check; a nan
+    # one failed a residual of 1.1e-16, and went unnoticed where no catalog
+    # check ran
+    (["verify", "--id", "f0.recurF.raise", "--tol", "nan", "--points", "2"],
+     "--tol must be finite and at least 0, got nan"),
+    (["verify", "--suite", "theorems", "--tol", "nan"], "--tol must be finite and at least 0, got nan"),
+    (["verify", "--suite", "theorems", "--tol", "inf"], "--tol must be finite and at least 0, got inf"),
+    (["verify", "--suite", "theorems", "--tol=-1e-3"], "--tol must be finite and at least 0, got -0.001"),
 ])
 def test_non_finite_and_out_of_range_input_is_a_domain_error(argv, needle,
                                                             capsys):
-    code, out, err = run(["eval"] + argv, capsys)
+    code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     rec = json.loads(err)["error"]
     assert rec["type"] == "DomainError"
