@@ -26,7 +26,7 @@ from hyperd.dfun import (
 )
 from hyperd.errors import BranchCut, DomainError, ParameterSingular, PoleAtOrigin
 from hyperd.ffun import F0, F1, F2, f_norm
-from hyperd.gammakit import EULER_GAMMA, digamma, harmonic, pochhammer
+from hyperd.gammakit import EULER_GAMMA, digamma, harmonic, pochhammer, recip_gamma
 from hyperd.oracle import inhom_residual, limit_alpha
 from hyperd.series import log_negated, principal_log, principal_pow
 from hyperd.ufun import prepare_u, u0
@@ -301,6 +301,24 @@ def test_log_solution_far_reproducers():
                         (F0(2), complex(27.97380325, 2.108046923076923), 23)]:
         _far_log_solution_holds(p, z, 0)
         assert log_solution(p, z).terms_used == terms
+
+
+def test_log_solution_far_value_needs_its_prefactor():
+    # at m = 1 and z = 1e6 the far rule keeps U's expansion at both theta.
+    # At 0.7+910j the prefactor 1/Gamma((1-m+theta)/2) overflows a double,
+    # so the point takes the series, whose sum is not finite there; at
+    # 0.7+460j the log solution is the far value over the prefactor
+    z = 1e6
+    for theta in (0.7 + 910j, 0.7 + 460j):
+        assert repr(prepare_u(F1(theta, 1))(z)) == repr(prepare_u(F1(theta, 1), "Asymptotic2F0")(z))
+    with pytest.raises(DomainError, match=r"^series sum is not finite at z = \(1000000\+0j\)"):
+        log_solution(F1(0.7 + 910j, 1), z)
+    with pytest.raises(DomainError, match=r"^series sum is not finite at z = \(1000000\+0j\)"):
+        prepare_log_solution(F1(0.7 + 910j, 1)).jet(z, 2)
+    p = F1(0.7 + 460j, 1)
+    got = log_solution(p, z)
+    assert repr(got) == repr(prepare_u(p)(z).scaled(1.0 / recip_gamma(0.35 + 230j)))
+    assert (got.value, got.terms_used) == (-3.88785587858741e-166 - 1.0930942175780018e-165j, 113)
 
 
 def test_log_solution_jet_consistency():
