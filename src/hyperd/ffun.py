@@ -129,7 +129,7 @@ class EquationParams:
 
     @property
     def m(self):
-        """That integer, or ValueError; for callers, as the door (_params) snaps alpha."""
+        """That integer, or ValueError: a convenience, as the door (_params) snaps alpha to it."""
         n = _order(self.alpha)
         if n is None:
             raise ValueError(f"alpha = {self.alpha} is not within {DEGENERACY_TOL} of an integer")
