@@ -21,8 +21,8 @@ from typing import NamedTuple
 from .errors import DomainError, Inapplicable, PoleAtOrigin
 from .ffun import F0, _check_order, _params, _reflected, _seed, prepare_f_norm
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
-from .series import (_EPS, _checked, _linear, _point, log_negated, principal_log,
-                     principal_pow, sum_power_series)
+from .series import (_EPS, _checked, _kept, _linear, _point, _replay, log_negated,
+                     principal_log, principal_pow, sum_power_series)
 from .dfun import _d_params, prepare_d_eval
 from . import ufun
 
@@ -197,27 +197,55 @@ def limit_alpha(p, z):
     at q (_summed), and series._linear sums these, so the error estimate
     carries the truncation and rounding of each.
     """
+    return _prepare_limit_alpha(p)(z)
+
+
+def _prepare_limit_alpha(p):
+    """limit_alpha at the parameter set p as a callable of z, for the
+    points of one set.  Each term's Gamma weights and its two streams, F
+    and dF at q, replayed (series._replay), are built at the first point
+    that reaches them and kept, so a later point sums the kept
+    coefficients with the same operations.  A term whose sums raised is
+    built anew at the next point: a stream that raised would replay cut
+    short."""
     p = _params(p)
     m = p.alpha
     if type(m) is not int:
         raise DomainError(f"limit_alpha needs integer m, got alpha={m!r}")
-    z = _point(z)
     c, t1, t2 = ufun._connection_terms(p)
     k = c * (-1) ** m / math.pi
-    parts = []
-    for sign, (x, gammas, q, s) in ((k, t1), (-k, t2)):
-        ell, pw = 0.0, 1.0
-        if x:
-            ell = principal_log(z) if x > 0 else log_negated(z)
-            pw = principal_pow(x * z, -m)
-        g, dg = 1.0, 0.0
-        for arg, slope in gammas:
-            rg = recip_gamma(arg)
-            g, dg = g * rg, dg * rg + g * slope * _d_recip_gamma(arg, rg)
-        n0, f = _seed(q)
-        parts += [(sign * pw * (dg - g * ell), _summed(f(), z, n0)),
-                  (sign * pw * s * g, _summed(_alpha_deriv(q), z))]
-    return _checked(_linear(parts), z)
+    table = ((k, t1, []), (-k, t2, []))
+
+    def at(z):
+        z = _point(z)
+        parts = []
+        for sign, (x, gammas, q, s), box in table:
+            ell, pw = 0.0, 1.0
+            if x:
+                ell = principal_log(z) if x > 0 else log_negated(z)
+                pw = principal_pow(x * z, -m)
+            g, dg, n0, f, df = _kept(box, _limit_term, gammas, q)
+            try:
+                parts += [(sign * pw * (dg - g * ell), _summed(f(), z, n0)),
+                          (sign * pw * s * g, _summed(df(), z))]
+            except BaseException:
+                box.clear()
+                raise
+        return _checked(_linear(parts), z)
+
+    return at
+
+
+def _limit_term(gammas, q):
+    # the weight g = prod 1/Gamma(arg) of a Connection term over its
+    # gammas, its alpha-derivative dg, and the replayed streams of F and
+    # dF at q: (g, dg, start of F, F, dF)
+    g, dg = 1.0, 0.0
+    for arg, slope in gammas:
+        rg = recip_gamma(arg)
+        g, dg = g * rg, dg * rg + g * slope * _d_recip_gamma(arg, rg)
+    n0, f = _seed(q)
+    return g, dg, n0, f, _replay(_alpha_deriv(q))
 
 
 def alpha_derivative(alpha, z):

@@ -6,7 +6,9 @@ identities that need no external reference.
 """
 
 import cmath
+import importlib.util
 import math
+import pathlib
 import re
 import sys
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hyperd import gammakit
 from hyperd.dfun import d_eval
 from hyperd.errors import DomainError, PoleError
 from hyperd.ffun import F0, F1, f_norm
@@ -56,6 +59,11 @@ _GAMMA_REF = (
     ((-7.2 + 0.3j), (5.583360886798715e-05 + 0.00033317746552038205j), (3.0191137519818914 + 3.2640814940489022j)),
     ((12 + 5j), (13617486.481125215 - 2817017.434119188j), (2.5290991869585886 + 0.4099338557157795j)),
 )
+
+_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gamma_equivalence.py"
+_spec = importlib.util.spec_from_file_location("gamma_equivalence", _TOOL)
+gamma_equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gamma_equivalence)
 
 # off-pole parameter points for the identity tests
 _PTS = [complex(0.37, 0.0), complex(-1.6, 0.0), complex(2.2, -0.7),
@@ -143,8 +151,10 @@ def test_harmonic_basic():
     assert abs(harmonic(3, 0.5) - (2.0 + 2.0 / 3.0 + 0.4)) < 1e-15
     with pytest.raises(PoleError):
         harmonic(3, -1.0)
-    with pytest.raises(ValueError):
-        harmonic(-1)
+    for k in (-1, 1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                f"harmonic order must be a non-negative integer, got {k}")):
+            harmonic(k)
 
 
 def test_pochhammer_both_signs():
@@ -157,8 +167,10 @@ def test_pochhammer_both_signs():
             assert abs(lhs - 1.0) < 1e-13
     with pytest.raises(PoleError):
         pochhammer(2.0, -3)
-    with pytest.raises(ValueError, match="pochhammer index must be an integer, got 1.5"):
-        pochhammer(0.5, 1.5)
+    # inf and nan raised OverflowError and a bare ValueError from int()
+    for k in (1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"pochhammer index must be an integer, got {k}")):
+            pochhammer(0.5, k)
 
 
 @pytest.mark.parametrize("z, k", [(0.5, 400), (1e300, 2), (math.inf, -1), (math.nan, 3),
@@ -377,3 +389,21 @@ def test_reflection_where_gamma_of_one_minus_c_overflows_in_public_calls():
     got = f_norm(F0(-171.9), 0.3).value
     want = mp.hyp0f1(c, 0.3) * mp.rgamma(c)
     assert abs(got - complex(want)) <= 1e-12 * abs(want)
+
+
+def test_real_path_matches_the_complex_path():
+    # an argument on the real axis takes the float real path wherever it
+    # owns the branch; each of gamma, recip_gamma, digamma and pochhammer
+    # must give the complex path's repr (the sign of the zero imaginary
+    # part included) or raise its error, at the structured points of
+    # tools/gamma_equivalence.py, whose full sweep CI runs on every Python
+    bad, compared = gamma_equivalence.mismatches(gamma_equivalence.axis_points())
+    assert compared > 100000
+    assert bad == []
+    # the real path answers at ordinary points, so the comparison is not
+    # of the complex path with itself
+    for x in (0.7, -2.3, 12.5, 140.5):
+        assert gammakit._gamma_real(x, 1) is not None
+        assert gammakit._gamma_real(x, -1) is not None
+        assert gammakit._digamma_real(x) is not None
+        assert gammakit._pochhammer_real(x, -2) is not None

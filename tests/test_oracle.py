@@ -161,6 +161,25 @@ def test_limit_alpha_reproduces_the_degenerate_values(kind, rest, mk_u):
         assert lim.err_estimate < 1e-13
 
 
+@pytest.mark.parametrize("p, zs, far", [
+    (F0(2), (0.7, -0.4 + 0.6j), 1e6),
+    (F1(0.7, 1), (0.7, -0.4 + 0.6j), 1e4),
+    (F2(1, 0.3, 0.2), (-0.5, -0.4 + 0.6j), 3.0),
+], ids=repr)
+def test_prepared_limit_alpha_replays_its_streams(p, zs, far):
+    # the theorem checks prepare limit_alpha once per case and call it at
+    # two points: the second sums the kept streams and must give the bits
+    # of a fresh limit_alpha, and so must a point after one whose sum
+    # overflowed, where the terms are built anew
+    at = oracle._prepare_limit_alpha(p)
+    for z in zs:
+        assert at(z) == oracle.limit_alpha(p, z)
+    with pytest.raises(DomainError, match="series sum is not finite"):
+        at(far)
+    for z in zs:
+        assert at(z) == oracle.limit_alpha(p, z)
+
+
 def test_verify_theorems_catch_a_defect_of_1e_8_in_u(monkeypatch, capsys):
     # LogPlusD U scaled by 1 + 1e-8: every theorem check must fail, where
     # a check at 1e-6 let it pass
