@@ -39,11 +39,10 @@ solution's series (_log_jet) reads those of F (ffun._f_jet) and D
 (_d_jet), and U's LogPlusD route reads that series.
 
 The prepared log solution of 0F1, and of 1F1 at m >= 0, also reads the
-far rule of U, which ffun keeps beside f2f0_asymptotic and ufun's point
-rule reads too: where it takes U at a far point, log z F + D is U over
-U's LogPlusD prefactor (_log_prefactor), and its jet U at shifted
-parameters (_far_log_jet), in place of two series that cancel.  Every
-other point, and _log_jet itself, sums log z F + D.
+far rule of U, stated in ffun's docstring (ffun._far): where it keeps U,
+log z F + D is U over U's LogPlusD prefactor (_log_prefactor), and its
+jet U at shifted parameters (_far_log_jet), in place of two series that
+cancel.  Every other point, and _log_jet itself, sums log z F + D.
 
 Public functions may be called from any thread; a prepared callable or
 a LaurentExpansion replays its own stream and belongs to the thread
@@ -59,17 +58,14 @@ import sys
 from .errors import DomainError, HyperdError, ParameterSingular, PoleAtOrigin
 from .ffun import (
     DEGENERACY_TOL,
-    U0_FAR_RADIUS,
-    U1_FAR_RADIUS,
     F0,
     F1,
     F2,
-    _asymptotic_2f0,
     _check_disc,
     _check_order,
     _f2_I_prefactor,
     _f_jet,
-    _far_value,
+    _far,
     _params,
 )
 from .gammakit import EULER_GAMMA, digamma, harmonic, near_int, pochhammer, recip_gamma
@@ -171,23 +167,18 @@ _ORDERS_KEPT = 32
 @functools.lru_cache(maxsize=_ORDERS_KEPT)
 def _first_rows(mm):
     """The rows (k, p1, p2, d), k = 0 .. _ROW_CAP - 1, of the tails at
-    order mm: p1 = psi(1+k) and p2 = psi(1+mm+k), seeded by psi(1) =
-    -gamma and psi(1+mm) = -gamma + H_mm and advanced by psi(w+1) =
-    psi(w) + 1/w, and the divisor d = (k+1)(mm+k+1).  They depend on the
-    order alone; a tuple of tuples, shared by every thread."""
-    p1 = -EULER_GAMMA
-    p2 = -EULER_GAMMA + harmonic(mm).real
-    rows = []
-    for k in range(_ROW_CAP):
-        rows.append((k, p1, p2, (k + 1) * (mm + k + 1)))
-        p1 += 1.0 / (k + 1)
-        p2 += 1.0 / (mm + k + 1)
-    return tuple(rows)
+    order mm: the seed row, psi(1) = -gamma and psi(1+mm) = -gamma + H_mm
+    with d = mm + 1, and the first _ROW_CAP - 1 rows of _rows_past after
+    it.  They depend on the order alone; a tuple of tuples, shared by
+    every thread."""
+    seed = (0, -EULER_GAMMA, -EULER_GAMMA + harmonic(mm).real, mm + 1)
+    return (seed, *itertools.islice(_rows_past(mm, seed), _ROW_CAP - 1))
 
 
 def _rows_past(mm, last):
-    """The rows of _first_rows(mm) past its final row last, without end,
-    advanced by the operations of _first_rows."""
+    """The rows (k, p1, p2, d) at order mm past the row last, without end:
+    p1 = psi(1+k) and p2 = psi(1+mm+k) advanced by psi(w+1) = psi(w) + 1/w,
+    and the divisor d = (k+1)(mm+k+1)."""
     k, p1, p2, _ = last
     while True:
         p1 += 1.0 / (k + 1)
@@ -230,8 +221,8 @@ def _tail(upper, mm):
       on is complex(-(p1 + p2) * 0.0) = complex(-0.0) at every order up
       to MAX_ORDER.
     - 1F1 and 2F1: one loop per arity over the kept rows chained with
-      _rows_past, which advances from the last kept row by the
-      operations of _first_rows, so every coefficient keeps its bits.
+      _rows_past from the last of them, the step that made them, so a
+      row past them is the row a longer keep would hold.
 
     No tail of verify --suite all reaches past the kept rows (the
     longest has 99 coefficients); a request builds about 1,900 tails.
@@ -394,16 +385,16 @@ def prepare_log_solution(p):
     """The callable z -> log_solution(p, z), with its .jet(z, order) for
     order 0, 1 or 2.
 
-    A point of a 0F1 set, or of a 1F1 set at m >= 0, where the far rule of
-    ffun takes U, the rule u0 and u1 read, takes U's far value over the
-    LogPlusD prefactor (_far_log_jet): there log z F + D cancels more than
-    the expansion misses.  Each later entry of its jet is U at shifted
-    parameters where the rule takes that, and the series entry where it
-    does not, so at(z) is at.jet(z, k)[0] and at.jet(z, 1) is
-    at.jet(z, 2)[:2].  Every other point, and every point of a 2F1 set or
-    of a 1F1 set at m < 0, where log z F + D does not cancel, takes the
-    series jet (_log_jet): by the product rule over ell F + D, where
-    (log z)' = 1/z on either cut, and entry 0 series.log_combo(ell, F, D).
+    A point of a 0F1 set, or of a 1F1 set at m >= 0, where the far rule
+    (ffun._far) keeps U takes U's far value over the LogPlusD prefactor
+    (_far_log_jet): there log z F + D cancels more than the expansion
+    misses.  Each later entry of its jet is U at shifted parameters where
+    the rule keeps that, and the series entry where it does not, so at(z)
+    is at.jet(z, k)[0] and at.jet(z, 1) is at.jet(z, 2)[:2].  Every other
+    point, and every point of a 2F1 set or of a 1F1 set at m < 0, where
+    log z F + D does not cancel, takes the series jet (_log_jet): by the
+    product rule over ell F + D, where (log z)' = 1/z on either cut, and
+    entry 0 series.log_combo(ell, F, D).
     p and its order are checked here; F's stream and D's expansion are
     built at the first point that needs the series.
     """
@@ -451,47 +442,38 @@ def _complexed(p):
 def _far_log_jet(p):
     """jet(z, order) of the far rule's entries of the log solution at p, a
     0F1 set or a 1F1 set at m >= 0 that passed _d_params: None where the
-    far rule (ffun) refuses U at z or the prefactor raises, and otherwise
-    for k <= order the k-th derivative of U / prefactor, None for an
-    entry whose U^(k) the rule refuses.  U is taken at the parameter set
-    of ufun.prepare_u (_complexed), so entry 0 is u0's or u1's far value
-    over the prefactor, and U^(k) is U at shifted parameters:
-    U0_alpha^(k) = (-1)^k U0_{alpha+k}, and U_{theta,m}^(k) =
-    (-1)^k (a)_k U_{theta+k,m+k}, a = (1+m+theta)/2 (DLMF 13.3.22).  The
-    prefactor is taken at the first point the rule takes, and kept."""
+    far rule (ffun._far) refuses U at z or the prefactor raises, and
+    otherwise for k <= order the k-th derivative of U / prefactor, None
+    for an entry whose U^(k) the rule refuses.  U is taken at the
+    parameter set of ufun.prepare_u (_complexed), so entry 0 is u0's or
+    u1's far value over the prefactor, and U^(k) is U at shifted
+    parameters: U0_alpha^(k) = (-1)^k U0_{alpha+k}, and U_{theta,m}^(k) =
+    (-1)^k (a)_k U_{theta+k,m+k}, a = (1+m+theta)/2 (DLMF 13.3.22)."""
     m = p.alpha
     u = _complexed(p)
-    prefactor = _log_prefactor(u)
     if isinstance(u, F1):
-        radius = U1_FAR_RADIUS
         a = (1 + m + u.theta) / 2
         shifted = [u] + [F1(u.theta + k, u.alpha + k) for k in (1, 2)]
         weights = (1.0, -a, a * (a + 1))
     else:
-        radius = U0_FAR_RADIUS
         shifted = [u] + [F0(u.alpha + k) for k in (1, 2)]
         weights = (1.0, -1.0, 1.0)
-    fars = [_asymptotic_2f0(s) for s in shifted]
-    scales = []
-
-    def entry_scales():
-        # weight / prefactor of each entry
-        pref = prefactor()
-        return [w / pref for w in weights]
+    try:
+        pref = _log_prefactor(u)()
+    except HyperdError:
+        # 1/Gamma overflows far off the real axis (theta = 0.7+910j)
+        return lambda z, order: None
+    scales = [w / pref for w in weights]
+    fars = [_far(s) for s in shifted]
 
     def jet(z, order):
-        r = _far_value(fars[0], radius, z)
+        r = fars[0](z)
         if r is None:
             return None
-        try:
-            c = _kept(scales, entry_scales)
-        except HyperdError:
-            # 1/Gamma overflows far off the real axis (theta = 0.7+910j)
-            return None
-        out = [r.scaled(c[0])]
+        out = [r.scaled(scales[0])]
         for k in range(1, order + 1):
-            r = _far_value(fars[k], radius, z)
-            out.append(None if r is None else r.scaled(c[k]))
+            r = fars[k](z)
+            out.append(None if r is None else r.scaled(scales[k]))
         return out
 
     return jet

@@ -48,19 +48,20 @@ carry its derivatives to F's.  oracle.ode_residual reads the values of
 at.jet(z, 2), the relation records those of at.jet(z, 1).
 
 The far rule of U lives here too, beside f2f0_asymptotic, which it
-wraps, so that its two readers take one rule without an import cycle:
-U's point rule and bessel's K in ufun, and the prepared log solution in
-dfun, which divides U's far value by the LogPlusD prefactor.  A point is
-far when Re z > 0 and the expansion variable x (-1/z for 1F1,
+wraps, so that its readers take one rule without an import cycle: U's
+point rule and bessel's K in ufun, and the prepared log solution in
+dfun, which divides U's far value by the LogPlusD prefactor.  Each
+calls far = _far(p), built once per parameter set.  A point is far
+when Re z > 0 and the expansion variable x (-1/z for 1F1,
 -1/(4 sqrt z) for 0F1) has |x| <= 2/ln(1/eps), eps the double epsilon:
 |z| >= U1_FAR_RADIUS = 18.02 for 1F1 and |z| >= U0_FAR_RADIUS = 20.30
 for 0F1.  There the expansion's smallest term, about e^(-1/|x|), is
 below sqrt(eps), and F, which grows like e^z or e^(2 sqrt z) while U
 decays, makes log z F + D cancel more than that.  The far value
 (_asymptotic_2f0) is kept when its err_estimate <= sqrt(eps) |value|
-(_far_value; DLMF 13.7(ii) bounds the remainder by the first omitted
-term for |ph z| <= pi/2).  Everywhere else, and where the expansion
-raises a HyperdError, the reader takes its series route.
+(DLMF 13.7(ii) bounds the remainder by the first omitted term for
+|ph z| <= pi/2).  Everywhere else, and where the expansion raises a
+HyperdError, far(z) is None and the reader takes its series route.
 """
 
 import cmath
@@ -531,18 +532,24 @@ def _asymptotic_2f0(p):
     return u_at
 
 
-def _far_value(far, radius, z):
-    """far(z), the value of an _asymptotic_2f0 callable at z, where the far
-    rule (module docstring) takes it: Re z > 0, |z| >= radius, no
-    HyperdError and err_estimate <= sqrt(eps) |value|.  None everywhere
-    else."""
-    if z.real <= 0.0 or abs(z) < radius:
-        return None
-    try:
-        r = far(z)
-    except HyperdError:
-        return None
-    return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
+def _far(p):
+    """far(z), U's expansion about infinity at the 0F1 or 1F1 set p
+    (_asymptotic_2f0) where the far rule keeps it: Re z > 0, |z| >= the
+    radius of p's kind, no HyperdError and err_estimate <= sqrt(eps)
+    |value|.  None everywhere else."""
+    u_at = _asymptotic_2f0(p)
+    radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
+
+    def far(z):
+        if z.real <= 0.0 or abs(z) < radius:
+            return None
+        try:
+            r = u_at(z)
+        except HyperdError:
+            return None
+        return r if r.err_estimate <= _SQRT_EPS * abs(r.value) else None
+
+    return far
 
 
 def _f2_I_prefactor(p):

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, Inapplicable, PoleAtOrigin
-from .ffun import F0, _check_order, _params, _reflected, _seed, prepare_f_norm
+from .ffun import F0, MAX_ORDER, _check_order, _params, _reflected, _seed, prepare_f_norm
 from .gammakit import digamma, near_nonpositive_int, recip_gamma
 from .series import (_EPS, _checked, _kept, _linear, _point, _replay, log_negated,
                      principal_log, principal_pow, sum_power_series)
@@ -137,9 +137,11 @@ def inhom_residual(p, z):
 
 def _d_recip_gamma(w, rg):
     """d/dw 1/Gamma(w), rg = 1/Gamma(w): -psi(w) rg, and its limit
-    (-1)^k k! at a pole w = -k."""
+    (-1)^k k! at a pole w = -k, DomainError past k = MAX_ORDER."""
     k = near_nonpositive_int(w)
     if k is not None:
+        if -k > MAX_ORDER:
+            raise DomainError(f"(1/Gamma)'(w) = (-1)^k k! overflows a double at the pole w = {w}")
         return complex((-1) ** k * math.factorial(-k))
     return -digamma(w) * rg
 

@@ -46,7 +46,7 @@ from .ffun import (F0, F1, F2, PARAMS_BY_KIND, _params, f_norm, prepare_f2_norm_
                    prepare_f_norm)
 from .dfun import _d_params, d_eval, prepare_d_eval, prepare_d_eval_I
 from .gammakit import gamma
-from .series import EvalResult, principal_log, principal_pow
+from .series import EvalResult, _checked, principal_log, principal_pow
 from .ufun import u0, u1, u2
 
 __all__ = [
@@ -181,7 +181,8 @@ def _z_offcut(rng):
 # parameter plumbing for the recurrence tables
 
 def _al(d):
-    return float(d["alpha"]) if "alpha" in d else float(d["m"])
+    a = d["alpha"] if "alpha" in d else d["m"]
+    return a if isinstance(a, complex) else float(a)
 
 
 def _f1_a(d):
@@ -358,6 +359,15 @@ def _record(id, kind, family, signature, statement, lhs, rhs, sample,
                           applicable=applicable or _applicable(signature))
 
 
+def _quotient(num, den, z):
+    """num / den of a relation at z, DomainError naming z where it is not
+    finite (den = 0 included): c1/z, a ladder's coefficient, a map's pole."""
+    w = num / den if den else math.inf
+    if cmath.isfinite(w):
+        return w
+    raise DomainError(f"a relation divides {num} by {den} at z = {z}")
+
+
 def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
     """One recurrence row as a record for F or, with companion set, for D.
 
@@ -381,13 +391,13 @@ def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
         if not companion:
             return coeff(d) * _f_value(kind, d, z, shift)
         base = _f_value(kind, d, z)
-        return coeff(d) * _d_value(kind, d, z, shift) - (c1(d, z) / z) * base
+        return coeff(d) * _d_value(kind, d, z, shift) - _quotient(c1(d, z), z, z) * base
 
     def ladder(d, z):
         op = lhs(d, z)
         if companion:
-            op = op + (c1(d, z) / z) * _f_value(kind, d, z)
-        return op / coeff(d)
+            op = op + _quotient(c1(d, z), z, z) * _f_value(kind, d, z)
+        return _quotient(op, coeff(d), z)
 
     return RelationRecord(
         id="%s.recur%s%s.%s" % (prefix, "D" if companion else "F",
@@ -530,12 +540,19 @@ def _kummer_records():
 def _quadratic_records():
     recs = []
 
+    def exp_2z(z):
+        # e^(-2z) of the doubling records, DomainError naming z where it overflows
+        try:
+            return cmath.exp(-2.0 * z)
+        except OverflowError:
+            raise DomainError(f"exp(-2z) overflows a double at z = {z}") from None
+
     def d1_lhs(d, z):
         return gamma(1.0 + d["alpha"]) * \
             f_norm(F0(alpha=d["alpha"]), z * z).value
 
     def d1_rhs(d, z):
-        return cmath.exp(-2.0 * z) * gamma(1.0 + 2.0 * d["alpha"]) * \
+        return exp_2z(z) * gamma(1.0 + 2.0 * d["alpha"]) * \
             f_norm(F1(theta=0.0, alpha=2.0 * d["alpha"]), 4.0 * z).value
 
     recs.append(_record(
@@ -548,7 +565,7 @@ def _quadratic_records():
         return u0(d["alpha"], z * z).value
 
     def d2_rhs(d, z):
-        return 4.0 ** d["alpha"] * cmath.exp(-2.0 * z) * \
+        return 4.0 ** d["alpha"] * exp_2z(z) * \
             u1(0.0, 2.0 * d["alpha"], 4.0 * z).value
 
     def d2_sample(rng):
@@ -569,18 +586,19 @@ def _quadratic_records():
 
     def d5_rhs(d, z):
         m = int(d["m"])
-        scale = math.factorial(2 * m) / math.factorial(m)
         w = 4.0 * z
         f = f_norm(F1(theta=0.0, alpha=2 * m), w).value
         dd = d_eval(F1(theta=0.0, alpha=2 * m), w).value
-        return scale * cmath.exp(-2.0 * z) * (_LOG4 * f + dd)
+        # after F and D, which refuse 2m > MAX_ORDER, where (2m)!/m! overflows
+        scale = math.factorial(2 * m) / math.factorial(m)
+        return scale * exp_2z(z) * (_LOG4 * f + dd)
 
     recs.append(_record(
         "q.double5", "quadratic", "Quadratic", "m",
         "D_m(z^2) = (2 (2m)!/m!) exp(-2z) (log4 F_{0,2m}(4z) + D_{0,2m}(4z))",
         d5_lhs, d5_rhs,
         lambda rng: ({"m": rng.randint(0, 3)}, _disk(rng, 0.2, 0.8)),
-        constant=2.0))
+        _applicable("m", m_lo=0), constant=2.0))
 
     def sasa_pair(rng):
         while True:
@@ -638,7 +656,7 @@ def _quadratic_records():
 
     def sasa5_rhs(d, z):
         q = 1.0 - 2.0 * z
-        w = 4.0 * z * (z - 1.0) / (q * q)
+        w = _quotient(4.0 * z * (z - 1.0), q * q, z)
         pref = principal_pow(q, -0.5 - d["beta"] - d["alpha"])
         return pref * f_norm(F2(alpha=d["beta"], beta=d["alpha"],
                                 mu=-0.5), w).value
@@ -699,7 +717,7 @@ def _quadratic_records():
         lambda rng: ({"m": rng.randint(0, 2),
                       "beta": rng.uniform(0.05, 0.45)},
                      _disk(rng, 0.1, 0.55)),
-        constant=0.5))
+        _applicable("m,beta", m_lo=0), constant=0.5))
     return recs
 
 
@@ -770,9 +788,8 @@ def apply_ladder(rec_or_id, params, z, catalog=None):
         raise Inapplicable("relation %s not applicable at %r" %
                            (rec.id, params))
     value = complex(rec.ladder(params, complex(z)))
-    return EvalResult(value=value,
-                      err_estimate=5e-14 * max(1.0, abs(value)),
-                      terms_used=0, flags=frozenset())
+    return _checked(EvalResult(value=value, err_estimate=5e-14 * max(1.0, abs(value)),
+                               terms_used=0, flags=frozenset()), z)
 
 
 _SKIPPABLE = (BranchCut, DomainError, Inapplicable, ParameterSingular,

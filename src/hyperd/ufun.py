@@ -18,15 +18,11 @@ Routes agree within combined error estimates wherever they overlap;
 the error estimates include an explicit cancellation floor because all
 of these formulas subtract large intermediates.
 
-Without a route, u0 and u1 answer far points from Asymptotic2F0 first,
-by the far rule that ffun keeps beside f2f0_asymptotic (U0_FAR_RADIUS,
-U1_FAR_RADIUS, _far_value), the one rule the prepared log solution of
-dfun reads too.  A point is far when Re z > 0 and |z| >= U1_FAR_RADIUS
-= 18.02 for u1 or |z| >= U0_FAR_RADIUS = 20.30 for u0, and its far value
-is kept when its err_estimate <= sqrt(eps) |value|.  Otherwise, or where
-the expansion raises a HyperdError, the point takes the route alpha
-picks, as every near point does.  Forced routes are taken as given at
-every z.
+Without a route, u0 and u1 take Asymptotic2F0 at every point where the
+far rule keeps it: ffun._far, stated in ffun's docstring, which bessel's
+K and the prepared log solution of dfun read too (its two radii are
+imported here for callers alone).  Every other point takes the route
+alpha picks.  Forced routes are taken as given at every z.
 
 As F and D in ffun and dfun, U takes the parameter set F0, F1 or F2 of
 its kind: u0(alpha, z, route) is prepare_u(F0(alpha), route)(z), and
@@ -50,7 +46,7 @@ import operator
 import sys
 from enum import Enum
 
-from .dfun import _complexed, _d_params, _log_jet, _log_prefactor, d_eval, d_expand
+from .dfun import _SQRT_PI, _complexed, _d_params, _log_jet, _log_prefactor, d_eval, d_expand
 from .errors import (
     BranchCut,
     DomainError,
@@ -68,7 +64,7 @@ from .ffun import (
     F2,
     _asymptotic_2f0,
     _f_jet,
-    _far_value,
+    _far,
     _named,
     _params,
     _reflected,
@@ -93,8 +89,6 @@ _EPS = sys.float_info.epsilon
 # Connection is refused closer to an integer than this; the theorems
 # exist precisely to cover that band
 CONNECTION_INT_BAND = 1e-6
-
-_SQRT_PI = math.sqrt(math.pi)
 
 
 class URoute(Enum):
@@ -265,11 +259,9 @@ def prepare_u(p, route=None):
     the 0F1 and 1F1 kinds build it here.  Without one, the point rule of
     p's kind, one closure each, picks the route at each z:
 
-    - 0F1 and 1F1: a far point (Re z > 0, |z| >= U0_FAR_RADIUS = 20.30
-      or U1_FAR_RADIUS = 18.02) takes Asymptotic2F0 when its error
-      estimate is within sqrt(eps) of the value; every other point, and
-      a far point whose expansion raises or falls short, takes the route
-      alpha picks.
+    - 0F1 and 1F1: a point where the far rule (ffun._far) keeps U's
+      expansion about infinity takes Asymptotic2F0; every other point
+      takes the route alpha picks.
     - 2F1, whose U is cut on [0, inf): the route alpha picks for |z| <=
       F2_SERIES_RADIUS and the 1/z series beyond, which raises
       DomainError unless |1/z| <= F2_SERIES_RADIUS.  A given route is
@@ -287,12 +279,11 @@ def prepare_u(p, route=None):
         if route is not None:
             given = _build_route(p, route)
             return lambda z: _checked(given(_point(z)), z)
-        far = _asymptotic(p)
-        radius = U0_FAR_RADIUS if p.kind == "0f1" else U1_FAR_RADIUS
+        far = _far(p)
 
         def u_at(z):
             z = _point(z)
-            r = _far_value(far, radius, z)
+            r = far(z)
             return _checked(r if r is not None else _kept(chosen, _build_route, p, None)(z), z)
 
         return u_at
@@ -349,9 +340,9 @@ def bessel(kind, m, z):
     (-inf, 0].  Where Re z > 0 and |w| is at least the smallest normal
     double the principal log w is the same, and is taken; below that w
     has lost its low bits or underflowed to 0.  K takes the second form
-    where the principal log w is taken and w is a far point of u0 whose
-    Asymptotic2F0 value u0 would keep; the log form cancels there, as for
-    U.  The Hankel pair carries the rotated argument e^(∓ i pi) w as the
+    where the principal log w is taken and the far rule (ffun._far) keeps
+    u0's Asymptotic2F0 value at w; the log form cancels there, as for U.
+    The Hankel pair carries the rotated argument e^(∓ i pi) w as the
     exact phase -w together with the explicit ∓ i pi in the logarithm,
     so that H1 + H2 = 2 J identically.  Where D's principal part
     overflows a double at ±w (m >= 1 and |w| < 1, as K_1 at |z| below
@@ -386,7 +377,7 @@ def _bessel(kind, m, z):
         ell = 2.0 * principal_log(z / 2.0)
     else:
         ell = principal_log(w)
-        far = _far_value(_asymptotic(p), U0_FAR_RADIUS, w) if kind == "K" else None
+        far = _far(p)(w) if kind == "K" else None
         if far is not None:
             return far.scaled(_SQRT_PI / 2.0 * half_pow)
     if kind == "K":

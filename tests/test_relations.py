@@ -133,6 +133,11 @@ def test_unknown_and_inapplicable(catalog):
                        {"m": 1.5, "beta": 0.3, "mu": 0.2}, 0.4, catalog)
     with pytest.raises(Inapplicable):
         check_relation("q.sasa3", {"m": 0.5, "beta": 0.3}, 0.4, catalog)
+    # the two quadratic companion identities hold for m >= 0
+    with pytest.raises(Inapplicable):
+        check_relation("q.double5", {"m": -1}, 0.5, catalog)
+    with pytest.raises(Inapplicable):
+        check_relation("q.sasa3", {"m": -1, "beta": 0.3}, 0.3, catalog)
     # a D at the parameters or at a shift is singular: a = (1+m+theta)/2 = 0
     # at m = 1, theta = -2, and b = (1+m+beta+mu)/2 = 1 for the 2F1 row
     with pytest.raises(Inapplicable):
@@ -172,6 +177,23 @@ def test_spot_checks(catalog):
     assert check_relation("q.double5", {"m": 1}, 0.15, catalog) < 1e-9
     assert check_relation("q.sasa3", {"m": 1, "beta": 0.3}, -0.2,
                           catalog) < 1e-8
+
+
+def test_every_record_with_alpha_holds_at_a_complex_alpha(catalog):
+    # a complex alpha is read as given (every other input through float(),
+    # which keeps a real one's bits): each record whose signature has alpha
+    # holds at its sampler's draws moved by 0.1i (worst 1.2e-14 scaled)
+    keys = [k for k, rec in catalog.items() if "alpha" in rec.signature.split(",")]
+    assert len(keys) == 29
+    for key in keys:
+        rng = random.Random("complex-alpha/" + key)
+        for _ in range(10):
+            params, z = catalog[key].sample(rng)
+            params["alpha"] += 0.1j
+            lhs, rhs = relations._sides(catalog[key], params, z)
+            residual = check_relation(key, params, z, catalog)
+            assert residual == abs(lhs - rhs)
+            assert residual <= 1e-13 * max(1.0, abs(lhs), abs(rhs)), (key, params, z)
 
 
 def test_stored_constants(catalog):
@@ -222,6 +244,17 @@ def test_ladder_guards(catalog):
     with pytest.raises(Inapplicable):
         apply_ladder("f1.recurD.lower-down", {"m": 0, "theta": 0.7},
                      0.3, catalog)
+    # a companion row divides by z, also where D has no pole at z = 0
+    with pytest.raises(DomainError, match=r"z = 0j"):
+        apply_ladder("f0.recurD.raise", {"m": 0}, 0.0, catalog)
+    with pytest.raises(DomainError, match=r"z = 0j"):
+        check_relation("f0.recurD.lower", {"m": -1}, 0.0, catalog)
+    # a ladder whose coefficient is 0 does not fix the shifted value
+    with pytest.raises(DomainError, match=r"by 0\.0 at z = \(0\.3\+0j\)"):
+        apply_ladder("f2.recurFI.m0m", {"alpha": 1, "beta": 0.0, "mu": 0.0}, 0.3, catalog)
+    # q.sasa5's map 4z(z-1)/(1-2z)^2 has a pole at z = 1/2
+    with pytest.raises(DomainError, match=r"z = \(0.5\+0j\)"):
+        check_relation("q.sasa5", {"alpha": 0.2, "beta": 0.3}, 0.5, catalog)
 
 
 def test_shifted_metadata(catalog):
