@@ -442,7 +442,7 @@ def _complexed(p):
 def _far_log_jet(p):
     """jet(z, order) of the far rule's entries of the log solution at p, a
     0F1 set or a 1F1 set at m >= 0 that passed _d_params: None where the
-    far rule (ffun._far) refuses U at z or the prefactor raises, and
+    far rule (ffun._far) refuses U at z or the prefactor raises or is 0, and
     otherwise for k <= order the k-th derivative of U / prefactor, None
     for an entry whose U^(k) the rule refuses.  U is taken at the
     parameter set of ufun.prepare_u (_complexed), so entry 0 is u0's or
@@ -460,10 +460,10 @@ def _far_log_jet(p):
         weights = (1.0, -1.0, 1.0)
     try:
         pref = _log_prefactor(u)()
-    except HyperdError:
-        # 1/Gamma overflows far off the real axis (theta = 0.7+910j)
+        scales = [w / pref for w in weights]
+    except (HyperdError, ZeroDivisionError):
+        # 1/Gamma overflows far off the real axis (theta = 0.7+910j) or is 0 (theta = 400)
         return lambda z, order: None
-    scales = [w / pref for w in weights]
     fars = [_far(s) for s in shifted]
 
     def jet(z, order):

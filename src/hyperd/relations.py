@@ -788,8 +788,8 @@ def apply_ladder(rec_or_id, params, z, catalog=None):
         raise Inapplicable("relation %s not applicable at %r" %
                            (rec.id, params))
     value = complex(rec.ladder(params, complex(z)))
-    return _checked(EvalResult(value=value, err_estimate=5e-14 * max(1.0, abs(value)),
-                               terms_used=0, flags=frozenset()), z)
+    return EvalResult(value=value, err_estimate=5e-14 * max(1.0, abs(value)),
+                      terms_used=0, flags=frozenset())
 
 
 _SKIPPABLE = (BranchCut, DomainError, Inapplicable, ParameterSingular,

@@ -114,6 +114,11 @@ def _results(name, args, jet):
 # 2-jet, and the 1F1 expansion about infinity divided by z = 0
 @example(("log_solution", (F0(0), 8.5e-249), True))
 @example(("u1", (0.0, -111, 0.0, URoute.ASYMPTOTIC_2F0), False))
+# raw ZeroDivisionErrors: the log solution's far scales over a prefactor
+# 1/Gamma((1-m+theta)/2) that is 0 at a large real theta, taken at a far
+# point or, where they are taken at prepare, at a near one
+@example(("log_solution", (F1(400.0, 0), 1000.0), False))
+@example(("log_solution", (F1(400.0, 0), 0.5), False))
 # raw OverflowErrors: (1/Gamma)'(w) = (-1)^k k! at a pole past k = 170
 @example(("limit_alpha", (F1(-2001.0, 0), 0.5), False))
 @example(("limit_alpha", (F1(-1e20, 0), 0.5), False))
