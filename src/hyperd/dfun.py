@@ -95,11 +95,13 @@ def _d_params(p):
     b = (1+|m|+beta+mu)/2 (psi(1-b-k)).  That set holds every pole of U's
     LogPlusD prefactor, 1/Gamma(a - |m|) (1F1) and 1/(Gamma(1 - b)
     Gamma(a - |m|)) (2F1).  An order beyond ffun.MAX_ORDER raises
-    DomainError when the expansion is built.
+    DomainError naming m first (ffun._check_order): at such an order theta
+    is lost in rounding, and a would read as an integer.
     """
     m = p.alpha
     if type(m) is not int:
         raise DomainError(f"this function needs integer m, got alpha={m!r}")
+    _check_order(m)
     mm = abs(m)
     if isinstance(p, F1):
         a, _ = p._classical(mm)
@@ -284,7 +286,6 @@ def _expand(p):
     # (principal, tail factory) of d_expand, without the wrapper object,
     # for a p that passed _d_params
     m = p.alpha
-    _check_order(m)
     mm = abs(m)
     *upper, _ = p._classical(mm)
     principal = _principal(upper, mm)
@@ -401,7 +402,6 @@ def prepare_log_solution(p):
     p = _d_params(_params(p))
     if isinstance(p, F2) or isinstance(p, F1) and p.alpha < 0:
         return _prepared(_log_jet(p))
-    _check_order(p.alpha)
     far = _far_log_jet(p)
     series = []  # _log_jet(p)
 

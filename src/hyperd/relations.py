@@ -40,9 +40,9 @@ import random
 from functools import partial
 from typing import NamedTuple
 
-from .errors import (BranchCut, DomainError, Inapplicable, ParameterSingular,
+from .errors import (BranchCut, DomainError, HyperdError, Inapplicable, ParameterSingular,
                      PoleAtOrigin, PoleError, UnknownRelation)
-from .ffun import (F0, F1, F2, PARAMS_BY_KIND, _params, f_norm, prepare_f2_norm_I,
+from .ffun import (F0, F1, F2, PARAMS_BY_KIND, _named, _params, f_norm, prepare_f2_norm_I,
                    prepare_f_norm)
 from .dfun import _d_params, d_eval, prepare_d_eval, prepare_d_eval_I
 from .gammakit import gamma
@@ -368,6 +368,16 @@ def _quotient(num, den, z):
     raise DomainError(f"a relation divides {num} by {den} at z = {z}")
 
 
+def _image(z, f, *args):
+    """f(*args).value, f an evaluator whose last argument is the image w of
+    the caller's z under a quadratic record's map (z^2, 4z, z^2/(4(z-1)),
+    ...): an error raised at w names z (ffun._named)."""
+    try:
+        return f(*args).value
+    except HyperdError as exc:
+        raise _named(exc, z, args[-1:]) from None
+
+
 def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):
     """One recurrence row as a record for F or, with companion set, for D.
 
@@ -548,12 +558,11 @@ def _quadratic_records():
             raise DomainError(f"exp(-2z) overflows a double at z = {z}") from None
 
     def d1_lhs(d, z):
-        return gamma(1.0 + d["alpha"]) * \
-            f_norm(F0(alpha=d["alpha"]), z * z).value
+        return gamma(1.0 + d["alpha"]) * _image(z, f_norm, F0(alpha=d["alpha"]), z * z)
 
     def d1_rhs(d, z):
         return exp_2z(z) * gamma(1.0 + 2.0 * d["alpha"]) * \
-            f_norm(F1(theta=0.0, alpha=2.0 * d["alpha"]), 4.0 * z).value
+            _image(z, f_norm, F1(theta=0.0, alpha=2.0 * d["alpha"]), 4.0 * z)
 
     recs.append(_record(
         "q.double1", "quadratic", "Quadratic", "alpha",
@@ -562,11 +571,11 @@ def _quadratic_records():
         lambda rng: ({"alpha": rng.uniform(0.05, 0.7)}, _disk(rng, 0.1, 0.8))))
 
     def d2_lhs(d, z):
-        return u0(d["alpha"], z * z).value
+        return _image(z, u0, d["alpha"], z * z)
 
     def d2_rhs(d, z):
         return 4.0 ** d["alpha"] * exp_2z(z) * \
-            u1(0.0, 2.0 * d["alpha"], 4.0 * z).value
+            _image(z, u1, 0.0, 2.0 * d["alpha"], 4.0 * z)
 
     def d2_sample(rng):
         while True:
@@ -582,13 +591,13 @@ def _quadratic_records():
     _LOG4 = math.log(4.0)
 
     def d5_lhs(d, z):
-        return d_eval(F0(int(d["m"])), z * z).value
+        return _image(z, d_eval, F0(int(d["m"])), z * z)
 
     def d5_rhs(d, z):
         m = int(d["m"])
         w = 4.0 * z
-        f = f_norm(F1(theta=0.0, alpha=2 * m), w).value
-        dd = d_eval(F1(theta=0.0, alpha=2 * m), w).value
+        f = _image(z, f_norm, F1(theta=0.0, alpha=2 * m), w)
+        dd = _image(z, d_eval, F1(theta=0.0, alpha=2 * m), w)
         # after F and D, which refuse 2m > MAX_ORDER, where (2m)!/m! overflows
         scale = math.factorial(2 * m) / math.factorial(m)
         return scale * exp_2z(z) * (_LOG4 * f + dd)
@@ -617,7 +626,7 @@ def _quadratic_records():
         pref = principal_pow(2.0 / (2.0 - z),
                              0.5 + d["alpha"] + d["beta"])
         return pref * gamma(1.0 + d["alpha"]) * \
-            f_norm(F2(alpha=d["alpha"], beta=d["beta"], mu=-0.5), w).value
+            _image(z, f_norm, F2(alpha=d["alpha"], beta=d["beta"], mu=-0.5), w)
 
     recs.append(_record(
         "q.sasa", "quadratic", "Quadratic", "alpha,beta",
@@ -631,7 +640,7 @@ def _quadratic_records():
         pref = principal_pow(1.0 - z,
                              -0.25 - 0.5 * d["alpha"] - 0.5 * d["beta"])
         return pref * gamma(1.0 + d["alpha"]) * \
-            f_norm(F2(alpha=d["alpha"], beta=-0.5, mu=-d["beta"]), w).value
+            _image(z, f_norm, F2(alpha=d["alpha"], beta=-0.5, mu=-d["beta"]), w)
 
     recs.append(_record(
         "q.sasa2", "quadratic", "Quadratic", "alpha,beta",
@@ -645,8 +654,8 @@ def _quadratic_records():
                          mu=2.0 * d["alpha"]), z).value
 
     def sasa1_rhs(d, z):
-        return f_norm(F2(alpha=d["beta"], beta=-0.5, mu=d["alpha"]),
-                      4.0 * z * (1.0 - z)).value
+        return _image(z, f_norm, F2(alpha=d["beta"], beta=-0.5, mu=d["alpha"]),
+                      4.0 * z * (1.0 - z))
 
     recs.append(_record(
         "q.sasa1", "quadratic", "Quadratic", "alpha,beta",
@@ -658,8 +667,7 @@ def _quadratic_records():
         q = 1.0 - 2.0 * z
         w = _quotient(4.0 * z * (z - 1.0), q * q, z)
         pref = principal_pow(q, -0.5 - d["beta"] - d["alpha"])
-        return pref * f_norm(F2(alpha=d["beta"], beta=d["alpha"],
-                                mu=-0.5), w).value
+        return pref * _image(z, f_norm, F2(alpha=d["beta"], beta=d["alpha"], mu=-0.5), w)
 
     recs.append(_record(
         "q.sasa5", "quadratic", "Quadratic", "alpha,beta",
@@ -674,7 +682,7 @@ def _quadratic_records():
         w = z * z / (4.0 * (z - 1.0))
         pref = principal_pow(4.0 * (1.0 - z),
                              -0.25 - 0.5 * d["alpha"] - 0.5 * d["beta"])
-        return pref * u2(d["alpha"], -0.5, -d["beta"], w).value
+        return pref * _image(z, u2, d["alpha"], -0.5, -d["beta"], w)
 
     def uu0_zone(z):
         # principal branches on both sides agree only while the map
@@ -705,8 +713,8 @@ def _quadratic_records():
         w = z * z / (4.0 * (z - 1.0))
         p = F2(m, -0.5, -d["beta"])
         pref = principal_pow(1.0 - z, -0.25 - 0.5 * m - 0.5 * d["beta"])
-        bracket = d_eval(p, w).value - \
-            principal_log(4.0 * (1.0 - z)) * f_norm(p, w).value
+        bracket = _image(z, d_eval, p, w) - \
+            principal_log(4.0 * (1.0 - z)) * _image(z, f_norm, p, w)
         return (math.factorial(m) / math.factorial(2 * m)) * pref * bracket
 
     recs.append(_record(

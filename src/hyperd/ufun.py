@@ -70,7 +70,7 @@ from .ffun import (
     _reflected,
     f_norm,
 )
-from .gammakit import recip_gamma, sinpi
+from .gammakit import _GAMMA_REL_ERR, recip_gamma, sinpi
 from .series import (
     EvalResult,
     _checked,
@@ -199,24 +199,35 @@ def _log_form(p):
     part (_folded) where that raises DomainError; the error stands where
     the folded value overflows too.  The prefactor (dfun._log_prefactor)
     is taken after the solution, at the first point whose solution
-    succeeds, and kept.  alpha is the snapped m; _d_params rules on p."""
+    succeeds, and kept.  Its 1/Gamma factors, one for 1F1 and two for
+    2F1, are each within _GAMMA_REL_ERR of the true value (gammakit), and
+    the estimate adds that much of |U| for each.  alpha is the snapped m;
+    _d_params rules on p."""
     shift = p.alpha < 0 and p.kind != "0f1"
     p = p._replace(alpha=-p.alpha) if shift else p
     m = p.alpha
     w = _log_jet(_d_params(p))
     prefactor = _log_prefactor(p)
     pref = []
+    rel = _GAMMA_REL_ERR * {"0f1": 0, "1f1": 1, "2f1": 2}[p.kind]
+
+    def with_gammas(r):
+        v, err, terms, flags = r
+        return _result((v, err + rel * abs(v), terms, flags))
+
     if not shift:
-        return lambda z: w(z, 0)[0].scaled(_kept(pref, prefactor))
+        return lambda z: with_gammas(w(z, 0)[0].scaled(_kept(pref, prefactor)))
     flip = -1.0 if p.kind == "2f1" else 1.0
 
     def u_at(z):
         h = -z if flip < 0 else z
         try:
-            return _checked(w(z, 0)[0].scaled(_kept(pref, prefactor)).scaled(principal_pow(h, m)), z)
+            return _checked(with_gammas(w(z, 0)[0].scaled(_kept(pref, prefactor))
+                                        .scaled(principal_pow(h, m))), z)
         except DomainError as exc:
             ell = log_negated(z) if flip < 0 else principal_log(z)
-            return _folded(p, z, ell, f_norm(p, z), _kept(pref, prefactor), h, 1, flip, exc)
+            return with_gammas(_folded(p, z, ell, f_norm(p, z), _kept(pref, prefactor), h, 1, flip,
+                                       exc))
 
     return u_at
 

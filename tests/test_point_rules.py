@@ -79,9 +79,9 @@ DISC = [
 # (value digest, estimate digest) per point of DISC; a point that raises
 # has the digest of "" for its estimates
 DISC_F = {
-    F2(0.3, 0.2, 0.1): [("06532d5c84cf6127", "a5ae52d352c366bc"), ("a844da87ce592dac", "b629311c34cc328d"),
-                        ("504cda4f80c892fa", "e3b0c44298fc1c14"), ("024c92d9bccadd54", "f4b985e15b6583f3"),
-                        ("ec25a0dcc75bf585", "403e1ca7f3e60495"), ("c9dd9120843f4121", "e3b0c44298fc1c14")],
+    F2(0.3, 0.2, 0.1): [("be3a74611306028f", "a5ae52d352c366bc"), ("f02e847e65db3644", "b629311c34cc328d"),
+                        ("504cda4f80c892fa", "e3b0c44298fc1c14"), ("fce60f760977620d", "89e4c1c3d54834ba"),
+                        ("87faa84c62355203", "491703c352e5cf48"), ("c9dd9120843f4121", "e3b0c44298fc1c14")],
     F2(1, 0.3, 0.2): [("4cb985ae6148caa4", "d445f2ea883f9a3d"), ("e009a2bb59c65d63", "1e8959557a34fe26"),
                       ("504cda4f80c892fa", "e3b0c44298fc1c14"), ("a7c1d655333d7081", "9024f61a387021a1"),
                       ("d8a42fae9deea672", "fd5e79dab97f8468"), ("c9dd9120843f4121", "e3b0c44298fc1c14")],
@@ -155,11 +155,11 @@ PAST = [complex(0.0, 30.0), complex(-0.0, 30.0), complex(5e-324, 30.0)]
 KEPT = ["near", "far", "far"] * 2 + ["near", "near", "far"]
 U_EDGES = [
     (u0, (2,), U0_EDGES + PAST, KEPT, ("ca31a7c7ddb2a7a5", "913203561f14b712")),
-    (u0, (0.37,), U0_EDGES + PAST, KEPT, ("c9973775ed25a96c", "b69a353bc7ec5275")),
-    (u1, (0.7, 2), U1_EDGES + PAST, KEPT, ("b285f3f722c14ef8", "0c0f7c63d67b9321")),
-    (u1, (0.7, 0.37), U1_EDGES + PAST, ["near"] * 8 + ["far"], ("43e9eccb6dc3b825", "07a2e1a57ce37251")),
+    (u0, (0.37,), U0_EDGES + PAST, KEPT, ("0a8b75c4c66dfc61", "86bab988bd15ffda")),
+    (u1, (0.7, 2), U1_EDGES + PAST, KEPT, ("b113f6e7178be855", "b6ca5ff21d2c90a6")),
+    (u1, (0.7, 0.37), U1_EDGES + PAST, ["near"] * 8 + ["far"], ("f5893a51b086cc42", "7ab9282c13ea6fe2")),
     (log_solution, (F0(2),), U0_EDGES + PAST, KEPT, ("4494787a24d8b05c", "d27a14be04d2f608")),
-    (log_solution, (F1(0.7, 2),), U1_EDGES + PAST, KEPT, ("88e9a0140c4fcdd7", "e38bc37a939511c6")),
+    (log_solution, (F1(0.7, 2),), U1_EDGES + PAST, KEPT, ("71fb32f046bcc2e0", "4ecc61a00fa0da47")),
 ]
 
 
@@ -204,8 +204,8 @@ U2_EDGES = [complex(1.0225131984464697, 0.25), complex(1.02251319844647, 0.25),
             complex(0.9013878188659972, 0.3), complex(0.9013878188659973, 0.3),
             complex(0.9013878188659974, 0.3)]
 U2_SIDES = ["raises", "outer", "outer"] * 2 + ["series", "series", "raises"]
-U2_PINS = {(2, 0.3, 0.2): ("9c0a73f8497057e4", "f8849ffaebe66b32"),
-           (0.37, 0.3, 0.2): ("3249e860741a8fcd", "b33145736b145432")}
+U2_PINS = {(2, 0.3, 0.2): ("2d5aff316e40eecf", "4a9347f69441f793"),
+           (0.37, 0.3, 0.2): ("8bb81620939fad7d", "b33145736b145432")}
 
 
 @pytest.mark.parametrize("args", list(U2_PINS))

@@ -363,6 +363,19 @@ def test_order_beyond_factorial_range_is_a_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize("call, m", [
+    (lambda: d_eval(F1(0.7, 1e19), 1.0), "10000000000000000000"),
+    (lambda: u1(0.7, 2e20, 1.0), "200000000000000000000"),
+])
+def test_order_beyond_factorial_range_is_named_before_the_singular_set(call, m):
+    # at such an order theta is lost in rounding, so a = (1+m+theta)/2
+    # reads as an integer <= m; the order is the fault, and is named
+    from hyperd.errors import DomainError
+
+    with pytest.raises(DomainError, match=f"integer order m = {m} is out of range"):
+        call()
+
+
 def test_order_at_factorial_limit_keeps_its_value():
     import mpmath as mp
 

@@ -257,6 +257,18 @@ def test_ladder_guards(catalog):
         check_relation("q.sasa5", {"alpha": 0.2, "beta": 0.3}, 0.5, catalog)
 
 
+@pytest.mark.parametrize("key, params", [
+    ("q.double1", {"alpha": 0.3}),
+    ("q.double2", {"alpha": 0.3}),
+    ("q.double5", {"m": 1}),
+])
+def test_a_side_that_maps_z_names_the_callers_z(key, params, catalog):
+    # z^2 overflows a double, so the evaluator's door refuses the image;
+    # the error names the z the caller gave
+    with pytest.raises(DomainError, match=r"^z must be finite, got z = \(1e\+200\+0j\)$"):
+        check_relation(key, params, 1e200, catalog)
+
+
 def test_shifted_metadata(catalog):
     params = catalog["f0.recurD.raise"].shifted({"m": 1})
     assert params == F0(2)
