@@ -417,19 +417,29 @@ def prepare_log_solution(p):
     return _prepared(jet)
 
 
+def _prefactor_gammas(p):
+    """The arguments q of the 1/Gamma(q) factors of _log_prefactor at p."""
+    m = p.alpha
+    if p.kind == "0f1":
+        return ()
+    if p.kind == "1f1":
+        return ((1 - m + p.theta) / 2,)
+    return ((1 - m - p.beta - p.mu) / 2, (1 - m + p.beta - p.mu) / 2)
+
+
 def _log_prefactor(p):
     """The thunk of U's LogPlusD prefactor at p, alpha the int m (m >= 0
     but for 0F1): U = prefactor (log z F + D) (log(-z) for 2F1) with
     prefactor (-1)^(m+1) times 1/sqrt(pi) (0F1), 1/Gamma((1-m+theta)/2)
     (1F1, DLMF 13.2.9) or 1/(Gamma((1-m-beta-mu)/2) Gamma((1-m+beta-mu)/2))
     (2F1).  It vanishes only where _d_params refuses p."""
-    m = p.alpha
-    sign = (-1.0) ** (m + 1)
+    sign = (-1.0) ** (p.alpha + 1)
     if p.kind == "0f1":
         return lambda: sign / _SQRT_PI
     if p.kind == "1f1":
-        return lambda: sign * recip_gamma((1 - m + p.theta) / 2)
-    q1, q2 = (1 - m - p.beta - p.mu) / 2, (1 - m + p.beta - p.mu) / 2
+        (q,) = _prefactor_gammas(p)
+        return lambda: sign * recip_gamma(q)
+    q1, q2 = _prefactor_gammas(p)
     return lambda: sign * recip_gamma(q1) * recip_gamma(q2)
 
 

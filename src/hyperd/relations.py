@@ -371,11 +371,16 @@ def _quotient(num, den, z):
 def _image(z, f, *args):
     """f(*args).value, f an evaluator whose last argument is the image w of
     the caller's z under a quadratic record's map (z^2, 4z, z^2/(4(z-1)),
-    ...): an error raised at w names z (ffun._named)."""
+    ...): where w is not finite, as where z^2 overflows a double, the
+    evaluator's refusal names z (ffun._named); an error raised at a finite
+    w names w."""
+    w = args[-1]
     try:
         return f(*args).value
     except HyperdError as exc:
-        raise _named(exc, z, args[-1:]) from None
+        if cmath.isfinite(w):
+            raise
+        raise _named(exc, z, (w,)) from None
 
 
 def _recurrence_record(kind, prefix, row, sampler, companion, m_lo=None):

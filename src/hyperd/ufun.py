@@ -46,7 +46,8 @@ import operator
 import sys
 from enum import Enum
 
-from .dfun import _SQRT_PI, _complexed, _d_params, _log_jet, _log_prefactor, d_eval, d_expand
+from .dfun import (_SQRT_PI, _complexed, _d_params, _log_jet, _log_prefactor, _prefactor_gammas,
+                   d_eval, d_expand)
 from .errors import (
     BranchCut,
     DomainError,
@@ -70,7 +71,7 @@ from .ffun import (
     _reflected,
     f_norm,
 )
-from .gammakit import _GAMMA_REL_ERR, recip_gamma, sinpi
+from .gammakit import _GAMMA_REL_ERR, _axis_gamma, recip_gamma, sinpi
 from .series import (
     EvalResult,
     _checked,
@@ -199,17 +200,19 @@ def _log_form(p):
     part (_folded) where that raises DomainError; the error stands where
     the folded value overflows too.  The prefactor (dfun._log_prefactor)
     is taken after the solution, at the first point whose solution
-    succeeds, and kept.  Its 1/Gamma factors, one for 1F1 and two for
-    2F1, are each within _GAMMA_REL_ERR of the true value (gammakit), and
-    the estimate adds that much of |U| for each.  alpha is the snapped m;
-    _d_params rules on p."""
+    succeeds, and kept.  Of its 1/Gamma factors, one for 1F1 and two for
+    2F1, each that math.gamma answers (a real argument, gammakit._axis_gamma)
+    is within _GAMMA_REL_ERR of the true value, and the estimate adds that
+    much of |U| for each; the error of a 1/Gamma of the complex path is not
+    bounded here and not counted.  alpha is the snapped m; _d_params rules
+    on p."""
     shift = p.alpha < 0 and p.kind != "0f1"
     p = p._replace(alpha=-p.alpha) if shift else p
     m = p.alpha
     w = _log_jet(_d_params(p))
     prefactor = _log_prefactor(p)
     pref = []
-    rel = _GAMMA_REL_ERR * {"0f1": 0, "1f1": 1, "2f1": 2}[p.kind]
+    rel = _GAMMA_REL_ERR * sum(_axis_gamma(complex(q)) is not None for q in _prefactor_gammas(p))
 
     def with_gammas(r):
         v, err, terms, flags = r

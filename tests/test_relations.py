@@ -269,6 +269,13 @@ def test_a_side_that_maps_z_names_the_callers_z(key, params, catalog):
         check_relation(key, params, 1e200, catalog)
 
 
+def test_an_error_at_a_finite_image_names_the_image(catalog):
+    # q.sasa3 maps z = 0.85 to w = z^2/(4(z-1)), |w| = 1.204 past the D
+    # series' disc; the message quotes |w| and names w, not z
+    with pytest.raises(DomainError, match=r"got \|z\| = 1\.204\d* at z = \(-1\.204\d*-0j\)$"):
+        check_relation("q.sasa3", {"m": 0, "beta": 0.2}, 0.85, catalog)
+
+
 def test_shifted_metadata(catalog):
     params = catalog["f0.recurD.raise"].shifted({"m": 1})
     assert params == F0(2)

@@ -57,19 +57,18 @@ def _signs(v):
     return math.copysign(1.0, v.real), math.copysign(1.0, v.imag)
 
 
-def _gamma_fault(name, x, z, got, want):
-    """Why the kit's gamma or recip_gamma outcome got at z = x differs
-    from the complex path's want (module docstring), or None."""
+def _gamma_fault(name, ref, z, got, want):
+    """Why the kit's gamma or recip_gamma outcome got at z differs from the
+    complex path's want (module docstring), or None; ref is mpmath's
+    (Gamma(x), 1/Gamma(x)) at 40 digits, z = x, where math.gamma answered."""
     if gammakit._axis_gamma(complex(z)) is None:
         return None if repr(got) == repr(want) else "differs"
     if isinstance(want, str) or not want:
         return "differs"
     if _signs(got) != _signs(want) or got.imag != 0.0:
         return "signs differ"
-    ref = mp.gamma(mp.mpf(x))
-    if name == "recip_gamma":
-        ref = 1 / ref
-    rel = abs((mp.mpf(got.real) - ref) / ref)
+    r = ref[name == "recip_gamma"]
+    rel = abs((mp.mpf(got.real) - r) / r)
     return None if rel <= gammakit._GAMMA_REL_ERR else f"{float(rel):.3g} off mpmath"
 
 
@@ -89,15 +88,17 @@ def mismatches(xs):
             setattr(gammakit, name, f)
     names = ["gamma", "recip_gamma", "digamma"] + [f"pochhammer(z, {k})" for k in INDICES]
     bad = []
-    mp.mp.dps = 40
-    for (x, z), got, want in zip(zs, kit, cplx):
-        for name, a, b in zip(names, got, want):
-            if name in ("gamma", "recip_gamma"):
-                fault = _gamma_fault(name, x, z, a, b)
-            else:
-                fault = None if repr(a) == repr(b) else "differs"
-            if fault:
-                bad.append((name, z, a, b, fault))
+    with mp.workdps(40):
+        refs = {x: (g, 1 / g) for x in xs if gammakit._axis_gamma(complex(x)) is not None
+                for g in (mp.gamma(mp.mpf(x)),)}
+        for (x, z), got, want in zip(zs, kit, cplx):
+            for name, a, b in zip(names, got, want):
+                if name in ("gamma", "recip_gamma"):
+                    fault = _gamma_fault(name, refs.get(x), z, a, b)
+                else:
+                    fault = None if repr(a) == repr(b) else "differs"
+                if fault:
+                    bad.append((name, z, a, b, fault))
     return bad, len(zs) * len(names)
 
 
