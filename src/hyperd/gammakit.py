@@ -4,10 +4,14 @@ and Pochhammer symbols of integer index of either sign.
 Every function takes and returns complex numbers and is pure.  Pole
 detection is absolute: an argument within POLE_TOL of a non-positive
 integer counts as a pole.  Conventions follow DLMF chapter 5; the Lanczos
-coefficients are Godfrey's g = 607/128, n = 15 set, good to ~1e-15
-relative in the right half plane.
+coefficients are Godfrey's g = 607/128, n = 15 set.  Off the real axis
+the rounding of z - 1 and of t = z - 1/2 + g is amplified by the power
+t^(z - 1/2), so the error grows with |z|: against mpmath at 40 digits,
+over 4,000 draws with Re z >= 0.5, gamma and recip_gamma were at most
+1.3e-15 relative off for |z| in [0.5, 2], 1.0e-14 in [5, 20] and
+1.9e-13 in [50, 200] (gamma(38.49+194.10j)).
 
-On the real axis (imaginary part +0 or -0, |x| < _AXIS_MAX) gamma and
+On the real axis (imaginary part +0 or -0, x finite) gamma and
 recip_gamma answer from math.gamma (_axis_gamma), CPython's real Gamma.
 It and its reciprocal are within _GAMMA_REL_ERR (1.25e-15) relative of
 the true value over [-170, 171.6], where the complex path is up to 7e-14
@@ -21,25 +25,10 @@ math.gamma is CPython's own Lanczos sum over the C library's exp, pow
 and sin, so its last bit is CPython's and the platform's, not this
 module's.
 
-digamma and pochhammer first take a real path: float arithmetic, the
-same operations in the same order as the complex path.  On the real axis
-each complex operation of that path has an exact real part, so the real
-path returns the complex path's value bit for bit, the sign of its zero
-imaginary part included.  It answers only where it owns the branch: it
-returns None, and the complex path answers, at a pole within POLE_TOL,
-where a result is not finite or a Pochhammer product is 0, and at a nan
-or infinite argument.  It raises nothing of its own.  Two details keep
-the bits:
-
-- cmath.log takes a log1p form on [0.71, 1.73] and another past
-  _AXIS_MAX, so the real path's only log is digamma's, at x >= 10;
-- the zero imaginary part: that of psi is +0, and pochhammer's follows
-  its factors (see _pochhammer_real).
-
-These rest on the mixed float/complex arithmetic of CPython 3.10 to 3.13,
-which converts the float to a complex.  Python 3.14 keeps the float out of
-the product; there tests/test_gammakit.py and tools/gamma_equivalence.py
-must be run again before the real path is trusted.
+digamma and pochhammer take the complex path everywhere.  On the real
+axis tools/gamma_equivalence.py holds them to mpmath: psi within
+2.5e-15 max(1, |psi(x)|, log(1 + |x|)) absolute, and (x)_k within
+(2|k| + 1) 2^-53 relative where it is a normal double.
 """
 
 import cmath
@@ -52,10 +41,6 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # distance to the nearest non-positive integer below which an argument
 # is treated as exactly at the pole
 POLE_TOL = 1e-9
-
-# bound of the real axis (see the module docstring): past it cmath.log,
-# which digamma takes, switches formula (CPython's CM_LARGE_DOUBLE)
-_AXIS_MAX = sys.float_info.max / 4
 
 # relative error bound of gamma and recip_gamma where math.gamma answers
 # (_axis_gamma; the complex path's error is not bounded by it): over the
@@ -215,69 +200,18 @@ def _lanczos(z, power=1):
 
 
 def _axis_gamma(z):
-    """math.gamma(x) at z = x on the real axis (imaginary part +-0, |x| <
-    _AXIS_MAX), off the poles of POLE_TOL, where it is a finite normal
-    double, so that its reciprocal is finite too; None everywhere else,
-    where the complex path answers (module docstring)."""
+    """math.gamma(x) at z = x on the real axis (imaginary part +-0, x
+    finite), off the poles of POLE_TOL, where it is a finite normal double,
+    so that its reciprocal is finite too; None everywhere else, where the
+    complex path answers (module docstring)."""
     x = z.real
-    if z.imag or not -_AXIS_MAX < x < _AXIS_MAX or x < 0.5 and abs(x - round(x)) <= POLE_TOL:
+    if z.imag or not math.isfinite(x) or x < 0.5 and abs(x - round(x)) <= POLE_TOL:
         return None
     try:
         g = math.gamma(x)
     except (ValueError, OverflowError):
         return None
     return g if abs(g) >= sys.float_info.min else None
-
-
-def _digamma_real(x):
-    # psi(x) for real finite x by the operations of digamma; None at a pole
-    acc = 0.0
-    if x < 0.5:
-        n = round(x)
-        r = x - n
-        if abs(r) <= POLE_TOL:
-            return None
-        c, s = math.cos(math.pi * r), math.sin(math.pi * r)
-        if n % 2:
-            c, s = -c, -s
-        acc -= math.pi * c / s
-        x = 1.0 - x
-    while x < 10.0:  # x >= 0.5 here, where digamma tests abs(z)
-        acc -= 1.0 / x
-        x += 1.0
-    w = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_PSI_ASYMP):
-        tail = (tail + c) * w
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def _pochhammer_real(x, k):
-    """(x)_k for real finite x by the operations of pochhammer, as the
-    complex pochhammer returns; None at a pole and where the product is 0
-    or not finite.  The imaginary part is a zero, signed as the complex
-    products sign it.  (a + s i)(d + 0 i), s a signed zero, has the
-    imaginary part a (+0) + s d, a sum of two zeros, which is -0 only
-    where both are: a < 0 and s of the other sign than d.  From 1 + 0 i
-    over the rising factors x + j that gives -0 where all k factors are
-    negative and k is even and positive.  For k < 0 the zero of 1/acc
-    takes the sign of acc, so of the result."""
-    acc = 1.0
-    if k >= 0:
-        for j in range(k):
-            acc *= x + j
-        if not 0.0 < abs(acc) < math.inf:
-            return None
-        return complex(acc, -0.0 if k and k % 2 == 0 and x + (k - 1) < 0 else 0.0)
-    n = round(x)
-    if 1 <= n <= -k and abs(x - n) <= POLE_TOL:
-        return None
-    for j in range(1, -k + 1):
-        acc *= x - j
-    if not 0.0 < abs(acc) < math.inf:
-        return None
-    acc = 1.0 / acc
-    return complex(acc, math.copysign(0.0, acc))
 
 
 def _integral(k):
@@ -350,10 +284,6 @@ def digamma(z):
     the Bernoulli asymptotic series (DLMF 5.11.2).
     """
     z = complex(z)
-    if not z.imag and -_AXIS_MAX < z.real < _AXIS_MAX:
-        psi = _digamma_real(z.real)
-        if psi is not None:
-            return complex(psi, 0.0)
     if near_nonpositive_int(z) is not None:
         raise PoleError(f"digamma pole at z = {z}")
     acc = 0j
@@ -411,10 +341,6 @@ def pochhammer(z, k):
         raise ValueError(f"pochhammer index must be an integer, got {k}")
     k = n
     z = complex(z)
-    if not z.imag and -_AXIS_MAX < z.real < _AXIS_MAX:
-        acc = _pochhammer_real(z.real, k)
-        if acc is not None:
-            return acc
     acc = complex(1.0)
     if k >= 0:
         for j in range(k):

@@ -392,24 +392,35 @@ def test_reflection_where_gamma_of_one_minus_c_overflows_in_public_calls():
     assert abs(got - complex(want)) <= 1e-12 * abs(want)
 
 
-def test_real_path_matches_the_complex_path():
-    # on the real axis digamma and pochhammer take a float real path that
-    # must give the complex path's repr (the sign of the zero imaginary
-    # part included) or raise its error; gamma and recip_gamma answer from
-    # math.gamma, within gammakit._GAMMA_REL_ERR of mpmath, and keep the
-    # complex path's errors, zeros and signs; checked at the structured
-    # points of tools/gamma_equivalence.py and 3500 of its draws, among
-    # them [-170, 171.6] and (-128, -127), where the complex path is up to
-    # 7e-14 off (its full sweep runs in CI on every Python)
+def test_real_axis_within_mpmath_bounds():
+    # on the real axis gamma and recip_gamma answer from math.gamma,
+    # within gammakit._GAMMA_REL_ERR of mpmath, and keep the complex
+    # path's errors, zeros and signs; digamma is within
+    # gamma_equivalence.PSI_ERR of mpmath, scaled by its terms, and
+    # (x)_k within (2|k| + 1) 2^-53 relative of the exact product, or
+    # raise the errors the rules of tools/gamma_equivalence.py ask for;
+    # checked at its structured points and 3500 of its draws, among them
+    # [-170, 171.6] and (-128, -127), where the complex path of gamma is
+    # up to 7e-14 off (its full sweep runs in CI on every Python)
     xs = gamma_equivalence.axis_points() + gamma_equivalence.draws(random.Random(35), 3500)
     assert sum(-170.0 <= x <= 171.6 for x in xs) >= 3000
     assert sum(-128.0 < x < -127.0 for x in xs) >= 300
-    bad, compared = gamma_equivalence.mismatches(xs)
-    assert compared > 250000
+    bad, checked = gamma_equivalence.mismatches(xs)
+    assert checked > 250000
     assert bad == []
-    # the real paths answer at ordinary points, so no comparison is of the
+    assert gamma_equivalence.PSI_ERR == 2.5e-15
+    assert gamma_equivalence.poch_err(-8) == 17 * 2.0 ** -53
+    # math.gamma answers at ordinary points, so no comparison is of the
     # complex path with itself
     for x in (0.7, -2.3, 12.5, 140.5, -127.7):
         assert gammakit._axis_gamma(complex(x)) is not None
-        assert gammakit._digamma_real(x) is not None
-        assert gammakit._pochhammer_real(x, -2) is not None
+
+
+@pytest.mark.parametrize("name", ["digamma", "pochhammer"])
+def test_real_axis_bounds_catch_an_error_past_them(monkeypatch, name):
+    # the bounds are live: digamma or pochhammer scaled by 1 + 4e-15, a
+    # little past each bound, breaks the rule at ordinary points
+    f = getattr(gammakit, name)
+    monkeypatch.setattr(gammakit, name, lambda *args: f(*args) * (1 + 4e-15))
+    bad, _ = gamma_equivalence.mismatches([0.7, -2.3, 12.5, 140.5, -127.7])
+    assert {b[0].split("(")[0] for b in bad} == {name}
